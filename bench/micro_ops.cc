@@ -15,6 +15,7 @@
 #include "core/ts.h"
 #include "db/database.h"
 #include "db/update_generator.h"
+#include "mu/hotspot.h"
 #include "sig/signature.h"
 #include "sim/simulator.h"
 #include "util/merge.h"
@@ -159,6 +160,65 @@ void BM_SigDiagnose(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SigDiagnose);
+
+// Population scale: 10^4 views with independent 8-item hot spots on one
+// family (the sleepers_sig shard shape: n = 1000, f = 10, m = 654), each
+// awake for a report with probability 0.1, so the awake views hold a mix of
+// baselines from many past reports. Times one report's diagnosis by every
+// awake view; items processed = diagnoses.
+void BM_SigDiagnosePopulation(benchmark::State& state) {
+  constexpr uint64_t kN = 1000;
+  constexpr size_t kViews = 10000;
+  constexpr size_t kHotSpot = 8;
+  constexpr double kAwake = 0.1;
+  Database db(kN, 1);
+  SignatureParams params;
+  params.f = 10;
+  params.g = 16;
+  params.m = PaperRequiredSignatures(kN, params.f, 0.05);
+  SignatureFamily family(kN, params, 1);
+  ServerSignatureState server(&family, &db);
+  Rng rng(5);
+  std::vector<std::vector<ItemId>> hotspots;
+  std::vector<std::unique_ptr<ClientSignatureView>> views;
+  for (size_t v = 0; v < kViews; ++v) {
+    hotspots.push_back(RandomHotSpot(kN, kHotSpot, rng));
+    views.push_back(
+        std::make_unique<ClientSignatureView>(&family, hotspots.back()));
+  }
+  double t = 1.0;
+  auto next_report = [&] {
+    const ItemId id = static_cast<ItemId>(rng.NextUint64(kN));
+    db.ApplyUpdate(id, t);
+    server.OnItemChanged(id);
+    t += 1.0;
+  };
+  auto diagnose_awake = [&] {
+    int64_t diagnoses = 0;
+    for (size_t v = 0; v < kViews; ++v) {
+      if (rng.NextDouble() >= kAwake) continue;
+      auto invalid = views[v]->DiagnoseAndAdopt(server.Combined(), hotspots[v]);
+      benchmark::DoNotOptimize(invalid);
+      ++diagnoses;
+    }
+    return diagnoses;
+  };
+  for (int r = 0; r < 50; ++r) {  // spread the baselines over past reports
+    next_report();
+    diagnose_awake();
+  }
+  int64_t diagnoses = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    next_report();
+    state.ResumeTiming();
+    diagnoses += diagnose_awake();
+  }
+  state.SetItemsProcessed(diagnoses);
+  state.counters["live_baselines"] =
+      static_cast<double>(family.live_baselines());
+}
+BENCHMARK(BM_SigDiagnosePopulation);
 
 void BM_TsBuildReport(benchmark::State& state) {
   const uint64_t updates = static_cast<uint64_t>(state.range(0));

@@ -15,7 +15,7 @@ std::vector<ItemId> ColdInterest(const std::vector<ItemId>& interest,
       cold.push_back(id);
     }
   }
-  // ClientSignatureView tolerates an empty interest set (no subsets kept).
+  // ClientSignatureView tolerates an empty interest set.
   return cold;
 }
 
@@ -135,7 +135,7 @@ Report HybridSigServerStrategy::MaterializeQuiet(SimTime now,
 }
 
 HybridSigClientManager::HybridSigClientManager(
-    const SignatureFamily* family, const std::vector<ItemId>& interest,
+    SignatureFamily* family, const std::vector<ItemId>& interest,
     std::vector<ItemId> hot_set)
     : hot_set_(std::move(hot_set)),
       view_(family, ColdInterest(interest, hot_set_)) {

@@ -72,11 +72,13 @@ class HybridSigServerStrategy : public ServerStrategy {
 
 /// Client half: AT rules for cached hot items (including the drop-on-missed-
 /// report amnesia, but only for the hot half of the cache), signature
-/// diagnosis for cached cold items (robust to arbitrary naps).
+/// diagnosis for cached cold items (robust to arbitrary naps). The cold
+/// view interns baselines in `family`'s pool, so the family must outlive
+/// the manager.
 class HybridSigClientManager : public ClientCacheManager {
  public:
   /// `interest` is the client's hot spot; `hot_set` must match the server's.
-  HybridSigClientManager(const SignatureFamily* family,
+  HybridSigClientManager(SignatureFamily* family,
                          const std::vector<ItemId>& interest,
                          std::vector<ItemId> hot_set);
 

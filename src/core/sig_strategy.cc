@@ -1,5 +1,6 @@
 #include "core/sig_strategy.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace mobicache {
@@ -91,14 +92,23 @@ Report SigServerStrategy::MaterializeQuiet(SimTime now, uint64_t interval) {
   return report;
 }
 
-SigClientManager::SigClientManager(const SignatureFamily* family,
+SigClientManager::SigClientManager(SignatureFamily* family,
                                    const std::vector<ItemId>& interest)
     : view_(family, interest) {}
 
 uint64_t SigClientManager::OnReport(const Report& report, ClientCache* cache) {
   const auto& sig = std::get<SigReport>(report);
+  cached_.clear();
+  cache->ForEachItem([&](ItemId id, const CacheEntry&) {
+    // Member scratch, capacity retained across reports.
+    // detlint:allow(alloc-event-path)
+    cached_.push_back(id);
+  });
+  // Diagnosis reports invalid ids in cached-list order; sort so that order
+  // is ascending id, independent of the cache's slot layout.
+  std::sort(cached_.begin(), cached_.end());
   const std::vector<ItemId> invalid =
-      view_.DiagnoseAndAdopt(sig.combined, cache->Items());
+      view_.DiagnoseAndAdopt(sig.combined, cached_);
   for (ItemId id : invalid) cache->Erase(id);
   cache->ValidateAllThrough(sig.timestamp);
   return invalid.size();

@@ -60,11 +60,12 @@ class SigServerStrategy : public ServerStrategy {
   std::vector<ItemId> dirty_ids_;
 };
 
-/// SIG client half.
+/// SIG client half. Its view interns baselines in `family`'s pool, so the
+/// family must outlive the manager.
 class SigClientManager : public ClientCacheManager {
  public:
   /// `interest` is this client's hot spot (the items it may ever cache).
-  SigClientManager(const SignatureFamily* family,
+  SigClientManager(SignatureFamily* family,
                    const std::vector<ItemId>& interest);
 
   StrategyKind kind() const override { return StrategyKind::kSig; }
@@ -75,6 +76,7 @@ class SigClientManager : public ClientCacheManager {
 
  private:
   ClientSignatureView view_;
+  std::vector<ItemId> cached_;  // scratch, reused across reports
 };
 
 }  // namespace mobicache

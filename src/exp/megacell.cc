@@ -111,6 +111,12 @@ struct MegaCell::Shard {
     }
   }
 
+  /// SIG strategies: deterministic per-shard replica of the signature
+  /// family (its subset-expansion memo and baseline pool are not
+  /// thread-safe to share). Declared before `units` so it is destroyed after
+  /// them: a unit's signature view releases its baseline into this pool on
+  /// destruction.
+  std::unique_ptr<SignatureFamily> family;
   Simulator sim;
   MuHotSoA soa;
   /// Awake bitmap + wake horizon for this slice. Units publish transitions
@@ -118,9 +124,6 @@ struct MegaCell::Shard {
   /// shard's index for the elision check — the phases never overlap.
   WakeIndex wake_index;
   std::vector<std::unique_ptr<MobileUnit>> units;
-  /// SIG strategies: deterministic per-shard replica of the signature
-  /// family (its subset-expansion memo is not thread-safe to share).
-  std::unique_ptr<SignatureFamily> family;
   /// Stateful baselines: per-shard registry replica over this slice's
   /// clients (channel charges routed into the log via the transmit sink).
   std::unique_ptr<StatefulRegistry> registry;

@@ -50,6 +50,14 @@ Status NormalizeCellConfig(CellConfig* config) {
   if (!config->update_rates.empty() && config->update_rates.size() != m.n) {
     return Status::InvalidArgument("update_rates size must equal n");
   }
+  if ((config->strategy == StrategyKind::kSig ||
+       config->strategy == StrategyKind::kHybridSig) &&
+      !(config->sig_k_threshold >= 0.0 && config->sig_gamma >= 0.0)) {
+    // Diagnosis relies on a non-negative threshold: an item none of whose
+    // subsets mismatch is never invalid.
+    return Status::InvalidArgument(
+        "sig_k_threshold and sig_gamma must be non-negative");
+  }
   if (config->strategy == StrategyKind::kHybridSig) {
     if (config->hybrid_hot_set.empty()) {
       config->hybrid_hot_set =

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
+#include <utility>
 
 #include "util/random.h"
 
@@ -60,9 +60,13 @@ SignatureFamily::SignatureFamily(uint64_t n, SignatureParams params,
   assert(params_.m >= 1);
   assert(params_.f >= 1);
   assert(params_.g >= 1 && params_.g <= 64);
+  assert(params_.k_threshold >= 0.0 && params_.gamma >= 0.0);
   sig_mask_ = params_.g == 64 ? ~0ULL : ((1ULL << params_.g) - 1);
   member_prob_ = SubsetMembershipProbability(params_.f);
   log1m_member_ = std::log1p(-member_prob_);
+  global_threshold_ = params_.k_threshold *
+                      ValidItemMismatchProbability(params_.f, params_.g) *
+                      static_cast<double>(params_.m);
 }
 
 uint64_t SignatureFamily::ItemSignature(uint64_t value) const {
@@ -113,9 +117,78 @@ bool SignatureFamily::Contains(uint32_t subset, ItemId item) const {
   return std::binary_search(subsets.begin(), subsets.end(), subset);
 }
 
-double SignatureFamily::MismatchThreshold() const {
-  const double p = ValidItemMismatchProbability(params_.f, params_.g);
-  return params_.k_threshold * p * static_cast<double>(params_.m);
+SignatureFamily::BaselineId SignatureFamily::AcquireSlot() {
+  if (!free_slots_.empty()) {
+    const BaselineId id = free_slots_.back();
+    free_slots_.pop_back();
+    return id;
+  }
+  // The pool grows to the peak number of distinct live baselines (bounded
+  // by the reports heard); freed slots are recycled above with their
+  // buffers' capacity. detlint:allow(alloc-event-path)
+  pool_.emplace_back();
+  Baseline& slot = pool_.back();
+  // A new slot's buffers. detlint:allow(alloc-event-path)
+  slot.signatures.resize(params_.m);
+  // detlint:allow(alloc-event-path)
+  slot.mismatch.resize((params_.m + 63) / 64);
+  // Grows with the pool, so a release never allocates.
+  // detlint:allow(alloc-event-path)
+  free_slots_.reserve(pool_.size());
+  return static_cast<BaselineId>(pool_.size() - 1);
+}
+
+SignatureFamily::BaselineId SignatureFamily::InternBroadcast(
+    const std::vector<uint64_t>& broadcast) {
+  assert(broadcast.size() == params_.m);
+  if (current_ != kNoBaseline &&
+      std::equal(broadcast.begin(), broadcast.end(),
+                 pool_[current_].signatures.begin())) {
+    return current_;
+  }
+  const BaselineId previous = current_;
+  current_ = AcquireSlot();
+  Baseline& slot = pool_[current_];
+  std::copy(broadcast.begin(), broadcast.end(), slot.signatures.begin());
+  slot.refs = 1;  // the family's own reference to the current broadcast
+  ++generation_;
+  if (previous != kNoBaseline) ReleaseBaseline(previous);
+  return current_;
+}
+
+void SignatureFamily::RetainBaseline(BaselineId id) {
+  assert(id < pool_.size() && pool_[id].refs > 0);
+  ++pool_[id].refs;
+}
+
+void SignatureFamily::ReleaseBaseline(BaselineId id) {
+  assert(id < pool_.size() && pool_[id].refs > 0);
+  // AcquireSlot keeps the free list reserved to the pool size, so this
+  // never reallocates. detlint:allow(alloc-event-path)
+  if (--pool_[id].refs == 0) free_slots_.push_back(id);
+}
+
+const uint64_t* SignatureFamily::MismatchWords(BaselineId baseline) {
+  assert(current_ != kNoBaseline);
+  assert(baseline < pool_.size() && pool_[baseline].refs > 0);
+  Baseline& slot = pool_[baseline];
+  if (slot.mismatch_generation != generation_) {
+    // The alpha_j = 1 entries of §3.3 over all m subsets, packed 64 to a
+    // word; diagnosis probes one bit per subset membership.
+    const uint64_t* then = slot.signatures.data();
+    const uint64_t* now = pool_[current_].signatures.data();
+    uint32_t j = 0;
+    for (uint64_t& word : slot.mismatch) {
+      const uint32_t end = std::min(j + 64, params_.m);
+      uint64_t bits = 0;
+      for (uint32_t bit = 0; j < end; ++j, ++bit) {
+        bits |= static_cast<uint64_t>(then[j] != now[j]) << bit;
+      }
+      word = bits;
+    }
+    slot.mismatch_generation = generation_;
+  }
+  return slot.mismatch.data();
 }
 
 ServerSignatureState::ServerSignatureState(const SignatureFamily* family,
@@ -151,71 +224,65 @@ void ServerSignatureState::OnItemChanged(ItemId id) {
   incorporated_[id] = fresh;
 }
 
-ClientSignatureView::ClientSignatureView(const SignatureFamily* family,
-                                         const std::vector<ItemId>& interest)
-    : family_(family) {
-  std::unordered_set<uint32_t> seen;
-  for (ItemId item : interest) {
-    for (uint32_t j : family_->SubsetsOf(item)) seen.insert(j);
+ClientSignatureView::ClientSignatureView(SignatureFamily* family,
+                                         std::vector<ItemId> interest)
+    : family_(family), interest_(std::move(interest)) {}
+
+ClientSignatureView::~ClientSignatureView() {
+  if (has_baseline()) family_->ReleaseBaseline(baseline_);
+}
+
+size_t ClientSignatureView::cached_signature_count() const {
+  std::vector<bool> seen(family_->params().m, false);
+  size_t count = 0;
+  for (ItemId item : interest_) {
+    for (uint32_t j : family_->SubsetsOf(item)) {
+      if (!seen[j]) {
+        seen[j] = true;
+        ++count;
+      }
+    }
   }
-  relevant_.assign(seen.begin(), seen.end());
-  std::sort(relevant_.begin(), relevant_.end());
-  stored_.assign(relevant_.size(), 0);
+  return count;
 }
 
 std::vector<ItemId> ClientSignatureView::DiagnoseAndAdopt(
     const std::vector<uint64_t>& broadcast,
     const std::vector<ItemId>& cached_items) {
-  assert(broadcast.size() == family_->params().m);
+  const SignatureFamily::BaselineId current =
+      family_->InternBroadcast(broadcast);
   std::vector<ItemId> invalid;
-  if (!has_baseline_) {
+  if (!has_baseline()) {
     // Nothing to compare against yet: conservatively treat every cached item
     // as suspect and adopt this broadcast as the baseline.
     invalid = cached_items;
-  } else {
-    // Mismatching relevant subsets (the alpha_j = 1 entries of §3.3), as a
-    // flat byte-map over the m subsets: the per-item counting loop below
-    // probes it once per subset membership, and a direct index beats a hash
-    // lookup by an order of magnitude at report rates. The map is a reused
-    // member; only bits at relevant_ indices can be set, so clearing walks
-    // relevant_ instead of memsetting all of m.
-    if (mismatch_bits_.size() != broadcast.size()) {
-      // Sized on the first report (m is fixed per run); later reports reuse
-      // the byte-map. detlint:allow(alloc-event-path)
-      mismatch_bits_.assign(broadcast.size(), 0);
-    }
-    bool any_mismatch = false;
-    for (size_t r = 0; r < relevant_.size(); ++r) {
-      if (stored_[r] != broadcast[relevant_[r]]) {
-        mismatch_bits_[relevant_[r]] = 1;
-        any_mismatch = true;
+  } else if (baseline_ != current) {
+    // Cached items lie in the interest set, so counting over SubsetsOf(item)
+    // touches only the relevant subsets a per-client copy would have held.
+    const uint64_t* mismatch = family_->MismatchWords(baseline_);
+    const SignatureParams& params = family_->params();
+    const double global_threshold = family_->MismatchThreshold();
+    for (ItemId item : cached_items) {
+      const std::vector<uint32_t>& subsets = family_->SubsetsOf(item);
+      uint32_t count = 0;
+      for (uint32_t j : subsets) {
+        count += static_cast<uint32_t>((mismatch[j >> 6] >> (j & 63)) & 1);
       }
-    }
-    if (any_mismatch) {
-      const SignatureParams& params = family_->params();
-      const double global_threshold = family_->MismatchThreshold();
-      for (ItemId item : cached_items) {
-        const std::vector<uint32_t>& subsets = family_->SubsetsOf(item);
-        uint32_t count = 0;
-        for (uint32_t j : subsets) count += mismatch_bits_[j];
-        const double threshold =
-            params.per_item_threshold
-                ? params.gamma * static_cast<double>(subsets.size())
-                : global_threshold;
-        // Diagnosis returns the invalid-id list it builds; it is sized by
-        // actual mismatches, empty on the (overwhelmingly common) clean
-        // report. detlint:allow(alloc-event-path)
-        if (static_cast<double>(count) > threshold) invalid.push_back(item);
-      }
-      for (size_t r = 0; r < relevant_.size(); ++r) {
-        mismatch_bits_[relevant_[r]] = 0;
-      }
+      const double threshold =
+          params.per_item_threshold
+              ? params.gamma * static_cast<double>(subsets.size())
+              : global_threshold;
+      // Diagnosis returns the invalid-id list it builds; it is sized by
+      // actual mismatches, empty on the (overwhelmingly common) clean
+      // report. detlint:allow(alloc-event-path)
+      if (static_cast<double>(count) > threshold) invalid.push_back(item);
     }
   }
-  for (size_t r = 0; r < relevant_.size(); ++r) {
-    stored_[r] = broadcast[relevant_[r]];
+  if (baseline_ != current) {
+    family_->RetainBaseline(current);
+    if (has_baseline()) family_->ReleaseBaseline(baseline_);
+    baseline_ = current;
   }
-  has_baseline_ = true;
   return invalid;
 }
 

@@ -71,8 +71,18 @@ uint32_t RequiredSignatures(uint64_t n, uint32_t f, uint32_t g, double delta,
 uint32_t PaperRequiredSignatures(uint64_t n, uint32_t f, double delta);
 
 /// A family of m pseudo-random subsets over items [0, n) plus the g-bit
-/// item-signature function. Immutable and shareable between the server and
-/// all clients (it is "universally known").
+/// item-signature function. The math is immutable and shared between the
+/// server and all clients (it is "universally known").
+///
+/// The family is also the per-cell (in MegaCell, per-shard) memo host, and
+/// like the SubsetsOf memo it is not thread-safe. Besides subset lists it
+/// interns the broadcasts its client views adopt as baselines. Every view
+/// that last heard broadcast h holds exactly broadcast h, so the family
+/// stores each distinct broadcast once in a refcounted pool, with freed
+/// slots recycled through a free list, and views keep only a handle. For
+/// the current broadcast it memoizes one m-bit mismatch bitmap per live
+/// baseline, so a report's syndrome against a given baseline is built once
+/// no matter how many views hold that baseline.
 class SignatureFamily {
  public:
   /// `n` >= 1, 1 <= g <= 64, m >= 1, f >= 1.
@@ -102,7 +112,7 @@ class SignatureFamily {
 
   /// Invalidations threshold: a cached item is diagnosed invalid when it
   /// belongs to strictly more than this many mismatching subsets.
-  double MismatchThreshold() const;
+  double MismatchThreshold() const { return global_threshold_; }
 
   uint64_t n() const { return n_; }
   const SignatureParams& params() const { return params_; }
@@ -111,7 +121,47 @@ class SignatureFamily {
     return static_cast<uint64_t>(params_.m) * params_.g;
   }
 
+  /// Distinct broadcasts currently held by views or as the current one.
+  size_t live_baselines() const { return pool_.size() - free_slots_.size(); }
+
  private:
+  // The baseline pool is driven only by ClientSignatureView.
+  friend class ClientSignatureView;
+
+  /// Handle of an interned broadcast in the baseline pool.
+  using BaselineId = uint32_t;
+  static constexpr BaselineId kNoBaseline = ~BaselineId{0};
+
+  /// Makes `broadcast` (m signatures) the current broadcast and returns its
+  /// handle. A broadcast equal to the current one keeps the current handle;
+  /// any other is copied into a pool slot, which starts a new mismatch memo
+  /// generation. The family holds one reference to the current broadcast
+  /// until the next different one arrives.
+  BaselineId InternBroadcast(const std::vector<uint64_t>& broadcast);
+
+  /// Takes / drops one reference to an interned broadcast. A slot whose
+  /// count reaches zero goes back to the free list.
+  void RetainBaseline(BaselineId id);
+  void ReleaseBaseline(BaselineId id);
+
+  /// Bitmap over the m subsets (ceil(m/64) words, bit j of word j/64) of the
+  /// subsets whose signature in `baseline` differs from the current
+  /// broadcast. Built on the first call per baseline per current broadcast;
+  /// valid until the next InternBroadcast() call.
+  const uint64_t* MismatchWords(BaselineId baseline);
+
+  /// One interned broadcast and its memoized mismatch bitmap against the
+  /// current broadcast (valid while `mismatch_generation` == generation_).
+  struct Baseline {
+    std::vector<uint64_t> signatures;
+    std::vector<uint64_t> mismatch;
+    uint64_t mismatch_generation = 0;
+    uint32_t refs = 0;
+  };
+
+  /// Pops a free slot, growing the pool when none is free.
+  BaselineId AcquireSlot();
+
   uint64_t n_;
   SignatureParams params_;
   uint64_t seed_;
@@ -125,6 +175,14 @@ class SignatureFamily {
   mutable std::unordered_map<ItemId, std::vector<uint32_t>> memo_;
   mutable std::vector<uint32_t> scratch_;
   mutable size_t memo_bytes_ = 0;
+
+  double global_threshold_ = 0.0;  // K * p * m, see MismatchThreshold()
+
+  // Baseline pool (see the class comment).
+  std::vector<Baseline> pool_;
+  std::vector<BaselineId> free_slots_;
+  BaselineId current_ = kNoBaseline;
+  uint64_t generation_ = 0;  // bumped whenever current_ changes
 };
 
 /// Server-side incremental maintenance of the m combined signatures. XORs
@@ -156,37 +214,48 @@ class ServerSignatureState {
   std::vector<uint64_t> incorporated_;   // last item signature folded in, per item
 };
 
-/// Client-side diagnosis state: the combined signatures this MU last heard
-/// for the subsets that cover its items of interest.
+/// Client-side diagnosis state: a handle to the broadcast this MU last
+/// heard, interned in the family's baseline pool. The paper's client keeps
+/// only the combined signatures of the subsets covering its items of
+/// interest; those are exactly that broadcast restricted to the interest
+/// set, so the view stores the interest list and counts only subsets of
+/// cached items, which must be a subset of it.
+///
+/// A view releases its baseline when destroyed, so the family must outlive
+/// every view built on it.
 class ClientSignatureView {
  public:
-  /// `interest` is the item set this client may cache (its hot spot). Only
-  /// subsets intersecting it are retained, as in the paper.
-  ClientSignatureView(const SignatureFamily* family,
-                      const std::vector<ItemId>& interest);
+  /// `interest` is the item set this client may cache (its hot spot). O(1)
+  /// beyond copying the interest list: nothing is expanded until a report
+  /// is diagnosed.
+  ClientSignatureView(SignatureFamily* family, std::vector<ItemId> interest);
+  ~ClientSignatureView();
 
-  /// Diagnoses `cached_items` against a fresh broadcast of all m combined
-  /// signatures. Returns the items whose count of mismatching subsets
-  /// exceeds the threshold (the set T of §3.3). Afterwards the broadcast
-  /// becomes this client's stored baseline.
+  ClientSignatureView(const ClientSignatureView&) = delete;
+  ClientSignatureView& operator=(const ClientSignatureView&) = delete;
+
+  /// Diagnoses `cached_items` (a subset of the interest set) against a fresh
+  /// broadcast of all m combined signatures. Returns the items whose count
+  /// of mismatching subsets exceeds the threshold (the set T of §3.3), in
+  /// `cached_items` order; on the first report, every cached item.
+  /// Afterwards the broadcast becomes this client's stored baseline.
   std::vector<ItemId> DiagnoseAndAdopt(
       const std::vector<uint64_t>& broadcast,
       const std::vector<ItemId>& cached_items);
 
-  /// Number of subset signatures this client retains.
-  size_t cached_signature_count() const { return relevant_.size(); }
+  /// Number of subset signatures the paper's client retains: the distinct
+  /// subsets covering the interest set. Computed on demand.
+  size_t cached_signature_count() const;
 
   /// Whether the client has adopted at least one broadcast yet.
-  bool has_baseline() const { return has_baseline_; }
+  bool has_baseline() const {
+    return baseline_ != SignatureFamily::kNoBaseline;
+  }
 
  private:
-  const SignatureFamily* family_;
-  std::vector<uint32_t> relevant_;      // ascending subset indices of interest
-  std::vector<uint64_t> stored_;        // signature per relevant_ entry
-  /// Reused flat map over the m subsets marking this report's mismatches
-  /// (only indices in relevant_ are ever set; cleared after each diagnosis).
-  std::vector<uint8_t> mismatch_bits_;
-  bool has_baseline_ = false;
+  SignatureFamily* family_;
+  std::vector<ItemId> interest_;
+  SignatureFamily::BaselineId baseline_ = SignatureFamily::kNoBaseline;
 };
 
 }  // namespace mobicache

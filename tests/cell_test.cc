@@ -50,6 +50,16 @@ TEST(CellTest, RejectsInvalidConfigs) {
     c.model.s = 1.5;
     EXPECT_FALSE(Cell(c).Build().ok());
   }
+  {
+    CellConfig c = SmallConfig(StrategyKind::kSig);
+    c.sig_k_threshold = -1.0;
+    EXPECT_FALSE(Cell(c).Build().ok());
+  }
+  {
+    CellConfig c = SmallConfig(StrategyKind::kHybridSig);
+    c.sig_gamma = -0.5;
+    EXPECT_FALSE(Cell(c).Build().ok());
+  }
 }
 
 TEST(CellTest, LifecycleEnforced) {

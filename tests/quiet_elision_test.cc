@@ -17,7 +17,8 @@
 //  * Allocation-freedom: once warm, the broadcast path — arena report
 //    reuse, delivery scheduling, awake-set fan-out, and the elided variant —
 //    performs zero heap allocations, asserted as a delta around a measured
-//    span with a counting global operator new.
+//    span with a counting global operator new. The same holds for a warm
+//    SIG client applying a report that invalidates nothing.
 
 #include <atomic>
 #include <cctype>
@@ -30,6 +31,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cache.h"
+#include "core/sig_strategy.h"
+#include "db/database.h"
 #include "exp/cell.h"
 #include "exp/megacell.h"
 #include "mu/mobile_unit.h"
@@ -356,6 +360,51 @@ TEST_F(BroadcastAllocationTest, ElidedSteadyStateAllocatesNothing) {
   EXPECT_EQ(g_new_calls.load() - before, 0u)
       << "warm elided broadcast path allocated";
   EXPECT_GT(cell.server()->stats().quiet_skipped_intervals, 0u);
+}
+
+TEST(SigClientAllocationTest, WarmReportWithoutInvalidationsAllocatesNothing) {
+  // A warm SIG client hearing every report: the broadcast interns into a
+  // recycled pool slot, its mismatch bitmap is rebuilt in place, and the
+  // cached-id scratch keeps its capacity, so a report that invalidates
+  // nothing makes no heap allocation, whether the broadcast changed (one
+  // update outside the client's interest) or not. Reports are built before
+  // the measured span; only OnReport is counted.
+  constexpr uint64_t kN = 400;
+  constexpr double kL = 10.0;
+  SignatureParams params;
+  params.f = 10;
+  params.g = 16;
+  params.m = PaperRequiredSignatures(kN, params.f, 0.05);
+  Database db(kN, 3);
+  SignatureFamily family(kN, params, 17);
+  SigServerStrategy server(&db, &family, kL);
+  std::vector<Report> reports;
+  for (uint64_t i = 1; i <= 40; ++i) {
+    if (i % 3 != 0) {
+      db.ApplyUpdate(static_cast<ItemId>(100 + i),
+                     kL * static_cast<double>(i) - 1.0);
+    }
+    reports.push_back(server.BuildReport(kL * static_cast<double>(i), i));
+  }
+
+  const std::vector<ItemId> interest{1, 2, 3, 4, 5, 6, 7, 8};
+  SigClientManager client(&family, interest);
+  ClientCache cache;
+  for (ItemId id : interest) cache.Put(id, 0, 0.0);
+  EXPECT_EQ(client.OnReport(reports[0], &cache), interest.size());
+  for (ItemId id : interest) cache.Put(id, 0, kL);
+  for (size_t r = 1; r < 4; ++r) {
+    ASSERT_EQ(client.OnReport(reports[r], &cache), 0u);
+  }
+
+  for (size_t r = 4; r < reports.size(); ++r) {
+    const size_t before = g_new_calls.load();
+    const uint64_t invalidated = client.OnReport(reports[r], &cache);
+    const size_t allocations = g_new_calls.load() - before;
+    ASSERT_EQ(invalidated, 0u) << "report " << r;
+    EXPECT_EQ(allocations, 0u) << "warm SIG report " << r << " allocated";
+  }
+  EXPECT_EQ(cache.size(), interest.size());
 }
 
 }  // namespace

@@ -1,10 +1,16 @@
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "db/database.h"
 #include "sig/signature.h"
+#include "util/random.h"
 
 namespace mobicache {
 namespace {
@@ -271,6 +277,185 @@ TEST(ClientSignatureViewTest, DetectionSurvivesManySimultaneousChanges) {
   const auto invalid = view.DiagnoseAndAdopt(server.Combined(), {1, 2, 3});
   EXPECT_NE(std::find(invalid.begin(), invalid.end(), 2), invalid.end());
 }
+
+// The per-client algorithm the shared baseline pool replaced, written
+// plainly: each client stores the signatures of the subsets covering its
+// interest set and, per report, counts each cached item's mismatching
+// subsets among them.
+class ReferenceView {
+ public:
+  /// `subsets_of[item]` is ComputeSubsetsOf(item), expanded once per family.
+  ReferenceView(const SignatureFamily& family,
+                const std::vector<std::vector<uint32_t>>& subsets_of,
+                const std::vector<ItemId>& interest)
+      : family_(family), subsets_of_(subsets_of) {
+    for (ItemId item : interest) {
+      for (uint32_t j : subsets_of_[item]) stored_[j] = 0;
+    }
+  }
+
+  std::vector<ItemId> DiagnoseAndAdopt(const std::vector<uint64_t>& broadcast,
+                                       const std::vector<ItemId>& cached) {
+    std::vector<ItemId> invalid;
+    if (!has_baseline_) {
+      invalid = cached;
+    } else {
+      std::vector<bool> mismatching(broadcast.size(), false);
+      bool any_mismatch = false;
+      for (const auto& [j, signature] : stored_) {
+        if (signature != broadcast[j]) {
+          mismatching[j] = true;
+          any_mismatch = true;
+        }
+      }
+      if (any_mismatch) {
+        const SignatureParams& params = family_.params();
+        for (ItemId item : cached) {
+          const std::vector<uint32_t>& subsets = subsets_of_[item];
+          uint32_t count = 0;
+          for (uint32_t j : subsets) {
+            if (mismatching[j]) ++count;
+          }
+          const double threshold =
+              params.per_item_threshold
+                  ? params.gamma * static_cast<double>(subsets.size())
+                  : params.k_threshold *
+                        ValidItemMismatchProbability(params.f, params.g) *
+                        static_cast<double>(params.m);
+          if (static_cast<double>(count) > threshold) invalid.push_back(item);
+        }
+      }
+    }
+    for (auto& [j, signature] : stored_) signature = broadcast[j];
+    has_baseline_ = true;
+    return invalid;
+  }
+
+  size_t signature_count() const { return stored_.size(); }
+  bool has_baseline() const { return has_baseline_; }
+
+ private:
+  const SignatureFamily& family_;
+  const std::vector<std::vector<uint32_t>>& subsets_of_;
+  std::map<uint32_t, uint64_t> stored_;
+  bool has_baseline_ = false;
+};
+
+// Many views on one family, each with its own interest set and wake
+// probability, hear a stream of reports with 0..3f changes each (so
+// identical, sparse and over-design broadcasts all occur); views are
+// occasionally replaced by fresh ones so pool slots are freed and recycled.
+// Every report's invalid list must equal the reference's exactly. With
+// `hybrid`, the server signs only cold items and the views cover the cold
+// part of each interest set, as HybridSigClientManager builds them.
+class ViewDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(ViewDifferentialTest, MatchesPerClientReference) {
+  const auto [per_item, hybrid] = GetParam();
+  constexpr uint64_t kN = 300;
+  constexpr size_t kViews = 40;
+  constexpr int kReports = 60;
+  SignatureParams params;
+  params.f = 5;
+  params.g = 16;
+  params.k_threshold = 1.1;
+  params.per_item_threshold = per_item;
+  params.gamma = 0.8;
+  params.m = PaperRequiredSignatures(kN, params.f, 0.05);
+  const std::vector<ItemId> hot_set =
+      hybrid ? std::vector<ItemId>{0, 3, 7, 11, 20, 42, 64, 99}
+             : std::vector<ItemId>{};
+  auto is_hot = [&](ItemId id) {
+    return std::binary_search(hot_set.begin(), hot_set.end(), id);
+  };
+
+  uint64_t diagnosed_invalid = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Database db(kN, seed);
+    SignatureFamily family(kN, params, seed * 7919);
+    ServerSignatureState server(&family, &db, hybrid ? &hot_set : nullptr);
+    std::vector<std::vector<uint32_t>> subsets_of;
+    for (ItemId id = 0; id < kN; ++id) {
+      subsets_of.push_back(family.ComputeSubsetsOf(id));
+    }
+
+    struct Client {
+      std::vector<ItemId> interest;
+      double awake = 1.0;
+      std::unique_ptr<ClientSignatureView> view;
+      std::unique_ptr<ReferenceView> reference;
+    };
+    auto fresh_client = [&](Client* c) {
+      c->interest.clear();
+      const size_t size = 4 + rng.NextUint64(9);
+      while (c->interest.size() < size) {
+        const ItemId id = static_cast<ItemId>(rng.NextUint64(kN));
+        if (is_hot(id) ||
+            std::find(c->interest.begin(), c->interest.end(), id) !=
+                c->interest.end()) {
+          continue;
+        }
+        c->interest.push_back(id);
+      }
+      constexpr double kAwake[] = {0.05, 0.3, 0.9, 1.0};
+      c->awake = kAwake[rng.NextUint64(4)];
+      c->view.reset();  // release the old baseline before the new view
+      c->view = std::make_unique<ClientSignatureView>(&family, c->interest);
+      c->reference =
+          std::make_unique<ReferenceView>(family, subsets_of, c->interest);
+      EXPECT_EQ(c->view->cached_signature_count(),
+                c->reference->signature_count());
+    };
+    std::vector<Client> clients(kViews);
+    for (Client& c : clients) fresh_client(&c);
+
+    double t = 0.0;
+    for (int report = 0; report < kReports; ++report) {
+      const uint64_t changes = rng.NextUint64(3 * params.f + 1);
+      for (uint64_t c = 0; c < changes; ++c) {
+        const ItemId id = static_cast<ItemId>(rng.NextUint64(kN));
+        t += 1.0;
+        db.ApplyUpdate(id, t);
+        server.OnItemChanged(id);
+      }
+      for (size_t v = 0; v < kViews; ++v) {
+        Client& c = clients[v];
+        if (rng.NextDouble() < 0.02) fresh_client(&c);
+        if (rng.NextDouble() >= c.awake) continue;
+        std::vector<ItemId> cached;
+        for (ItemId id : c.interest) {
+          if (rng.NextDouble() < 0.7) cached.push_back(id);
+        }
+        std::sort(cached.begin(), cached.end());
+        const bool diagnosing = c.reference->has_baseline();
+        const std::vector<ItemId> got =
+            c.view->DiagnoseAndAdopt(server.Combined(), cached);
+        const std::vector<ItemId> want =
+            c.reference->DiagnoseAndAdopt(server.Combined(), cached);
+        ASSERT_EQ(got, want) << "report " << report << " view " << v;
+        if (diagnosing) diagnosed_invalid += got.size();
+      }
+      // Live baselines: at most one per view plus the current broadcast.
+      ASSERT_LE(family.live_baselines(), kViews + 1);
+    }
+    clients.clear();
+    // Only the family's own reference to the current broadcast remains.
+    EXPECT_EQ(family.live_baselines(), 1u);
+  }
+  // The stream must exercise diagnosis, not just first-report drops.
+  EXPECT_GT(diagnosed_invalid, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThresholdModes, ViewDifferentialTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& param_info) {
+      return std::string(std::get<0>(param_info.param) ? "PerItem" : "Global") +
+             (std::get<1>(param_info.param) ? "HybridCold" : "Plain");
+    });
 
 }  // namespace
 }  // namespace mobicache
