@@ -360,6 +360,75 @@ void BM_TsOnReportWatermark(benchmark::State& state) {
 }
 BENCHMARK(BM_TsOnReportWatermark)->Arg(10)->Arg(100)->Arg(1000);
 
+// Population revalidation: 10^4 TS managers on one shared report index, each
+// with its own random 8-item hot spot, hearing one ~400-entry report per
+// iteration (the workaholics_ts shape: n = 1000, w = 10 intervals). The
+// first listener decodes the report; every other one reads the table. Unlike
+// BM_TsOnReportWatermark's single warm cache, the independent hot spots give
+// the branch predictor no repeating pattern, so this is the per-unit number
+// to hold against the shard lanes of a population run.
+void BM_TsOnReportPopulation(benchmark::State& state) {
+  constexpr uint64_t kN = 1000;
+  constexpr size_t kUnits = 10000;
+  constexpr size_t kHotSpot = 8;
+  constexpr double kL = 10.0;
+  constexpr uint64_t kK = 10;
+  Rng rng(6);
+  TsReportIndex index;
+  std::vector<std::vector<ItemId>> hotspots;
+  std::vector<std::unique_ptr<TsClientManager>> managers;
+  std::vector<ClientCache> caches(kUnits);
+  for (size_t u = 0; u < kUnits; ++u) {
+    hotspots.push_back(RandomHotSpot(kN, kHotSpot, rng));
+    managers.push_back(std::make_unique<TsClientManager>(kK, &index));
+  }
+  Report report{TsReport{}};
+  TsReport& ts = std::get<TsReport>(report);
+  ts.window = kL * static_cast<double>(kK);
+  auto next_report = [&] {
+    ++ts.interval;
+    ts.timestamp = kL * static_cast<double>(ts.interval);
+    ts.entries.clear();
+    for (ItemId id = 0; id < kN; ++id) {
+      if (rng.NextDouble() < 0.4) {
+        ts.entries.push_back({id, ts.timestamp - ts.window * rng.NextDouble()});
+      }
+    }
+  };
+  // Misses are fetched uplink during the interval after the report.
+  auto refill = [&] {
+    for (size_t u = 0; u < kUnits; ++u) {
+      for (ItemId id : hotspots[u]) {
+        if (!caches[u].Contains(id)) {
+          caches[u].Put(id, 0, ts.timestamp + kL * rng.NextDouble());
+        }
+      }
+    }
+  };
+  next_report();
+  for (size_t u = 0; u < kUnits; ++u) managers[u]->OnReport(report, &caches[u]);
+  refill();
+  uint64_t invalidated = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    next_report();
+    state.ResumeTiming();
+    for (size_t u = 0; u < kUnits; ++u) {
+      invalidated += managers[u]->OnReport(report, &caches[u]);
+    }
+    state.PauseTiming();
+    refill();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kUnits));
+  state.counters["entries"] = static_cast<double>(ts.entries.size());
+  state.counters["invalidated_per_unit"] = benchmark::Counter(
+      static_cast<double>(invalidated) / static_cast<double>(kUnits),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_TsOnReportPopulation);
+
 // ---------------------------------------------------------------------------
 // Window queries: one flat journal scanned per query vs per-interval buckets
 // with sealed digests. Arg is the query window in seconds (L = 10).

@@ -5,14 +5,15 @@
 // by swapping the paper's per-interval Bernoulli sleep process for a
 // renewal on/off process with the same effective sleep probability.
 
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "analysis/model.h"
 #include "exp/cell.h"
+#include "util/flags.h"
 #include "util/stats.h"
+#include "util/status.h"
 #include "util/table.h"
 
 namespace mobicache {
@@ -23,32 +24,23 @@ struct Measured {
   OnlineStats bc;
 };
 
-Measured RunSeeds(const CellConfig& base, int seeds, uint64_t warmup,
-                  uint64_t measure) {
-  Measured out;
-  for (int i = 0; i < seeds; ++i) {
+Status RunSeeds(const CellConfig& base, uint64_t seeds, uint64_t warmup,
+                uint64_t measure, Measured* out) {
+  for (uint64_t i = 0; i < seeds; ++i) {
     CellConfig config = base;
-    config.seed = base.seed + 7919ULL * static_cast<uint64_t>(i + 1);
+    config.seed = base.seed + 7919ULL * (i + 1);
     Cell cell(config);
-    if (!cell.Build().ok() || !cell.Run(warmup, measure).ok()) {
-      std::fprintf(stderr, "cell failed\n");
-      std::exit(1);
-    }
+    MOBICACHE_RETURN_IF_ERROR(cell.Build());
+    MOBICACHE_RETURN_IF_ERROR(cell.Run(warmup, measure));
     const CellResult r = cell.result();
-    out.hit.Add(r.hit_ratio);
-    out.bc.Add(r.avg_report_bits);
+    out->hit.Add(r.hit_ratio);
+    out->bc.Add(r.avg_report_bits);
   }
-  return out;
+  return Status::OK();
 }
 
-int Run(int argc, char** argv) {
-  int seeds = 5;
-  uint64_t measure = 400;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seeds=", 0) == 0) seeds = std::stoi(arg.substr(8));
-    if (arg.rfind("--measure=", 0) == 0) measure = std::stoull(arg.substr(10));
-  }
+Status Run(uint64_t seeds, uint64_t measure) {
+  if (seeds == 0) return Status::InvalidArgument("--seeds must be >= 1");
 
   ModelParams params;  // Scenario-1 shaped
   params.k = 10;
@@ -82,7 +74,8 @@ int Run(int argc, char** argv) {
       config.num_units = 20;
       config.hotspot_size = 20;
       config.seed = 101;
-      const Measured m = RunSeeds(config, seeds, 50, measure);
+      Measured m;
+      MOBICACHE_RETURN_IF_ERROR(RunSeeds(config, seeds, 50, measure, &m));
       const StrategyEval sim_eval =
           EvalFromMeasurements(p, m.hit.mean(), m.bc.mean());
       table.AddRow({std::string(StrategyName(kind)), TablePrinter::Num(s, 2),
@@ -121,8 +114,11 @@ int Run(int argc, char** argv) {
     bern_config.renewal_sleep = false;
     bern_config.model.s = eff_s;
 
-    const Measured renewal = RunSeeds(renewal_config, seeds, 50, measure);
-    const Measured bern = RunSeeds(bern_config, seeds, 50, measure);
+    Measured renewal;
+    Measured bern;
+    MOBICACHE_RETURN_IF_ERROR(
+        RunSeeds(renewal_config, seeds, 50, measure, &renewal));
+    MOBICACHE_RETURN_IF_ERROR(RunSeeds(bern_config, seeds, 50, measure, &bern));
     ModelParams p = params;
     p.s = eff_s;
     rob.AddRow({TablePrinter::Num(awake, 3), TablePrinter::Num(sleep, 3),
@@ -136,10 +132,33 @@ int Run(int argc, char** argv) {
                "effective s\n(awake runs cluster), which is why AT, whose "
                "cache dies on any missed\nreport, does noticeably better "
                "under it.\n";
-  return 0;
+  return Status::OK();
 }
 
 }  // namespace
 }  // namespace mobicache
 
-int main(int argc, char** argv) { return mobicache::Run(argc, argv); }
+int main(int argc, char** argv) {
+  using mobicache::Status;
+  mobicache::FlagParser flags(
+      "model_validation: simulated vs analytic hit ratio and report size "
+      "(paper §4) on a\nScenario-1-shaped cell, with confidence intervals "
+      "over several seeds.");
+  uint64_t seeds = 0;
+  uint64_t measure = 0;
+  flags.AddUint("seeds", 5, "simulated seeds per point (>= 1)", &seeds);
+  flags.AddUint("measure", 400, "measured intervals per run", &measure);
+  if (Status st = flags.Parse(argc, argv); !st.ok()) {
+    std::cerr << st.ToString() << "\n\n" << flags.Usage();
+    return 2;
+  }
+  if (flags.help_requested()) {
+    std::cout << flags.Usage();
+    return 0;
+  }
+  if (Status st = mobicache::Run(seeds, measure); !st.ok()) {
+    std::cerr << st.ToString() << "\n";
+    return st.code() == mobicache::StatusCode::kInvalidArgument ? 2 : 1;
+  }
+  return 0;
+}

@@ -266,8 +266,13 @@ void AdaptiveTsServerStrategy::Reevaluate(SimTime now, uint64_t interval) {
 }
 
 AdaptiveTsClientManager::AdaptiveTsClientManager(SimTime latency,
-                                                 AdaptiveTsOptions options)
-    : latency_(latency), options_(options) {
+                                                 AdaptiveTsOptions options,
+                                                 TsReportIndex* shared_index)
+    : latency_(latency),
+      options_(options),
+      own_index_(shared_index == nullptr ? std::make_unique<TsReportIndex>()
+                                         : nullptr),
+      index_(shared_index == nullptr ? own_index_.get() : shared_index) {
   assert(latency > 0.0);
 }
 
@@ -289,19 +294,13 @@ uint64_t AdaptiveTsClientManager::OnReport(const Report& report,
     known_windows_[ch.id] = ch.window_intervals;
   }
 
-  std::unordered_map<ItemId, SimTime> mentioned;
-  // Adaptive clients rebuild the mention map per report; the adaptive
-  // variant trades allocations for its controller and is off the lean
-  // strategies' allocation-free contract. detlint:allow(alloc-event-path)
-  mentioned.reserve(ats.entries.size());
-  for (const TsReportEntry& e : ats.entries) mentioned[e.id] = e.updated_at;
-
+  index_->Bind(ats);
   victims_.clear();
   cache->ForEachItem([&](ItemId id, const CacheEntry& entry) {
-    auto it = mentioned.find(id);
-    if (it != mentioned.end()) {
+    const SimTime updated_at = index_->At(id);
+    if (updated_at != TsReportIndex::kNotMentioned) {
       // Member scratch, capacity retained. detlint:allow(alloc-event-path)
-      if (entry.timestamp < it->second) victims_.push_back(id);
+      if (entry.timestamp < updated_at) victims_.push_back(id);
       return;
     }
     // Silence proves validity only if the copy is young enough that any

@@ -37,10 +37,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "core/strategy.h"
+#include "core/ts.h"
 
 namespace mobicache {
 
@@ -131,8 +133,11 @@ class AdaptiveTsServerStrategy : public ServerStrategy {
 class AdaptiveTsClientManager : public ClientCacheManager {
  public:
   /// `options` must match the server's (part of the contract): the client
-  /// needs the default window and k_max.
-  AdaptiveTsClientManager(SimTime latency, AdaptiveTsOptions options);
+  /// needs the default window and k_max. `shared_index` is the decoding
+  /// domain's TsReportIndex (see TsClientManager); null gives the manager a
+  /// private one.
+  AdaptiveTsClientManager(SimTime latency, AdaptiveTsOptions options,
+                          TsReportIndex* shared_index = nullptr);
 
   StrategyKind kind() const override { return StrategyKind::kAdaptiveTs; }
   uint64_t OnReport(const Report& report, ClientCache* cache) override;
@@ -150,6 +155,8 @@ class AdaptiveTsClientManager : public ClientCacheManager {
  private:
   SimTime latency_;
   AdaptiveTsOptions options_;
+  std::unique_ptr<TsReportIndex> own_index_;  // set when none is shared
+  TsReportIndex* index_;
   std::unordered_map<ItemId, uint64_t> known_windows_;  // overrides of w0
   std::unordered_map<ItemId, std::vector<SimTime>> pending_hits_;
   bool heard_any_ = false;

@@ -45,7 +45,8 @@ std::string_view StrategyName(StrategyKind kind);
 
 /// Chooses between the two equivalent ways of applying a report to a cache:
 /// probing the cache once per report entry (O(|report|)), or walking the
-/// cache and binary-searching the sorted report (O(|cache| log |report|)).
+/// cache and looking each item up in the report (a binary search of the
+/// sorted report for AT, one read of the shared TsReportIndex for TS).
 /// The latter wins when the report dwarfs the cache, which is the common
 /// case at paper scale (10^6-item databases, tens of cached items).
 inline bool CacheDrivenScanPays(size_t report_entries, size_t cached_items) {

@@ -98,8 +98,34 @@ Report TsServerStrategy::MaterializeQuiet(SimTime now, uint64_t interval) {
   return report;
 }
 
-TsClientManager::TsClientManager(uint64_t window_intervals)
-    : window_intervals_(window_intervals) {
+void TsReportIndex::Decode(uint64_t interval, SimTime timestamp,
+                           const std::vector<TsReportEntry>& entries) {
+  for (ItemId id : set_ids_) table_[id] = kNotMentioned;
+  set_ids_.clear();
+  ItemId max_id = 0;
+  for (const TsReportEntry& e : entries) max_id = std::max(max_id, e.id);
+  if (!entries.empty() && max_id >= table_.size()) {
+    // Grows only when a report lists an id beyond every earlier one, so at
+    // most up to n. detlint:allow(alloc-event-path)
+    table_.resize(static_cast<size_t>(max_id) + 1, kNotMentioned);
+  }
+  for (const TsReportEntry& e : entries) {
+    table_[e.id] = e.updated_at;
+    // Member scratch, capacity retained across reports.
+    // detlint:allow(alloc-event-path)
+    set_ids_.push_back(e.id);
+  }
+  bound_ = true;
+  interval_ = interval;
+  timestamp_ = timestamp;
+}
+
+TsClientManager::TsClientManager(uint64_t window_intervals,
+                                 TsReportIndex* shared_index)
+    : window_intervals_(window_intervals),
+      own_index_(shared_index == nullptr ? std::make_unique<TsReportIndex>()
+                                         : nullptr),
+      index_(shared_index == nullptr ? own_index_.get() : shared_index) {
   assert(window_intervals >= 1);
 }
 
@@ -118,15 +144,13 @@ uint64_t TsClientManager::OnReport(const Report& report, ClientCache* cache) {
     // Purge cached items the report marks as changed after the copy's
     // validity timestamp; every surviving item is revalidated through T_i.
     if (CacheDrivenScanPays(ts.entries.size(), cache->size())) {
-      // Report dwarfs the cache: binary-search the id-sorted report once
-      // per cached item instead of probing the cache per report entry.
+      // Report dwarfs the cache: read each cached item's report timestamp
+      // from the domain's decoded index instead of probing the cache per
+      // report entry. The first listener of a broadcast pays the decode.
+      index_->Bind(ts);
       victims_.clear();
       cache->ForEachItem([&](ItemId id, const CacheEntry& entry) {
-        auto it = std::lower_bound(
-            ts.entries.begin(), ts.entries.end(), id,
-            [](const TsReportEntry& e, ItemId v) { return e.id < v; });
-        if (it != ts.entries.end() && it->id == id &&
-            entry.timestamp < it->updated_at) {
+        if (entry.timestamp < index_->At(id)) {
           // Member scratch, capacity retained across reports.
           // detlint:allow(alloc-event-path)
           victims_.push_back(id);

@@ -5,11 +5,19 @@
 // than the cached copy is purged; every other item is re-stamped with the
 // report time. A client that slept through more than k intervals drops its
 // whole cache.
+//
+// Every client in a cell that hears broadcast i checks its cache against the
+// same report, so the report is decoded once per decoding domain into a
+// TsReportIndex (a dense item -> timestamp table) that all of the domain's
+// client managers share: each cached item then costs one table read instead
+// of a binary search over the report.
 
 #ifndef MOBICACHE_CORE_TS_H_
 #define MOBICACHE_CORE_TS_H_
 
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/strategy.h"
@@ -60,11 +68,59 @@ class TsServerStrategy : public ServerStrategy {
   std::vector<TsReportEntry> next_scratch_;
 };
 
+/// One decoded TS report: the timestamp the report lists for each item, or
+/// kNotMentioned. Shared by every client manager of one decoding domain (a
+/// Cell, or one MegaCell shard) — the same one-domain ownership rule as
+/// SignatureFamily, and likewise not thread-safe. The table grows lazily to
+/// the largest id any report lists (8 bytes per id, bounded by n).
+///
+/// Relies on the broadcast contract that a cell sends one report per
+/// interval: (interval, timestamp) identifies the report's content, so a
+/// listener handed the broadcast already bound decodes nothing. Report
+/// timestamps are finite and each id is listed at most once (Eq. 1).
+class TsReportIndex {
+ public:
+  static constexpr SimTime kNotMentioned =
+      -std::numeric_limits<SimTime>::infinity();
+
+  /// Makes the index describe `report` (a TsReport or AdaptiveTsReport).
+  /// Free when it already does; otherwise O(previous + current entries),
+  /// never O(n).
+  template <typename TsLikeReport>
+  void Bind(const TsLikeReport& report) {
+    if (bound_ && report.interval == interval_ &&
+        report.timestamp == timestamp_) {
+      return;
+    }
+    Decode(report.interval, report.timestamp, report.entries);
+  }
+
+  /// The bound report's timestamp for `id`, or kNotMentioned. Since nothing
+  /// is older than kNotMentioned, `copy_stamp < At(id)` is exactly the §3.1
+  /// "listed with a newer timestamp" test.
+  SimTime At(ItemId id) const {
+    return id < table_.size() ? table_[id] : kNotMentioned;
+  }
+
+ private:
+  void Decode(uint64_t interval, SimTime timestamp,
+              const std::vector<TsReportEntry>& entries);
+
+  bool bound_ = false;
+  uint64_t interval_ = 0;
+  SimTime timestamp_ = 0.0;
+  std::vector<SimTime> table_;  // by item id; kNotMentioned when unlisted
+  std::vector<ItemId> set_ids_;  // ids the bound report set, cleared next
+};
+
 /// TS client half: implements the §3.1 client algorithm.
 class TsClientManager : public ClientCacheManager {
  public:
-  /// `window_intervals` must match the server's k.
-  explicit TsClientManager(uint64_t window_intervals);
+  /// `window_intervals` must match the server's k. `shared_index` is the
+  /// decoding domain's TsReportIndex and must outlive the manager; null
+  /// gives the manager a private one.
+  explicit TsClientManager(uint64_t window_intervals,
+                           TsReportIndex* shared_index = nullptr);
 
   StrategyKind kind() const override { return StrategyKind::kTs; }
   uint64_t OnReport(const Report& report, ClientCache* cache) override;
@@ -76,6 +132,8 @@ class TsClientManager : public ClientCacheManager {
 
  private:
   uint64_t window_intervals_;
+  std::unique_ptr<TsReportIndex> own_index_;  // set when none is shared
+  TsReportIndex* index_;
   bool heard_any_ = false;
   uint64_t last_interval_ = 0;
   std::vector<ItemId> victims_;  // scratch, reused across reports

@@ -63,6 +63,7 @@ Status Cell::Build() {
       config_.delivery, config_.mean_jitter_seconds, delivery_seed);
 
   family_ = MakeSignatureFamilyForCell(config_, family_seed);
+  ts_index_ = MakeTsReportIndexForCell(config_);
   walk_ = MakeNumericWalkForCell(config_, db_seed);
   const bool stateful = config_.strategy == StrategyKind::kIdeal ||
                         config_.strategy == StrategyKind::kStateful;
@@ -90,6 +91,7 @@ Status Cell::Build() {
   ctx.sizes = sizes_;
   ctx.db = db_.get();
   ctx.family = family_.get();
+  ctx.ts_index = ts_index_.get();
   ctx.walk = walk_.get();
 
   ServerConfig sc;

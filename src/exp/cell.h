@@ -17,6 +17,7 @@
 #include "core/coherency.h"
 #include "core/stateful.h"
 #include "core/strategy.h"
+#include "core/ts.h"
 #include "db/database.h"
 #include "db/update_generator.h"
 #include "mu/mobile_unit.h"
@@ -192,6 +193,9 @@ class Cell {
   std::unique_ptr<Channel> channel_;
   std::unique_ptr<DeliveryModel> delivery_;
   std::unique_ptr<SignatureFamily> family_;
+  /// TS strategies: the cell's one report decode, shared by every unit's
+  /// manager. Declared before `units_`, which point into it.
+  std::unique_ptr<TsReportIndex> ts_index_;
   std::unique_ptr<NumericWalk> walk_;
   std::unique_ptr<StatefulRegistry> registry_;
   std::unique_ptr<AsyncBroadcaster> async_;

@@ -117,6 +117,10 @@ struct MegaCell::Shard {
   /// them: a unit's signature view releases its baseline into this pool on
   /// destruction.
   std::unique_ptr<SignatureFamily> family;
+  /// TS strategies: this shard's decoding domain, one report decode shared
+  /// by the slice's client managers (not thread-safe, so never shared
+  /// across shards). Declared before `units`, which point into it.
+  std::unique_ptr<TsReportIndex> ts_index;
   Simulator sim;
   MuHotSoA soa;
   /// Awake bitmap + wake horizon for this slice. Units publish transitions
@@ -257,6 +261,7 @@ Status MegaCell::Build() {
     if (sig_strategy) {
       shard->family = MakeSignatureFamilyForCell(cc, family_seed);
     }
+    shard->ts_index = MakeTsReportIndexForCell(cc);
     if (stateful_mode_) {
       shard->registry = std::make_unique<StatefulRegistry>(
           mode, /*channel=*/nullptr, sizes_);
@@ -310,6 +315,7 @@ Status MegaCell::Build() {
     shard_ctx.sizes = sizes_;
     shard_ctx.db = db_.get();
     shard_ctx.family = sig_strategy ? sh.family.get() : nullptr;
+    shard_ctx.ts_index = sh.ts_index.get();
     shard_ctx.walk = walk_.get();
 
     auto unit = std::make_unique<MobileUnit>(

@@ -104,6 +104,15 @@ std::unique_ptr<SignatureFamily> MakeSignatureFamilyForCell(
   return std::make_unique<SignatureFamily>(m.n, sp, family_seed);
 }
 
+std::unique_ptr<TsReportIndex> MakeTsReportIndexForCell(
+    const CellConfig& config) {
+  if (config.strategy != StrategyKind::kTs &&
+      config.strategy != StrategyKind::kAdaptiveTs) {
+    return nullptr;
+  }
+  return std::make_unique<TsReportIndex>();
+}
+
 std::unique_ptr<NumericWalk> MakeNumericWalkForCell(const CellConfig& config,
                                                     uint64_t db_seed) {
   if (config.strategy != StrategyKind::kQuasiAt || !config.quasi_arithmetic) {
@@ -161,13 +170,14 @@ std::unique_ptr<ClientCacheManager> MakeClientManager(
   const ModelParams& m = config.model;
   switch (config.strategy) {
     case StrategyKind::kTs:
-      return std::make_unique<TsClientManager>(m.k);
+      return std::make_unique<TsClientManager>(m.k, ctx.ts_index);
     case StrategyKind::kAt:
       return std::make_unique<AtClientManager>();
     case StrategyKind::kSig:
       return std::make_unique<SigClientManager>(ctx.family, hotspot);
     case StrategyKind::kAdaptiveTs:
-      return std::make_unique<AdaptiveTsClientManager>(m.L, config.adaptive);
+      return std::make_unique<AdaptiveTsClientManager>(m.L, config.adaptive,
+                                                       ctx.ts_index);
     case StrategyKind::kQuasiAt:
       if (config.quasi_arithmetic) {
         // Arithmetic-condition clients are plain AT clients; the filtering

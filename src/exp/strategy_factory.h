@@ -4,7 +4,8 @@
 // shard needs its own ClientCacheManager per unit and, for the signature
 // strategies, its own SignatureFamily replica (the family's subset-expansion
 // memo is not thread-safe; deterministically re-deriving it from the same
-// seed is cheaper than locking it).
+// seed is cheaper than locking it). TS strategies likewise get one
+// TsReportIndex per shard.
 
 #ifndef MOBICACHE_EXP_STRATEGY_FACTORY_H_
 #define MOBICACHE_EXP_STRATEGY_FACTORY_H_
@@ -12,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/ts.h"
 #include "exp/cell.h"
 
 namespace mobicache {
@@ -30,18 +32,25 @@ MessageSizes ComputeMessageSizes(const ModelParams& m);
 std::unique_ptr<SignatureFamily> MakeSignatureFamilyForCell(
     const CellConfig& config, uint64_t family_seed);
 
+/// Builds the TsReportIndex a TS/adaptive-TS decoding domain shares (null
+/// for other strategies): one per Cell, one per MegaCell shard.
+std::unique_ptr<TsReportIndex> MakeTsReportIndexForCell(
+    const CellConfig& config);
+
 /// Builds the numeric random walk for the arithmetic quasi-copy condition
 /// (null otherwise). Seeded from the database seed like Cell always did.
 std::unique_ptr<NumericWalk> MakeNumericWalkForCell(const CellConfig& config,
                                                     uint64_t db_seed);
 
-/// Everything the per-kind component switches need. `family` / `walk` may be
-/// null when the strategy does not use them.
+/// Everything the per-kind component switches need. `family` / `ts_index` /
+/// `walk` may be null when the strategy does not use them; TS and adaptive-TS
+/// managers built with no `ts_index` decode reports privately.
 struct StrategyFactoryContext {
   const CellConfig* config = nullptr;
   MessageSizes sizes;
   Database* db = nullptr;
   SignatureFamily* family = nullptr;
+  TsReportIndex* ts_index = nullptr;
   NumericWalk* walk = nullptr;
 };
 

@@ -19,41 +19,7 @@
 #include "exp/megacell.h"
 #include "util/merge.h"
 
-// Counts every global operator new in this test binary so allocation-free
-// contracts can be asserted as deltas around a merge cycle. Atomic because
-// parts of the suite run multi-threaded shard gangs.
-namespace {
-std::atomic<size_t> g_new_calls{0};
-}  // namespace
-
-// noinline keeps the malloc/free bodies opaque at new/delete expression
-// sites, which would otherwise trip GCC's -Wmismatched-new-delete.
-#if defined(__GNUC__)
-#define MOBICACHE_TEST_NOINLINE __attribute__((noinline))
-#else
-#define MOBICACHE_TEST_NOINLINE
-#endif
-
-MOBICACHE_TEST_NOINLINE void* operator new(std::size_t size) {
-  ++g_new_calls;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-MOBICACHE_TEST_NOINLINE void* operator new[](std::size_t size) {
-  return ::operator new(size);
-}
-MOBICACHE_TEST_NOINLINE void operator delete(void* p) noexcept {
-  std::free(p);
-}
-MOBICACHE_TEST_NOINLINE void operator delete[](void* p) noexcept {
-  std::free(p);
-}
-MOBICACHE_TEST_NOINLINE void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-MOBICACHE_TEST_NOINLINE void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
+#include "counting_new.h"
 
 namespace mobicache {
 namespace {

@@ -8,42 +8,7 @@
 
 #include "sim/simulator.h"
 
-// Counts every global operator new in this test binary so the
-// allocation-free contract of the event hot path can be asserted as a
-// delta around a schedule/dispatch burst. Atomic because parts of the
-// suite also run under TSan.
-namespace {
-std::atomic<size_t> g_new_calls{0};
-}  // namespace
-
-// noinline keeps the malloc/free bodies opaque at new/delete expression
-// sites, which would otherwise trip GCC's -Wmismatched-new-delete.
-#if defined(__GNUC__)
-#define MOBICACHE_TEST_NOINLINE __attribute__((noinline))
-#else
-#define MOBICACHE_TEST_NOINLINE
-#endif
-
-MOBICACHE_TEST_NOINLINE void* operator new(std::size_t size) {
-  ++g_new_calls;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-MOBICACHE_TEST_NOINLINE void* operator new[](std::size_t size) {
-  return ::operator new(size);
-}
-MOBICACHE_TEST_NOINLINE void operator delete(void* p) noexcept {
-  std::free(p);
-}
-MOBICACHE_TEST_NOINLINE void operator delete[](void* p) noexcept {
-  std::free(p);
-}
-MOBICACHE_TEST_NOINLINE void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-MOBICACHE_TEST_NOINLINE void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
+#include "counting_new.h"
 
 namespace mobicache {
 namespace {

@@ -32,62 +32,7 @@
 #include "mu/mobile_unit.h"
 #include "sim/simulator.h"
 
-// Counting global operator new, as in quiet_elision_test.cc: the
-// allocation-free contracts are asserted as deltas around measured spans.
-// Atomic because the suite also runs under TSan.
-namespace {
-std::atomic<size_t> g_new_calls{0};
-}  // namespace
-
-// noinline keeps the malloc/free bodies opaque at new/delete expression
-// sites, which would otherwise trip GCC's -Wmismatched-new-delete.
-#if defined(__GNUC__)
-#define MOBICACHE_TEST_NOINLINE __attribute__((noinline))
-#else
-#define MOBICACHE_TEST_NOINLINE
-#endif
-
-MOBICACHE_TEST_NOINLINE void* operator new(std::size_t size) {
-  ++g_new_calls;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-MOBICACHE_TEST_NOINLINE void* operator new[](std::size_t size) {
-  return ::operator new(size);
-}
-MOBICACHE_TEST_NOINLINE void operator delete(void* p) noexcept {
-  std::free(p);
-}
-MOBICACHE_TEST_NOINLINE void operator delete[](void* p) noexcept {
-  std::free(p);
-}
-MOBICACHE_TEST_NOINLINE void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-MOBICACHE_TEST_NOINLINE void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
-// stable_sort's temporary buffer (Database::BuildDigest) allocates through
-// the nothrow form and frees through plain operator delete; cover the pair
-// so ASan sees one consistent allocator.
-MOBICACHE_TEST_NOINLINE void* operator new(std::size_t size,
-                                           const std::nothrow_t&) noexcept {
-  ++g_new_calls;
-  return std::malloc(size);
-}
-MOBICACHE_TEST_NOINLINE void* operator new[](std::size_t size,
-                                             const std::nothrow_t&) noexcept {
-  ++g_new_calls;
-  return std::malloc(size);
-}
-MOBICACHE_TEST_NOINLINE void operator delete(void* p,
-                                             const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-MOBICACHE_TEST_NOINLINE void operator delete[](
-    void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+#include "counting_new.h"
 
 namespace mobicache {
 namespace {
