@@ -1,7 +1,6 @@
 #include "bench_common.h"
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <climits>
 #include <cstdio>
@@ -13,6 +12,7 @@
 #include <string>
 
 #include "bench_json.h"
+#include "util/flags.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
 
@@ -62,35 +62,15 @@ uint64_t BenchHeapAllocations() {
 
 namespace {
 
-/// Matches --<name>=<value> and parses the value as a non-negative integer.
-/// Exits with a diagnostic on garbage ("--points=abc"), a negative sign, an
-/// empty value, trailing junk ("--points=12x"), or overflow: strtoull alone
-/// reports none of these, it just yields 0 or wraps, which used to surface
-/// as a misleading downstream error.
-bool ParseFlag(const char* arg, const char* name, uint64_t* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  const char* value = arg + len + 1;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || value[0] == '-' || errno == ERANGE) {
-    std::fprintf(stderr, "invalid value for %s: '%s' (expected a "
-                 "non-negative integer)\n", name, value);
-    std::exit(2);
-  }
-  *out = parsed;
-  return true;
-}
-
 /// Narrows a parsed flag to int, rejecting values an int cannot hold.
-int ToIntFlag(const char* name, uint64_t value) {
+Status ToIntFlag(const char* name, uint64_t value, int* out) {
   if (value > static_cast<uint64_t>(INT_MAX)) {
-    std::fprintf(stderr, "value for %s is too large: %llu (max %d)\n", name,
-                 static_cast<unsigned long long>(value), INT_MAX);
-    std::exit(2);
+    return Status::InvalidArgument(std::string("--") + name +
+                                   " is too large (max " +
+                                   std::to_string(INT_MAX) + ")");
   }
-  return static_cast<int>(value);
+  *out = static_cast<int>(value);
+  return Status::OK();
 }
 
 std::string BenchNameFromArgv0(const char* argv0) {
@@ -105,48 +85,52 @@ std::string BenchNameFromArgv0(const char* argv0) {
 SweepOptions ParseSweepArgs(int argc, char** argv, SweepOptions defaults,
                             std::string* csv_path, std::string* json_path) {
   SweepOptions options = defaults;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    uint64_t value = 0;
-    if (std::strcmp(arg, "--no-sim") == 0) {
-      options.simulate = false;
-    } else if (std::strncmp(arg, "--csv=", 6) == 0) {
-      if (csv_path != nullptr) *csv_path = arg + 6;
-    } else if (std::strcmp(arg, "--json") == 0) {
-      if (json_path != nullptr) *json_path = "auto";
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      if (json_path != nullptr) *json_path = arg + 7;
-    } else if (ParseFlag(arg, "--points", &value)) {
-      options.points = ToIntFlag("--points", value);
-    } else if (ParseFlag(arg, "--measure", &value)) {
-      options.measure_intervals = value;
-    } else if (ParseFlag(arg, "--warmup", &value)) {
-      options.warmup_intervals = value;
-    } else if (ParseFlag(arg, "--units", &value)) {
-      options.num_units = value;
-    } else if (ParseFlag(arg, "--hotspot", &value)) {
-      options.hotspot_size = value;
-    } else if (ParseFlag(arg, "--seed", &value)) {
-      options.seed = value;
-    } else if (ParseFlag(arg, "--threads", &value)) {
-      options.threads = ToIntFlag("--threads", value);
-    } else if (ParseFlag(arg, "--shards", &value)) {
-      options.shards = ToIntFlag("--shards", value);
-      if (options.shards < 1) {
-        std::fprintf(stderr, "--shards must be >= 1 (got %d)\n",
-                     options.shards);
-        std::exit(2);
-      }
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag %s\nusage: %s [--points=N] [--measure=N] "
-                   "[--warmup=N] [--units=N] [--hotspot=N] [--seed=N] "
-                   "[--threads=N] [--shards=N] [--no-sim] [--csv=PATH] "
-                   "[--json[=PATH]]\n",
-                   arg, argv[0]);
-      std::exit(2);
-    }
+  uint64_t points = static_cast<uint64_t>(defaults.points);
+  uint64_t threads = static_cast<uint64_t>(defaults.threads);
+  uint64_t shards = static_cast<uint64_t>(defaults.shards);
+  bool no_sim = !defaults.simulate;
+  std::string csv;
+  std::string json;
+  FlagParser flags(BenchNameFromArgv0(argv[0]) +
+                   ": one paper figure, analytic curves plus simulated "
+                   "series.");
+  flags.AddUint("points", points, "sweep points per curve", &points);
+  flags.AddUint("measure", defaults.measure_intervals,
+                "measured intervals per cell", &options.measure_intervals);
+  flags.AddUint("warmup", defaults.warmup_intervals,
+                "warm-up intervals per cell", &options.warmup_intervals);
+  flags.AddUint("units", defaults.num_units, "mobile units per cell",
+                &options.num_units);
+  flags.AddUint("hotspot", defaults.hotspot_size, "hot-spot size per unit",
+                &options.hotspot_size);
+  flags.AddUint("seed", defaults.seed, "sweep seed", &options.seed);
+  flags.AddUint("threads", threads, "worker threads (0: one per core)",
+                &threads);
+  flags.AddUint("shards", shards, "shards per cell (>= 1)", &shards);
+  flags.AddBool("no-sim", no_sim, "analytic curves only", &no_sim);
+  flags.AddString("csv", "", "write the sweep CSV to this path", &csv);
+  flags.AddOptionalString("json", "", "auto",
+                          "write the bench record to this path (bare "
+                          "--json: BENCH_<bench>.json)",
+                          &json);
+  Status st = flags.Parse(argc, argv);
+  if (st.ok()) st = ToIntFlag("points", points, &options.points);
+  if (st.ok()) st = ToIntFlag("threads", threads, &options.threads);
+  if (st.ok()) st = ToIntFlag("shards", shards, &options.shards);
+  if (st.ok() && options.shards < 1) {
+    st = Status::InvalidArgument("--shards must be >= 1");
   }
+  if (!st.ok()) {
+    std::cerr << st.ToString() << "\n\n" << flags.Usage();
+    std::exit(2);
+  }
+  if (flags.help_requested()) {
+    std::cout << flags.Usage();
+    std::exit(0);
+  }
+  options.simulate = !no_sim;
+  if (csv_path != nullptr && !csv.empty()) *csv_path = csv;
+  if (json_path != nullptr && !json.empty()) *json_path = json;
   return options;
 }
 
@@ -208,17 +192,14 @@ int RunFigureBench(PaperScenario scenario,
   double update_seconds = 0.0;
   uint64_t updates_applied = 0;
   uint64_t journal_peak = 0;
-  uint64_t retention_cells[3] = {0, 0, 0};  // none, digest, full
+  uint64_t retention_cells[4] = {0, 0, 0, 0};  // by JournalRetention
   for (const SweepResult::CellTiming& t : result->cell_timings) {
     update_seconds += t.update_seconds;
     updates_applied += t.updates_applied;
     journal_peak += t.journal_bytes_peak;
-    if (std::strcmp(t.retention_class, "none") == 0) {
-      ++retention_cells[0];
-    } else if (std::strcmp(t.retention_class, "digest") == 0) {
-      ++retention_cells[1];
-    } else {
-      ++retention_cells[2];
+    for (uint8_t c = 0; c < 4; ++c) {
+      const char* name = JournalRetentionName(static_cast<JournalRetention>(c));
+      if (std::strcmp(t.retention_class, name) == 0) ++retention_cells[c];
     }
   }
   if (updates_applied > 0) {
@@ -233,8 +214,9 @@ int RunFigureBench(PaperScenario scenario,
   if (!result->cell_timings.empty()) {
     std::printf(
         "journal peak %.2f MB summed over cells  "
-        "(retention: %llu full, %llu digest, %llu none)\n",
+        "(retention: %llu full, %llu digest, %llu dirty, %llu none)\n",
         static_cast<double>(journal_peak) / (1024.0 * 1024.0),
+        static_cast<unsigned long long>(retention_cells[3]),
         static_cast<unsigned long long>(retention_cells[2]),
         static_cast<unsigned long long>(retention_cells[1]),
         static_cast<unsigned long long>(retention_cells[0]));

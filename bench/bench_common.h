@@ -15,12 +15,13 @@ namespace mobicache {
 
 /// Parses --points=N --measure=N --warmup=N --units=N --hotspot=N --seed=N
 /// --threads=N --shards=N --no-sim --csv=PATH --json[=PATH] over the given
-/// defaults.
-/// Numeric flags reject non-numeric or overflowing values with a clear
-/// message. Unknown flags abort with a usage message. `csv_path` (if any) is
-/// returned through the optional out parameter; `json_path` likewise — a
-/// bare `--json` yields "auto", which RunFigureBench resolves to
-/// BENCH_<benchname>.json next to the working directory.
+/// defaults through util/flags. Bad input (non-numeric, negative or
+/// overflowing values, an empty value, an unknown or repeated flag,
+/// --shards=0) prints a one-line Status error plus the usage page and exits
+/// with status 2; --help prints the usage page and exits 0. `csv_path` (if
+/// any) is returned through the optional out parameter; `json_path`
+/// likewise — a bare `--json` yields "auto", which RunFigureBench resolves
+/// to BENCH_<benchname>.json next to the working directory.
 SweepOptions ParseSweepArgs(int argc, char** argv, SweepOptions defaults,
                             std::string* csv_path = nullptr,
                             std::string* json_path = nullptr);

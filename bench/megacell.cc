@@ -15,18 +15,15 @@
 //   megacell [--units=1000,10000,100000,1000000] [--shards=1,2,4]
 //            [--warmup=N] [--measure=N] [--seed=N] [--json=PATH]
 
-#include <cerrno>
 #include <chrono>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iostream>
 #include <string>
 #include <vector>
 
 #include "exp/megacell.h"
+#include "util/flags.h"
 #include "util/thread_pool.h"
 
 namespace mobicache {
@@ -63,58 +60,19 @@ struct BenchArgs {
   std::string json_path = "BENCH_megacell.json";
 };
 
-uint64_t ParseU64(const char* flag, const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || value[0] == '-' ||
-      errno == ERANGE) {
-    std::fprintf(stderr, "invalid value for %s: '%s'\n", flag, value.c_str());
-    std::exit(2);
-  }
-  return parsed;
-}
-
-std::vector<uint64_t> ParseU64List(const char* flag, const char* csv) {
-  std::vector<uint64_t> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    out.push_back(ParseU64(flag, item));
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "%s needs at least one value\n", flag);
-    std::exit(2);
-  }
-  return out;
-}
-
-BenchArgs ParseArgs(int argc, char** argv) {
-  BenchArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--units=", 8) == 0) {
-      args.units = ParseU64List("--units", arg + 8);
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      args.shards = ParseU64List("--shards", arg + 9);
-    } else if (std::strncmp(arg, "--warmup=", 9) == 0) {
-      args.warmup = ParseU64("--warmup", arg + 9);
-    } else if (std::strncmp(arg, "--measure=", 10) == 0) {
-      args.measure = ParseU64("--measure", arg + 10);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      args.seed = ParseU64("--seed", arg + 7);
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      args.json_path = arg + 7;
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag %s\nusage: %s [--units=CSV] [--shards=CSV] "
-                   "[--warmup=N] [--measure=N] [--seed=N] [--json=PATH]\n",
-                   arg, argv[0]);
-      std::exit(2);
-    }
-  }
-  return args;
+/// Registers every flag on `flags`, defaults taken from `args`.
+void AddFlags(FlagParser* flags, BenchArgs* args) {
+  flags->AddUintList("units", args->units, "unit populations to sweep",
+                     &args->units);
+  flags->AddUintList("shards", args->shards,
+                     "shard counts to sweep (0 is skipped as invalid)",
+                     &args->shards);
+  flags->AddUint("warmup", args->warmup, "warm-up intervals", &args->warmup);
+  flags->AddUint("measure", args->measure, "measured intervals",
+                 &args->measure);
+  flags->AddUint("seed", args->seed, "cell seed", &args->seed);
+  flags->AddString("json", args->json_path, "bench record path",
+                   &args->json_path);
 }
 
 /// One cell configuration scaled to `units` MUs: a 10^4-item database with a
@@ -179,7 +137,20 @@ void WriteJson(const BenchArgs& args, const std::vector<RunRecord>& runs,
 }
 
 int Main(int argc, char** argv) {
-  const BenchArgs args = ParseArgs(argc, argv);
+  BenchArgs args;
+  FlagParser flags(
+      "megacell: one large cell sharded across threads, swept over unit "
+      "population and\nshard count; checks every shard count against "
+      "shards=1.");
+  AddFlags(&flags, &args);
+  if (Status st = flags.Parse(argc, argv); !st.ok()) {
+    std::cerr << st.ToString() << "\n\n" << flags.Usage();
+    return 2;
+  }
+  if (flags.help_requested()) {
+    std::cout << flags.Usage();
+    return 0;
+  }
   std::vector<RunRecord> runs;
   int exit_code = 0;
 

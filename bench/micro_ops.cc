@@ -481,6 +481,55 @@ void BM_DatabaseUpdatedInReused(benchmark::State& state) {
 }
 BENCHMARK(BM_DatabaseUpdatedInReused)->Arg(10)->Arg(50);
 
+// AT report build in update_storm_at's shape: n = 10^6 items, mu = 0.01,
+// L = 10, so 10^5 updates per interval, drained through the batched update
+// kernel (untimed) before each timed build. Arg 0 keeps the raw journal
+// (kFullWindow: bucket scan, slab gather, sort), arg 1 the dirty set
+// (kDirtySet: one id-ordered walk over the set bits). Time per iteration is
+// the per-report cost server.report_build_s accumulates in the macro run.
+void BM_AtBuildReportStorm(benchmark::State& state) {
+  constexpr uint64_t kItems = 1000000;
+  constexpr double kL = 10.0;
+  Simulator sim;
+  Database db(kItems, 1);
+  db.SetJournalBucketWidth(kL);
+  db.SetRetention(state.range(0) == 0 ? JournalRetention::kFullWindow
+                                      : JournalRetention::kDirtySet);
+  AtServerStrategy server(&db, kL);
+  UpdateGenerator gen(&sim, &db, 0.01, 5);
+  gen.EnableBatchMode();
+  if (!gen.Start().ok()) state.SkipWithError("generator start failed");
+  Report report;
+  uint64_t interval = 0;
+  // One interval's updates, then the server's batched prune.
+  auto drain = [&] {
+    ++interval;
+    const SimTime now = kL * static_cast<double>(interval);
+    gen.GenerateIntervalUpdates(now, /*inclusive=*/false);
+    if (interval % 8 == 0) db.PruneJournalBefore(now - 3.0 * kL);
+    return now;
+  };
+  for (int warm = 0; warm < 3; ++warm) {
+    server.BuildReportInto(drain(), interval, &report);
+  }
+  uint64_t listed = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const SimTime now = drain();
+    state.ResumeTiming();
+    server.BuildReportInto(now, interval, &report);
+    const std::vector<ItemId>& ids = std::get<AtReport>(report).ids;
+    benchmark::DoNotOptimize(ids.data());
+    benchmark::ClobberMemory();
+    listed += ids.size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(listed));
+}
+BENCHMARK(BM_AtBuildReportStorm)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
 // ---------------------------------------------------------------------------
 // Update delivery: one scheduled event per update (the classic engine) vs
 // the batched interval drain (UpdateGenerator batch mode through

@@ -19,17 +19,15 @@
 // Defaults follow the paper's methodology (5 warm-up + 60 measured
 // intervals, the same run length as the golden and megacell tests).
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iostream>
 #include <string>
 #include <vector>
 
 #include "exp/cell.h"
+#include "util/flags.h"
 
 namespace mobicache {
 namespace {
@@ -65,71 +63,29 @@ struct BenchArgs {
   std::string json_path = "BENCH_sleepers.json";
 };
 
-uint64_t ParseU64(const char* flag, const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || value[0] == '-' ||
-      errno == ERANGE) {
-    std::fprintf(stderr, "invalid value for %s: '%s'\n", flag, value.c_str());
-    std::exit(2);
-  }
-  return parsed;
+/// Registers every flag on `flags`, defaults taken from `args`.
+void AddFlags(FlagParser* flags, BenchArgs* args) {
+  flags->AddUintList("units", args->units, "unit populations to sweep",
+                     &args->units);
+  flags->AddDoubleList("s", args->sleep_probs,
+                       "sleep probabilities to sweep, each in [0, 1]",
+                       &args->sleep_probs);
+  flags->AddUint("warmup", args->warmup, "warm-up intervals", &args->warmup);
+  flags->AddUint("measure", args->measure, "measured intervals",
+                 &args->measure);
+  flags->AddUint("seed", args->seed, "cell seed", &args->seed);
+  flags->AddString("json", args->json_path, "bench record path",
+                   &args->json_path);
 }
 
-double ParseProb(const char* flag, const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
-      parsed < 0.0 || parsed > 1.0) {
-    std::fprintf(stderr, "invalid value for %s: '%s'\n", flag, value.c_str());
-    std::exit(2);
-  }
-  return parsed;
-}
-
-template <typename T, typename Parse>
-std::vector<T> ParseList(const char* flag, const char* csv, Parse parse) {
-  std::vector<T> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    out.push_back(parse(flag, item));
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "%s needs at least one value\n", flag);
-    std::exit(2);
-  }
-  return out;
-}
-
-BenchArgs ParseArgs(int argc, char** argv) {
-  BenchArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--units=", 8) == 0) {
-      args.units = ParseList<uint64_t>("--units", arg + 8, ParseU64);
-    } else if (std::strncmp(arg, "--s=", 4) == 0) {
-      args.sleep_probs = ParseList<double>("--s", arg + 4, ParseProb);
-    } else if (std::strncmp(arg, "--warmup=", 9) == 0) {
-      args.warmup = ParseU64("--warmup", arg + 9);
-    } else if (std::strncmp(arg, "--measure=", 10) == 0) {
-      args.measure = ParseU64("--measure", arg + 10);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      args.seed = ParseU64("--seed", arg + 7);
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      args.json_path = arg + 7;
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag %s\nusage: %s [--units=CSV] [--s=CSV] "
-                   "[--warmup=N] [--measure=N] [--seed=N] [--json=PATH]\n",
-                   arg, argv[0]);
-      std::exit(2);
+/// Range checks the parser's types cannot express.
+Status ValidateArgs(const BenchArgs& args) {
+  for (double s : args.sleep_probs) {
+    if (!(s >= 0.0 && s <= 1.0)) {
+      return Status::InvalidArgument("--s values must lie in [0, 1]");
     }
   }
-  return args;
+  return Status::OK();
 }
 
 /// Same workload shape as the megacell bench (10^4-item database, small
@@ -185,7 +141,22 @@ void WriteJson(const BenchArgs& args, const std::vector<RunRecord>& runs,
 }
 
 int Main(int argc, char** argv) {
-  const BenchArgs args = ParseArgs(argc, argv);
+  BenchArgs args;
+  FlagParser flags(
+      "sleepers: one unsharded cell swept across sleep probability and unit "
+      "population,\ncounting dispatched events against the per-interval "
+      "engine's model.");
+  AddFlags(&flags, &args);
+  Status parsed = flags.Parse(argc, argv);
+  if (parsed.ok()) parsed = ValidateArgs(args);
+  if (!parsed.ok()) {
+    std::cerr << parsed.ToString() << "\n\n" << flags.Usage();
+    return 2;
+  }
+  if (flags.help_requested()) {
+    std::cout << flags.Usage();
+    return 0;
+  }
   std::vector<RunRecord> runs;
 
   for (uint64_t units : args.units) {

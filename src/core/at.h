@@ -25,6 +25,11 @@ class AtServerStrategy : public ServerStrategy {
                     uint64_t* bits) override;
   Report MaterializeQuiet(SimTime now, uint64_t interval) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
+  /// One window per broadcast, (T_i - L, T_i], with T_i non-decreasing:
+  /// exactly the queries a dirty set answers without a journal.
+  JournalRetention retention() const override {
+    return JournalRetention::kDirtySet;
+  }
 
  private:
   const Database* db_;

@@ -48,6 +48,10 @@ class GroupedAtServerStrategy : public ServerStrategy {
                     uint64_t* bits) override;
   Report MaterializeQuiet(SimTime now, uint64_t interval) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
+  /// AT's windows (see AtServerStrategy::retention).
+  JournalRetention retention() const override {
+    return JournalRetention::kDirtySet;
+  }
 
   const ItemGrouping& grouping() const { return grouping_; }
 

@@ -133,10 +133,11 @@ class ServerStrategy {
   /// this declaration — replacing per-call-site journal toggles scattered
   /// through the cell drivers — possibly raised by an instrumentation floor
   /// (Server::SetRetentionFloor). kNone strategies never read update
-  /// history at all; kDigestOnly strategies consume updates exclusively
-  /// through the attached feed and window queries that per-interval digests
-  /// can serve exactly; the kFullWindow default keeps raw entries over the
-  /// report window.
+  /// history at all; kDirtySet strategies only window-query with a lo that
+  /// never decreases (AT, grouped AT); kDigestOnly strategies consume
+  /// updates exclusively through the attached feed and window queries that
+  /// per-interval digests can serve exactly; the kFullWindow default keeps
+  /// raw entries over the report window.
   virtual JournalRetention retention() const {
     return JournalRetention::kFullWindow;
   }

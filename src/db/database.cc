@@ -1,6 +1,7 @@
 #include "db/database.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <new>
@@ -52,12 +53,26 @@ bool ByItemId(const UpdatedItem& a, const UpdatedItem& b) {
   return a.id < b.id;
 }
 
+/// False when a later entry of the same id shares entry i's time: two
+/// updates of one id at one SimTime are one change under the window
+/// queries' set semantics, reported once (at the last entry of the tie).
+/// Ties are vanishingly rare, so the scan is one compare in practice.
+bool LastOfTie(const std::vector<SimTime>& times,
+               const std::vector<ItemId>& ids, size_t i) {
+  for (size_t k = i + 1; k < times.size() && times[k] == times[i]; ++k) {
+    if (ids[k] == ids[i]) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 const char* JournalRetentionName(JournalRetention retention) {
   switch (retention) {
     case JournalRetention::kNone:
       return "none";
+    case JournalRetention::kDirtySet:
+      return "dirty";
     case JournalRetention::kDigestOnly:
       return "digest";
     case JournalRetention::kFullWindow:
@@ -106,20 +121,12 @@ void Database::BuildDigest(const Bucket& bucket) {
   for (size_t i = 0; i < n; ++i) {
     d.push_back(UpdatedItem{bucket.ids[i], bucket.times[i]});
   }
-  // Stable by id keeps each id's entries in ascending time order, so a
-  // per-id trailing run holds its latest in-bucket time. Runs longer than
-  // one entry (exact time ties) are kept whole: the raw scan they replace
-  // emits every entry matching the item's last_update.
+  // Stable by id keeps each id's entries in ascending time order, so the
+  // last entry of an id's run holds its latest in-bucket time.
   std::stable_sort(d.begin(), d.end(), ByItemId);
   size_t out = 0;
-  for (size_t i = 0; i < d.size();) {
-    size_t j = i;
-    while (j < d.size() && d[j].id == d[i].id) ++j;
-    const SimTime last = d[j - 1].updated_at;
-    size_t k = j;
-    while (k > i && d[k - 1].updated_at == last) --k;
-    for (size_t m = k; m < j; ++m) d[out++] = d[m];
-    i = j;
+  for (size_t i = 0; i < d.size(); ++i) {
+    if (i + 1 == d.size() || d[i + 1].id != d[i].id) d[out++] = d[i];
   }
   d.resize(out);
   bucket.digest_built = true;
@@ -216,13 +223,8 @@ void Database::AppendJournalElided(ItemId id, SimTime now, uint64_t version) {
   uint64_t& mark = elide_marks_[id];
   if ((mark >> 32) == elide_epoch_) {
     // The id already has an entry in this bucket; this update supersedes it
-    // as the latest. Exact time ties (a zero exponential gap re-hitting the
-    // same id) would need the superseded entry kept for multiplicity — the
-    // raw digest keeps tied runs whole — but cannot occur with distinct
-    // version numbers on a strictly advancing clock; assert cheap.
+    // as the latest (an exact time tie included: one change, one entry).
     const size_t slot = static_cast<uint32_t>(mark);
-    assert(tail.digest[slot].updated_at < now ||
-           tail.digest_versions[slot] + 1 == version);
     tail.digest[slot].updated_at = now;
     tail.digest_versions[slot] = version;
     return;
@@ -242,6 +244,7 @@ void Database::ApplyUpdate(ItemId id, SimTime now) {
   ++item.version;
   item.last_update = now;
   if (journal_enabled_) AppendJournal(id, now, item.version);
+  if (dirty_set_) MarkDirty(&id, 1);
   ++total_updates_;
   DispatchUpdateObservers(id, now);
 }
@@ -265,6 +268,9 @@ void Database::ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
     } else {
       ApplyBatchSlabOnly(ids, times, count);
     }
+    // After the walk: no window query runs inside it. Under kDirtySet the
+    // journal is off, so this follows the SIMD kernel.
+    if (dirty_set_) MarkDirty(ids, count);
   } else {
     for (size_t i = 0; i < count; ++i) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -279,6 +285,9 @@ void Database::ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
       ++item.version;
       item.last_update = now;
       if (journal_enabled_) AppendJournal(id, now, item.version);
+      // Marked before the observers run, so one that window-queries sees
+      // exactly the state a lone ApplyUpdate would leave.
+      if (dirty_set_) MarkDirty(&id, 1);
       DispatchUpdateObservers(id, now);
     }
   }
@@ -325,6 +334,16 @@ void Database::ApplyBatchJournal(const ItemId* ids, const SimTime* times,
     ++item.version;
     item.last_update = now;
     AppendJournal(id, now, item.version);
+  }
+}
+
+void Database::MarkDirty(const ItemId* ids, size_t count) {
+  uint64_t* words = dirty_words_.data();
+  uint64_t* summary = dirty_summary_.data();
+  for (size_t i = 0; i < count; ++i) {
+    const ItemId id = ids[i];
+    words[id >> 6] |= uint64_t{1} << (id & 63);
+    summary[id >> 12] |= uint64_t{1} << ((id >> 6) & 63);
   }
 }
 
@@ -375,10 +394,20 @@ void Database::SetJournalEnabled(bool enabled) {
 }
 
 void Database::SetRetention(JournalRetention retention) {
+  assert(!dirty_set_ && "kDirtySet is armed once and never left");
   retention_ = retention;
   switch (retention) {
     case JournalRetention::kNone:
       SetJournalEnabled(false);
+      break;
+    case JournalRetention::kDirtySet:
+      // A bit set only learns of updates applied after it exists.
+      assert(total_updates_ == 0 && "arm kDirtySet before any update");
+      SetJournalEnabled(false);
+      dirty_words_.assign((n_ + 63) / 64, 0);
+      dirty_summary_.assign((dirty_words_.size() + 63) / 64, 0);
+      dirty_set_ = true;
+      journal_bytes_ = (n_ + 7) / 8;
       break;
     case JournalRetention::kDigestOnly:
       SetJournalEnabled(true);
@@ -431,9 +460,14 @@ void Database::UpdatedIn(SimTime lo, SimTime hi,
   // Every append below lands in `out` (caller-owned scratch, reused across
   // intervals) or `merge_starts_` (member scratch); both retain capacity, so
   // the steady state allocates nothing. detlint:allow-function(alloc-event-path)
-  assert(journal_enabled_ && "window query against a disabled journal");
+  assert((journal_enabled_ || dirty_set_) &&
+         "window query against a disabled journal");
   out->clear();
   if (hi <= lo) return;
+  if (dirty_set_) {
+    QueryDirtySet(lo, hi, out);
+    return;
+  }
   // Per-bucket id-sorted segments, merged pairwise below.
   std::vector<size_t>& starts = merge_starts_;
   starts.clear();
@@ -445,9 +479,11 @@ void Database::UpdatedIn(SimTime lo, SimTime hi,
       // Elided bucket: only the per-id latest-update summary exists — which
       // is exactly what the raw scan's is-still-latest filter can ever
       // emit (an entry superseded within the bucket is never the item's
-      // globally latest update). Filter by window and slab, already
-      // id-sorted once the lazy sort has run.
-      if (!bucket.digest_built) SortElidedDigest(bucket);
+      // globally latest update). Filter by window and slab. A sealed
+      // digest is id-sorted in place once; the open tail's stays in append
+      // order — its slots are the live targets of the dedup marks — so
+      // only its filtered segment is sorted, as on the raw path.
+      if (bucket.sealed && !bucket.digest_built) SortElidedDigest(bucket);
       const std::vector<UpdatedItem>& d = bucket.digest;
       const size_t m = d.size();
       for (size_t i = 0; i < m; ++i) {
@@ -461,6 +497,10 @@ void Database::UpdatedIn(SimTime lo, SimTime hi,
             hot_[d[i].id].last_update == d[i].updated_at) {
           out->push_back(d[i]);
         }
+      }
+      if (!bucket.sealed) {
+        std::sort(out->begin() + static_cast<ptrdiff_t>(starts.back()),
+                  out->end(), ByItemId);
       }
     } else if (bucket.sealed && lo < bucket.times.front() &&
                bucket.times.back() <= hi) {
@@ -486,7 +526,8 @@ void Database::UpdatedIn(SimTime lo, SimTime hi,
            i < n && bucket.times[i] <= hi; ++i) {
         // Report an item only at its *latest* update; entries later
         // superseded (even past `hi`) are skipped via the hot slab.
-        if (hot_[bucket.ids[i]].last_update == bucket.times[i]) {
+        if (hot_[bucket.ids[i]].last_update == bucket.times[i] &&
+            LastOfTie(bucket.times, bucket.ids, i)) {
           out->push_back(UpdatedItem{bucket.ids[i], bucket.times[i]});
         }
       }
@@ -513,14 +554,16 @@ void Database::UpdatedIn(SimTime lo, SimTime hi,
 }
 
 uint64_t Database::CountUpdatedIn(SimTime lo, SimTime hi) const {
-  assert(journal_enabled_ && "window query against a disabled journal");
+  assert((journal_enabled_ || dirty_set_) &&
+         "window query against a disabled journal");
   uint64_t count = 0;
   if (hi <= lo) return count;
+  if (dirty_set_) return QueryDirtySet(lo, hi, nullptr);
   for (const Bucket& bucket : buckets_) {
     if (!bucket.HasEntries() || bucket.LastTime() <= lo) continue;
     if (bucket.FirstTime() > hi) break;
     if (bucket.digest_only) {
-      if (!bucket.digest_built) SortElidedDigest(bucket);
+      // Order-free: no sort, so the open tail's append order stays intact.
       for (const UpdatedItem& d : bucket.digest) {
         if (d.updated_at > lo && d.updated_at <= hi &&
             hot_[d.id].last_update == d.updated_at) {
@@ -537,11 +580,53 @@ uint64_t Database::CountUpdatedIn(SimTime lo, SimTime hi) const {
       const size_t n = bucket.times.size();
       for (size_t i = FirstAfter(bucket.times, lo);
            i < n && bucket.times[i] <= hi; ++i) {
-        if (hot_[bucket.ids[i]].last_update == bucket.times[i]) ++count;
+        if (hot_[bucket.ids[i]].last_update == bucket.times[i] &&
+            LastOfTie(bucket.times, bucket.ids, i)) {
+          ++count;
+        }
       }
     }
   }
   return count;
+}
+
+uint64_t Database::QueryDirtySet(SimTime lo, SimTime hi,
+                                 std::vector<UpdatedItem>* out) const {
+  // Appends land in the caller's reused report scratch (retained capacity).
+  // detlint:allow-function(alloc-event-path)
+  assert(lo < hi);
+  assert(lo >= dirty_floor_ &&
+         "dirty-set window queries need a non-decreasing lo");
+  dirty_floor_ = lo;
+  uint64_t found_total = 0;
+  UpdatedItem found[64];
+  for (size_t s = 0; s < dirty_summary_.size(); ++s) {
+    uint64_t live = dirty_summary_[s];
+    for (uint64_t pending = live; pending != 0; pending &= pending - 1) {
+      const size_t w =
+          s * 64 + static_cast<size_t>(std::countr_zero(pending));
+      const ItemId base = static_cast<ItemId>(w * 64);
+      uint64_t word = dirty_words_[w];
+      size_t k = 0;
+      // Branch-free over the word's set bits: whether an item's latest
+      // update predates lo, or falls in the window, is a coin flip the
+      // predictor cannot learn, so both outcomes are arithmetic.
+      for (uint64_t bits = word; bits != 0; bits &= bits - 1) {
+        const int b = std::countr_zero(bits);
+        const ItemId id = base + static_cast<ItemId>(b);
+        const SimTime t = hot_[id].last_update;
+        word &= ~(uint64_t{t <= lo} << b);
+        found[k] = UpdatedItem{id, t};
+        k += static_cast<size_t>((t > lo) & (t <= hi));
+      }
+      dirty_words_[w] = word;
+      if (word == 0) live &= ~(uint64_t{1} << (w & 63));
+      found_total += k;
+      if (out != nullptr) out->insert(out->end(), found, found + k);
+    }
+    dirty_summary_[s] = live;
+  }
+  return found_total;
 }
 
 std::vector<UpdatedItem> Database::JournalIn(SimTime lo, SimTime hi) const {

@@ -1,7 +1,9 @@
 // Server-side database substrate: n named items with synthetic 64-bit
-// values, per-item update timestamps, and a time-ordered update journal that
-// answers the window queries the invalidation-report builders need
-// ("which items changed in (lo, hi], and when was each one's last change?").
+// values, per-item update timestamps, and the update history that answers
+// the window queries the invalidation-report builders need ("which items
+// changed in (lo, hi], and when was each one's last change?"). Window
+// queries have set semantics (Eq. 1/2): each id at most once, however many
+// of its updates share one SimTime.
 //
 // Hot-path layout: the per-item state the update and report paths touch —
 // version and last-update time — lives in a 64-byte-aligned slab of 16-byte
@@ -36,6 +38,20 @@
 // the raw scan's output exactly). The raw readers (JournalIn, VersionAt)
 // assert they never meet an elided bucket; the server only arms elision for
 // strategies that cannot reach them.
+//
+// Dirty-set retention (kDirtySet, the AT family): no journal at all, just
+// one bit per item, set by every update of the item and cleared lazily by a
+// window query (lo, hi] that finds the item's latest update at or before
+// lo. A query walks the set bits in id order, reading each item's
+// last-update time from the slab: at or before lo clears the bit, inside
+// (lo, hi] emits the item — id-sorted by construction, no sort, no merge.
+// Invariant: lo never decreases across queries (asserted through a
+// watermark). Then a bit is only ever cleared for an item whose latest
+// update lies at or before a past — hence the current — lo, and a later
+// update sets it again, so every item whose latest update lies in (lo, hi]
+// still has its bit set: the answer is exact. Repeating a query is
+// idempotent. A one-bit-per-word summary level skips all-zero words, so
+// sparse windows cost O(n/4096) beyond the set bits.
 
 #ifndef MOBICACHE_DB_DATABASE_H_
 #define MOBICACHE_DB_DATABASE_H_
@@ -43,6 +59,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -81,20 +98,32 @@ struct UpdatedItem {
 ///  * kNone        — no journal at all. The strategy never issues a window
 ///                   query (no-caching); every journal append would be pure
 ///                   overhead on the hottest path.
+///  * kDirtySet    — no journal; an n-bit set of items updated since a
+///                   window query last cleared them (see the file comment).
+///                   Serves UpdatedIn/CountUpdatedIn exactly as long as the
+///                   queries' lo never decreases — the AT family's one
+///                   window per broadcast, (T_i - L, T_i]. Bits are cleared
+///                   lazily, by the first query whose lo has passed the
+///                   item's latest update.
 ///  * kDigestOnly  — per-interval digests only, no raw entries. The strategy
 ///                   consumes updates through an attached feed and never
 ///                   reads JournalIn/VersionAt (SIG, hybrid), so buckets can
 ///                   stay in the elided representation permanently.
-///  * kFullWindow  — raw entries over the report window (TS, AT, grouped,
-///                   adaptive). The default; quiet-stretch elision still
-///                   applies where the server proves it safe.
+///  * kFullWindow  — raw entries over the report window (TS, adaptive TS,
+///                   quasi-AT, and any cell whose answer observer audits
+///                   historical values). The default; quiet-stretch
+///                   elision still applies where the server proves it safe.
+///
+/// The order is by what each class can answer (a floor raises the class
+/// with std::max): a kFullWindow journal serves every query the others do.
 enum class JournalRetention : uint8_t {
   kNone,
+  kDirtySet,
   kDigestOnly,
   kFullWindow,
 };
 
-/// Short name for bench/JSON output ("none", "digest", "full").
+/// Short name for bench/JSON output ("none", "dirty", "digest", "full").
 const char* JournalRetentionName(JournalRetention retention);
 
 /// The replicated database held by the stationary server. Single-writer (the
@@ -136,9 +165,10 @@ class Database {
 
   /// Applies `count` updates in one pass: a prefetched walk over the hot
   /// slab with the same per-update effects (version bump, timestamp,
-  /// journal append, observer dispatch, in order) as `count` ApplyUpdate
-  /// calls. `times` must be non-decreasing and continue the journal's tail.
-  /// The batched update kernel's sink (UpdateGenerator batch mode).
+  /// journal append or dirty bit, observer dispatch, in order) as `count`
+  /// ApplyUpdate calls. `times` must be non-decreasing and continue the
+  /// journal's tail. The batched update kernel's sink (UpdateGenerator
+  /// batch mode).
   void ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
                         size_t count);
 
@@ -175,7 +205,8 @@ class Database {
 
   /// Items whose *last* update falls in (lo, hi], each reported once with
   /// its latest update time, in increasing id order. This is exactly the
-  /// report-list definition used by TS (Eq. 1) and AT (Eq. 2).
+  /// report-list definition used by TS (Eq. 1) and AT (Eq. 2). Under
+  /// kDirtySet retention `lo` must not decrease across calls (asserted).
   std::vector<UpdatedItem> UpdatedIn(SimTime lo, SimTime hi) const;
 
   /// Same window query into a caller-owned buffer (cleared first). Report
@@ -211,7 +242,9 @@ class Database {
   size_t journal_size() const { return journal_entries_; }
 
   /// Arms the retention class the strategy declared (see JournalRetention):
-  /// kNone disables the journal, kDigestOnly arms elision and forces the
+  /// kNone disables the journal, kDirtySet disables it and allocates the
+  /// per-item bit set (once, before any update — the set cannot recover
+  /// earlier ones; asserted), kDigestOnly arms elision and forces the
   /// elide hint permanently on, kFullWindow keeps the default raw-bucket
   /// journal (quiet-stretch elision may still be armed separately). Call
   /// before any updates flow; the server wires it in Start().
@@ -220,8 +253,9 @@ class Database {
 
   /// Primary journal storage held right now / at its high-water mark over
   /// the run, in bytes: 12 per raw entry (time + id), 24 per digest entry
-  /// (UpdatedItem + recorded version) in elided buckets. Derived digests of
-  /// raw buckets are query caches, not retention, and are excluded.
+  /// (UpdatedItem + recorded version) in elided buckets, ceil(n/8) for the
+  /// kDirtySet bit set. Derived digests of raw buckets are query caches, not
+  /// retention, and are excluded.
   uint64_t journal_bytes() const { return journal_bytes_; }
   uint64_t journal_bytes_peak() const {
     return journal_bytes_ > journal_bytes_peak_ ? journal_bytes_
@@ -304,11 +338,11 @@ class Database {
     std::vector<SimTime> times;
     std::vector<ItemId> ids;
     /// Built lazily on the first fully-covering window query of a sealed
-    /// bucket: each id once at its latest in-bucket time (ties kept with
-    /// their multiplicity), ascending by id. `mutable` because the build is
-    /// a cache fill under const query methods. Elided (digest_only) buckets
-    /// maintain it directly instead of the raw arrays — append order while
-    /// open, id-sorted lazily by the first query that needs it.
+    /// bucket: each id once at its latest in-bucket time, ascending by id.
+    /// `mutable` because the build is a cache fill under const query
+    /// methods. Elided (digest_only) buckets maintain it directly instead
+    /// of the raw arrays — append order while open, id-sorted in place by
+    /// the first UpdatedIn after sealing.
     mutable std::vector<UpdatedItem> digest;
     mutable bool digest_built = false;
     bool sealed = false;  ///< The clock has moved past this bucket.
@@ -427,6 +461,14 @@ class Database {
   void RecycleBucket(Bucket* bucket);
   static void BuildDigest(const Bucket& bucket);
   void RebuildObserverFastPath();
+  /// Sets the kDirtySet bits (word and summary) of `count` updated ids.
+  void MarkDirty(const ItemId* ids, size_t count);
+  /// The kDirtySet window query (see the file comment): clears the bits of
+  /// items last updated at or before `lo`, appends the items last updated
+  /// in (lo, hi] to `out` (if non-null) in id order, and returns how many
+  /// it found. Requires lo < hi and lo at or past every earlier query's lo.
+  uint64_t QueryDirtySet(SimTime lo, SimTime hi,
+                         std::vector<UpdatedItem>* out) const;
 
   /// Folds the current byte count into the peak watermark. Bytes grow
   /// monotonically between prunes, so calling this right before any
@@ -478,6 +520,15 @@ class Database {
   /// cache-fill state like the digests: window queries only run in the
   /// single-threaded server phase.
   mutable std::vector<size_t> merge_starts_;
+  /// kDirtySet state (see the file comment): bit j of dirty_words_ is set
+  /// while item j may still belong to a window; bit w of dirty_summary_ is
+  /// set while dirty_words_[w] may be nonzero. Empty under other classes.
+  /// `mutable` like the digests: queries clear bits lazily.
+  mutable std::vector<uint64_t> dirty_words_;
+  mutable std::vector<uint64_t> dirty_summary_;
+  /// Largest lo any dirty-set query has used: the exactness watermark.
+  mutable SimTime dirty_floor_ = -std::numeric_limits<SimTime>::infinity();
+  bool dirty_set_ = false;  ///< retention_ == kDirtySet, tested per batch.
 };
 
 }  // namespace mobicache

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -169,6 +170,45 @@ TEST(FlagsTest, HelpAndUsage) {
   EXPECT_NE(usage.find("test program"), std::string::npos);
   for (const char* flag : {"--name", "--units", "--rate", "--verbose"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
+  }
+}
+
+TEST(FlagsTest, ListsParseEveryElement) {
+  FlagParser parser("lists");
+  std::vector<uint64_t> units;
+  std::vector<double> probs;
+  parser.AddUintList("units", {1000, 10000}, "a uint list", &units);
+  parser.AddDoubleList("s", {0.5}, "a double list", &probs);
+  EXPECT_EQ(units, (std::vector<uint64_t>{1000, 10000}));
+  EXPECT_NE(parser.Usage().find("1000,10000"), std::string::npos);
+  ASSERT_TRUE(ParseArgs(parser, {"--units=7", "--s=0.25,0.99"}).ok());
+  EXPECT_EQ(units, (std::vector<uint64_t>{7}));
+  EXPECT_EQ(probs, (std::vector<double>{0.25, 0.99}));
+}
+
+TEST(FlagsTest, MalformedListsRejected) {
+  for (const char* arg :
+       {"--units=", "--units=1,,2", "--units=1,", "--units=,1", "--units=1,x",
+        "--units=1,-2", "--units=1,999999999999999999999", "--units"}) {
+    FlagParser parser("lists");
+    std::vector<uint64_t> units;
+    parser.AddUintList("units", {3}, "a uint list", &units);
+    const Status st = ParseArgs(parser, {arg});
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_EQ(units, (std::vector<uint64_t>{3})) << arg;
+  }
+}
+
+TEST(FlagsTest, OptionalStringTakesBareOrExplicitValue) {
+  for (const auto& [arg, want] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--json", "auto"}, {"--json=out.json", "out.json"}}) {
+    FlagParser parser("optional");
+    std::string json;
+    parser.AddOptionalString("json", "", "auto", "an optional string", &json);
+    EXPECT_EQ(json, "");
+    ASSERT_TRUE(ParseArgs(parser, {arg}).ok()) << arg;
+    EXPECT_EQ(json, want);
   }
 }
 

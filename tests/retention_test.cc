@@ -7,18 +7,29 @@
 //
 //  * twin databases fed the identical update stream under kFullWindow and
 //    kDigestOnly retention answer the same window queries (UpdatedIn /
-//    CountUpdatedIn) over any window the report builders use;
+//    CountUpdatedIn) over any window the report builders use, and a
+//    kDirtySet third matches both over any sequence of windows whose lo
+//    never decreases;
+//  * window queries are sets: two updates of one id at one SimTime report
+//    the id once, in every representation;
+//  * an AT or grouped-AT cell runs bit-identically on the dirty set and on
+//    the raw journal an answer observer forces;
 //  * kNone keeps no journal at all — zero entries, zero bytes, forever;
 //  * journal_bytes_peak is a true high-water mark: monotone under appends
 //    and unaffected by pruning.
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/at.h"
+#include "counting_new.h"
 #include "db/database.h"
 #include "exp/cell.h"
 
@@ -65,9 +76,9 @@ INSTANTIATE_TEST_SUITE_P(
         DeclarationCase{StrategyKind::kHybridSig,
                         JournalRetention::kDigestOnly},
         DeclarationCase{StrategyKind::kTs, JournalRetention::kFullWindow},
-        DeclarationCase{StrategyKind::kAt, JournalRetention::kFullWindow},
+        DeclarationCase{StrategyKind::kAt, JournalRetention::kDirtySet},
         DeclarationCase{StrategyKind::kGroupedAt,
-                        JournalRetention::kFullWindow},
+                        JournalRetention::kDirtySet},
         DeclarationCase{StrategyKind::kAdaptiveTs,
                         JournalRetention::kFullWindow}),
     [](const ::testing::TestParamInfo<DeclarationCase>& param_info) {
@@ -243,8 +254,293 @@ TEST(RetentionTwinTest, JournalBytesPeakIsAHighWaterMark) {
   EXPECT_EQ(db.journal_bytes_peak(), peak_before);
 }
 
+// ---------------------------------------------------------------------------
+// Set semantics: a same-id, same-time pair is one change.
+
+TEST(RetentionSetSemanticsTest, TiedUpdatesOfOneIdAreReportedOnce) {
+  for (JournalRetention retention :
+       {JournalRetention::kFullWindow, JournalRetention::kDigestOnly,
+        JournalRetention::kDirtySet}) {
+    SCOPED_TRACE(JournalRetentionName(retention));
+    Database db(/*n=*/16, /*seed=*/3);
+    db.SetJournalBucketWidth(1.0);
+    db.SetRetention(retention);
+    db.ApplyUpdate(5, 0.5);
+    db.ApplyUpdate(5, 0.5);
+    db.ApplyUpdate(7, 0.6);
+    for (int pass = 0; pass < 2; ++pass) {
+      // The second pass runs after an update in the next bucket: the raw
+      // journal then answers from the sealed bucket's digest.
+      const std::vector<UpdatedItem> got = db.UpdatedIn(0.0, 1.0);
+      ASSERT_EQ(got.size(), 2u) << "pass " << pass;
+      EXPECT_EQ(got[0].id, 5u);
+      EXPECT_EQ(got[0].updated_at, 0.5);
+      EXPECT_EQ(got[1].id, 7u);
+      EXPECT_EQ(got[1].updated_at, 0.6);
+      EXPECT_EQ(db.CountUpdatedIn(0.0, 1.0), 2u) << "pass " << pass;
+      db.ApplyUpdate(9, 1.5);
+    }
+    EXPECT_EQ(db.VersionOf(5), 2u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Triple databases: full journal, digest-only, dirty set, under a seeded
+// stream of updates and monotone-lo window queries.
+
+SimTime StepUlps(SimTime x, int ulps) {
+  const SimTime toward = ulps < 0 ? -std::numeric_limits<SimTime>::infinity()
+                                  : std::numeric_limits<SimTime>::infinity();
+  for (int i = 0; i < std::abs(ulps); ++i) x = std::nextafter(x, toward);
+  return x;
+}
+
+::testing::AssertionResult SameItems(const std::vector<UpdatedItem>& a,
+                                     const std::vector<UpdatedItem>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "sizes " << a.size() << " vs " << b.size();
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id || a[i].updated_at != b[i].updated_at) {
+      return ::testing::AssertionFailure()
+             << "entry " << i << ": " << a[i].id << "@" << a[i].updated_at
+             << " vs " << b[i].id << "@" << b[i].updated_at;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
+  constexpr uint64_t kTripleItems = 96;
+  constexpr double kTick = 0.25;  // update-time lattice; windows share it
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    auto uniform = [&rng](uint64_t bound) { return rng() % bound; };
+
+    Database full(kTripleItems, seed);
+    Database digest(kTripleItems, seed);
+    Database dirty(kTripleItems, seed);
+    Database* dbs[] = {&full, &digest, &dirty};
+    const JournalRetention classes[] = {JournalRetention::kFullWindow,
+                                        JournalRetention::kDigestOnly,
+                                        JournalRetention::kDirtySet};
+    uint64_t observed = 0;
+    for (int d = 0; d < 3; ++d) {
+      dbs[d]->SetJournalBucketWidth(kBucket);
+      dbs[d]->SetRetention(classes[d]);
+      // Odd seeds run the observed apply loop.
+      if (seed % 2 == 1) {
+        dbs[d]->AddUpdateObserver([&observed](ItemId, SimTime) { ++observed; });
+      }
+    }
+
+    SimTime clock = 0.0;
+    SimTime prev_lo = -kBucket;
+    SimTime prev_hi = 0.0;
+    std::vector<ItemId> ids;
+    std::vector<SimTime> times;
+    std::vector<UpdatedItem> scratch[3];
+    for (int step = 0; step < 160; ++step) {
+      // Updates up to ~2.5 intervals ahead; a zero count is a quiet
+      // stretch, and tied times (same id or not) are common.
+      ids.clear();
+      times.clear();
+      const uint64_t count = uniform(5) == 0 ? 0 : uniform(60);
+      for (uint64_t i = 0; i < count; ++i) {
+        const bool tie = i > 0 && uniform(6) == 0;
+        if (!tie) clock += kTick * static_cast<double>(1 + uniform(4));
+        const ItemId id = tie && uniform(2) == 0
+                              ? ids.back()
+                              : static_cast<ItemId>(uniform(kTripleItems));
+        ids.push_back(id);
+        times.push_back(clock);
+      }
+      if (count > 0) {
+        for (Database* db : dbs) {
+          if (uniform(2) == 0) {
+            db->ApplyUpdateBatch(ids.data(), times.data(), ids.size());
+          } else {
+            for (size_t i = 0; i < ids.size(); ++i) {
+              db->ApplyUpdate(ids[i], times[i]);
+            }
+          }
+        }
+      }
+
+      const int queries = 1 + static_cast<int>(uniform(3));
+      for (int q = 0; q < queries; ++q) {
+        const int ulps = static_cast<int>(uniform(5)) - 2;
+        SimTime lo = StepUlps(prev_hi, ulps);
+        SimTime hi = clock;
+        switch (uniform(6)) {
+          case 0:  // the server's window: previous tick to now
+            break;
+          case 1:  // the same window again
+            lo = prev_lo;
+            hi = prev_hi;
+            break;
+          case 2:  // wider than one interval, reaching past the clock
+            lo = StepUlps(prev_hi - 2.5 * kBucket, ulps);
+            hi = StepUlps(clock + kBucket, ulps);
+            break;
+          case 3:  // empty or inverted
+            hi = uniform(2) == 0 ? lo : lo - kTick;
+            break;
+          case 4:  // an update exactly at lo
+            if (!times.empty()) lo = times[uniform(times.size())];
+            break;
+          case 5:  // an update exactly at hi, later ones past it
+            if (!times.empty()) hi = times[uniform(times.size())];
+            break;
+        }
+        lo = std::max(lo, prev_lo);
+        SCOPED_TRACE("step " + std::to_string(step) + " window (" +
+                     std::to_string(lo) + ", " + std::to_string(hi) + "]");
+        const std::vector<UpdatedItem> want = full.UpdatedIn(lo, hi);
+        for (int d = 0; d < 3; ++d) {
+          dbs[d]->UpdatedIn(lo, hi, &scratch[d]);
+          ASSERT_TRUE(SameItems(want, scratch[d])) << JournalRetentionName(
+              classes[d]);
+          ASSERT_EQ(dbs[d]->CountUpdatedIn(lo, hi), want.size())
+              << JournalRetentionName(classes[d]);
+        }
+        prev_lo = lo;
+        prev_hi = std::max(lo, hi);
+      }
+      // The server's pruning trails every window.
+      if (step % 8 == 7) {
+        full.PruneJournalBefore(prev_lo - kBucket);
+        digest.PruneJournalBefore(prev_lo - kBucket);
+      }
+    }
+    for (ItemId id = 0; id < kTripleItems; ++id) {
+      ASSERT_EQ(dirty.LastUpdateOf(id), full.LastUpdateOf(id));
+    }
+    EXPECT_EQ(dirty.journal_size(), 0u);
+    EXPECT_EQ(dirty.journal_bytes_peak(), (kTripleItems + 7) / 8);
+    if (seed % 2 == 1) {
+      EXPECT_EQ(observed, 3 * full.total_updates());
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// End to end: an answer observer forces the raw journal; nothing else moves.
+
+void ExpectSameCell(const CellResult& a, const CellResult& b) {
+  EXPECT_EQ(a.queries_answered, b.queries_answered);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.hit_ratio, b.hit_ratio);
+  EXPECT_EQ(a.avg_report_bits, b.avg_report_bits);
+  EXPECT_EQ(a.mean_answer_latency, b.mean_answer_latency);
+  EXPECT_EQ(a.reports_broadcast, b.reports_broadcast);
+  EXPECT_EQ(a.reports_heard, b.reports_heard);
+  EXPECT_EQ(a.reports_missed, b.reports_missed);
+  EXPECT_EQ(a.quiet_report_intervals, b.quiet_report_intervals);
+  EXPECT_EQ(a.quiet_skipped_intervals, b.quiet_skipped_intervals);
+  EXPECT_EQ(a.measured_sleep_fraction, b.measured_sleep_fraction);
+  EXPECT_EQ(a.items_invalidated, b.items_invalidated);
+  EXPECT_EQ(a.listen_seconds_total, b.listen_seconds_total);
+  EXPECT_EQ(a.sim_events, b.sim_events);
+  EXPECT_EQ(a.updates_applied, b.updates_applied);
+  EXPECT_EQ(a.throughput, b.throughput);
+  EXPECT_EQ(a.effectiveness, b.effectiveness);
+  EXPECT_EQ(a.channel.report_bits, b.channel.report_bits);
+  EXPECT_EQ(a.channel.uplink_query_bits, b.channel.uplink_query_bits);
+  EXPECT_EQ(a.channel.downlink_answer_bits, b.channel.downlink_answer_bits);
+  EXPECT_EQ(a.channel.report_count, b.channel.report_count);
+  EXPECT_EQ(a.channel.uplink_query_count, b.channel.uplink_query_count);
+  EXPECT_EQ(a.channel.downlink_answer_count, b.channel.downlink_answer_count);
+  EXPECT_EQ(a.channel.busy_seconds, b.channel.busy_seconds);
+}
+
+TEST(RetentionEndToEndTest, AnswerObserverForcesJournalWithoutMovingResults) {
+  for (StrategyKind kind : {StrategyKind::kAt, StrategyKind::kGroupedAt}) {
+    SCOPED_TRACE(StrategyName(kind));
+    CellConfig config = BaseConfig(kind);
+    config.model.s = 0.85;  // quiet intervals exercise AdvanceQuiet
+    config.num_units = 4;
+
+    Cell plain(config);
+    ASSERT_TRUE(plain.Build().ok());
+    ASSERT_TRUE(plain.Run(5, 200).ok());
+    EXPECT_EQ(plain.db()->retention(), JournalRetention::kDirtySet);
+
+    Cell audited(config);
+    ASSERT_TRUE(audited.Build().ok());
+    uint64_t hits = 0;
+    uint64_t stale = 0;
+    const Database* db = audited.db();
+    for (MobileUnit* unit : audited.units()) {
+      unit->SetAnswerObserver(
+          [&hits, &stale, db](ItemId id, uint64_t value, SimTime ts, bool hit) {
+            if (!hit) return;
+            ++hits;
+            if (value != db->ValueAt(id, ts)) ++stale;
+          });
+    }
+    ASSERT_TRUE(audited.Run(5, 200).ok());
+    EXPECT_EQ(audited.db()->retention(), JournalRetention::kFullWindow);
+
+    ExpectSameCell(plain.result(), audited.result());
+    EXPECT_GT(plain.result().quiet_report_intervals, 0u);
+    EXPECT_GT(hits, 0u);
+    EXPECT_EQ(stale, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Allocation: a warm AT report build on the dirty set allocates nothing.
+
+TEST(RetentionAllocationTest, WarmAtBuildOnDirtySetDoesNotAllocate) {
+  constexpr uint64_t kN = 4096;
+  constexpr double kL = 10.0;
+  constexpr int kIntervals = 40;
+  Database db(kN, /*seed=*/21);
+  db.SetJournalBucketWidth(kL);
+  db.SetRetention(JournalRetention::kDirtySet);
+  AtServerStrategy at(&db, kL);
+
+  // Every interval's updates are staged up front; the first touches every
+  // item once, so the report scratch reaches its largest size while warm.
+  std::mt19937_64 rng(5);
+  std::vector<std::vector<ItemId>> ids(kIntervals);
+  std::vector<std::vector<SimTime>> times(kIntervals);
+  for (int i = 0; i < kIntervals; ++i) {
+    const uint64_t count = i == 0 ? kN : 200 + rng() % 800;
+    for (uint64_t j = 0; j < count; ++j) {
+      ids[i].push_back(i == 0 ? static_cast<ItemId>(j)
+                              : static_cast<ItemId>(rng() % kN));
+      times[i].push_back(kL * (i + static_cast<double>(j + 1) /
+                                       static_cast<double>(count + 1)));
+    }
+  }
+
+  Report report;
+  uint64_t bits = 0;
+  MessageSizes sizes;
+  sizes.id_bits = 12;
+  size_t allocations = 0;
+  for (int i = 0; i < kIntervals; ++i) {
+    const size_t before = g_new_calls.load();
+    db.ApplyUpdateBatch(ids[i].data(), times[i].data(), ids[i].size());
+    const SimTime now = kL * (i + 1);
+    at.BuildReportInto(now, static_cast<uint64_t>(i + 1), &report);
+    ASSERT_TRUE(at.AdvanceQuiet(now, static_cast<uint64_t>(i + 1), sizes,
+                                &bits));
+    EXPECT_EQ(bits, std::get<AtReport>(report).ids.size() * sizes.id_bits);
+    if (i >= 2) allocations += g_new_calls.load() - before;
+  }
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(db.journal_size(), 0u);
+}
+
 TEST(RetentionTest, ClassNamesAreStable) {
   EXPECT_STREQ(JournalRetentionName(JournalRetention::kNone), "none");
+  EXPECT_STREQ(JournalRetentionName(JournalRetention::kDirtySet), "dirty");
   EXPECT_STREQ(JournalRetentionName(JournalRetention::kDigestOnly), "digest");
   EXPECT_STREQ(JournalRetentionName(JournalRetention::kFullWindow), "full");
 }
