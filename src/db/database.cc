@@ -339,11 +339,9 @@ void Database::ApplyBatchJournal(const ItemId* ids, const SimTime* times,
 
 void Database::MarkDirty(const ItemId* ids, size_t count) {
   uint64_t* words = dirty_words_.data();
-  uint64_t* summary = dirty_summary_.data();
   for (size_t i = 0; i < count; ++i) {
     const ItemId id = ids[i];
     words[id >> 6] |= uint64_t{1} << (id & 63);
-    summary[id >> 12] |= uint64_t{1} << ((id >> 6) & 63);
   }
 }
 
@@ -405,7 +403,6 @@ void Database::SetRetention(JournalRetention retention) {
       assert(total_updates_ == 0 && "arm kDirtySet before any update");
       SetJournalEnabled(false);
       dirty_words_.assign((n_ + 63) / 64, 0);
-      dirty_summary_.assign((dirty_words_.size() + 63) / 64, 0);
       dirty_set_ = true;
       journal_bytes_ = (n_ + 7) / 8;
       break;
@@ -598,34 +595,38 @@ uint64_t Database::QueryDirtySet(SimTime lo, SimTime hi,
   assert(lo >= dirty_floor_ &&
          "dirty-set window queries need a non-decreasing lo");
   dirty_floor_ = lo;
+  // Found items gather in a stack buffer flushed in blocks, so a sparse
+  // window pays one append per block rather than one per set word.
+  constexpr size_t kFlushAt = 192;
+  UpdatedItem found[kFlushAt + 64];
+  size_t k = 0;
   uint64_t found_total = 0;
-  UpdatedItem found[64];
-  for (size_t s = 0; s < dirty_summary_.size(); ++s) {
-    uint64_t live = dirty_summary_[s];
-    for (uint64_t pending = live; pending != 0; pending &= pending - 1) {
-      const size_t w =
-          s * 64 + static_cast<size_t>(std::countr_zero(pending));
-      const ItemId base = static_cast<ItemId>(w * 64);
-      uint64_t word = dirty_words_[w];
-      size_t k = 0;
-      // Branch-free over the word's set bits: whether an item's latest
-      // update predates lo, or falls in the window, is a coin flip the
-      // predictor cannot learn, so both outcomes are arithmetic.
-      for (uint64_t bits = word; bits != 0; bits &= bits - 1) {
-        const int b = std::countr_zero(bits);
-        const ItemId id = base + static_cast<ItemId>(b);
-        const SimTime t = hot_[id].last_update;
-        word &= ~(uint64_t{t <= lo} << b);
-        found[k] = UpdatedItem{id, t};
-        k += static_cast<size_t>((t > lo) & (t <= hi));
-      }
-      dirty_words_[w] = word;
-      if (word == 0) live &= ~(uint64_t{1} << (w & 63));
+  uint64_t* words = dirty_words_.data();
+  const size_t n_words = dirty_words_.size();
+  for (size_t w = 0; w < n_words; ++w) {
+    uint64_t word = words[w];
+    if (word == 0) continue;
+    const ItemId base = static_cast<ItemId>(w * 64);
+    // Branch-free over the word's set bits: whether an item's latest
+    // update predates lo, or falls in the window, is a coin flip the
+    // predictor cannot learn, so both outcomes are arithmetic.
+    for (uint64_t bits = word; bits != 0; bits &= bits - 1) {
+      const int b = std::countr_zero(bits);
+      const ItemId id = base + static_cast<ItemId>(b);
+      const SimTime t = hot_[id].last_update;
+      word &= ~(uint64_t{t <= lo} << b);
+      found[k] = UpdatedItem{id, t};
+      k += static_cast<size_t>((t > lo) & (t <= hi));
+    }
+    words[w] = word;
+    if (k >= kFlushAt) {
       found_total += k;
       if (out != nullptr) out->insert(out->end(), found, found + k);
+      k = 0;
     }
-    dirty_summary_[s] = live;
   }
+  found_total += k;
+  if (out != nullptr) out->insert(out->end(), found, found + k);
   return found_total;
 }
 

@@ -50,8 +50,8 @@
 // update lies at or before a past — hence the current — lo, and a later
 // update sets it again, so every item whose latest update lies in (lo, hi]
 // still has its bit set: the answer is exact. Repeating a query is
-// idempotent. A one-bit-per-word summary level skips all-zero words, so
-// sparse windows cost O(n/4096) beyond the set bits.
+// idempotent. A query costs one pass over the n/64 words plus one slab read
+// per set bit.
 
 #ifndef MOBICACHE_DB_DATABASE_H_
 #define MOBICACHE_DB_DATABASE_H_
@@ -461,7 +461,7 @@ class Database {
   void RecycleBucket(Bucket* bucket);
   static void BuildDigest(const Bucket& bucket);
   void RebuildObserverFastPath();
-  /// Sets the kDirtySet bits (word and summary) of `count` updated ids.
+  /// Sets the kDirtySet bits of `count` updated ids.
   void MarkDirty(const ItemId* ids, size_t count);
   /// The kDirtySet window query (see the file comment): clears the bits of
   /// items last updated at or before `lo`, appends the items last updated
@@ -521,11 +521,9 @@ class Database {
   /// single-threaded server phase.
   mutable std::vector<size_t> merge_starts_;
   /// kDirtySet state (see the file comment): bit j of dirty_words_ is set
-  /// while item j may still belong to a window; bit w of dirty_summary_ is
-  /// set while dirty_words_[w] may be nonzero. Empty under other classes.
+  /// while item j may still belong to a window. Empty under other classes.
   /// `mutable` like the digests: queries clear bits lazily.
   mutable std::vector<uint64_t> dirty_words_;
-  mutable std::vector<uint64_t> dirty_summary_;
   /// Largest lo any dirty-set query has used: the exactness watermark.
   mutable SimTime dirty_floor_ = -std::numeric_limits<SimTime>::infinity();
   bool dirty_set_ = false;  ///< retention_ == kDirtySet, tested per batch.

@@ -312,7 +312,7 @@ SimTime StepUlps(SimTime x, int ulps) {
 }
 
 TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
-  constexpr uint64_t kTripleItems = 96;
+  constexpr uint64_t kTripleItems = 1024;
   constexpr double kTick = 0.25;  // update-time lattice; windows share it
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -344,10 +344,13 @@ TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
     std::vector<UpdatedItem> scratch[3];
     for (int step = 0; step < 160; ++step) {
       // Updates up to ~2.5 intervals ahead; a zero count is a quiet
-      // stretch, and tied times (same id or not) are common.
+      // stretch, a burst lists more items than the dirty-set query buffers
+      // per block, and tied times (same id or not) are common.
       ids.clear();
       times.clear();
-      const uint64_t count = uniform(5) == 0 ? 0 : uniform(60);
+      const uint64_t count = uniform(5) == 0   ? 0
+                             : uniform(8) == 0 ? 200 + uniform(400)
+                                               : uniform(60);
       for (uint64_t i = 0; i < count; ++i) {
         const bool tie = i > 0 && uniform(6) == 0;
         if (!tie) clock += kTick * static_cast<double>(1 + uniform(4));
