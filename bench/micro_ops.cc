@@ -24,9 +24,11 @@
 namespace mobicache {
 namespace {
 
-// Event-loop guard: schedule-then-dispatch throughput of the simulator's
-// inline-callback heap. A regression here (e.g. reintroducing a per-event
-// side-table lookup or allocation) slows every simulated cell in bench/.
+// Event-loop guard: schedule-then-dispatch throughput of the simulator when
+// every event has a time of its own — the calendar scheduler's worst case,
+// one one-id bucket and one index sift per event. A regression here (e.g.
+// reintroducing a per-event side-table lookup or allocation) slows every
+// simulated cell in bench/.
 void BM_SimulatorScheduleDispatch(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   Simulator sim;
@@ -45,7 +47,7 @@ void BM_SimulatorScheduleDispatch(benchmark::State& state) {
 BENCHMARK(BM_SimulatorScheduleDispatch)->Arg(16)->Arg(1024)->Arg(65536);
 
 // Cancellation guard: half the scheduled events are cancelled before the
-// run, exercising the O(1) tombstone path plus lazy heap removal.
+// run, exercising the O(1) tombstone path plus lazy removal at dispatch.
 void BM_SimulatorScheduleCancel(benchmark::State& state) {
   const int batch = 1024;
   Simulator sim;
@@ -66,6 +68,40 @@ void BM_SimulatorScheduleCancel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * batch);
 }
 BENCHMARK(BM_SimulatorScheduleCancel);
+
+// Tick-wave guard: the queue shape the cell engines produce. Arg units each
+// keep one pending tick on an interval boundary (L = 1, so boundary times
+// are exact integers and equal ticks share one double); a fired tick
+// reschedules at the next boundary, or one time in 16 naps 2..64 boundaries
+// ahead. Every dispatch wave is therefore same-time, and the queue spans up
+// to 64 distinct future boundaries. One iteration runs one interval.
+struct TickWave {
+  Simulator sim;
+  Rng rng{3};
+  void Arm(SimTime when) {
+    sim.ScheduleAt(when, [this] {
+      const uint64_t draw = rng.NextUint64(16 * 63);
+      const uint64_t ahead = draw < 15 * 63 ? 1 : 2 + draw % 63;
+      Arm(sim.Now() + static_cast<double>(ahead));
+    });
+  }
+};
+
+void BM_SimulatorTickWave(benchmark::State& state) {
+  const int units = static_cast<int>(state.range(0));
+  TickWave wave;
+  wave.sim.Reserve(static_cast<size_t>(units) + 1024);
+  for (int i = 0; i < units; ++i) wave.Arm(1.0);
+  double t = 0.0;
+  for (int warm = 0; warm < 128; ++warm) wave.sim.RunUntil(t += 1.0);
+  const uint64_t before = wave.sim.DispatchedEvents();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wave.sim.RunUntil(t += 1.0));
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(wave.sim.DispatchedEvents() - before));
+}
+BENCHMARK(BM_SimulatorTickWave)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_ItemSignature(benchmark::State& state) {
   SignatureParams params;

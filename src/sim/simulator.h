@@ -3,18 +3,36 @@
 // times. Events at equal times fire in scheduling order (stable FIFO
 // tie-break) so runs are fully deterministic for a given seed.
 //
-// Hot-path layout: heap entries are 24-byte PODs (time, seq, slot), so the
-// sift operations that dominate large queues stay cache-friendly, and the
-// callback lives in a slot slab indexed directly by the entry — no hash
-// lookup and no per-event node allocation (slots are recycled through a
-// free list, so slab size tracks *peak pending* events, not run length).
-// Cancellation is a tombstone flag in the slot, checked when the entry
-// reaches the top of the heap; Cancel() is O(1) and cancelled entries are
+// Hot-path layout: the queue is a calendar of same-time buckets. The
+// paper's model is synchronous (every unit wakes, sleeps and revalidates on
+// the broadcast boundaries T_i = i*L), so pending events pile up on a
+// handful of instants and, within one instant, dispatch is plain FIFO.
+// Each bucket is therefore a FIFO of 4-byte slot ids for one time, held in
+// 64-byte chunks drawn from one recycled pool (a bucket of one id — most
+// off-grid times — lives in its heap entry and takes no chunk); a 4-ary
+// heap orders the buckets, not the events, so a push onto an existing time
+// is O(1) and only a new distinct time pays an O(log D) sift, D = distinct
+// pending times. The callback lives in a slot slab indexed by the id — no
+// hash lookup and no per-event node allocation (slots and chunks recycle
+// through free lists, so storage tracks *peak pending* events, not run
+// length). Dispatch prefetches the slots a few ids ahead in the current
+// bucket, which hides the slab's cache misses across a tick wave.
+// Cancellation is a tombstone flag in the slot, checked when the id reaches
+// the head of the earliest bucket; Cancel() is O(1) and cancelled ids are
 // skipped lazily at dispatch time (their callbacks are destroyed eagerly).
+//
+// Bucket invariant: a bucket accepts a push only while it is the newest
+// bucket at its time. Pushes find that bucket through a small direct-mapped
+// table keyed by time; a bucket whose table entry is taken over by another
+// time is *sealed* (no longer findable), and a later push at its time opens
+// a fresh bucket. Buckets are ordered by (time, seq of their first id), and
+// seq rises with push order, so the dispatch order is exactly the global
+// (time, seq) order — the same order a heap over individual events gives.
 
 #ifndef MOBICACHE_SIM_SIMULATOR_H_
 #define MOBICACHE_SIM_SIMULATOR_H_
 
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -213,20 +231,27 @@ class Simulator {
   uint64_t Run();
 
   /// Runs events with time <= `end`, then sets the clock to `end` (if it is
-  /// beyond the last event). Returns the number of events dispatched.
+  /// beyond the last event). Returns the number of events dispatched. If
+  /// Stop() ends the call while a live event at or before `end` is still
+  /// queued, the clock stays at the stopped event's time, so a later run
+  /// call never moves it backwards.
   uint64_t RunUntil(SimTime end);
 
-  /// Runs events with time strictly < `end`, then sets the clock to `end`.
+  /// Runs events with time strictly < `end`, then sets the clock to `end`
+  /// (with the same Stop() exception as RunUntil, for events before `end`).
   /// Events scheduled at exactly `end` stay queued and fire on the next
   /// run call — the lockstep sharded engine uses this to advance every
   /// shard to an interval boundary while leaving the boundary's own events
   /// (the next tick wave) to the following window.
   uint64_t RunUntilBefore(SimTime end);
 
-  /// Pre-sizes the heap, slot slab, and free list for `pending_events`
-  /// simultaneously queued events, so populations that schedule one ticker
-  /// plus one arrival per unit (10^6 pending events per shard) never
-  /// reallocate mid-run.
+  /// Pre-sizes the slot slab, its free list, and the heap over buckets for
+  /// `pending_events` simultaneously queued events, so populations that
+  /// schedule one ticker plus one arrival per unit (10^6 pending events
+  /// per shard) never reallocate them mid-run. The id chunks are sized for
+  /// twice the chunks those events fill (room for one partly filled chunk
+  /// per pending time on a tick schedule); a schedule spread over more
+  /// times grows the chunk pool to its high-water mark during warm-up.
   void Reserve(size_t pending_events);
 
   /// Dispatches exactly one event if any is pending. Returns true if an
@@ -237,13 +262,14 @@ class Simulator {
   void Stop() { stopped_ = true; }
 
   /// Number of events still queued (including cancelled placeholders).
-  size_t PendingEvents() const { return heap_.size(); }
+  size_t PendingEvents() const { return queued_; }
 
   /// Time of the earliest live pending event; +infinity when none remain.
-  /// Cancelled tombstones are dropped off the heap top on the way (their
-  /// slots recycle), which is why this is not const — the observable
-  /// schedule is unchanged. The quiet-stretch skip uses this to bound how
-  /// far it may replay interval work without an event firing in between.
+  /// Cancelled tombstones are dropped off the head of the earliest bucket
+  /// on the way (their slots recycle), which is why this is not const — the
+  /// observable schedule is unchanged. The quiet-stretch skip uses this to
+  /// bound how far it may replay interval work without an event firing in
+  /// between.
   SimTime NextEventTime();
 
   /// Whether an event at time `t` would still dispatch inside the run call
@@ -262,21 +288,25 @@ class Simulator {
   uint64_t DispatchedEvents() const { return dispatched_; }
 
  private:
-  struct Entry {
-    SimTime when;
-    uint64_t seq;
-    uint32_t slot;
-    // Min-heap priority: earliest time first, then FIFO by seq.
-    bool Before(const Entry& other) const {
-      if (when != other.when) return when < other.when;
-      return seq < other.seq;
-    }
-  };
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  /// BucketRef::chunk of a one-id bucket, whose id the ref itself holds;
+  /// in the open table, "a one-id bucket was opened at this time".
+  static constexpr uint32_t kInline = kNone - 1;
+  /// Slot ids per chunk: with the bucket header and link, 64 bytes.
+  static constexpr uint32_t kChunkIds = 10;
+  /// Ids ahead of the dispatch head whose slots each pop prefetches.
+  static constexpr uint32_t kPrefetchAhead = 4;
+  /// log2 of the direct-mapped open-bucket table's entries. A collision
+  /// only seals a bucket early, and the time a push mostly targets (the
+  /// next boundary) keeps its entry hot, so 256 entries (2 KB per
+  /// simulator; sweeps keep hundreds alive) serve a shard whose sleepers
+  /// hold wake boundaries up to 512 intervals ahead.
+  static constexpr uint32_t kOpenBits = 8;
 
   /// Callback storage for one pending event. A slot is owned by exactly one
-  /// queued entry (matching seq) from ScheduleAt until that entry is popped,
-  /// then recycled through free_slots_. The callback bytes live inline in
-  /// the slot (EventFn small buffer), so the slab is flat storage with no
+  /// queued id (matching seq) from ScheduleAt until that id is popped, then
+  /// recycled through the free list. The callback bytes live inline in the
+  /// slot (EventFn small buffer), so the slab is flat storage with no
   /// per-event pointer chasing or allocation.
   struct Slot {
     EventFn fn;
@@ -284,31 +314,90 @@ class Simulator {
     bool cancelled = false;
   };
 
+  /// A run of a chunked bucket's FIFO. The bucket is named by its head
+  /// chunk (the one holding its next id to pop), whose header fields
+  /// describe the whole FIFO: ids [head, tail) of the chain head chunk ->
+  /// ... -> tail_chunk, where `head` indexes this chunk and `tail` the tail
+  /// chunk. Header fields of any other chunk are unused.
+  struct Chunk {
+    SimTime when;
+    uint32_t tail_chunk;
+    uint32_t head;
+    uint32_t tail;
+    uint32_t next;  // next chunk of the FIFO, or the free-list link
+    uint32_t ids[kChunkIds];
+  };
+  static_assert(sizeof(Chunk) == 64, "kChunkIds sizes a chunk to 64 bytes");
+
+  /// Open-bucket table entry: `tag` (more bits of the time's hash) rejects
+  /// most stale entries without reading the bucket's chunk.
+  struct OpenEntry {
+    uint32_t bucket = kNone;  // head chunk, kInline, or kNone
+    uint32_t tag = 0;
+  };
+
+  /// Heap entry over buckets: earliest time first, then the bucket whose
+  /// first id was pushed first (an older, sealed bucket at the same time).
+  /// `head` caches the bucket's next id, so peeking at the earliest event
+  /// reads no chunk, and a one-id bucket needs no chunk at all.
+  struct BucketRef {
+    SimTime when;
+    uint64_t first_seq;
+    uint32_t chunk;  // head chunk, or kInline
+    uint32_t head;
+    bool Before(const BucketRef& other) const {
+      if (when != other.when) return when < other.when;
+      return first_seq < other.first_seq;
+    }
+  };
+
   /// Pops a recycled slot (or grows the slab) for an event about to be
   /// scheduled; the caller fills the slot's callback before FinishSchedule.
   uint32_t AcquireSlot();
-  /// Stamps the slot with a fresh seq, pushes the heap entry, and returns
-  /// the event id. Asserts the time ordering contract.
+  /// Clears the slot's seq (a Cancel() with the old id must miss) and
+  /// returns it to the free list.
+  void ReleaseSlot(uint32_t slot);
+  /// Stamps the slot with a fresh seq, enqueues it, and returns the event
+  /// id. Asserts the time ordering contract.
   EventId FinishSchedule(SimTime when, uint32_t slot);
-  void HeapPush(Entry entry);
-  Entry HeapPopRoot();
-  /// Drops cancelled entries (and recycles their slots) off the top;
-  /// afterwards the root, if any, is a live event. Returns false if the
-  /// heap is empty.
+  /// Appends `slot` (stamped `seq`) to the open bucket at `when`, or opens
+  /// a new bucket (sealing whichever bucket held the table entry): a
+  /// one-id bucket for the first push the entry sees at `when` — most
+  /// distinct times never get a second — and a chunked one for the next.
+  void Enqueue(SimTime when, uint64_t seq, uint32_t slot);
+  uint32_t AcquireChunk();
+  void IndexPush(BucketRef ref);
+  void IndexPopRoot();
+  /// Removes the earliest bucket's next id (retiring the bucket once it is
+  /// empty), prefetches the slot kPrefetchAhead ids further on, and returns
+  /// the removed id.
+  uint32_t PopRootHead();
+  /// Drops cancelled ids (and recycles their slots) off the earliest
+  /// bucket; afterwards the next id of the earliest bucket, if any, is a
+  /// live event. Returns false if the queue is empty.
   bool SkipCancelledTop();
-  /// Moves the root's callback out, recycles its slot, advances the clock,
-  /// and returns the callback ready to invoke.
+  /// Pops the earliest live id, moves its callback out, recycles its slot,
+  /// advances the clock, and returns the callback ready to invoke. Requires
+  /// a preceding successful SkipCancelledTop().
   EventFn TakeRootForDispatch();
+  /// Sets the clock to `end` after a RunUntil/RunUntilBefore loop, unless a
+  /// Stop() left a live event that the call should have dispatched.
+  void FinishRunTo(SimTime end, bool inclusive);
 
   SimTime now_ = 0.0;
   uint64_t next_seq_ = 1;  // 0 is reserved so a default EventId is inert
   uint64_t dispatched_ = 0;
+  size_t queued_ = 0;  // ids in all buckets, tombstones included
   bool stopped_ = false;
   SimTime run_horizon_ = std::numeric_limits<SimTime>::infinity();
   bool run_horizon_inclusive_ = true;
-  std::vector<Entry> heap_;
+  std::vector<BucketRef> index_;  // 4-ary min-heap over live buckets
+  std::vector<Chunk> chunks_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
+  uint32_t free_chunk_ = kNone;  // head of the chunk free list
+  /// Open bucket per time hash; see the bucket invariant.
+  std::array<OpenEntry, size_t{1} << kOpenBits> open_{};
 };
 
 /// Repeatedly invokes a callback with a fixed period, starting at `start`.
