@@ -17,7 +17,7 @@
 #include <string>
 
 #include "core/adaptive.h"
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "util/table.h"
 
 namespace mobicache {
@@ -60,7 +60,7 @@ struct WindowSnapshot {
 };
 
 RowResult RunOne(CellConfig config, WindowSnapshot* windows = nullptr) {
-  Cell cell(config);
+  MegaCell cell({config});
   // Long warm-up so the adaptive controller reaches steady state.
   if (!cell.Build().ok() || !cell.Run(1000, 1000).ok()) {
     std::cerr << "cell failed\n";

@@ -7,7 +7,7 @@
 
 #include <iostream>
 
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "util/table.h"
 
 namespace mobicache {
@@ -22,7 +22,7 @@ CellResult RunOne(StrategyKind kind, double s) {
   config.num_units = 20;
   config.hotspot_size = 20;
   config.seed = 31;
-  Cell cell(config);
+  MegaCell cell({config});
   if (!cell.Build().ok() || !cell.Run(40, 500).ok()) {
     std::cerr << "cell failed\n";
     std::exit(1);

@@ -8,7 +8,7 @@
 #include <string>
 
 #include "analysis/model.h"
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "util/table.h"
 
 namespace mobicache {
@@ -33,7 +33,7 @@ int Run() {
     config.num_units = 20;
     config.hotspot_size = 20;
     config.seed = 21;
-    Cell cell(config);
+    MegaCell cell({config});
     if (!cell.Build().ok() || !cell.Run(40, 400).ok()) return 1;
     const CellResult r = cell.result();
     const StrategyEval model = EvalAt(params);
@@ -53,7 +53,7 @@ int Run() {
     config.num_units = 20;
     config.hotspot_size = 20;
     config.seed = 21;
-    Cell cell(config);
+    MegaCell cell({config});
     if (!cell.Build().ok() || !cell.Run(40, 400).ok()) return 1;
     const CellResult r = cell.result();
     const StrategyEval model = EvalGroupedAt(params, groups);

@@ -6,7 +6,7 @@
 
 #include <iostream>
 
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "util/table.h"
 
 namespace mobicache {
@@ -27,7 +27,7 @@ CellResult RunOne(StrategyKind kind, double s) {
   config.update_rates.assign(config.model.n, 5e-5);
   for (int i = 0; i < 10; ++i) config.update_rates[i] = 0.02;
   config.hybrid_hot_set = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  Cell cell(config);
+  MegaCell cell({config});
   if (!cell.Build().ok() || !cell.Run(40, 500).ok()) {
     std::cerr << "cell failed\n";
     std::exit(1);

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "analysis/model.h"
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "util/flags.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -29,7 +29,7 @@ Status RunSeeds(const CellConfig& base, uint64_t seeds, uint64_t warmup,
   for (uint64_t i = 0; i < seeds; ++i) {
     CellConfig config = base;
     config.seed = base.seed + 7919ULL * (i + 1);
-    Cell cell(config);
+    MegaCell cell({config});
     MOBICACHE_RETURN_IF_ERROR(cell.Build());
     MOBICACHE_RETURN_IF_ERROR(cell.Run(warmup, measure));
     const CellResult r = cell.result();

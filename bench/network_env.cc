@@ -16,7 +16,7 @@
 
 #include <iostream>
 
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "net/delivery.h"
 #include "net/energy.h"
 #include "util/table.h"
@@ -53,7 +53,7 @@ int Run() {
     config.delivery = c.kind;
     config.mean_jitter_seconds = c.jitter;
     config.seed = 91;
-    Cell cell(config);
+    MegaCell cell({config});
     if (!cell.Build().ok() || !cell.Run(50, 400).ok()) {
       std::cerr << "cell failed\n";
       return 1;

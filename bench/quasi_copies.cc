@@ -13,7 +13,7 @@
 #include <iostream>
 
 #include "core/coherency.h"
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "util/table.h"
 
 namespace mobicache {
@@ -41,7 +41,7 @@ CellConfig BaseConfig() {
 }
 
 CellResult RunOne(const CellConfig& config) {
-  Cell cell(config);
+  MegaCell cell({config});
   if (!cell.Build().ok() || !cell.Run(50, 400).ok()) {
     std::cerr << "cell failed\n";
     std::exit(1);

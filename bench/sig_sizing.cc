@@ -16,7 +16,7 @@
 #include <iostream>
 
 #include "analysis/model.h"
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "sig/signature.h"
 #include "util/table.h"
 
@@ -44,7 +44,7 @@ struct Audit {
 };
 
 Audit RunAudited(const CellConfig& config) {
-  Cell cell(config);
+  MegaCell cell({config});
   if (!cell.Build().ok()) {
     std::cerr << "build failed\n";
     std::exit(1);

@@ -1,5 +1,5 @@
-// Sleeper-population scaling bench: one classic (unsharded) cell swept
-// across sleep probability s and population size, measuring how many
+// Sleeper-population scaling bench: one unsharded cell swept across sleep
+// probability s and population size, measuring how many
 // discrete events the engine dispatches and how fast. The point of the
 // sleep fast-forward + batched-arrival engine is that a sleeping unit costs
 // ~zero events, so dispatched events should track *awake* work, not
@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "util/flags.h"
 
 namespace mobicache {
@@ -37,9 +37,9 @@ struct RunRecord {
   double s = 0.0;
   double build_seconds = 0.0;
   double run_seconds = 0.0;
-  /// Wall time in the server's broadcast path (build/elide + fan-out),
-  /// warmup included — the quiet-elision win shows up here: at high s most
-  /// intervals are elided and server_seconds collapses toward zero.
+  /// Wall time in the cell's serial server phases (report build/elide,
+  /// update drain), warmup included — the quiet-elision win shows up here:
+  /// at high s most intervals are elided and server_seconds shrinks.
   double server_seconds = 0.0;
   uint64_t sim_events = 0;
   double events_per_sec = 0.0;
@@ -161,7 +161,7 @@ int Main(int argc, char** argv) {
 
   for (uint64_t units : args.units) {
     for (double s : args.sleep_probs) {
-      Cell cell(MakeConfig(units, s, args.seed));
+      MegaCell cell({MakeConfig(units, s, args.seed)});
 
       auto t0 = std::chrono::steady_clock::now();
       Status st = cell.Build();
@@ -196,8 +196,8 @@ int Main(int argc, char** argv) {
       // phase counts arrivals exactly; warmup's share is extrapolated by run
       // length (the process is stationary).
       uint64_t measured_arrivals = 0;
-      for (const MobileUnit* unit : cell.units()) {
-        measured_arrivals += unit->stats().queries_issued;
+      for (uint64_t i = 0; i < units; ++i) {
+        measured_arrivals += cell.UnitStats(i).queries_issued;
       }
       const double intervals_total =
           static_cast<double>(args.warmup + args.measure) + 0.5;

@@ -10,7 +10,7 @@
 #include <iostream>
 #include <string>
 
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "exp/sweep.h"
 #include "util/bits.h"
 #include "util/flags.h"
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   config.mean_sleep_seconds = mean_sleep;
   config.query_zipf_theta = query_zipf;
 
-  Cell cell(config);
+  MegaCell cell({config});
   if (Status st = cell.Build(); !st.ok()) {
     std::cerr << "Build failed: " << st.ToString() << "\n";
     return 1;

@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "analysis/model.h"
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "exp/sweep.h"
 #include "util/table.h"
 
@@ -38,7 +38,7 @@ int main() {
     config.hotspot_size = 20;
     config.seed = 7;
 
-    Cell cell(config);
+    MegaCell cell({config});
     if (Status st = cell.Build(); !st.ok()) {
       std::cerr << "Build failed: " << st.ToString() << "\n";
       return 1;

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "util/table.h"
 
 using namespace mobicache;
@@ -34,7 +34,7 @@ std::vector<Ranked> RankStrategies(double sleep_probability) {
     config.num_units = 20;
     config.hotspot_size = 20;
     config.seed = 99;
-    Cell cell(config);
+    MegaCell cell({config});
     if (!cell.Build().ok() || !cell.Run(50, 600).ok()) {
       std::cerr << "cell failed\n";
       std::exit(1);
@@ -88,7 +88,7 @@ int main() {
   config.renewal_sleep = true;
   config.mean_awake_seconds = 120.0;
   config.mean_sleep_seconds = 60.0;
-  Cell cell(config);
+  MegaCell cell({config});
   if (!cell.Build().ok() || !cell.Run(100, 600).ok()) {
     std::cerr << "cell failed\n";
     return 1;

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "util/table.h"
 
 int main() {
@@ -47,7 +47,7 @@ int main() {
                          Row{"quasi eps=2.0", 2.0}}) {
     CellConfig config = base;
     config.quasi_epsilon = row.epsilon;
-    Cell cell(config);
+    MegaCell cell({config});
     if (Status st = cell.Build(); !st.ok()) {
       std::cerr << st.ToString() << "\n";
       return 1;

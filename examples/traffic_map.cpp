@@ -8,7 +8,7 @@
 #include <iostream>
 #include <string>
 
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "mu/hotspot.h"
 #include "util/random.h"
 #include "util/table.h"
@@ -51,7 +51,7 @@ int main() {
     config.custom_hotspots = neighbourhoods;
     config.seed = 404;
 
-    Cell cell(config);
+    MegaCell cell({config});
     if (Status st = cell.Build(); !st.ok()) {
       std::cerr << st.ToString() << "\n";
       return 1;

@@ -11,9 +11,9 @@ AtServerStrategy::AtServerStrategy(const Database* db, SimTime latency)
 }
 
 Report AtServerStrategy::BuildReport(SimTime now, uint64_t interval) {
-  // Fresh-report path: reached only through MaterializeQuiet, the rare
-  // catch-up when a unit wakes into an elided stretch; building a new
-  // report is the point. detlint:allow-function(alloc-event-path)
+  // Fresh-report path for callers outside the broadcast loop (which uses
+  // BuildReportInto); building a new report is the point.
+  // detlint:allow-function(alloc-event-path)
   AtReport report;
   report.interval = interval;
   report.timestamp = now;
@@ -49,8 +49,10 @@ bool AtServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
   return true;
 }
 
-Report AtServerStrategy::MaterializeQuiet(SimTime now, uint64_t interval) {
-  return BuildReport(now, interval);
+void AtServerStrategy::MaterializeQuietInto(SimTime now, uint64_t interval,
+                                           Report* out) {
+  // AT keeps no state across intervals: the quiet report is the built one.
+  BuildReportInto(now, interval, out);
 }
 
 uint64_t AtClientManager::OnReport(const Report& report, ClientCache* cache) {

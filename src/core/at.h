@@ -23,7 +23,8 @@ class AtServerStrategy : public ServerStrategy {
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
                     uint64_t* bits) override;
-  Report MaterializeQuiet(SimTime now, uint64_t interval) override;
+  void MaterializeQuietInto(SimTime now, uint64_t interval,
+                            Report* out) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
   /// One window per broadcast, (T_i - L, T_i], with T_i non-decreasing:
   /// exactly the queries a dirty set answers without a journal.

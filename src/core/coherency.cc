@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "util/random.h"
 
@@ -48,12 +49,20 @@ void QuasiAtServerStrategy::OnUplinkQuery(const UplinkQueryInfo& info) {
   ItemObligation& ob = obligations_[info.id];
   if (!ob.has_outstanding) {
     // First copy handed out since the last inclusion: the fetching client
-    // leaves with the current version, and the delay clock starts now.
+    // leaves with the version current just before the query instant, and
+    // the delay clock starts then. The cell engine replays queries at its
+    // window barrier, when later updates of the window may have landed, so
+    // those are taken back out through the (full-window) journal.
     ob.has_outstanding = true;
     ob.eligible_at =
         static_cast<uint64_t>(std::floor(info.time / latency_)) +
         alpha_intervals_;
-    ob.last_included_version = db_->VersionOf(info.id);
+    assert(db_->retention() == JournalRetention::kFullWindow);
+    const SimTime before = std::nextafter(
+        info.time, -std::numeric_limits<SimTime>::infinity());
+    ob.last_included_version = db_->LastUpdateOf(info.id) < info.time
+                                   ? db_->VersionOf(info.id)
+                                   : db_->VersionAt(info.id, before);
   }
   // Later fetches inherit the earlier (stricter) obligation: the oldest
   // outstanding copy governs the reporting deadline.

@@ -46,7 +46,8 @@ class GroupedAtServerStrategy : public ServerStrategy {
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
                     uint64_t* bits) override;
-  Report MaterializeQuiet(SimTime now, uint64_t interval) override;
+  void MaterializeQuietInto(SimTime now, uint64_t interval,
+                            Report* out) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
   /// AT's windows (see AtServerStrategy::retention).
   JournalRetention retention() const override {

@@ -123,15 +123,19 @@ bool HybridSigServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
   return true;
 }
 
-Report HybridSigServerStrategy::MaterializeQuiet(SimTime now,
-                                                 uint64_t interval) {
+void HybridSigServerStrategy::MaterializeQuietInto(SimTime now,
+                                                   uint64_t interval,
+                                                   Report* out) {
   assert(quiet_now_ == now && last_folded_ == now);
-  HybridReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  report.hot_ids = quiet_hot_scratch_;
-  report.combined = state_.Combined();
-  return report;
+  HybridReport* hy = std::get_if<HybridReport>(out);
+  // Variant switch happens on the first broadcast only. detlint:allow(alloc-event-path)
+  if (hy == nullptr) hy = &out->emplace<HybridReport>();
+  hy->interval = interval;
+  hy->timestamp = now;
+  // Fill the reused report's retained capacity. detlint:allow(alloc-event-path)
+  hy->hot_ids.assign(quiet_hot_scratch_.begin(), quiet_hot_scratch_.end());
+  const std::vector<uint64_t>& combined = state_.Combined();
+  hy->combined.assign(combined.begin(), combined.end());  // detlint:allow(alloc-event-path)
 }
 
 HybridSigClientManager::HybridSigClientManager(

@@ -32,13 +32,10 @@ class HybridSigServerStrategy : public ServerStrategy {
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
                     uint64_t* bits) override;
-  Report MaterializeQuiet(SimTime now, uint64_t interval) override;
+  void MaterializeQuietInto(SimTime now, uint64_t interval,
+                            Report* out) override;
   void AttachUpdateFeed(Database* db) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
-  /// With the feed attached, FoldChangesThrough reads only the dirty set and
-  /// per-item slab timestamps — never a journal window — so quiet-stretch
-  /// buckets may stay digest-only.
-  bool JournalQuiescentWithFeed() const override { return true; }
   /// No hybrid code path reads raw journal entries (JournalIn / VersionAt),
   /// so every bucket may hold just the per-interval digest.
   JournalRetention retention() const override {
@@ -65,7 +62,7 @@ class HybridSigServerStrategy : public ServerStrategy {
   std::vector<uint8_t> dirty_flags_;
   std::vector<ItemId> dirty_ids_;
   // Hot ids of the interval most recently consumed by AdvanceQuiet, kept so
-  // MaterializeQuiet can reconstruct the elided report.
+  // MaterializeQuietInto can reconstruct the elided report.
   std::vector<ItemId> quiet_hot_scratch_;
   SimTime quiet_now_ = 0.0;
 };

@@ -44,8 +44,9 @@ class NullServerStrategy : public ServerStrategy {
     *bits = 0;  // Bc = 0: empty reports, no state to advance.
     return true;
   }
-  Report MaterializeQuiet(SimTime now, uint64_t interval) override {
-    return BuildReport(now, interval);
+  void MaterializeQuietInto(SimTime now, uint64_t interval,
+                            Report* out) override {
+    BuildReportInto(now, interval, out);
   }
   JournalRetention retention() const override { return retention_; }
   SimTime JournalHorizonSeconds() const override { return 0.0; }
@@ -87,8 +88,9 @@ class NoCacheClientManager : public ClientCacheManager {
 };
 
 /// Client half of the asynchronous-broadcast mode (§3.2): queries are
-/// answered immediately; validity is maintained push-style by the
-/// AsyncBroadcaster, and the unit drops its cache on waking (it cannot know
+/// answered immediately; validity is maintained push-style by per-update
+/// invalidation messages to the awake units (the cell engine's update
+/// trace), and the unit drops its cache on waking (it cannot know
 /// which invalidation messages it slept through).
 class AsyncClientManager : public ClientCacheManager {
  public:

@@ -83,13 +83,17 @@ bool SigServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
   return true;
 }
 
-Report SigServerStrategy::MaterializeQuiet(SimTime now, uint64_t interval) {
+void SigServerStrategy::MaterializeQuietInto(SimTime now, uint64_t interval,
+                                            Report* out) {
   assert(last_folded_ == now);
-  SigReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  report.combined = state_.Combined();
-  return report;
+  SigReport* sig = std::get_if<SigReport>(out);
+  // Variant switch happens on the first broadcast only. detlint:allow(alloc-event-path)
+  if (sig == nullptr) sig = &out->emplace<SigReport>();
+  sig->interval = interval;
+  sig->timestamp = now;
+  const std::vector<uint64_t>& combined = state_.Combined();
+  // Fills the reused report's retained capacity. detlint:allow(alloc-event-path)
+  sig->combined.assign(combined.begin(), combined.end());
 }
 
 SigClientManager::SigClientManager(SignatureFamily* family,

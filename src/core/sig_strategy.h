@@ -30,15 +30,13 @@ class SigServerStrategy : public ServerStrategy {
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
                     uint64_t* bits) override;
-  Report MaterializeQuiet(SimTime now, uint64_t interval) override;
+  void MaterializeQuietInto(SimTime now, uint64_t interval,
+                            Report* out) override;
   void AttachUpdateFeed(Database* db) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
-  /// With the feed attached, FoldChangesThrough reads only the dirty set —
-  /// never a journal window — so quiet-stretch buckets may stay digest-only.
-  bool JournalQuiescentWithFeed() const override { return true; }
-  /// Stronger still: no SIG code path ever reads raw journal entries
-  /// (JournalIn / VersionAt), so *every* bucket may hold just the
-  /// per-interval digest.
+  /// With the feed attached, FoldChangesThrough reads only the dirty set,
+  /// and no SIG code path reads raw journal entries (JournalIn /
+  /// VersionAt), so every bucket may hold just the per-interval digest.
   JournalRetention retention() const override {
     return JournalRetention::kDigestOnly;
   }

@@ -93,7 +93,7 @@ class ServerStrategy {
   /// without materializing the report. On success writes the report's exact
   /// airtime size (per ReportSizeBits with `sizes`) to `*bits` and returns
   /// true; the interval is then consumed (the next build continues from it)
-  /// and MaterializeQuiet() can still reconstruct its report. Returns false
+  /// and MaterializeQuietInto() can still reconstruct its report. Returns false
   /// when the strategy has no advance cheaper than a full build (e.g. the
   /// adaptive controller, whose reevaluation clock rides on BuildReport);
   /// the server then falls back to building without delivering.
@@ -106,27 +106,20 @@ class ServerStrategy {
     return false;
   }
 
-  /// Reconstructs the report of the interval most recently consumed by a
-  /// successful AdvanceQuiet, with the same (now, interval) arguments. The
-  /// server needs this only in the rare straddle case where a unit's wake
-  /// lands while the elided report would still be on the air. Must not be
-  /// called otherwise; the default (for strategies that never return true
-  /// from AdvanceQuiet) aborts in debug builds.
-  virtual Report MaterializeQuiet(SimTime now, uint64_t interval);
+  /// Reconstructs into `*out` the report of the interval most recently
+  /// consumed by a successful AdvanceQuiet, with the same (now, interval)
+  /// arguments, reusing `*out`'s storage like BuildReportInto. The server
+  /// needs this only in the straddle case where a unit's wake lands while
+  /// the elided report would still be on the air. Must not be called
+  /// otherwise; the default (for strategies that never return true from
+  /// AdvanceQuiet) aborts in debug builds.
+  virtual void MaterializeQuietInto(SimTime now, uint64_t interval,
+                                    Report* out);
 
   /// Called once before the broadcast schedule starts. Strategies that
   /// maintain state incrementally (e.g. SIG's combined signatures) register
   /// update observers here instead of rescanning the database per report.
   virtual void AttachUpdateFeed(Database* db) { (void)db; }
-
-  /// True when, with an update feed attached, this strategy never issues
-  /// journal *window* queries (UpdatedIn / CountUpdatedIn / JournalIn /
-  /// VersionAt) — all report state flows through the feed. The server may
-  /// then skip materializing per-update journal records for quiet-stretch
-  /// buckets (keeping only the per-item digest summary), since the only
-  /// remaining journal readers are sealed-digest consumers. Default false:
-  /// TS/AT-family strategies rebuild reports from journal windows.
-  virtual bool JournalQuiescentWithFeed() const { return false; }
 
   /// The journal retention class this strategy requires of the server's
   /// database (see JournalRetention). Server::Start arms the database with

@@ -15,6 +15,17 @@ TsServerStrategy::TsServerStrategy(const Database* db, SimTime latency,
   assert(window_intervals >= 1);
 }
 
+namespace {
+// Fills a reused report's retained capacity, growing it with headroom so a
+// new record entry count does not reallocate every time.
+void CopyEntries(const std::vector<TsReportEntry>& from,
+                 std::vector<TsReportEntry>* to) {
+  // detlint:allow-function(alloc-event-path)
+  if (to->capacity() < from.size()) to->reserve(2 * from.size());
+  to->assign(from.begin(), from.end());
+}
+}  // namespace
+
 void TsServerStrategy::AdvanceEntries(SimTime now, uint64_t interval) {
   // Every append below lands in next_scratch_/delta_scratch_, member scratch
   // whose capacity is retained across intervals; the steady state allocates
@@ -29,7 +40,9 @@ void TsServerStrategy::AdvanceEntries(SimTime now, uint64_t interval) {
     // entries supersede stale carried ones. Both inputs are id-sorted, so a
     // single merge yields the id-sorted result UpdatedIn would have built.
     db_->UpdatedIn(prev_now_, now, &delta_scratch_);
-    next_scratch_.reserve(prev_entries_.size() + delta_scratch_.size());
+    const size_t bound = prev_entries_.size() + delta_scratch_.size();
+    // Headroom: an exact reserve would reallocate at every new record.
+    if (next_scratch_.capacity() < bound) next_scratch_.reserve(2 * bound);
     auto d = delta_scratch_.begin();
     for (const TsReportEntry& e : prev_entries_) {
       while (d != delta_scratch_.end() && d->id < e.id) {
@@ -74,8 +87,7 @@ void TsServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
   ts->interval = interval;
   ts->timestamp = now;
   ts->window = window_;
-  // Fills the reused report's retained capacity. detlint:allow(alloc-event-path)
-  ts->entries.assign(prev_entries_.begin(), prev_entries_.end());
+  CopyEntries(prev_entries_, &ts->entries);
 }
 
 bool TsServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
@@ -88,14 +100,16 @@ bool TsServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
   return true;
 }
 
-Report TsServerStrategy::MaterializeQuiet(SimTime now, uint64_t interval) {
+void TsServerStrategy::MaterializeQuietInto(SimTime now, uint64_t interval,
+                                           Report* out) {
   assert(have_prev_ && prev_interval_ == interval && prev_now_ == now);
-  TsReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  report.window = window_;
-  report.entries = prev_entries_;
-  return report;
+  TsReport* ts = std::get_if<TsReport>(out);
+  // Variant switch happens on the first broadcast only. detlint:allow(alloc-event-path)
+  if (ts == nullptr) ts = &out->emplace<TsReport>();
+  ts->interval = interval;
+  ts->timestamp = now;
+  ts->window = window_;
+  CopyEntries(prev_entries_, &ts->entries);
 }
 
 void TsReportIndex::Decode(uint64_t interval, SimTime timestamp,

@@ -36,7 +36,8 @@ class TsServerStrategy : public ServerStrategy {
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
                     uint64_t* bits) override;
-  Report MaterializeQuiet(SimTime now, uint64_t interval) override;
+  void MaterializeQuietInto(SimTime now, uint64_t interval,
+                            Report* out) override;
   SimTime JournalHorizonSeconds() const override { return window_; }
 
   SimTime window() const { return window_; }
@@ -69,8 +70,8 @@ class TsServerStrategy : public ServerStrategy {
 };
 
 /// One decoded TS report: the timestamp the report lists for each item, or
-/// kNotMentioned. Shared by every client manager of one decoding domain (a
-/// Cell, or one MegaCell shard) — the same one-domain ownership rule as
+/// kNotMentioned. Shared by every client manager of one decoding domain
+/// (one MegaCell shard) — the same one-domain ownership rule as
 /// SignatureFamily, and likewise not thread-safe. The table grows lazily to
 /// the largest id any report lists (8 bytes per id, bounded by n).
 ///

@@ -132,7 +132,7 @@ void Database::BuildDigest(const Bucket& bucket) {
   bucket.digest_built = true;
 }
 
-void Database::PushBucket(int64_t index, size_t reserve_hint) {
+void Database::PushBucket(int64_t index) {
   // The sanctioned bucket-open path: the reservations here (into recycled
   // bucket shells, once per bucket) are exactly what keeps AppendJournal
   // allocation-free once warm. detlint:allow-function(alloc-event-path)
@@ -156,9 +156,8 @@ void Database::PushBucket(int64_t index, size_t reserve_hint) {
     buckets_.back().index = index;
   }
   Bucket& b = buckets_.back();
-  // Representation is fixed at bucket open: elided while the server's quiet
-  // stretch hint is up (and elision armed), raw otherwise.
-  if (elide_hint_ && !elide_marks_.empty()) {
+  // Representation is fixed at bucket open by the retention class.
+  if (retention_ == JournalRetention::kDigestOnly) {
     b.digest_only = true;
     ++elide_epoch_;
     ++elided_buckets_;
@@ -173,9 +172,13 @@ void Database::PushBucket(int64_t index, size_t reserve_hint) {
       b.digest.reserve(want);
       b.digest_versions.reserve(want);
     }
-  } else if (reserve_hint > 0) {
-    b.times.reserve(reserve_hint);
-    b.ids.reserve(reserve_hint);
+  } else if (b.times.capacity() < raw_high_water_) {
+    // Recycled shells carry whatever capacity their last bucket needed. One
+    // below the record is topped up to twice it, so appends stay
+    // allocation-free — and shells are not topped up again — until a bucket
+    // doubles the record.
+    b.times.reserve(2 * raw_high_water_);
+    b.ids.reserve(2 * raw_high_water_);
   }
 }
 
@@ -189,15 +192,16 @@ void Database::RecycleBucket(Bucket* bucket) {
 void Database::AppendJournal(ItemId id, SimTime now, uint64_t version) {
   const int64_t idx = BucketIndexFor(now);
   if (buckets_.empty()) {
-    PushBucket(idx, /*reserve_hint=*/0);
+    PushBucket(idx);
   } else if (idx > buckets_.back().index) {
     Bucket& closing = buckets_.back();
     closing.sealed = true;
-    if (closing.digest_only && closing.digest.size() > digest_high_water_) {
-      digest_high_water_ = closing.digest.size();
+    if (closing.digest_only) {
+      digest_high_water_ = std::max(digest_high_water_, closing.digest.size());
+    } else {
+      raw_high_water_ = std::max(raw_high_water_, closing.times.size());
     }
-    const size_t hint = closing.EntryCount();
-    PushBucket(idx, hint);
+    PushBucket(idx);
   }
   Bucket& tail = buckets_.back();
   ++journal_entries_;
@@ -205,8 +209,8 @@ void Database::AppendJournal(ItemId id, SimTime now, uint64_t version) {
     AppendJournalElided(id, now, version);
     return;
   }
-  // Appends land in capacity reserved at bucket open (PushBucket's
-  // reserve_hint); growth past the hint is amortized high-water.
+  // Appends land in capacity reserved at bucket open (twice the raw
+  // high-water mark; see PushBucket).
   // detlint:allow(alloc-event-path)
   tail.times.push_back(now);
   tail.ids.push_back(id);  // detlint:allow(alloc-event-path) same reservation
@@ -311,13 +315,10 @@ void Database::ApplyBatchSlabOnly(const ItemId* ids, const SimTime* times,
 
 void Database::ApplyBatchJournal(const ItemId* ids, const SimTime* times,
                                  size_t count) {
-  // Whether appends in this chunk can hit the elided dedup probe: the open
-  // tail bucket elides, or the hint will make the next one elide. Either
-  // way the probe reads elide_marks_[id] — a second random line per entry —
-  // so prefetch it alongside the slab line for the same future entry.
-  const bool marks =
-      !elide_marks_.empty() &&
-      (elide_hint_ || (!buckets_.empty() && buckets_.back().digest_only));
+  // Digest-only appends probe elide_marks_[id] — a second random line per
+  // entry — so prefetch it alongside the slab line for the same future
+  // entry.
+  const bool marks = retention_ == JournalRetention::kDigestOnly;
   for (size_t i = 0; i < count; ++i) {
 #if defined(__GNUC__) || defined(__clang__)
     if (i + kBatchPrefetchDistance < count) {
@@ -343,15 +344,6 @@ void Database::MarkDirty(const ItemId* ids, size_t count) {
     const ItemId id = ids[i];
     words[id >> 6] |= uint64_t{1} << (id & 63);
   }
-}
-
-void Database::EnableJournalElision() {
-  if (!elide_marks_.empty()) return;
-  assert(journal_enabled_ && "elision over a disabled journal is pointless");
-  elide_marks_.assign(n_, 0);
-  // Epoch 0 would make the zero-initialized marks look current for slot 0;
-  // start at 1 so every mark begins stale.
-  elide_epoch_ = 1;
 }
 
 void Database::SortElidedDigest(const Bucket& bucket) {
@@ -408,8 +400,12 @@ void Database::SetRetention(JournalRetention retention) {
       break;
     case JournalRetention::kDigestOnly:
       SetJournalEnabled(true);
-      EnableJournalElision();
-      SetJournalElideHint(true);  // pinned on by retention_ (see the header)
+      if (elide_marks_.empty()) {
+        elide_marks_.assign(n_, 0);
+        // Epoch 0 would make the zero-initialized marks look current for
+        // slot 0; start at 1 so every mark begins stale.
+        elide_epoch_ = 1;
+      }
       break;
     case JournalRetention::kFullWindow:
       SetJournalEnabled(true);
@@ -422,7 +418,7 @@ void Database::SetJournalBucketWidth(SimTime width) {
   if (width == bucket_width_) return;
 #ifndef NDEBUG
   // Re-bucketing replays raw entries; elided buckets have none to replay.
-  // The server sets the width once at Start(), before any elision.
+  // The server sets the width once at Start(), before any update.
   for (const Bucket& bucket : buckets_) assert(!bucket.digest_only);
 #endif
   std::vector<SimTime> all_times;
@@ -638,8 +634,8 @@ std::vector<UpdatedItem> Database::JournalIn(SimTime lo, SimTime hi) const {
     if (!bucket.HasEntries() || bucket.LastTime() <= lo) continue;
     if (bucket.FirstTime() > hi) break;
     assert(!bucket.digest_only &&
-           "raw journal scan into an elided bucket (the server must not arm "
-           "elision for strategies that read JournalIn)");
+           "raw journal scan into an elided bucket (strategies that read "
+           "JournalIn must not declare kDigestOnly)");
     const size_t n = bucket.times.size();
     for (size_t i = FirstAfter(bucket.times, lo);
          i < n && bucket.times[i] <= hi; ++i) {

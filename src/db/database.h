@@ -26,18 +26,17 @@
 // list, so the steady state (one bucket appended, one pruned per interval)
 // allocates nothing.
 //
-// Quiet-stretch journal elision: a strategy whose update feed makes it
-// journal-quiescent (SIG/hybrid — they never window-query once the dirty-set
-// observer is attached) lets the server arm EnableJournalElision +
-// SetJournalElideHint around elided broadcast intervals. Buckets opened
-// under the hint skip the raw time/id arrays entirely and maintain the
-// digest directly — each id once at its latest in-bucket time, deduplicated
-// in place through an epoch-tagged per-item mark — plus the raw entry count
-// and per-entry slab versions, a summary sufficient to serve any late
-// window query (the digest filtered by window and is-still-latest equals
-// the raw scan's output exactly). The raw readers (JournalIn, VersionAt)
-// assert they never meet an elided bucket; the server only arms elision for
-// strategies that cannot reach them.
+// Digest-only retention (kDigestOnly, SIG and hybrid): a strategy whose
+// update feed carries all its report state never reads raw journal
+// entries, so every bucket skips the raw time/id arrays entirely and
+// maintains the digest directly — each id once at its latest in-bucket
+// time, deduplicated in place through an epoch-tagged per-item mark — plus
+// the raw entry count and per-entry slab versions, a summary sufficient to
+// serve any late window query (the digest filtered by window and
+// is-still-latest equals the raw scan's output exactly). The raw readers
+// (JournalIn, VersionAt) assert they never meet a digest-only bucket; an
+// answer observer that audits historical values raises the class to
+// kFullWindow.
 //
 // Dirty-set retention (kDirtySet, the AT family): no journal at all, just
 // one bit per item, set by every update of the item and cleared lazily by a
@@ -92,8 +91,7 @@ struct UpdatedItem {
 
 /// How much update history the database must retain for the strategy it
 /// serves. Strategies declare their class (ServerStrategy::retention) and
-/// Server::Start arms the database accordingly, replacing the old
-/// per-call-site SetJournalEnabled/EnableJournalElision guesswork:
+/// Server::Start arms the database accordingly:
 ///
 ///  * kNone        — no journal at all. The strategy never issues a window
 ///                   query (no-caching); every journal append would be pure
@@ -107,12 +105,11 @@ struct UpdatedItem {
 ///                   item's latest update.
 ///  * kDigestOnly  — per-interval digests only, no raw entries. The strategy
 ///                   consumes updates through an attached feed and never
-///                   reads JournalIn/VersionAt (SIG, hybrid), so buckets can
-///                   stay in the elided representation permanently.
+///                   reads JournalIn/VersionAt (SIG, hybrid), so every
+///                   bucket is laid down in the elided representation.
 ///  * kFullWindow  — raw entries over the report window (TS, adaptive TS,
 ///                   quasi-AT, and any cell whose answer observer audits
-///                   historical values). The default; quiet-stretch
-///                   elision still applies where the server proves it safe.
+///                   historical values). The default.
 ///
 /// The order is by what each class can answer (a floor raises the class
 /// with std::max): a kFullWindow journal serves every query the others do.
@@ -244,9 +241,9 @@ class Database {
   /// Arms the retention class the strategy declared (see JournalRetention):
   /// kNone disables the journal, kDirtySet disables it and allocates the
   /// per-item bit set (once, before any update — the set cannot recover
-  /// earlier ones; asserted), kDigestOnly arms elision and forces the
-  /// elide hint permanently on, kFullWindow keeps the default raw-bucket
-  /// journal (quiet-stretch elision may still be armed separately). Call
+  /// earlier ones; asserted), kDigestOnly lays every bucket down digest-only
+  /// (pre-sizing the per-item dedup marks so that append path never
+  /// allocates), kFullWindow keeps the default raw-bucket journal. Call
   /// before any updates flow; the server wires it in Start().
   void SetRetention(JournalRetention retention);
   JournalRetention retention() const { return retention_; }
@@ -277,25 +274,6 @@ class Database {
   /// the journal is live, so misuse fails loudly in debug builds.
   void SetJournalEnabled(bool enabled);
   bool journal_enabled() const { return journal_enabled_; }
-
-  /// Arms quiet-stretch journal elision (see the file comment): pre-sizes
-  /// the per-item dedup marks so the elided append path never allocates.
-  /// The caller (the server) must guarantee no raw journal reader
-  /// (JournalIn, VersionAt) ever runs against this database afterwards.
-  void EnableJournalElision();
-  bool journal_elision_enabled() const { return !elide_marks_.empty(); }
-
-  /// While the hint is set (and elision is armed), buckets opened by
-  /// appends store the digest-only summary instead of raw entries. The
-  /// server toggles this per interval: on after an elided quiet broadcast,
-  /// off otherwise. Takes effect at the next bucket boundary; an already
-  /// open bucket keeps its representation. Under kDigestOnly retention the
-  /// hint is pinned on — the strategy declared it never reads raw entries,
-  /// so every bucket elides regardless of the per-interval toggle.
-  void SetJournalElideHint(bool elide) {
-    elide_hint_ = elide || retention_ == JournalRetention::kDigestOnly;
-  }
-  bool journal_elide_hint() const { return elide_hint_; }
 
   /// Journal buckets stored digest-only since construction (diagnostic).
   uint64_t elided_journal_buckets() const { return elided_buckets_; }
@@ -455,8 +433,9 @@ class Database {
   void ApplyBatchJournal(const ItemId* ids, const SimTime* times,
                          size_t count);
   /// Appends a fresh bucket with `index`, reusing recycled storage when
-  /// available and reserving `reserve_hint` entries.
-  void PushBucket(int64_t index, size_t reserve_hint);
+  /// available and reserving twice the high-water entry count of its
+  /// representation.
+  void PushBucket(int64_t index);
   /// Saves a drained bucket's storage in the spare list (bounded).
   void RecycleBucket(Bucket* bucket);
   static void BuildDigest(const Bucket& bucket);
@@ -495,11 +474,10 @@ class Database {
   SimTime bucket_width_ = 0.0;
   JournalRetention retention_ = JournalRetention::kFullWindow;
   bool journal_enabled_ = true;
-  bool elide_hint_ = false;
   uint64_t elided_buckets_ = 0;
   /// Per-item dedup marks for the open elided bucket: high 32 bits hold the
   /// bucket epoch, low 32 the digest slot. A stale epoch is simply a miss,
-  /// so switching buckets is O(1). Empty until EnableJournalElision.
+  /// so switching buckets is O(1). Empty unless retention is kDigestOnly.
   std::vector<uint64_t> elide_marks_;
   uint64_t elide_epoch_ = 0;  ///< Bumped per elided bucket; starts marks stale.
   /// High-water distinct-item count across sealed elided buckets. Newly
@@ -507,6 +485,9 @@ class Database {
   /// digest appends stay allocation-free: a realloc needs one bucket to
   /// double the record distinct count.
   size_t digest_high_water_ = 0;
+  /// High-water raw entry count across sealed raw buckets; raw buckets
+  /// reserve twice this, for the same reason.
+  size_t raw_high_water_ = 0;
   uint64_t total_updates_ = 0;
   uint64_t seed_;
   std::function<void(ItemId, SimTime)> observer_;

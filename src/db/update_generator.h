@@ -93,7 +93,7 @@ class UpdateGenerator {
   uint64_t batched_updates_applied() const { return batched_applied_; }
 
   /// Wall time spent inside GenerateIntervalUpdates over the whole run
-  /// (diagnostic, like Server::broadcast_wall_seconds). Always 0 in
+  /// (diagnostic, like MegaCell's phase walls). Always 0 in
   /// per-event mode, where update application is indistinguishable from
   /// scheduler time.
   double update_wall_seconds() const { return update_wall_seconds_; }

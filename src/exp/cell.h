@@ -1,34 +1,23 @@
-// Full-cell experiment assembly: one stationary server, its database and
-// Poisson update stream, the shared wireless channel, and a population of
-// mobile units running one invalidation strategy. This is the measurement
-// rig behind every simulated series in bench/ — it reports the measured hit
-// ratio and report size and pushes them through the paper's Eq. 9/10 to get
-// throughput and effectiveness directly comparable with the analytic model.
+// Configuration and result of one simulated cell: one stationary server,
+// its database and Poisson update stream, the shared wireless channel, and
+// a population of mobile units running one invalidation strategy. The cell
+// engine (exp/megacell.h) is the measurement rig behind every simulated
+// series in bench/ — it reports the measured hit ratio and report size and
+// pushes them through the paper's Eq. 9/10 to get throughput and
+// effectiveness directly comparable with the analytic model.
 
 #ifndef MOBICACHE_EXP_CELL_H_
 #define MOBICACHE_EXP_CELL_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "analysis/model.h"
 #include "core/adaptive.h"
-#include "core/coherency.h"
-#include "core/stateful.h"
 #include "core/strategy.h"
-#include "core/ts.h"
 #include "db/database.h"
-#include "db/update_generator.h"
-#include "mu/mobile_unit.h"
-#include "mu/wake_index.h"
 #include "net/channel.h"
 #include "net/delivery.h"
-#include "server/async_broadcaster.h"
-#include "server/server.h"
-#include "sig/signature.h"
-#include "sim/simulator.h"
-#include "util/status.h"
 
 namespace mobicache {
 
@@ -112,17 +101,20 @@ struct CellResult {
   /// Measured intervals whose report delivery found every unit asleep
   /// (pure downlink waste; see ServerStats::quiet_report_intervals).
   uint64_t quiet_report_intervals = 0;
-  /// The subset of quiet intervals the server skipped building/fanning out
-  /// entirely (see ServerStats::quiet_skipped_intervals).
+  /// The subset of quiet intervals the server skipped building and
+  /// delivering entirely (see ServerStats::quiet_skipped_intervals).
   uint64_t quiet_skipped_intervals = 0;
   double measured_sleep_fraction = 0.0;
   uint64_t items_invalidated = 0;
   double listen_seconds_total = 0.0;
   /// Simulated events over the whole run (warmup included); the bench
-  /// harness's events/sec denominator. Counts every event the simulator
-  /// dispatched plus every update applied through the batched drain path —
-  /// each of those was one dispatched event under the per-event engine, so
-  /// the denominator measures the same simulated work in both modes.
+  /// harness's events/sec denominator. Counts every event the server and
+  /// the units dispatched, each once whatever the shard count (a delivery
+  /// or update-trace event replayed into every shard counts once), plus
+  /// every update applied through the batched drain path and every
+  /// dispatch the quiet skip replayed inline — each of those was one
+  /// dispatched event under the per-event engine, so the denominator
+  /// measures the same simulated work in every mode.
   uint64_t sim_events = 0;
   /// Updates applied to the database over the whole run (either mode).
   uint64_t updates_applied = 0;
@@ -132,79 +124,6 @@ struct CellResult {
   double throughput = 0.0;
   double effectiveness = 0.0;
   bool feasible = true;
-};
-
-/// One self-contained cell simulation. Build once, run once.
-class Cell {
- public:
-  explicit Cell(CellConfig config);
-  ~Cell();
-
-  Cell(const Cell&) = delete;
-  Cell& operator=(const Cell&) = delete;
-
-  /// Validates the configuration and constructs every component. Must be
-  /// called exactly once before Run().
-  Status Build();
-
-  /// Runs `warmup_intervals` intervals, resets all statistics, then runs
-  /// `measure_intervals` more and freezes the result.
-  Status Run(uint64_t warmup_intervals, uint64_t measure_intervals);
-
-  /// Result of the measurement phase; valid after Run().
-  CellResult result() const;
-
-  // Component access for tests and custom drivers.
-  Simulator* sim() { return sim_.get(); }
-  Database* db() { return db_.get(); }
-  Server* server() { return server_.get(); }
-  Channel* channel() { return channel_.get(); }
-  StatefulRegistry* registry() { return registry_.get(); }
-  AsyncBroadcaster* async_broadcaster() { return async_.get(); }
-  std::vector<MobileUnit*> units();
-  const CellConfig& config() const { return config_; }
-
-  /// Wall time the server spent in its broadcast path over the whole run
-  /// (warmup included; see Server::broadcast_wall_seconds). The classic
-  /// interleaved engine has no phase barriers, so this is its counterpart
-  /// to MegaCell::server_wall_seconds().
-  double server_wall_seconds() const {
-    return server_ == nullptr ? 0.0 : server_->broadcast_wall_seconds();
-  }
-
-  /// Wall time spent draining the batched update stream (a sub-account of
-  /// the broadcast wall for pumps at the broadcast head; 0 in per-event
-  /// modes). See UpdateGenerator::update_wall_seconds.
-  double update_wall_seconds() const {
-    return updates_ == nullptr ? 0.0 : updates_->update_wall_seconds();
-  }
-
-  UpdateGenerator* updates() { return updates_.get(); }
-
- private:
-  CellConfig config_;
-  MessageSizes sizes_;
-  bool built_ = false;
-  bool ran_ = false;
-
-  std::unique_ptr<Simulator> sim_;
-  std::unique_ptr<Database> db_;
-  std::unique_ptr<UpdateGenerator> updates_;
-  std::unique_ptr<Channel> channel_;
-  std::unique_ptr<DeliveryModel> delivery_;
-  std::unique_ptr<SignatureFamily> family_;
-  /// TS strategies: the cell's one report decode, shared by every unit's
-  /// manager. Declared before `units_`, which point into it.
-  std::unique_ptr<TsReportIndex> ts_index_;
-  std::unique_ptr<NumericWalk> walk_;
-  std::unique_ptr<StatefulRegistry> registry_;
-  std::unique_ptr<AsyncBroadcaster> async_;
-  std::unique_ptr<Server> server_;
-  /// Awake bitmap + wake horizon over all units; maintained by the units'
-  /// interval ticks, read by the server's fan-out and elision checks.
-  WakeIndex wake_index_;
-  uint64_t measure_intervals_ = 0;
-  std::vector<std::unique_ptr<MobileUnit>> units_;
 };
 
 }  // namespace mobicache

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "exp/strategy_factory.h"
@@ -39,9 +41,13 @@ struct MegaCell::Shard {
   };
 
   /// Shard-side uplink: answers from the (shard-phase-quiescent) database
-  /// at the shard's own clock and logs the query for barrier replay. The
-  /// value can be up to one interval newer than the classic interleaving —
-  /// see the header's value-skew note.
+  /// at the shard's own clock and logs the query for barrier replay, where
+  /// Server::AccountUplinkQuery charges it. The database already holds the
+  /// window's updates up to the cut; no statistic or protocol decision
+  /// reads a fetched value (validity is timestamp-based), so the current
+  /// value serves unless `exact` is set — then, for an answer observer's
+  /// audit, the value as of the fetch instant (updates strictly before
+  /// it), rebuilt from the journal when the item changed since.
   struct Uplink final : UplinkService {
     Uplink(Shard* owner, const Database* database)
         : shard(owner), db(database) {}
@@ -54,10 +60,19 @@ struct MegaCell::Shard {
       // Per-window shard log, cleared at the barrier with capacity
       // retained. detlint:allow(alloc-event-path)
       shard->log.push_back(std::move(rec));
+      if (exact && db->LastUpdateOf(info.id) >= now) {
+        // VersionAt is a const journal scan (no lazy fill), safe to run on
+        // every lane at once; the bound just below `now` excludes updates
+        // at the fetch instant itself.
+        const SimTime before =
+            std::nextafter(now, -std::numeric_limits<SimTime>::infinity());
+        return FetchResult{db->ValueAt(info.id, before), now};
+      }
       return FetchResult{db->ValueOf(info.id), now};
     }
     Shard* shard;
     const Database* db;
+    bool exact = false;  ///< Set by Run() when a unit has an answer observer.
   };
 
   explicit Shard(const Database* db) : uplink(this, db) {}
@@ -71,12 +86,12 @@ struct MegaCell::Shard {
     log.push_back(std::move(rec));
   }
 
-  /// Delivers one report to the slice by walking the awake bitmap — the
-  /// visit order (ascending local index) matches the old all-units loop,
-  /// minus the sleepers, whose missed counts are settled at harvest time as
-  /// deliveries_completed - heard (see MegaCell::UnitStats). Returns how
-  /// many units heard it — the barrier sums the counts across shards into
-  /// the quiet-interval counter.
+  /// Delivers one report to the slice by walking the awake bitmap in
+  /// ascending local index — the global unit order within the slice.
+  /// Sleepers are never visited; their missed counts are settled at harvest
+  /// time as deliveries_completed - heard (see MegaCell::UnitStats).
+  /// Returns how many units heard it — the barrier sums the counts across
+  /// shards into the unheard-report counter.
   uint64_t FanOut(const Report& report, double listen_seconds) {
     uint64_t heard = 0;
     const std::vector<uint64_t>& words = wake_index.awake_words();
@@ -95,8 +110,9 @@ struct MegaCell::Shard {
     return heard;
   }
 
-  /// Asynchronous-mode invalidation fan-out (AsyncBroadcaster::OnUpdate's
-  /// per-unit half, restricted to this slice's awake units).
+  /// Asynchronous-mode invalidation fan-out: one update's id message
+  /// reaches this slice's awake units (the channel charge is replayed at
+  /// the barrier from the update trace).
   void PushInvalidateAwake(ItemId id) {
     const std::vector<uint64_t>& words = wake_index.awake_words();
     for (size_t w = 0; w < words.size(); ++w) {
@@ -138,6 +154,9 @@ struct MegaCell::Shard {
   /// barrier).
   std::vector<uint64_t> delivery_heard;
   uint64_t async_deliveries = 0;
+  /// Delivery and update-trace events scheduled into `sim`. Each mirrors
+  /// one server-side event, so result() counts it once, not per shard.
+  uint64_t replayed_events = 0;
   double wall_seconds = 0.0;
 };
 
@@ -167,9 +186,9 @@ Status MegaCell::Build() {
   const ModelParams& m = cc.model;
   sizes_ = ComputeMessageSizes(m);
 
-  // Seed chain — field for field the same derivation as Cell::Build, and
-  // per-unit seeds drawn in *global* unit order below, so every RNG stream
-  // is independent of the shard count.
+  // Seed chain: the server-side components first, then per-unit seeds drawn
+  // in *global* unit order below, so every RNG stream is independent of the
+  // shard count.
   uint64_t seed_state = cc.seed;
   const uint64_t db_seed = SplitMix64(&seed_state);
   const uint64_t update_seed = SplitMix64(&seed_state);
@@ -181,7 +200,7 @@ Status MegaCell::Build() {
   sim_->Reserve(1024);
   db_ = std::make_unique<Database>(m.n, db_seed);
   // Journal retention is armed by Server::Start from the strategy's
-  // declaration, same as Cell::Build.
+  // declaration (kNone for no-caching, kDigestOnly for SIG/hybrid, ...).
   if (cc.update_rates.empty()) {
     updates_ = std::make_unique<UpdateGenerator>(sim_.get(), db_.get(), m.mu,
                                                  update_seed);
@@ -223,10 +242,11 @@ Status MegaCell::Build() {
     pending_deliveries_.push_back(std::move(d));
   });
   if (!trace_updates_) {
-    // Same gating as Cell::Build: the stateful/async baselines consume a
-    // per-event update trace, every other strategy only reads database
-    // state at pump points. The sharded engine adds one pump at the window
-    // barrier so shards read a database advanced exactly to the cut.
+    // The stateful/async baselines record a per-event update trace (their
+    // observers act at the update instant); every other strategy only reads
+    // database state at pump points, so its update stream drains in
+    // batches. One more pump at the window barrier leaves the shards a
+    // database advanced exactly to the cut.
     updates_->EnableBatchMode();
     server_->SetUpdatePump(updates_.get());
   }
@@ -253,8 +273,8 @@ Status MegaCell::Build() {
     const uint64_t count = shard_offset_[s + 1] - shard_offset_[s];
     shard->soa.Resize(count);
     shard->wake_index.Resize(count);
-    // The server aggregates the shards' indexes for the wake-horizon check
-    // only — fan-out happens shard-side through the delivery sink.
+    // The server aggregates the shards' indexes for its elision and skip
+    // checks; fan-out happens shard-side through the delivery sink.
     server_->AttachWakeIndex(&shard->wake_index);
     shard->units.reserve(count);
     shard->sim.Reserve(2 * count + 1024);
@@ -338,28 +358,19 @@ Status MegaCell::Build() {
 }
 
 void MegaCell::ReplayWindow() {
-  // Quiet-interval accounting: a delivery was quiet when no shard's slice
-  // heard it. A null report is an elided quiet interval — the server proved
-  // every unit sleeps through it, so it is both quiet and skipped. (The
-  // server's own counters stay zero in sharded mode — the delivery sink
-  // bypasses its fan-out.)
+  // A materialized report was quiet when no shard's slice heard it. (The
+  // server counted the intervals it elided.)
   for (size_t k = 0; k < pending_deliveries_.size(); ++k) {
-    if (pending_deliveries_[k].report == nullptr) {
-      ++quiet_report_intervals_;
-      ++quiet_skipped_intervals_;
-      continue;
-    }
     uint64_t heard = 0;
     for (const auto& shard : shards_) heard += shard->delivery_heard[k];
-    if (heard == 0) ++quiet_report_intervals_;
+    if (heard == 0) ++unheard_reports_;
   }
-  deliveries_completed_ += pending_deliveries_.size();
 
   // K-way merge of the per-shard logs (each already time-sorted) plus, in
   // asynchronous mode, the update trace (each update is one id-sized
   // broadcast message). Ties break toward the trace, then lower shard — at
   // equal times the contiguous partition makes that exactly the global unit
-  // order, which is the order the single-threaded Cell would have produced.
+  // order, which is the order one simulator over every unit would produce.
   //
   // The selector is a loser tree over source ranks: rank 0 is the trace and
   // higher ranks are shard-ordered, so the tree's (key, rank) order IS the
@@ -524,15 +535,14 @@ void MegaCell::AdvanceWindow(SimTime cut, bool inclusive) {
       // phase, and a by-value ReportDelivery capture would copy its
       // shared_ptr (two refcount RMWs per shard per delivery).
       const Server::ReportDelivery* d = &pending_deliveries_[k];
-      // Elided quiet interval: no unit anywhere can hear it, so there is
-      // nothing to schedule (delivery_heard[k] stays 0).
-      if (d->report == nullptr) continue;
       Shard* raw = &sh;
       sh.sim.ScheduleAt(d->done, [raw, d, k] {
         raw->delivery_heard[k] = raw->FanOut(*d->report, d->listen_seconds);
       });
     }
+    sh.replayed_events += deliveries;
     if (trace_updates_) {
+      sh.replayed_events += update_trace_.size();
       for (const TraceRecord& u : update_trace_) {
         Shard* raw = &sh;
         if (stateful_mode_) {
@@ -565,9 +575,7 @@ void MegaCell::ResetAllStats() {
   server_->ResetStats();
   channel_->ResetStats();
   async_messages_ = 0;
-  quiet_report_intervals_ = 0;
-  quiet_skipped_intervals_ = 0;
-  deliveries_completed_ = 0;
+  unheard_reports_ = 0;
   for (auto& shard : shards_) {
     if (shard->registry != nullptr) shard->registry->ResetStats();
     shard->async_deliveries = 0;
@@ -584,12 +592,21 @@ Status MegaCell::Run(uint64_t warmup_intervals, uint64_t measure_intervals) {
   }
 
   MOBICACHE_RETURN_IF_ERROR(updates_->Start());
-  // Units start before the server (matching Cell::Run): each unit's sleep
-  // decision for an interval precedes that interval's report delivery.
+  // Units start before the server: each unit's sleep decision for an
+  // interval precedes that interval's report delivery.
+  bool observed = false;
   for (auto& shard : shards_) {
     for (auto& unit : shard->units) {
       MOBICACHE_RETURN_IF_ERROR(unit->Start());
+      observed = observed || unit->has_answer_observer();
     }
+  }
+  if (observed) {
+    // Answer observers audit answered values against historical ground
+    // truth (ValueAt), which needs raw journal entries no matter how little
+    // the strategy itself retains, and fetched values as of their instant.
+    server_->SetRetentionFloor(JournalRetention::kFullWindow);
+    for (auto& shard : shards_) shard->uplink.exact = true;
   }
   MOBICACHE_RETURN_IF_ERROR(server_->Start());
 
@@ -599,13 +616,15 @@ Status MegaCell::Run(uint64_t warmup_intervals, uint64_t measure_intervals) {
   const SimTime end =
       warmup_end + static_cast<double>(measure_intervals) * L;
 
-  for (uint64_t w = 1; w <= warmup_intervals; ++w) {
+  uint64_t w = 0;
+  while (w < warmup_intervals) {
+    w = WindowEnd(w, warmup_intervals);
     AdvanceWindow(static_cast<double>(w) * L, /*inclusive=*/false);
   }
   AdvanceWindow(warmup_end, /*inclusive=*/true);
   ResetAllStats();
-  for (uint64_t w = warmup_intervals + 1;
-       w <= warmup_intervals + measure_intervals; ++w) {
+  while (w < warmup_intervals + measure_intervals) {
+    w = WindowEnd(w, warmup_intervals + measure_intervals);
     AdvanceWindow(static_cast<double>(w) * L, /*inclusive=*/false);
   }
   AdvanceWindow(end, /*inclusive=*/true);
@@ -627,6 +646,32 @@ Status MegaCell::Run(uint64_t warmup_intervals, uint64_t measure_intervals) {
   return Status::OK();
 }
 
+uint64_t MegaCell::WindowEnd(uint64_t from, uint64_t limit) {
+  uint64_t to = from + 1;
+  if (to >= limit || trace_updates_ || !server_->CanElideQuietIntervals()) {
+    return to;
+  }
+  SimTime earliest = std::numeric_limits<SimTime>::infinity();
+  for (auto& shard : shards_) {
+    // An awake unit could hear a report: keep the window to one interval
+    // so it never holds more than one materialized delivery.
+    if (shard->wake_index.awake_count() != 0) return to;
+    earliest = std::min(earliest, shard->sim.NextEventTime());
+  }
+  const double L = config_.cell.model.L;
+  while (to < limit && static_cast<double>(to + 1) * L <= earliest) ++to;
+  return to;
+}
+
+std::vector<MobileUnit*> MegaCell::units() {
+  std::vector<MobileUnit*> out;
+  out.reserve(config_.cell.num_units);
+  for (auto& shard : shards_) {
+    for (auto& unit : shard->units) out.push_back(unit.get());
+  }
+  return out;
+}
+
 MobileUnitStats MegaCell::UnitStats(uint64_t global_index) const {
   assert(global_index < config_.cell.num_units);
   size_t s = 0;
@@ -636,14 +681,14 @@ MobileUnitStats MegaCell::UnitStats(uint64_t global_index) const {
   // Fold the SoA-owned broadcast counters into the unit's own stats. The
   // unit's copies of those fields are identically zero for bound units, so
   // the fold is exact (0 + x) and the listen_seconds accumulation order is
-  // the unit's own delivery order, same as in Cell. The bitmap fan-out
-  // never visits sleepers, so missed counts are settled here from the
-  // identity missed = deliveries_completed - heard (elided deliveries
-  // included — nobody heard those by construction).
+  // the unit's own delivery order. The bitmap fan-out never visits
+  // sleepers, so missed counts are settled here from the identity
+  // missed = deliveries_completed - heard (elided deliveries included —
+  // nobody heard those by construction).
   MobileUnitStats st = sh.units[local]->stats();
   st.reports_heard += sh.soa.reports_heard[local];
   st.listen_seconds += sh.soa.listen_seconds[local];
-  st.reports_missed = deliveries_completed_ - st.reports_heard;
+  st.reports_missed = server_->deliveries_completed() - st.reports_heard;
   return st;
 }
 
@@ -652,7 +697,7 @@ CellResult MegaCell::result() const {
   uint64_t latency_samples = 0;
   double latency_sum = 0.0;
   // Global unit order (shard-major over the contiguous partition), so the
-  // floating-point accumulation order matches Cell::result() exactly.
+  // floating-point accumulation order is the same at any shard count.
   for (uint64_t i = 0; i < config_.cell.num_units; ++i) {
     const MobileUnitStats st = UnitStats(i);
     r.queries_answered += st.queries_answered;
@@ -674,8 +719,9 @@ CellResult MegaCell::result() const {
           ? 0.0
           : latency_sum / static_cast<double>(latency_samples);
   r.reports_broadcast = server_->stats().reports_broadcast;
-  r.quiet_report_intervals = quiet_report_intervals_;
-  r.quiet_skipped_intervals = quiet_skipped_intervals_;
+  r.quiet_report_intervals =
+      server_->stats().quiet_report_intervals + unheard_reports_;
+  r.quiet_skipped_intervals = server_->stats().quiet_skipped_intervals;
   r.avg_report_bits = server_->stats().report_bits.mean();
   if (async_mode_ && measure_intervals_ > 0) {
     // Asynchronous mode has no periodic report; its per-interval broadcast
@@ -688,11 +734,14 @@ CellResult MegaCell::result() const {
       decisions == 0 ? 0.0
                      : static_cast<double>(r.reports_missed) /
                            static_cast<double>(decisions);
-  // Batched updates count back into the denominator (one dispatched event
-  // each under the per-event engine), as in Cell::result().
-  r.sim_events = sim_->DispatchedEvents() + updates_->batched_updates_applied();
+  // Batched updates and the quiet skip's inline replays count back into
+  // the denominator (one dispatched event each under the per-event engine);
+  // a delivery or trace event replayed into every shard counts once.
+  r.sim_events = sim_->DispatchedEvents() +
+                 updates_->batched_updates_applied() +
+                 server_->skipped_dispatches();
   for (const auto& shard : shards_) {
-    r.sim_events += shard->sim.DispatchedEvents();
+    r.sim_events += shard->sim.DispatchedEvents() - shard->replayed_events;
   }
   r.updates_applied = updates_->updates_generated();
   r.channel = channel_->stats();

@@ -1,19 +1,18 @@
-// Interval-lockstep sharded cell engine. A Cell simulates every mobile unit
-// on one event heap; MegaCell partitions the unit population into
-// `num_shards` shards — each with its own Simulator, SoA hot state, and the
-// units' existing per-unit RNGs — and advances all shards in parallel
-// between report-broadcast barriers:
+// The cell engine. MegaCell partitions a cell's mobile-unit population into
+// `num_shards` shards (one by default) — each with its own Simulator, SoA
+// hot state, and the units' existing per-unit RNGs — and advances all
+// shards in parallel between report-broadcast barriers:
 //
-//   server phase   the server simulator runs to just before the next
-//                  interval boundary: broadcast ticks build and "transmit"
-//                  reports (captured as immutable shared_ptr<const Report>
+//   server phase   the server simulator runs to just before the window's
+//                  cut: broadcast ticks build and "transmit" reports
+//                  (captured as immutable shared_ptr<const Report>
 //                  deliveries via Server::SetDeliverySink), the update
 //                  stream mutates the database, and — for the stateful /
 //                  asynchronous baselines — the update trace is recorded.
 //   shard phase    every shard (in parallel, one lane per shard) schedules
 //                  the window's deliveries and trace events into its own
-//                  simulator and runs to the same boundary. Uplink queries
-//                  are answered shard-side from the quiescent database and
+//                  simulator and runs to the same cut. Uplink queries are
+//                  answered shard-side from the quiescent database and
 //                  logged; stateful-registry charges are logged through a
 //                  transmit sink.
 //   barrier        the per-shard chronological logs are k-way-merged by
@@ -28,24 +27,27 @@
 //                  to (time, shard) order: the in-pair merge ties toward the
 //                  lower shard and pair ranks are shard-ordered.
 //
-// MUs never interact with each other, only with the per-interval broadcast
-// and the (single-writer, shard-phase-quiescent) database, so this is not an
-// approximation: for any shard count the per-unit statistics, aggregate
-// CellResult (minus sim_events), and channel bit counters are byte-identical
-// to the single-threaded Cell, gated by tests/megacell_test.cc and the
-// committed sweep goldens.
+// A window ends at the next interval boundary, so an uplink logged before
+// T_i reaches the strategy before the T_i report is built. Quiet windows
+// coalesce: when every unit sleeps, the server can elide quiet intervals,
+// and no update trace is recorded, the window ends instead at the last
+// boundary at or before the earliest pending event of any shard (never
+// past the warm-up end or the run end). No shard event falls inside such a
+// window, so the shards have nothing to run, and the server's quiet skip
+// replays the elided intervals inline.
 //
-// Known non-identities, documented here and in EXPERIMENTS.md:
-//  * sim_events counts per-shard dispatches (delivery fan-out and replay
-//    events are per shard), so it depends on the shard count.
-//  * Uplink *values* are read at shard-phase time and can be up to one
-//    interval newer than the classic interleaving; no statistic or protocol
-//    decision consumes cached values (validity is timestamp-based), so only
-//    the value payload seen by a test's AnswerObserver can differ.
-//  * With a jittered delivery model, channel busy_seconds accumulates in a
-//    different order than classic Cell (replay batches an interval's
-//    transmits), which can move the final double by an ulp; it is still
-//    byte-identical across shard counts.
+// MUs never interact with each other, only with the per-interval broadcast
+// and the (single-writer, shard-phase-quiescent) database, so sharding is
+// not an approximation: for any shard count the per-unit statistics, the
+// aggregate CellResult, and the channel counters are byte-identical, gated
+// by tests/megacell_test.cc and by goldens recorded from the single-heap
+// engine that preceded this one.
+//
+// Answer observers audit answered values against historical ground truth.
+// When a unit has one, Run() raises the journal retention floor to
+// kFullWindow and the shard uplink serves every fetched value as of its
+// fetch instant (updates strictly before it), so the audit sees the values
+// the single-heap interleaving served.
 
 #ifndef MOBICACHE_EXP_MEGACELL_H_
 #define MOBICACHE_EXP_MEGACELL_H_
@@ -54,8 +56,20 @@
 #include <memory>
 #include <vector>
 
+#include "core/coherency.h"
+#include "core/stateful.h"
+#include "core/ts.h"
+#include "db/database.h"
+#include "db/update_generator.h"
 #include "exp/cell.h"
+#include "mu/mobile_unit.h"
+#include "net/channel.h"
+#include "net/delivery.h"
+#include "server/server.h"
+#include "sig/signature.h"
+#include "sim/simulator.h"
 #include "util/merge.h"
+#include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace mobicache {
@@ -74,7 +88,7 @@ struct MegaCellShardStats {
   double wall_seconds = 0.0;  ///< Wall time spent advancing this shard.
 };
 
-/// One sharded cell simulation. Build once, run once. API mirrors Cell.
+/// One cell simulation. Build once, run once.
 class MegaCell {
  public:
   explicit MegaCell(MegaCellConfig config);
@@ -84,25 +98,28 @@ class MegaCell {
   MegaCell& operator=(const MegaCell&) = delete;
 
   /// Validates the configuration (including the shard/unit combination) and
-  /// constructs the server side plus every shard. Seed derivation follows
-  /// Cell::Build exactly — global unit order, independent of the partition —
-  /// so every unit's RNG stream matches the single-threaded build.
+  /// constructs the server side plus every shard. Per-unit seeds are drawn
+  /// in global unit order, independent of the partition, so every unit's
+  /// RNG stream is the same at any shard count.
   Status Build();
 
   /// Runs `warmup_intervals` intervals, resets all statistics, then runs
-  /// `measure_intervals` more and freezes the result. Lockstep windows cut
-  /// at every interval boundary (exclusive: boundary events belong to the
-  /// next window, so an uplink logged at t < T_i is replayed into the server
-  /// strategy before the T_i report is built, exactly as in Cell).
+  /// `measure_intervals` more and freezes the result. Lockstep window cuts
+  /// are exclusive: boundary events belong to the next window (see the
+  /// file comment).
   Status Run(uint64_t warmup_intervals, uint64_t measure_intervals);
 
-  /// Result of the measurement phase; valid after Run(). Identical to the
-  /// equivalent Cell::result() except sim_events (see file comment).
+  /// Result of the measurement phase; valid after Run().
   CellResult result() const;
 
   /// Folded statistics of one unit by *global* index: the unit's own stats
-  /// plus its SoA broadcast-counter lanes.
+  /// plus its SoA broadcast-counter lanes. Read per-unit statistics here,
+  /// not from MobileUnit::stats(), which lacks the SoA counters.
   MobileUnitStats UnitStats(uint64_t global_index) const;
+
+  /// Every unit in global order, for attaching answer observers (before
+  /// Run()) and inspecting client views.
+  std::vector<MobileUnit*> units();
 
   const std::vector<MegaCellShardStats>& shard_stats() const {
     return shard_stats_;
@@ -139,6 +156,7 @@ class MegaCell {
   Database* db() { return db_.get(); }
   Server* server() { return server_.get(); }
   Channel* channel() { return channel_.get(); }
+  UpdateGenerator* updates() { return updates_.get(); }
   const MegaCellConfig& config() const { return config_; }
 
  private:
@@ -148,6 +166,11 @@ class MegaCell {
   /// `inclusive` runs events at exactly `cut` too (the warmup/measure end
   /// points, which sit mid-interval); boundary cuts are exclusive.
   void AdvanceWindow(SimTime cut, bool inclusive);
+  /// Index of the boundary that ends the window opening at boundary
+  /// `from`: from + 1, or — for a quiet window (see the file comment) — the
+  /// last boundary at or before every shard's earliest pending event,
+  /// capped at `limit`.
+  uint64_t WindowEnd(uint64_t from, uint64_t limit);
   void ReplayWindow();
   void ResetAllStats();
 
@@ -203,16 +226,10 @@ class MegaCell {
 
   uint64_t measure_intervals_ = 0;
   uint64_t async_messages_ = 0;
-  /// Deliveries no shard's slice heard (summed at the barrier); mirrors
-  /// ServerStats::quiet_report_intervals, which the sharded engine bypasses
-  /// via the delivery sink.
-  uint64_t quiet_report_intervals_ = 0;
-  /// Quiet intervals the server elided outright (null-report deliveries);
-  /// mirrors ServerStats::quiet_skipped_intervals.
-  uint64_t quiet_skipped_intervals_ = 0;
-  /// Report deliveries completed since the last stats reset (elided ones
-  /// included); per-unit reports_missed = deliveries_completed_ - heard.
-  uint64_t deliveries_completed_ = 0;
+  /// Materialized reports no shard's slice heard (summed at the barrier).
+  /// The server counts the quiet intervals it elided itself; these are the
+  /// rest of CellResult::quiet_report_intervals.
+  uint64_t unheard_reports_ = 0;
   std::vector<MegaCellShardStats> shard_stats_;
   double server_wall_seconds_ = 0.0;
   double shard_phase_wall_seconds_ = 0.0;

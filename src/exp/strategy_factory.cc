@@ -7,6 +7,7 @@
 #include "core/hybrid.h"
 #include "core/nocache.h"
 #include "core/sig_strategy.h"
+#include "core/stateful.h"
 #include "core/ts.h"
 #include "mu/hotspot.h"
 #include "util/bits.h"

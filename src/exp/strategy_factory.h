@@ -1,6 +1,6 @@
 // Shared construction logic for cell experiments: config validation and the
-// strategy-kind -> component switches, factored out of Cell so the sharded
-// cell engine (megacell.*) builds byte-identical components per shard — each
+// strategy-kind -> component switches, so the cell engine (megacell.*)
+// builds byte-identical components per shard — each
 // shard needs its own ClientCacheManager per unit and, for the signature
 // strategies, its own SignatureFamily replica (the family's subset-expansion
 // memo is not thread-safe; deterministically re-deriving it from the same
@@ -13,14 +13,19 @@
 #include <memory>
 #include <vector>
 
+#include "core/coherency.h"
+#include "core/strategy.h"
 #include "core/ts.h"
+#include "db/database.h"
 #include "exp/cell.h"
+#include "sig/signature.h"
+#include "util/status.h"
 
 namespace mobicache {
 
 /// Validates `config` and normalizes the derived fields (fills an empty
-/// hybrid_hot_set from the shared hot spot). Performs exactly the checks
-/// Cell::Build historically did, in the same order, so error text is stable.
+/// hybrid_hot_set from the shared hot spot). The checks run in a fixed
+/// order, so error text is stable.
 Status NormalizeCellConfig(CellConfig* config);
 
 /// The message-size vocabulary implied by the model parameters.
@@ -33,12 +38,12 @@ std::unique_ptr<SignatureFamily> MakeSignatureFamilyForCell(
     const CellConfig& config, uint64_t family_seed);
 
 /// Builds the TsReportIndex a TS/adaptive-TS decoding domain shares (null
-/// for other strategies): one per Cell, one per MegaCell shard.
+/// for other strategies): one per MegaCell shard.
 std::unique_ptr<TsReportIndex> MakeTsReportIndexForCell(
     const CellConfig& config);
 
 /// Builds the numeric random walk for the arithmetic quasi-copy condition
-/// (null otherwise). Seeded from the database seed like Cell always did.
+/// (null otherwise). Seeded from the database seed.
 std::unique_ptr<NumericWalk> MakeNumericWalkForCell(const CellConfig& config,
                                                     uint64_t db_seed);
 

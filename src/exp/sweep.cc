@@ -63,9 +63,9 @@ struct SweepJob {
 };
 
 // Builds, runs, and harvests one cell. `slot`/`status`/`timing` belong
-// exclusively to this job. Every cell runs as a MegaCell — a 1-shard
-// MegaCell is byte-identical to the classic Cell (see exp/megacell.h) and
-// reports the per-phase wall breakdown the bench JSON carries.
+// exclusively to this job. The cell's results are byte-identical at any
+// shard count (see exp/megacell.h); its per-phase wall breakdown feeds the
+// bench JSON.
 void RunSweepJob(const SweepJob& job, uint64_t warmup_intervals,
                  uint64_t measure_intervals, int shards,
                  std::optional<CellResult>* slot,

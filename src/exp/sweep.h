@@ -32,9 +32,9 @@ struct SweepOptions {
   /// position and writes its own result slot, so thread count affects only
   /// wall-clock time.
   int threads = 0;
-  /// Intra-cell shards per simulated cell (see exp/megacell.h). 1 = the
-  /// classic single-threaded Cell; > 1 runs each cell as a MegaCell with
-  /// that many shard threads. Byte-identical results at any setting. When
+  /// Intra-cell shards per simulated cell (see exp/megacell.h): each cell
+  /// runs with that many shard threads. Byte-identical results at any
+  /// setting. When
   /// shards > 1 the cross-cell pool is narrowed to threads / shards workers
   /// so sweep jobs and intra-cell shards share the machine without
   /// oversubscription.
@@ -72,12 +72,11 @@ struct SweepResult {
     StrategyKind kind;
     double x = 0.0;  ///< The sweep-axis value of the cell's point.
     double wall_seconds = 0.0;
-    // Per-phase walls of the sharded engine's run (see exp/megacell.h):
-    // serial server phases, the parallel shard phases' critical path, and
-    // the barrier replay-merges. Their sum approximates wall_seconds minus
+    // Per-phase walls of the cell's run (see exp/megacell.h): serial
+    // server phases, the parallel shard phases' critical path, and the
+    // barrier replay-merges. Their sum approximates wall_seconds minus
     // Build(); replay_records counts the log records merged at the
-    // barriers. Every simulated cell reports these — a 1-shard cell is a
-    // MegaCell too.
+    // barriers.
     double server_seconds = 0.0;
     double shard_seconds = 0.0;
     double replay_seconds = 0.0;

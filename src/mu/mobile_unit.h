@@ -105,17 +105,17 @@ class MobileUnit {
   /// report delivery within it.
   Status Start();
 
-  /// Called by the cell/server when the report lands (transmission
-  /// complete). `listen_seconds` is the energy the unit pays to receive it
-  /// if awake. Returns true when the unit heard the report (was awake) —
-  /// the server aggregates this into its quiet-interval counter.
+  /// Delivers a report to a unit not bound to SoA hot state (standalone
+  /// drivers and unit tests) when its transmission completes.
+  /// `listen_seconds` is the energy the unit pays to receive it if awake.
+  /// Returns true when the unit heard the report (was awake).
   bool OnBroadcast(const Report& report, double listen_seconds);
 
   /// The report-consumption half of OnBroadcast, minus the awake check and
   /// the heard/missed/listen accounting: applies the report to the cache and
-  /// answers every sealed query group it covers. The sharded cell engine
-  /// calls this directly for awake non-immediate units after settling the
-  /// accounting in the shard's SoA lanes.
+  /// answers every sealed query group it covers. The cell engine calls this
+  /// directly for awake non-immediate units after settling the accounting
+  /// in the shard's SoA lanes.
   void OnReportDelivery(const Report& report);
 
   /// Mirrors this unit's hot fields into `soa` slot `index` (see
@@ -127,8 +127,8 @@ class MobileUnit {
   /// Publishes this unit's awake/asleep transitions into slot `slot` of a
   /// shared WakeIndex (see wake_index.h): every tick marks the slot awake,
   /// or asleep with the pre-computed wake tick the fast-forward scan
-  /// scheduled. The server aggregates the index for quiet-interval elision
-  /// and awake-set fan-out. Bind before Start().
+  /// scheduled. The server aggregates the index for quiet-interval elision;
+  /// the cell engine walks it for awake-set fan-out. Bind before Start().
   void BindWakeIndex(WakeIndex* index, uint32_t slot);
 
   /// Earliest simulation time at which this unit can next be awake: now if
@@ -136,14 +136,6 @@ class MobileUnit {
   /// fast-forward scan already knows it — one of PR 4's predrawn flips).
   SimTime NextWakeTime() const {
     return awake_ ? sim_->Now() : pending_tick_time_;
-  }
-
-  /// Finalizes reports_missed from the server's delivery count. With
-  /// awake-set fan-out sleepers never observe a delivery, so the per-miss
-  /// increment of OnBroadcast is replaced by this end-of-run settlement:
-  /// every completed delivery was either heard or missed.
-  void SettleMissedReports(uint64_t deliveries_completed) {
-    stats_.reports_missed = deliveries_completed - stats_.reports_heard;
   }
 
   /// Wires this unit to a stateful-server registry. `drop_cache_on_wake`

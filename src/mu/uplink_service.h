@@ -1,7 +1,7 @@
-// Interface a mobile unit uses to send a cache-miss query uplink. The
-// server-side implementation accounts channel bits (bq + strategy extras
-// uplink, ba downlink) and returns the current item value stamped with the
-// server clock.
+// Interface a mobile unit uses to send a cache-miss query uplink. The cell
+// engine's shard-side implementation returns the item value stamped with
+// the fetch time and logs the query; Server::AccountUplinkQuery charges its
+// channel bits (bq + strategy extras uplink, ba downlink) at the barrier.
 
 #ifndef MOBICACHE_MU_UPLINK_SERVICE_H_
 #define MOBICACHE_MU_UPLINK_SERVICE_H_

@@ -1,28 +1,28 @@
 // The stationary data server of one cell (the MSS-attached server of §1-§2):
 // owns the broadcast schedule, builds reports through its ServerStrategy,
 // transmits them on the shared channel (optionally through a §9 delivery
-// model with contention jitter), and serves uplink cache-miss queries.
+// model with contention jitter), and accounts uplink cache-miss queries.
 //
-// Broadcast cost tracks *listeners*, not wall intervals: with a WakeIndex
-// attached the server fans reports out over the awake bitmap only, recycles
-// report storage through a small arena, and — when every attached unit
-// sleeps through an interval's entire transmission — elides the report
-// build and fan-out altogether while keeping every statistic, channel
-// counter, and strategy state byte-identical (quiet-interval elision; see
-// Broadcast()).
+// The server never tracks its listeners (§2, §3): each completed report
+// goes to one consumer, the delivery sink, which the cell engine uses to
+// fan it out shard-side. Broadcast cost tracks *listeners*, not wall
+// intervals: with wake indexes attached, an interval whose entire
+// transmission every unit sleeps through elides its report build and
+// delivery while keeping every statistic, channel counter, and strategy
+// state byte-identical (quiet-interval elision), and a run of such
+// intervals is replayed inline without the scheduler (the quiet skip).
 
 #ifndef MOBICACHE_SERVER_SERVER_H_
 #define MOBICACHE_SERVER_SERVER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/report.h"
 #include "core/strategy.h"
 #include "db/database.h"
-#include "mu/mobile_unit.h"
-#include "mu/uplink_service.h"
 #include "mu/wake_index.h"
 #include "net/channel.h"
 #include "net/delivery.h"
@@ -45,7 +45,7 @@ struct ServerConfig {
   /// so pruning in batches is identity-free and amortizes the bucket walk.
   uint64_t journal_prune_period_intervals = 8;
   /// Quiet-interval elision (requires an attached WakeIndex): skip report
-  /// materialization and fan-out for intervals no attached unit can hear.
+  /// materialization and delivery for intervals no unit can hear.
   /// Observable behaviour is byte-identical either way; the equivalence
   /// tests force it off to prove that.
   bool quiet_elision = true;
@@ -54,21 +54,22 @@ struct ServerConfig {
 struct ServerStats {
   uint64_t reports_broadcast = 0;
   uint64_t uplink_queries_served = 0;
-  /// Report deliveries nobody heard: every attached unit was asleep when the
+  /// Report deliveries nobody heard: every unit was asleep when the
   /// transmission completed. The paper's energy argument hinges on these —
   /// a report that lands in a fully sleeping cell is pure downlink waste.
+  /// The server counts the ones it elided; only the cell engine knows who
+  /// heard a materialized report, so it adds the unheard ones.
   uint64_t quiet_report_intervals = 0;
-  /// The subset of quiet_report_intervals whose report build + fan-out the
-  /// server skipped outright (quiet-interval elision). Always <=
-  /// quiet_report_intervals: a quiet interval still counts there even when
-  /// its report had to be materialized (observer attached, jittered
-  /// delivery, or a strategy without a cheap advance).
+  /// The subset of quiet_report_intervals whose report build and delivery
+  /// the server skipped outright (quiet-interval elision). A quiet interval
+  /// still counts above when its report had to be materialized (observer
+  /// attached, jittered delivery, or a unit waking mid-transmission).
   uint64_t quiet_skipped_intervals = 0;
   OnlineStats report_bits;       ///< Per-report size distribution (Bc).
   OnlineStats report_air_seconds;///< Per-report airtime.
 };
 
-class Server : public UplinkService {
+class Server {
  public:
   /// `delivery` may be null, meaning ideal periodic timing with zero jitter.
   Server(Simulator* sim, Database* db, Channel* channel,
@@ -77,39 +78,25 @@ class Server : public UplinkService {
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
-  ~Server() override;
+  ~Server();
 
-  /// Subscribes a unit to the broadcast. Units must outlive the server's
-  /// run. Call before Start().
-  void AttachUnit(MobileUnit* unit);
-
-  /// Registers a wake index covering attached units. With at least one
-  /// index attached the server (a) fans deliveries out over the awake
-  /// bitmap — slot order must equal AttachUnit order — instead of bouncing
-  /// off sleeping units, and (b) elides fully-quiet intervals. Per-unit
-  /// reports_missed is then settled at the end of the run
-  /// (SettleUnitStats) instead of per delivery. The cell driver attaches
-  /// one index over all units; the sharded engine attaches one per shard
-  /// (aggregated for the wake horizon only — fan-out happens shard-side).
-  /// Call before Start().
+  /// Registers a wake index covering a slice of the cell's units. With at
+  /// least one index attached the server elides fully-quiet intervals and
+  /// skips quiet stretches; it aggregates every attached index for the
+  /// awake count and the wake horizon. The cell engine attaches one per
+  /// shard. Call before Start().
   void AttachWakeIndex(const WakeIndex* index);
 
   /// Attaches a batched update generator as the server's update pump. The
   /// server then drains pending updates at every point a reader can first
-  /// observe database state — the broadcast head (before the report build),
-  /// each uplink fetch, and the delivery-consumption instant — so the
-  /// database trajectory every reader sees is identical to the per-event
-  /// interleaving. The sharded engine adds one more pump at its window
-  /// barrier. Call before Start().
+  /// observe database state — the broadcast head (before the report build)
+  /// and the delivery-consumption instant — so the database trajectory
+  /// every reader sees is identical to the per-event interleaving. The cell
+  /// engine adds one more pump at its window barrier. Call before Start().
   void SetUpdatePump(UpdateGenerator* pump);
 
-  /// Whether quiet-stretch journal elision is armed (set at Start): the
-  /// strategy is feed-driven and never reads journal windows, so buckets
-  /// laid down during elided intervals keep only their digest summary.
-  bool journal_elision_armed() const { return journal_elision_ok_; }
-
   /// Raises the journal retention class Start() arms beyond what the
-  /// strategy declares (never lowers it). Cell drivers call this with
+  /// strategy declares (never lowers it). The cell engine calls this with
   /// kFullWindow when external instrumentation — a test's answer observer
   /// auditing values against historical ground truth — needs raw journal
   /// reads the strategy itself never issues. Call before Start().
@@ -122,50 +109,42 @@ class Server : public UplinkService {
   Status Start();
   void Stop();
 
-  /// Finalizes per-unit reports_missed counters: in wake-index mode
-  /// sleepers never observe deliveries, so their missed counts are settled
-  /// here as deliveries_completed() - heard. Call after the run, before
-  /// reading unit stats. No-op without a wake index (the legacy fan-out
-  /// counts misses per delivery).
-  void SettleUnitStats();
-
-  FetchResult FetchItem(const UplinkQueryInfo& info) override;
-
   /// Performs the server-side bookkeeping of one uplink query — strategy
-  /// notification, uplink/answer channel charges, stats — without reading
-  /// the item value. FetchItem() is AccountUplinkQuery() plus the database
-  /// read; the sharded cell engine replays shard-logged queries through this
-  /// at the interval barrier (values were already served shard-side).
+  /// notification, uplink/answer channel charges, stats. The values are
+  /// served shard-side; the cell engine replays the shard-logged queries
+  /// through this at the interval barrier.
   void AccountUplinkQuery(const UplinkQueryInfo& info);
 
   /// One completed report transmission, as observed at the instant units
-  /// would consume it. `report` is null for an elided quiet interval (no
-  /// unit could hear it; the sink owner counts it quiet and skipped).
+  /// would consume it. Elided quiet intervals produce none.
   struct ReportDelivery {
     std::shared_ptr<const Report> report;
     double listen_seconds = 0.0;  ///< Tuning cost for a unit that listens.
     SimTime done = 0.0;           ///< Transmission-complete time.
   };
 
-  /// Invoked for every report when its transmission completes, before any
-  /// unit processes it. Tests use this to snapshot ground truth at T_i.
+  /// Invoked for every report when its transmission completes, before the
+  /// delivery sink. Tests use this to snapshot ground truth at T_i.
   /// Attaching an observer disables quiet-interval elision (every report
   /// must materialize for it).
   void SetReportObserver(std::function<void(const Report&)> observer) {
     report_observer_ = std::move(observer);
-    RecomputeDeliveryPath();
   }
 
-  /// Installs a delivery sink. When set, completed report transmissions are
-  /// handed to the sink *instead of* being fanned out to attached units —
-  /// the sharded cell engine uses this to collect each interval's delivery
-  /// and replay it inside every shard's own simulator. The sink runs inside
-  /// the delivery-completion event (after the report observer), at
+  /// Installs the delivery sink: every completed report transmission is
+  /// handed to it, after the report observer. The cell engine uses this to
+  /// collect each interval's delivery and replay it inside every shard's
+  /// own simulator. The sink runs inside the delivery-completion event, at
   /// Now() == delivery.done.
   void SetDeliverySink(std::function<void(ReportDelivery)> sink) {
     delivery_sink_ = std::move(sink);
-    RecomputeDeliveryPath();
   }
+
+  /// Whether a fully quiet interval can be elided at all: elision on, a
+  /// wake index attached, no report observer, and a delivery model that
+  /// never jitters. The cell engine widens a lockstep window past one
+  /// interval only then, so a wide window holds no audible report.
+  bool CanElideQuietIntervals() const;
 
   /// Zeroes the accumulated statistics (used after warm-up).
   void ResetStats() {
@@ -173,71 +152,71 @@ class Server : public UplinkService {
     deliveries_completed_ = 0;
   }
 
-  /// Report transmissions consumed (fan-out or sink) since the last
-  /// ResetStats — elided quiet intervals included. The per-unit identity
-  /// `missed = deliveries_completed - heard` is what SettleUnitStats uses.
+  /// Report transmissions completed since the last ResetStats — elided
+  /// quiet intervals included. A unit missed every one it did not hear.
   uint64_t deliveries_completed() const { return deliveries_completed_; }
 
-  /// Scheduler dispatches the quiet-stretch skip replayed inline instead of
-  /// running them as events (two per fully skipped interval: the broadcast
-  /// tick and the delivery-consumption event; one for a straddle interval
-  /// whose consumption still runs as a real event). Lifetime counter, like
-  /// Simulator::DispatchedEvents(): engines add it to the dispatched-event
-  /// total so the events/sec denominator counts the same simulated work
-  /// whether or not the clock skipped.
+  /// Scheduler dispatches the quiet skip replayed inline instead of running
+  /// them as events (two per fully skipped interval: the broadcast tick and
+  /// the delivery-consumption event; one for the last interval of a skip,
+  /// whose delivery still runs as a real event). Lifetime counter, like
+  /// Simulator::DispatchedEvents(): the engine adds it to the
+  /// dispatched-event total so the events/sec denominator counts the same
+  /// simulated work whether or not the clock skipped.
   uint64_t skipped_dispatches() const { return skipped_dispatches_; }
 
   ServerStrategy* strategy() { return strategy_.get(); }
   const ServerStats& stats() const { return stats_; }
   const ServerConfig& config() const { return config_; }
 
-  /// Wall time spent in the broadcast path — report build/elide plus the
-  /// consumption event (fan-out or sink hand-off) — over the whole run.
-  /// Run-lifetime diagnostic like MegaCell's phase walls: warmup included,
-  /// ResetStats leaves it alone. Costs two clock reads per interval.
-  double broadcast_wall_seconds() const { return broadcast_wall_seconds_; }
-
  private:
-  /// Who consumes a completed delivery; recomputed when observers change so
-  /// the per-interval consumption event tests one byte instead of two
-  /// std::function bools (the common kFanOut case touches neither).
-  enum class DeliveryPath : uint8_t {
-    kFanOut,   ///< No observer, no sink: fan out to attached units.
-    kSink,     ///< Delivery sink only (the sharded engine).
-    kGeneral,  ///< Report observer attached (with or without a sink).
+  /// One interval's report transmission, as the per-interval step leaves
+  /// it. `report` is null for an elided quiet interval.
+  struct Transmission {
+    std::shared_ptr<const Report> report;
+    uint64_t bits = 0;
+    double jitter = 0.0;
+    double duration = 0.0;  ///< channel_->Duration(bits), computed once.
   };
 
+  /// The scheduled broadcast tick: StepInterval, then Send, at Now().
   void Broadcast(uint64_t interval);
-  /// Transmits and schedules consumption. `report` may be null (elided
-  /// quiet interval: all bookkeeping, no fan-out). `duration` is
-  /// channel_->Duration(bits), computed once in Broadcast.
+  /// The per-interval step shared by the broadcast tick and the quiet skip,
+  /// at broadcast instant `now` (the skip passes a virtual time ahead of
+  /// the clock): update drain, jitter draw, journal prune, then either the
+  /// strategy's quiet advance (elided or materialized) or a full report
+  /// build, and the report statistics.
+  Transmission StepInterval(uint64_t interval, SimTime now);
+  /// Transmits `tx` at `now`, or schedules it after its jitter.
+  void Send(Transmission tx, SimTime now);
+  /// Puts the report on the air at `now` and schedules its consumption.
   void Deliver(std::shared_ptr<const Report> report, uint64_t bits,
-               double jitter, double duration);
-  /// The delivery-consumption event: drains updates due before `done`, then
-  /// hands the report to its consumer (fan-out, sink, or observer). Runs at
-  /// Now() == done, either as the event Deliver scheduled or replayed inline
-  /// by the quiet-stretch skip.
+               double jitter, double duration, SimTime now);
+  /// The delivery-consumption event: completes the delivery, then tries
+  /// the quiet skip after an elided one or hands the report to the
+  /// observer and the sink.
   void ConsumeDelivery(std::shared_ptr<const Report> report, double listen,
                        SimTime done);
-  /// Cell-wide time skip (ROADMAP open item (c)): called from the
-  /// consumption event of an elided interval — every attached unit asleep,
-  /// fan-out path, nothing in flight — this replays whole quiet intervals
-  /// (update drain, strategy advance, channel accounting, quiet counters)
-  /// inline at their nominal times, bounded by the cell's next interesting
-  /// time: the earliest unit wake, the earliest foreign scheduler event, or
-  /// the active run horizon. The scheduler then hops from one consumption
-  /// event to the next real event in a single dispatch, with every counter
-  /// and RNG stream byte-identical to the per-interval execution.
+  /// Drains updates due before `done` and counts one completed delivery —
+  /// as quiet and skipped when `elided`. The one place elided intervals
+  /// are counted, for the consumption event and the quiet skip alike.
+  void CompleteDelivery(SimTime done, bool elided);
+  /// The quiet skip, entered from the consumption of an elided interval
+  /// (every unit asleep, nothing in flight): runs StepInterval for the
+  /// following intervals inline at their nominal times and completes each
+  /// elided delivery in place, until the cell's next interesting time — the
+  /// earliest unit wake, the earliest foreign scheduler event, or the
+  /// active run horizon. The scheduler then hops from one consumption event
+  /// to the next real event in one dispatch, with every counter and RNG
+  /// stream byte-identical to the per-interval execution.
   void SkipToNextInterestingTime();
-  /// Fans one report out to the attached units; returns how many heard it.
-  /// Iterates the awake bitmap when a wake index is attached, else the
-  /// legacy all-units loop.
-  uint64_t FanOutReport(const Report& report, double listen_seconds);
+  /// Earliest registered wake tick at or after `interval` across the
+  /// attached indexes; adds their awake counts into `*awake`.
+  SimTime WakeHorizon(uint64_t interval, uint64_t* awake) const;
   /// Grabs a free arena slot (use_count == 1 means no in-flight delivery
   /// still references it), growing the arena only until the steady state's
   /// maximum in-flight count is covered.
   std::shared_ptr<Report>& AcquireReportSlot();
-  void RecomputeDeliveryPath();
 
   Simulator* sim_;
   Database* db_;
@@ -245,13 +224,11 @@ class Server : public UplinkService {
   std::unique_ptr<ServerStrategy> strategy_;
   DeliveryModel* delivery_;
   ServerConfig config_;
-  std::vector<MobileUnit*> units_;
   std::vector<const WakeIndex*> wake_indexes_;
   std::unique_ptr<PeriodicProcess> broadcaster_;
   ServerStats stats_;
   std::function<void(const Report&)> report_observer_;
   std::function<void(ReportDelivery)> delivery_sink_;
-  DeliveryPath delivery_path_ = DeliveryPath::kFanOut;
   /// Recycled report storage: one slot per concurrently in-flight report
   /// (steady state: one). Handed out as shared_ptr<const Report> aliases,
   /// so a slot frees itself when its last consumer drops the reference.
@@ -259,14 +236,7 @@ class Server : public UplinkService {
   uint64_t deliveries_completed_ = 0;
   uint64_t intervals_since_prune_ = 0;
   uint64_t skipped_dispatches_ = 0;
-  double broadcast_wall_seconds_ = 0.0;
-  /// Jitter the quiet-stretch skip drew for an interval it then left to the
-  /// real machinery; Broadcast() consumes the stash instead of re-sampling
-  /// so the delivery model's RNG stream stays one draw per interval.
-  double pending_jitter_ = 0.0;
-  bool has_pending_jitter_ = false;
   UpdateGenerator* update_pump_ = nullptr;
-  bool journal_elision_ok_ = false;
   JournalRetention retention_floor_ = JournalRetention::kNone;
 };
 

@@ -17,35 +17,6 @@ Xoshiro256::Xoshiro256(uint64_t seed) {
   for (auto& word : s_) word = SplitMix64(&sm);
 }
 
-void Xoshiro256::LongJump() {
-  static constexpr uint64_t kJump[] = {0x76E15D3EFEFDCBBFULL,
-                                       0xC5004E441C522FB3ULL,
-                                       0x77710069854EE241ULL,
-                                       0x39109BB02ACBE635ULL};
-  uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (uint64_t jump : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump & (1ULL << b)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      Next();
-    }
-  }
-  s_[0] = s0;
-  s_[1] = s1;
-  s_[2] = s2;
-  s_[3] = s3;
-}
-
-Rng Rng::Substream(uint64_t seed, uint64_t index) {
-  Rng rng(seed);
-  for (uint64_t i = 0; i <= index; ++i) rng.gen_.LongJump();
-  return rng;
-}
-
 uint64_t Rng::Poisson(double mean) {
   assert(mean >= 0.0);
   if (mean == 0.0) return 0;

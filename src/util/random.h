@@ -44,24 +44,16 @@ class Xoshiro256 {
     return result;
   }
 
-  /// Equivalent to 2^128 calls to Next(); used to derive independent
-  /// subsequences for parallel components from one master seed.
-  void LongJump();
-
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
   uint64_t s_[4];
 };
 
-/// Random engine exposing the distributions the simulator needs. Copyable so
-/// components can fork deterministic substreams.
+/// Random engine exposing the distributions the simulator needs.
 class Rng {
  public:
   explicit Rng(uint64_t seed) : gen_(seed) {}
-
-  /// Derives an independent stream: same seed, `index + 1` long-jumps ahead.
-  static Rng Substream(uint64_t seed, uint64_t index);
 
   // The distributions below are defined inline: interarrival draws dominate
   // the batched update drain (one Exponential + one NextUint64 per update),

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "exp/sweep.h"
 
 namespace mobicache {
@@ -28,42 +28,42 @@ TEST(CellTest, RejectsInvalidConfigs) {
   {
     CellConfig c = SmallConfig(StrategyKind::kTs);
     c.model.n = 0;
-    EXPECT_FALSE(Cell(c).Build().ok());
+    EXPECT_FALSE(MegaCell({c}).Build().ok());
   }
   {
     CellConfig c = SmallConfig(StrategyKind::kTs);
     c.hotspot_size = 0;
-    EXPECT_FALSE(Cell(c).Build().ok());
+    EXPECT_FALSE(MegaCell({c}).Build().ok());
   }
   {
     CellConfig c = SmallConfig(StrategyKind::kTs);
     c.hotspot_size = 10000;  // > n
-    EXPECT_FALSE(Cell(c).Build().ok());
+    EXPECT_FALSE(MegaCell({c}).Build().ok());
   }
   {
     CellConfig c = SmallConfig(StrategyKind::kTs);
     c.num_units = 0;
-    EXPECT_FALSE(Cell(c).Build().ok());
+    EXPECT_FALSE(MegaCell({c}).Build().ok());
   }
   {
     CellConfig c = SmallConfig(StrategyKind::kTs);
     c.model.s = 1.5;
-    EXPECT_FALSE(Cell(c).Build().ok());
+    EXPECT_FALSE(MegaCell({c}).Build().ok());
   }
   {
     CellConfig c = SmallConfig(StrategyKind::kSig);
     c.sig_k_threshold = -1.0;
-    EXPECT_FALSE(Cell(c).Build().ok());
+    EXPECT_FALSE(MegaCell({c}).Build().ok());
   }
   {
     CellConfig c = SmallConfig(StrategyKind::kHybridSig);
     c.sig_gamma = -0.5;
-    EXPECT_FALSE(Cell(c).Build().ok());
+    EXPECT_FALSE(MegaCell({c}).Build().ok());
   }
 }
 
 TEST(CellTest, LifecycleEnforced) {
-  Cell cell(SmallConfig(StrategyKind::kAt));
+  MegaCell cell({SmallConfig(StrategyKind::kAt)});
   EXPECT_FALSE(cell.Run(1, 1).ok());  // must Build first
   ASSERT_TRUE(cell.Build().ok());
   EXPECT_FALSE(cell.Build().ok());  // double build
@@ -77,7 +77,7 @@ TEST(CellTest, EveryStrategyRuns) {
         StrategyKind::kNoCache, StrategyKind::kAdaptiveTs,
         StrategyKind::kIdeal, StrategyKind::kStateful,
         StrategyKind::kQuasiAt}) {
-    Cell cell(SmallConfig(kind));
+    MegaCell cell({SmallConfig(kind)});
     ASSERT_TRUE(cell.Build().ok()) << StrategyName(kind);
     ASSERT_TRUE(cell.Run(10, 100).ok()) << StrategyName(kind);
     const CellResult r = cell.result();
@@ -93,7 +93,7 @@ TEST(CellTest, QuietReportIntervals) {
   {
     CellConfig c = SmallConfig(StrategyKind::kTs);
     c.model.s = 0.0;
-    Cell cell(c);
+    MegaCell cell({c});
     ASSERT_TRUE(cell.Build().ok());
     ASSERT_TRUE(cell.Run(2, 50).ok());
     const CellResult r = cell.result();
@@ -105,7 +105,7 @@ TEST(CellTest, QuietReportIntervals) {
   {
     CellConfig c = SmallConfig(StrategyKind::kTs);
     c.model.s = 1.0;
-    Cell cell(c);
+    MegaCell cell({c});
     ASSERT_TRUE(cell.Build().ok());
     ASSERT_TRUE(cell.Run(2, 50).ok());
     const CellResult r = cell.result();
@@ -117,7 +117,7 @@ TEST(CellTest, QuietReportIntervals) {
 
 TEST(CellTest, DeterministicForFixedSeed) {
   auto run = [] {
-    Cell cell(SmallConfig(StrategyKind::kTs));
+    MegaCell cell({SmallConfig(StrategyKind::kTs)});
     EXPECT_TRUE(cell.Build().ok());
     EXPECT_TRUE(cell.Run(10, 100).ok());
     return cell.result();
@@ -134,7 +134,7 @@ TEST(CellTest, SeedChangesResults) {
   CellConfig c1 = SmallConfig(StrategyKind::kTs);
   CellConfig c2 = SmallConfig(StrategyKind::kTs);
   c2.seed = 12345;
-  Cell a(c1), b(c2);
+  MegaCell a({c1}), b({c2});
   ASSERT_TRUE(a.Build().ok() && b.Build().ok());
   ASSERT_TRUE(a.Run(10, 100).ok() && b.Run(10, 100).ok());
   EXPECT_NE(a.result().queries_answered, b.result().queries_answered);
@@ -144,14 +144,14 @@ TEST(CellTest, SleepFractionTracksS) {
   CellConfig c = SmallConfig(StrategyKind::kAt);
   c.model.s = 0.6;
   c.num_units = 20;
-  Cell cell(c);
+  MegaCell cell({c});
   ASSERT_TRUE(cell.Build().ok());
   ASSERT_TRUE(cell.Run(10, 200).ok());
   EXPECT_NEAR(cell.result().measured_sleep_fraction, 0.6, 0.05);
 }
 
 TEST(CellTest, NoCacheHasZeroHitsAndZeroReportBits) {
-  Cell cell(SmallConfig(StrategyKind::kNoCache));
+  MegaCell cell({SmallConfig(StrategyKind::kNoCache)});
   ASSERT_TRUE(cell.Build().ok());
   ASSERT_TRUE(cell.Run(10, 100).ok());
   const CellResult r = cell.result();
@@ -164,13 +164,13 @@ TEST(CellTest, NoCacheHasZeroHitsAndZeroReportBits) {
 TEST(CellTest, IdealBeatsEveryRealStrategyOnHitRatio) {
   double ideal_h = 0.0, at_h = 0.0;
   {
-    Cell cell(SmallConfig(StrategyKind::kIdeal));
+    MegaCell cell({SmallConfig(StrategyKind::kIdeal)});
     ASSERT_TRUE(cell.Build().ok());
     ASSERT_TRUE(cell.Run(10, 200).ok());
     ideal_h = cell.result().hit_ratio;
   }
   {
-    Cell cell(SmallConfig(StrategyKind::kAt));
+    MegaCell cell({SmallConfig(StrategyKind::kAt)});
     ASSERT_TRUE(cell.Build().ok());
     ASSERT_TRUE(cell.Run(10, 200).ok());
     at_h = cell.result().hit_ratio;
@@ -183,7 +183,7 @@ TEST(CellTest, RenewalSleepModeRuns) {
   c.renewal_sleep = true;
   c.mean_awake_seconds = 100.0;
   c.mean_sleep_seconds = 30.0;
-  Cell cell(c);
+  MegaCell cell({c});
   ASSERT_TRUE(cell.Build().ok());
   ASSERT_TRUE(cell.Run(10, 200).ok());
   const CellResult r = cell.result();
@@ -198,7 +198,7 @@ TEST(CellTest, DeliveryJitterAddsListenTimeForCsma) {
   CellConfig jittered = base;
   jittered.delivery = DeliveryModelKind::kCsmaJitter;
   jittered.mean_jitter_seconds = 1.0;
-  Cell a(base), b(jittered);
+  MegaCell a({base}), b({jittered});
   ASSERT_TRUE(a.Build().ok() && b.Build().ok());
   ASSERT_TRUE(a.Run(10, 100).ok() && b.Run(10, 100).ok());
   EXPECT_GT(b.result().listen_seconds_total, a.result().listen_seconds_total);

@@ -1,10 +1,12 @@
 // Equivalence contract of the watermark cache, the bucketed journal, the
-// incremental report builders, and the shared-report delivery path: none of
-// them may change anything observable. Enforced three ways:
+// incremental report builders, the shared-report delivery path, and the
+// sharded cell engine: none of them may change anything observable.
+// Enforced three ways:
 //
 //  1. per-strategy simulated cell counters against goldens recorded from the
 //     seed implementation (per-entry timestamps, scanning journal, copied
-//     reports) on the exact same configuration;
+//     reports) and from the single-heap cell engine that preceded the
+//     sharded one, on the exact same configuration, at shards {1, 2, 4, 8};
 //  2. a scenario sweep CSV against the seed implementation's bytes, at
 //     --threads 1 and 4 (covers the cross-thread determinism contract too);
 //  3. a randomized ClientCache run against a reference model with eager
@@ -22,7 +24,7 @@
 
 #include "analysis/scenarios.h"
 #include "core/cache.h"
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "exp/sweep.h"
 
 namespace mobicache {
@@ -70,17 +72,110 @@ CellConfig GoldenCellConfig(StrategyKind kind) {
 
 TEST(GoldenEquivalenceTest, CellCountersMatchSeedImplementation) {
   for (const CellGolden& golden : kCellGoldens) {
-    SCOPED_TRACE(std::string(StrategyName(golden.kind)));
-    Cell cell(GoldenCellConfig(golden.kind));
-    ASSERT_TRUE(cell.Build().ok());
-    ASSERT_TRUE(cell.Run(5, 60).ok());
-    const CellResult r = cell.result();
-    EXPECT_EQ(r.queries_answered, golden.queries_answered);
-    EXPECT_EQ(r.hits, golden.hits);
-    EXPECT_EQ(r.misses, golden.misses);
-    EXPECT_EQ(r.items_invalidated, golden.items_invalidated);
-    EXPECT_EQ(r.reports_heard, golden.reports_heard);
-    EXPECT_EQ(r.reports_missed, golden.reports_missed);
+    for (uint32_t shards : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(std::string(StrategyName(golden.kind)) + " shards=" +
+                   std::to_string(shards));
+      MegaCellConfig mc;
+      mc.cell = GoldenCellConfig(golden.kind);
+      mc.num_shards = shards;
+      MegaCell cell(mc);
+      ASSERT_TRUE(cell.Build().ok());
+      ASSERT_TRUE(cell.Run(5, 60).ok());
+      const CellResult r = cell.result();
+      EXPECT_EQ(r.queries_answered, golden.queries_answered);
+      EXPECT_EQ(r.hits, golden.hits);
+      EXPECT_EQ(r.misses, golden.misses);
+      EXPECT_EQ(r.items_invalidated, golden.items_invalidated);
+      EXPECT_EQ(r.reports_heard, golden.reports_heard);
+      EXPECT_EQ(r.reports_missed, golden.reports_missed);
+    }
+  }
+}
+
+// Every integer CellResult field, the channel counters, the doubles
+// bit-exactly, and the stateful-registry / asynchronous-mode counters, for
+// the strategies kCellGoldens lacks plus one jittered delivery. Recorded
+// from the single-heap cell engine (one simulator over every unit) before
+// it was retired; the jittered record's doubles are the ones the 1-shard
+// sharded engine produced then, which the single-heap engine matched on
+// this configuration.
+struct FullGolden {
+  const char* name;
+  StrategyKind kind;
+  bool jittered;
+  uint64_t queries_answered, hits, misses, reports_broadcast, reports_heard,
+      reports_missed, quiet_report_intervals, quiet_skipped_intervals,
+      items_invalidated, sim_events, updates_applied;
+  uint64_t report_bits, uplink_query_bits, downlink_answer_bits, report_count,
+      uplink_query_count, downlink_answer_count;
+  double listen_seconds_total, mean_answer_latency, busy_seconds;
+  uint64_t registry_control, registry_sent, registry_missed_asleep;
+  uint64_t async_messages, async_deliveries;
+};
+
+constexpr FullGolden kFullGoldens[] = {
+    {"nocache", StrategyKind::kNoCache, false, 4032u, 0u, 4032u, 60u, 340u,
+     140u, 0u, 0u, 0u, 1287u, 673u, 0u, 516096u, 4128768u, 60u, 4032u, 4032u,
+     0x0p+0, 0x1.2d23d7d603328p+3, 0x1.d07c84b5dcd72p+8, 0u, 0u, 0u, 0u, 0u},
+    {"stateful", StrategyKind::kStateful, false, 5103u, 3071u, 2032u, 60u,
+     340u, 140u, 0u, 0u, 0u, 6867u, 673u, 1314u, 285056u, 2080768u, 206u,
+     2227u, 2032u, 0x0p+0, 0x0p+0, 0x1.d96d77318facfp+7, 195u, 146u, 53u, 0u,
+     0u},
+    {"ideal", StrategyKind::kIdeal, false, 5103u, 4761u, 342u, 60u, 340u,
+     140u, 0u, 0u, 0u, 6867u, 673u, 0u, 43776u, 350208u, 60u, 342u, 342u,
+     0x0p+0, 0x0p+0, 0x1.3b2fec56d5ce1p+5, 0u, 299u, 0u, 0u, 0u},
+    {"async", StrategyKind::kAsync, false, 5103u, 3071u, 2032u, 60u, 340u,
+     140u, 0u, 0u, 0u, 6867u, 673u, 5616u, 260096u, 2080768u, 684u, 2032u,
+     2032u, 0x0p+0, 0x0p+0, 0x1.d54bc6a7ef87fp+7, 0u, 0u, 0u, 624u, 3603u},
+    {"TS csma jitter", StrategyKind::kTs, true, 4032u, 3684u, 348u, 60u,
+     340u, 140u, 0u, 0u, 293u, 1353u, 673u, 2354920u, 44544u, 356352u, 60u,
+     348u, 348u, 0x1.7e12c48cb732fp+10, 0x1.bd041ecb22476p+3,
+     0x1.1394e3bcd3591p+8, 0u, 0u, 0u, 0u, 0u},
+};
+
+TEST(GoldenEquivalenceTest, SingleHeapGoldensHoldAtAnyShardCount) {
+  for (const FullGolden& g : kFullGoldens) {
+    CellConfig config = GoldenCellConfig(g.kind);
+    if (g.jittered) {
+      config.delivery = DeliveryModelKind::kCsmaJitter;
+      config.mean_jitter_seconds = 0.5;
+    }
+    for (uint32_t shards : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(std::string(g.name) + " shards=" + std::to_string(shards));
+      MegaCellConfig mc;
+      mc.cell = config;
+      mc.num_shards = shards;
+      MegaCell cell(mc);
+      ASSERT_TRUE(cell.Build().ok());
+      ASSERT_TRUE(cell.Run(5, 60).ok());
+      const CellResult r = cell.result();
+      EXPECT_EQ(r.queries_answered, g.queries_answered);
+      EXPECT_EQ(r.hits, g.hits);
+      EXPECT_EQ(r.misses, g.misses);
+      EXPECT_EQ(r.reports_broadcast, g.reports_broadcast);
+      EXPECT_EQ(r.reports_heard, g.reports_heard);
+      EXPECT_EQ(r.reports_missed, g.reports_missed);
+      EXPECT_EQ(r.quiet_report_intervals, g.quiet_report_intervals);
+      EXPECT_EQ(r.quiet_skipped_intervals, g.quiet_skipped_intervals);
+      EXPECT_EQ(r.items_invalidated, g.items_invalidated);
+      EXPECT_EQ(r.sim_events, g.sim_events);
+      EXPECT_EQ(r.updates_applied, g.updates_applied);
+      EXPECT_EQ(r.channel.report_bits, g.report_bits);
+      EXPECT_EQ(r.channel.uplink_query_bits, g.uplink_query_bits);
+      EXPECT_EQ(r.channel.downlink_answer_bits, g.downlink_answer_bits);
+      EXPECT_EQ(r.channel.report_count, g.report_count);
+      EXPECT_EQ(r.channel.uplink_query_count, g.uplink_query_count);
+      EXPECT_EQ(r.channel.downlink_answer_count, g.downlink_answer_count);
+      EXPECT_EQ(r.listen_seconds_total, g.listen_seconds_total);
+      EXPECT_EQ(r.mean_answer_latency, g.mean_answer_latency);
+      EXPECT_EQ(r.channel.busy_seconds, g.busy_seconds);
+      EXPECT_EQ(cell.registry_control_messages(), g.registry_control);
+      EXPECT_EQ(cell.registry_invalidations_sent(), g.registry_sent);
+      EXPECT_EQ(cell.registry_invalidations_missed_asleep(),
+                g.registry_missed_asleep);
+      EXPECT_EQ(cell.async_messages_broadcast(), g.async_messages);
+      EXPECT_EQ(cell.async_deliveries(), g.async_deliveries);
+    }
   }
 }
 

@@ -2,13 +2,13 @@
 // invalidation broadcast, including the §3.2 AT-equivalence claim.
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "analysis/model.h"
 #include "core/grouped.h"
-#include "exp/cell.h"
-#include "server/async_broadcaster.h"
+#include "exp/megacell.h"
 
 namespace mobicache {
 namespace {
@@ -114,7 +114,7 @@ TEST(GroupedCellTest, RunsAndTracksModel) {
   config.num_units = 10;
   config.hotspot_size = 12;
   config.seed = 5;
-  Cell cell(config);
+  MegaCell cell({config});
   ASSERT_TRUE(cell.Build().ok());
   ASSERT_TRUE(cell.Run(30, 400).ok());
   const CellResult r = cell.result();
@@ -124,17 +124,43 @@ TEST(GroupedCellTest, RunsAndTracksModel) {
               model.report_bits * 0.2 + 2.0);
 }
 
-TEST(AsyncBroadcasterTest, DeliversOnlyToAwakeUnits) {
-  Simulator sim;
-  Channel channel(&sim, 1e4);
-  MessageSizes sizes;
-  sizes.id_bits = 10;
-  AsyncBroadcaster async(&sim, &channel, sizes);
-  // No units attached: message still broadcast, nobody invalidated.
-  async.OnUpdate(4, 1.0);
-  EXPECT_EQ(async.messages_broadcast(), 1u);
-  EXPECT_EQ(async.deliveries(), 0u);
-  EXPECT_EQ(channel.stats().report_bits, 10u);
+// Asynchronous mode broadcasts one id message per update, and it reaches
+// only the units awake at the update instant: an always-asleep cell is
+// invalidated by none of them, an always-awake one by every message in
+// every unit — at any shard count.
+TEST(AsyncCellTest, InvalidationsReachOnlyAwakeUnits) {
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    for (double s : {0.0, 0.5, 1.0}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " s=" + std::to_string(s));
+      CellConfig config;
+      config.model.n = 300;
+      config.model.mu = 2e-3;
+      config.model.s = s;
+      config.strategy = StrategyKind::kAsync;
+      config.num_units = 8;
+      config.hotspot_size = 10;
+      config.seed = 13;
+      MegaCell cell({config, shards});
+      ASSERT_TRUE(cell.Build().ok());
+      ASSERT_TRUE(cell.Run(5, 100).ok());
+      const CellResult r = cell.result();
+      const uint64_t messages = cell.async_messages_broadcast();
+      ASSERT_GT(messages, 0u);
+      // One id-sized report-class message per update, next to the
+      // interval's zero-bit periodic report.
+      EXPECT_EQ(r.channel.report_count, r.reports_broadcast + messages);
+      const uint64_t deliveries = cell.async_deliveries();
+      if (s == 0.0) {
+        EXPECT_EQ(deliveries, messages * config.num_units);
+      } else if (s == 1.0) {
+        EXPECT_EQ(deliveries, 0u);
+      } else {
+        EXPECT_GT(deliveries, 0u);
+        EXPECT_LT(deliveries, messages * config.num_units);
+      }
+    }
+  }
 }
 
 TEST(AsyncCellTest, EquivalentToAtInCostAndHitRatio) {
@@ -150,7 +176,7 @@ TEST(AsyncCellTest, EquivalentToAtInCostAndHitRatio) {
     config.num_units = 15;
     config.hotspot_size = 15;
     config.seed = 77;
-    Cell cell(config);
+    MegaCell cell({config});
     EXPECT_TRUE(cell.Build().ok());
     EXPECT_TRUE(cell.Run(30, 500).ok());
     return cell.result();
@@ -184,7 +210,7 @@ TEST(AsyncCellTest, SafetyNoStaleAnswers) {
   config.num_units = 8;
   config.hotspot_size = 10;
   config.seed = 13;
-  Cell cell(config);
+  MegaCell cell({config});
   ASSERT_TRUE(cell.Build().ok());
   uint64_t violations = 0, hits = 0;
   Database* db = cell.db();

@@ -7,7 +7,7 @@
 
 #include "analysis/model.h"
 #include "core/hybrid.h"
-#include "exp/cell.h"
+#include "exp/megacell.h"
 
 namespace mobicache {
 namespace {
@@ -145,7 +145,7 @@ TEST(HybridCellTest, BeatsPlainSigUnderHotChurn) {
     config.update_rates.assign(1000, 0.0);
     for (int i = 0; i < 10; ++i) config.update_rates[i] = 0.01;
     config.hybrid_hot_set = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-    Cell cell(config);
+    MegaCell cell({config});
     EXPECT_TRUE(cell.Build().ok());
     EXPECT_TRUE(cell.Run(30, 300).ok());
     return cell.result();
@@ -165,7 +165,7 @@ TEST(HybridCellTest, SafetyNoStaleHotAnswers) {
   config.num_units = 8;
   config.hotspot_size = 12;
   config.seed = 13;
-  Cell cell(config);
+  MegaCell cell({config});
   ASSERT_TRUE(cell.Build().ok());
   uint64_t hits = 0, violations = 0;
   Database* db = cell.db();

@@ -3,12 +3,15 @@
 // of quasi-copies, and agreement between the discrete-event simulation and
 // the §4 analytical model.
 
+#include <atomic>
 #include <cmath>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "analysis/model.h"
-#include "exp/cell.h"
+#include "exp/megacell.h"
 
 namespace mobicache {
 namespace {
@@ -34,11 +37,20 @@ struct ViolationCount {
   uint64_t violations = 0;
 };
 
-// Attaches the no-false-valid auditor: every cache-answered batch must
-// return the value the item had at the report timestamp vouching for it.
-ViolationCount AuditNoFalseValid(Cell& cell) {
-  auto counts = std::make_shared<ViolationCount>();
-  Database* db = cell.db();
+// Observers run on the shard lanes, so the tallies they share are atomic.
+struct AtomicCount {
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> violations{0};
+};
+
+// Runs `config` at `shards` with the no-false-valid auditor attached: every
+// cache-answered batch must return the value the item had at the report
+// timestamp vouching for it.
+ViolationCount AuditNoFalseValid(const CellConfig& config, uint32_t shards) {
+  MegaCell cell({config, shards});
+  EXPECT_TRUE(cell.Build().ok());
+  auto counts = std::make_shared<AtomicCount>();
+  const Database* db = cell.db();
   for (MobileUnit* unit : cell.units()) {
     unit->SetAnswerObserver(
         [counts, db](ItemId id, uint64_t value, SimTime validity_ts,
@@ -49,53 +61,67 @@ ViolationCount AuditNoFalseValid(Cell& cell) {
         });
   }
   EXPECT_TRUE(cell.Run(10, 300).ok());
-  return *counts;
+  return ViolationCount{counts->hits.load(), counts->violations.load()};
 }
 
+// The safety tests run at one shard and at four, where observers fire on
+// parallel lanes and uplink values are served shard-side.
+constexpr uint32_t kShardCounts[] = {1u, 4u};
+
 TEST(SafetyTest, TsNeverAnswersStaleValues) {
-  Cell cell(BaseConfig(StrategyKind::kTs, 0.4));
-  ASSERT_TRUE(cell.Build().ok());
-  const ViolationCount c = AuditNoFalseValid(cell);
-  EXPECT_GT(c.hits, 1000u);
-  EXPECT_EQ(c.violations, 0u);
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const ViolationCount c =
+        AuditNoFalseValid(BaseConfig(StrategyKind::kTs, 0.4), shards);
+    EXPECT_GT(c.hits, 1000u);
+    EXPECT_EQ(c.violations, 0u);
+  }
 }
 
 TEST(SafetyTest, AtNeverAnswersStaleValues) {
-  Cell cell(BaseConfig(StrategyKind::kAt, 0.4));
-  ASSERT_TRUE(cell.Build().ok());
-  const ViolationCount c = AuditNoFalseValid(cell);
-  EXPECT_GT(c.hits, 100u);
-  EXPECT_EQ(c.violations, 0u);
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const ViolationCount c =
+        AuditNoFalseValid(BaseConfig(StrategyKind::kAt, 0.4), shards);
+    EXPECT_GT(c.hits, 100u);
+    EXPECT_EQ(c.violations, 0u);
+  }
 }
 
 TEST(SafetyTest, AdaptiveTsNeverAnswersStaleValues) {
-  Cell cell(BaseConfig(StrategyKind::kAdaptiveTs, 0.4));
-  ASSERT_TRUE(cell.Build().ok());
-  const ViolationCount c = AuditNoFalseValid(cell);
-  EXPECT_GT(c.hits, 100u);
-  EXPECT_EQ(c.violations, 0u);
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const ViolationCount c =
+        AuditNoFalseValid(BaseConfig(StrategyKind::kAdaptiveTs, 0.4), shards);
+    EXPECT_GT(c.hits, 100u);
+    EXPECT_EQ(c.violations, 0u);
+  }
 }
 
 TEST(SafetyTest, IdealNeverAnswersStaleValues) {
   // Push-invalidation keeps copies exact at all times; validity_ts is the
   // answer instant itself.
-  Cell cell(BaseConfig(StrategyKind::kIdeal, 0.4));
-  ASSERT_TRUE(cell.Build().ok());
-  const ViolationCount c = AuditNoFalseValid(cell);
-  EXPECT_GT(c.hits, 1000u);
-  EXPECT_EQ(c.violations, 0u);
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const ViolationCount c =
+        AuditNoFalseValid(BaseConfig(StrategyKind::kIdeal, 0.4), shards);
+    EXPECT_GT(c.hits, 1000u);
+    EXPECT_EQ(c.violations, 0u);
+  }
 }
 
 TEST(SafetyTest, SigFalseValidRateIsTiny) {
   // SIG is probabilistic: a changed item can slip under the syndrome
   // threshold. The rate must stay well below the analytic tail estimate.
-  Cell cell(BaseConfig(StrategyKind::kSig, 0.4));
-  ASSERT_TRUE(cell.Build().ok());
-  const ViolationCount c = AuditNoFalseValid(cell);
-  EXPECT_GT(c.hits, 1000u);
-  EXPECT_LT(static_cast<double>(c.violations) /
-                static_cast<double>(c.hits),
-            0.01);
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const ViolationCount c =
+        AuditNoFalseValid(BaseConfig(StrategyKind::kSig, 0.4), shards);
+    EXPECT_GT(c.hits, 1000u);
+    EXPECT_LT(static_cast<double>(c.violations) /
+                  static_cast<double>(c.hits),
+              0.01);
+  }
 }
 
 TEST(SafetyTest, QuasiAtHonoursStalenessBound) {
@@ -103,34 +129,35 @@ TEST(SafetyTest, QuasiAtHonoursStalenessBound) {
   // never older.
   CellConfig config = BaseConfig(StrategyKind::kQuasiAt, 0.2);
   config.quasi_alpha_intervals = 3;
-  Cell cell(config);
-  ASSERT_TRUE(cell.Build().ok());
-
   const double bound =
       config.model.L * static_cast<double>(config.quasi_alpha_intervals) +
       config.model.L;
-  auto hits = std::make_shared<uint64_t>(0);
-  auto violations = std::make_shared<uint64_t>(0);
-  Database* db = cell.db();
-  for (MobileUnit* unit : cell.units()) {
-    unit->SetAnswerObserver([=](ItemId id, uint64_t value,
-                                SimTime validity_ts, bool hit) {
-      if (!hit) return;
-      ++*hits;
-      // The answered value must have been current at some instant within
-      // [validity_ts - bound, validity_ts].
-      const uint64_t v_lo = db->VersionAt(id, validity_ts - bound);
-      const uint64_t v_hi = db->VersionAt(id, validity_ts);
-      bool ok = false;
-      for (uint64_t v = v_lo; v <= v_hi && !ok; ++v) {
-        ok = value == SyntheticValue(db->seed(), id, v);
-      }
-      if (!ok) ++*violations;
-    });
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    MegaCell cell({config, shards});
+    ASSERT_TRUE(cell.Build().ok());
+    auto counts = std::make_shared<AtomicCount>();
+    const Database* db = cell.db();
+    for (MobileUnit* unit : cell.units()) {
+      unit->SetAnswerObserver([=](ItemId id, uint64_t value,
+                                  SimTime validity_ts, bool hit) {
+        if (!hit) return;
+        ++counts->hits;
+        // The answered value must have been current at some instant within
+        // [validity_ts - bound, validity_ts].
+        const uint64_t v_lo = db->VersionAt(id, validity_ts - bound);
+        const uint64_t v_hi = db->VersionAt(id, validity_ts);
+        bool ok = false;
+        for (uint64_t v = v_lo; v <= v_hi && !ok; ++v) {
+          ok = value == SyntheticValue(db->seed(), id, v);
+        }
+        if (!ok) ++counts->violations;
+      });
+    }
+    ASSERT_TRUE(cell.Run(10, 300).ok());
+    EXPECT_GT(counts->hits.load(), 500u);
+    EXPECT_EQ(counts->violations.load(), 0u);
   }
-  ASSERT_TRUE(cell.Run(10, 300).ok());
-  EXPECT_GT(*hits, 500u);
-  EXPECT_EQ(*violations, 0u);
 }
 
 double SimulatedHitRatio(StrategyKind kind, double s, uint64_t seed) {
@@ -146,7 +173,7 @@ double SimulatedHitRatio(StrategyKind kind, double s, uint64_t seed) {
   config.num_units = 20;
   config.hotspot_size = 20;
   config.seed = seed;
-  Cell cell(config);
+  MegaCell cell({config});
   EXPECT_TRUE(cell.Build().ok());
   EXPECT_TRUE(cell.Run(50, 600).ok());
   return cell.result().hit_ratio;
@@ -211,7 +238,7 @@ TEST(ModelAgreementTest, ReportSizesMatchFormulas) {
   config.num_units = 3;
   config.hotspot_size = 10;
   config.seed = 13;
-  Cell cell(config);
+  MegaCell cell({config});
   ASSERT_TRUE(cell.Build().ok());
   ASSERT_TRUE(cell.Run(20, 400).ok());
   const double expected = TsReportBits(config.model);
@@ -227,7 +254,7 @@ TEST(ModelAgreementTest, AnswerLatencyMatchesClosedForm) {
     config.num_units = 20;
     config.hotspot_size = 20;
     config.seed = 23;
-    Cell cell(config);
+    MegaCell cell({config});
     ASSERT_TRUE(cell.Build().ok());
     ASSERT_TRUE(cell.Run(30, 500).ok());
     const double expected =

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exp/cell.h"
+#include "exp/megacell.h"
 
 namespace mobicache {
 namespace {
@@ -34,7 +34,7 @@ class CellPropertyTest : public ::testing::TestWithParam<PropertyParams> {
 };
 
 TEST_P(CellPropertyTest, InvariantsHold) {
-  Cell cell(MakeConfig());
+  MegaCell cell({MakeConfig()});
   ASSERT_TRUE(cell.Build().ok());
   ASSERT_TRUE(cell.Run(10, 150).ok());
   const CellResult r = cell.result();
@@ -47,13 +47,13 @@ TEST_P(CellPropertyTest, InvariantsHold) {
 
   // Every broadcast is either heard or missed by each awake/sleeping unit.
   EXPECT_EQ(r.reports_heard + r.reports_missed,
-            r.reports_broadcast * cell.config().num_units);
+            r.reports_broadcast * cell.config().cell.num_units);
 
   // Channel accounting: one uplink per miss (plus piggyback-free answers).
   EXPECT_EQ(r.channel.uplink_query_count, r.misses);
   EXPECT_EQ(r.channel.downlink_answer_count, r.misses);
   EXPECT_GE(r.channel.uplink_query_bits,
-            r.misses * cell.config().model.bq);
+            r.misses * cell.config().cell.model.bq);
 
   // Per-unit cache contents only ever come from the unit's hot spot.
   for (MobileUnit* unit : cell.units()) {
@@ -66,7 +66,7 @@ TEST_P(CellPropertyTest, InvariantsHold) {
 
 TEST_P(CellPropertyTest, DeterministicReplay) {
   auto run_once = [&] {
-    Cell cell(MakeConfig());
+    MegaCell cell({MakeConfig()});
     EXPECT_TRUE(cell.Build().ok());
     EXPECT_TRUE(cell.Run(5, 60).ok());
     const CellResult r = cell.result();
@@ -112,7 +112,7 @@ TEST_P(StatefulPropertyTest, CountingInvariants) {
   config.num_units = 6;
   config.hotspot_size = 12;
   config.seed = 3;
-  Cell cell(config);
+  MegaCell cell({config});
   ASSERT_TRUE(cell.Build().ok());
   ASSERT_TRUE(cell.Run(10, 150).ok());
   const CellResult r = cell.result();
@@ -120,7 +120,7 @@ TEST_P(StatefulPropertyTest, CountingInvariants) {
   // Uplink traffic = one query per miss, plus (kStateful only) the
   // sleep/wake control protocol; kIdeal charges nothing extra.
   const uint64_t control = kind == StrategyKind::kStateful
-                               ? cell.registry()->control_messages()
+                               ? cell.registry_control_messages()
                                : 0u;
   EXPECT_EQ(r.channel.uplink_query_count, r.misses + control);
   EXPECT_LE(r.hit_ratio, 1.0);

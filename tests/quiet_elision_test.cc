@@ -11,14 +11,14 @@
 //  * Invariant: quiet_skipped_intervals <= quiet_report_intervals, and the
 //    skip counter actually moves where it should (all-sleepers cells) and
 //    stays zero where it must (elision off).
-//  * MegaCell cross-check: the sharded engine with elision on matches the
-//    classic cell at shards {1, 4, 8}, where the shard-aggregated wake
-//    horizon is one interval stale by construction.
+//  * Shard cross-check: with elision on, shards {2, 4, 8} match the 1-shard
+//    run, including which intervals were elided.
 //  * Allocation-freedom: once warm, the broadcast path — arena report
 //    reuse, delivery scheduling, awake-set fan-out, and the elided variant —
-//    performs zero heap allocations, asserted as a delta around a measured
-//    span with a counting global operator new. The same holds for a warm
-//    SIG client applying a report that invalidates nothing.
+//    performs no heap allocation per interval: two runs that differ only in
+//    measured intervals allocate exactly as often (a counting global
+//    operator new). A warm SIG client applying a report that invalidates
+//    nothing allocates nothing either.
 
 #include <atomic>
 #include <cctype>
@@ -34,7 +34,6 @@
 #include "core/cache.h"
 #include "core/sig_strategy.h"
 #include "db/database.h"
-#include "exp/cell.h"
 #include "exp/megacell.h"
 #include "mu/mobile_unit.h"
 
@@ -116,21 +115,21 @@ TEST_P(ElisionEquivalenceTest, OnAndOffRunsAreByteIdentical) {
   CellResult results[2];
   std::vector<MobileUnitStats> unit_stats[2];
   for (int on = 0; on < 2; ++on) {
-    CellConfig config = BaseConfig(param.kind, param.s);
-    config.quiet_elision = on == 1;
-    Cell cell(config);
+    MegaCellConfig mc;
+    mc.cell = BaseConfig(param.kind, param.s);
+    mc.cell.quiet_elision = on == 1;
+    MegaCell cell(mc);
     ASSERT_TRUE(cell.Build().ok());
     ASSERT_TRUE(cell.Run(4, 50).ok());
     results[on] = cell.result();
-    for (MobileUnit* unit : cell.units()) {
-      unit_stats[on].push_back(unit->stats());
+    for (uint64_t i = 0; i < mc.cell.num_units; ++i) {
+      unit_stats[on].push_back(cell.UnitStats(i));
     }
   }
 
   ExpectResultsIdentical(results[1], results[0]);
   // The quiet-stretch skip replays intervals without the scheduler but must
-  // compensate the event count exactly (sim_events is not part of the
-  // helper because the MegaCell comparison below legitimately differs).
+  // compensate the event count exactly.
   EXPECT_EQ(results[1].sim_events, results[0].sim_events);
   EXPECT_EQ(results[0].quiet_skipped_intervals, 0u) << "elision off";
   EXPECT_LE(results[1].quiet_skipped_intervals,
@@ -186,12 +185,13 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ElisionEquivalenceTest, RenewalSleepRunsAreByteIdentical) {
   CellResult results[2];
   for (int on = 0; on < 2; ++on) {
-    CellConfig config = BaseConfig(StrategyKind::kTs, 0.0);
-    config.renewal_sleep = true;
-    config.mean_awake_seconds = 15.0;
-    config.mean_sleep_seconds = 120.0;
-    config.quiet_elision = on == 1;
-    Cell cell(config);
+    MegaCellConfig mc;
+    mc.cell = BaseConfig(StrategyKind::kTs, 0.0);
+    mc.cell.renewal_sleep = true;
+    mc.cell.mean_awake_seconds = 15.0;
+    mc.cell.mean_sleep_seconds = 120.0;
+    mc.cell.quiet_elision = on == 1;
+    MegaCell cell(mc);
     ASSERT_TRUE(cell.Build().ok());
     ASSERT_TRUE(cell.Run(4, 50).ok());
     results[on] = cell.result();
@@ -203,48 +203,37 @@ TEST(ElisionEquivalenceTest, RenewalSleepRunsAreByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded engine: the aggregated per-shard wake indexes (stale by one
-// interval at the broadcast point) must still produce identical results.
+// Shard counts: the aggregated per-shard wake indexes (stale by one interval
+// at the broadcast point) must elide the same intervals at any shard count.
 
 TEST(ElisionEquivalenceTest, MegaCellMatchesCellAcrossShardCounts) {
   for (StrategyKind kind : {StrategyKind::kTs, StrategyKind::kSig}) {
-    CellConfig config = BaseConfig(kind, 0.9);
-    config.num_units = 16;
+    MegaCellConfig one;
+    one.cell = BaseConfig(kind, 0.9);
+    one.cell.num_units = 16;
+    MegaCell reference(one);
+    ASSERT_TRUE(reference.Build().ok());
+    ASSERT_TRUE(reference.Run(4, 50).ok());
+    const CellResult reference_result = reference.result();
+    EXPECT_GT(reference_result.quiet_skipped_intervals, 0u);
 
-    Cell classic(config);
-    ASSERT_TRUE(classic.Build().ok());
-    ASSERT_TRUE(classic.Run(4, 50).ok());
-    const CellResult classic_result = classic.result();
-
-    uint64_t skipped_at_one_shard = 0;
-    for (uint32_t shards : {1u, 4u, 8u}) {
+    for (uint32_t shards : {2u, 4u, 8u}) {
       SCOPED_TRACE(std::string(StrategyName(kind)) + " shards=" +
                    std::to_string(shards));
-      MegaCellConfig mc;
-      mc.cell = config;
+      MegaCellConfig mc = one;
       mc.num_shards = shards;
       MegaCell mega(mc);
       ASSERT_TRUE(mega.Build().ok());
       ASSERT_TRUE(mega.Run(4, 50).ok());
 
       const CellResult& m = mega.result();
-      ExpectResultsIdentical(m, classic_result);
-      // The skip diagnostic is engine-dependent: at Broadcast(i) the shard
-      // ticks for interval i have not run yet, so the aggregated wake
-      // indexes are one interval stale and MegaCell conservatively elides a
-      // subset of what Cell does. It must still be bounded by the quiet
-      // count, and the shard partition must not change it.
-      EXPECT_LE(m.quiet_skipped_intervals,
-                classic_result.quiet_skipped_intervals);
-      EXPECT_LE(m.quiet_skipped_intervals, m.quiet_report_intervals);
-      if (shards == 1u) {
-        skipped_at_one_shard = m.quiet_skipped_intervals;
-      } else {
-        EXPECT_EQ(m.quiet_skipped_intervals, skipped_at_one_shard);
-      }
-      for (uint64_t i = 0; i < config.num_units; ++i) {
+      ExpectResultsIdentical(m, reference_result);
+      EXPECT_EQ(m.quiet_skipped_intervals,
+                reference_result.quiet_skipped_intervals);
+      EXPECT_EQ(m.sim_events, reference_result.sim_events);
+      for (uint64_t i = 0; i < mc.cell.num_units; ++i) {
         SCOPED_TRACE("unit " + std::to_string(i));
-        ExpectUnitStatsEqual(mega.UnitStats(i), classic.units()[i]->stats());
+        ExpectUnitStatsEqual(mega.UnitStats(i), reference.UnitStats(i));
       }
     }
   }
@@ -253,79 +242,50 @@ TEST(ElisionEquivalenceTest, MegaCellMatchesCellAcrossShardCounts) {
 // ---------------------------------------------------------------------------
 // Allocation-freedom of the warm broadcast path.
 
-// Drives a cell's own simulator by hand (Cell::Run would bake in the phase
-// boundaries) so an allocation counter can bracket a steady-state span.
-class BroadcastAllocationTest : public ::testing::Test {
- protected:
-  // Starts units and server, pre-schedules `updates_per_interval` database
-  // updates for `intervals` intervals (scheduling itself may allocate — it
-  // runs before the measured span), and warms the arena/journal/digest
-  // machinery for `warm` intervals.
-  void StartAndWarm(Cell* cell, uint64_t intervals,
-                    uint64_t updates_per_interval, uint64_t warm) {
-    const double L = cell->config().model.L;
-    // Pre-scheduling `intervals * updates_per_interval` update events blows
-    // past the cell's own sizing (it expects an UpdateGenerator's one
-    // in-flight event); re-reserve so the slot slab and free list never
-    // grow inside the measured span.
-    cell->sim()->Reserve(intervals * updates_per_interval +
-                         4 * cell->config().num_units + 64);
-    for (MobileUnit* unit : cell->units()) {
-      ASSERT_TRUE(unit->Start().ok());
-    }
-    ASSERT_TRUE(cell->server()->Start().ok());
-    Database* db = cell->db();
-    Simulator* sim = cell->sim();
-    for (uint64_t i = 0; i < intervals; ++i) {
-      for (uint64_t u = 0; u < updates_per_interval; ++u) {
-        const double t = L * static_cast<double>(i) +
-                         (static_cast<double>(u) + 1.0) * L /
-                             (static_cast<double>(updates_per_interval) + 1.0);
-        const ItemId id = static_cast<ItemId>((i * 7 + u * 13) %
-                                              cell->config().model.n);
-        sim->ScheduleAt(t, [db, id, t] { db->ApplyUpdate(id, t); });
-      }
-    }
-    sim->RunUntil(L * static_cast<double>(warm) + 0.5 * L);
-  }
-};
+// Heap allocations of one whole run (Build and Run). Two runs that differ
+// only in measured intervals must allocate equally often: every buffer is
+// warm by the end of the warm-up, so extra intervals cost no allocation.
+size_t RunAllocations(const CellConfig& config, uint64_t measure,
+                      CellResult* result) {
+  const size_t before = g_new_calls.load();
+  MegaCellConfig mc;
+  mc.cell = config;
+  MegaCell cell(mc);
+  EXPECT_TRUE(cell.Build().ok());
+  EXPECT_TRUE(cell.Run(60, measure).ok());
+  *result = cell.result();
+  return g_new_calls.load() - before;
+}
 
-TEST_F(BroadcastAllocationTest, MaterializedSteadyStateAllocatesNothing) {
+TEST(BroadcastAllocationTest, MaterializedSteadyStateAllocatesNothing) {
   // All units awake (s = 0) but with zero query rate: every interval builds
   // a real report into the arena and fans it out to the full awake set; no
   // uplink traffic muddies the count.
   CellConfig config = BaseConfig(StrategyKind::kTs, 0.0);
   config.model.lambda = 0.0;
   config.num_units = 8;
-  Cell cell(config);
-  ASSERT_TRUE(cell.Build().ok());
-  StartAndWarm(&cell, /*intervals=*/120, /*updates_per_interval=*/3,
-               /*warm=*/60);
-
-  const size_t before = g_new_calls.load();
-  cell.sim()->RunUntil(config.model.L * 110.0 + 0.5 * config.model.L);
-  EXPECT_EQ(g_new_calls.load() - before, 0u)
+  CellResult short_run, long_run;
+  const size_t short_allocs = RunAllocations(config, 50, &short_run);
+  const size_t long_allocs = RunAllocations(config, 100, &long_run);
+  EXPECT_EQ(long_allocs, short_allocs)
       << "warm materialized broadcast path allocated";
-  EXPECT_GE(cell.server()->stats().reports_broadcast, 110u);
+  EXPECT_EQ(long_run.reports_broadcast, 100u);
+  EXPECT_EQ(long_run.quiet_report_intervals, 0u);
 }
 
-TEST_F(BroadcastAllocationTest, ElidedSteadyStateAllocatesNothing) {
+TEST(BroadcastAllocationTest, ElidedSteadyStateAllocatesNothing) {
   // Everyone asleep: after warm-up every interval takes the AdvanceQuiet +
   // skip path (modulo the bounded fast-forward wake ticks, which are also
   // allocation-free).
   CellConfig config = BaseConfig(StrategyKind::kTs, 1.0);
   config.model.lambda = 0.0;
   config.num_units = 8;
-  Cell cell(config);
-  ASSERT_TRUE(cell.Build().ok());
-  StartAndWarm(&cell, /*intervals=*/120, /*updates_per_interval=*/3,
-               /*warm=*/60);
-
-  const size_t before = g_new_calls.load();
-  cell.sim()->RunUntil(config.model.L * 110.0 + 0.5 * config.model.L);
-  EXPECT_EQ(g_new_calls.load() - before, 0u)
+  CellResult short_run, long_run;
+  const size_t short_allocs = RunAllocations(config, 50, &short_run);
+  const size_t long_allocs = RunAllocations(config, 100, &long_run);
+  EXPECT_EQ(long_allocs, short_allocs)
       << "warm elided broadcast path allocated";
-  EXPECT_GT(cell.server()->stats().quiet_skipped_intervals, 0u);
+  EXPECT_GT(long_run.quiet_skipped_intervals, 0u);
 }
 
 TEST(SigClientAllocationTest, WarmReportWithoutInvalidationsAllocatesNothing) {

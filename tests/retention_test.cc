@@ -31,7 +31,7 @@
 #include "core/at.h"
 #include "counting_new.h"
 #include "db/database.h"
-#include "exp/cell.h"
+#include "exp/megacell.h"
 
 namespace mobicache {
 namespace {
@@ -61,7 +61,7 @@ class RetentionDeclarationTest
 
 TEST_P(RetentionDeclarationTest, ServerStartArmsDeclaredClass) {
   const DeclarationCase param = GetParam();
-  Cell cell(BaseConfig(param.kind));
+  MegaCell cell({BaseConfig(param.kind)});
   ASSERT_TRUE(cell.Build().ok());
   ASSERT_TRUE(cell.Run(2, 20).ok());
   EXPECT_EQ(cell.db()->retention(), param.want)
@@ -93,7 +93,7 @@ TEST(RetentionFloorTest, FloorRaisesDeclaredClassButNeverLowersIt) {
   // A digest-only strategy with a kFullWindow floor (the answer-observer
   // case) must end up with raw retention...
   {
-    Cell cell(BaseConfig(StrategyKind::kSig));
+    MegaCell cell({BaseConfig(StrategyKind::kSig)});
     ASSERT_TRUE(cell.Build().ok());
     cell.server()->SetRetentionFloor(JournalRetention::kFullWindow);
     ASSERT_TRUE(cell.Run(2, 20).ok());
@@ -101,7 +101,7 @@ TEST(RetentionFloorTest, FloorRaisesDeclaredClassButNeverLowersIt) {
   }
   // ...while a kNone floor under a full-window strategy changes nothing.
   {
-    Cell cell(BaseConfig(StrategyKind::kTs));
+    MegaCell cell({BaseConfig(StrategyKind::kTs)});
     ASSERT_TRUE(cell.Build().ok());
     cell.server()->SetRetentionFloor(JournalRetention::kNone);
     ASSERT_TRUE(cell.Run(2, 20).ok());
@@ -467,12 +467,12 @@ TEST(RetentionEndToEndTest, AnswerObserverForcesJournalWithoutMovingResults) {
     config.model.s = 0.85;  // quiet intervals exercise AdvanceQuiet
     config.num_units = 4;
 
-    Cell plain(config);
+    MegaCell plain({config});
     ASSERT_TRUE(plain.Build().ok());
     ASSERT_TRUE(plain.Run(5, 200).ok());
     EXPECT_EQ(plain.db()->retention(), JournalRetention::kDirtySet);
 
-    Cell audited(config);
+    MegaCell audited({config});
     ASSERT_TRUE(audited.Build().ok());
     uint64_t hits = 0;
     uint64_t stale = 0;

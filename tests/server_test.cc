@@ -1,4 +1,4 @@
-// Unit tests for the cell server: broadcast schedule, delivery, uplink
+// Unit tests for the cell server: broadcast schedule, delivery sink, uplink
 // accounting, journal pruning, and the report observer hook.
 
 #include <memory>
@@ -10,8 +10,6 @@
 #include "core/nocache.h"
 #include "core/ts.h"
 #include "db/database.h"
-#include "mu/mobile_unit.h"
-#include "mu/sleep_model.h"
 #include "net/channel.h"
 #include "net/delivery.h"
 #include "server/server.h"
@@ -61,7 +59,7 @@ TEST(ServerTest, ReportBitsTracked) {
   EXPECT_EQ(channel.stats().report_bits, 14u);
 }
 
-TEST(ServerTest, FetchItemChargesChannelAndAnswersCurrentValue) {
+TEST(ServerTest, AccountUplinkQueryChargesChannel) {
   Database db(100, 1);
   Simulator sim;
   Channel channel(&sim, 1e4);
@@ -72,12 +70,10 @@ TEST(ServerTest, FetchItemChargesChannelAndAnswersCurrentValue) {
   Server server(&sim, &db, &channel,
                 std::make_unique<AtServerStrategy>(&db, 10.0), nullptr,
                 config);
-  db.ApplyUpdate(5, 1.0);
   UplinkQueryInfo info;
   info.id = 5;
   info.time = 2.0;
-  const UplinkService::FetchResult result = server.FetchItem(info);
-  EXPECT_EQ(result.value, db.Get(5).value);
+  server.AccountUplinkQuery(info);
   EXPECT_EQ(channel.stats().uplink_query_bits, 100u);
   EXPECT_EQ(channel.stats().downlink_answer_bits, 900u);
   EXPECT_EQ(server.stats().uplink_queries_served, 1u);
@@ -145,24 +141,27 @@ TEST(ServerTest, JitteredDeliveryArrivesAfterNominalTime) {
   DeliveryModel delivery(DeliveryModelKind::kCsmaJitter, 1.0, 3);
   ServerConfig config;
   config.latency = 10.0;
-
-  MobileUnitConfig mc;
-  mc.latency = 10.0;
-  mc.lambda_per_item = 0.0;  // no queries; just listen
-  mc.hotspot = {0};
   Server server(&sim, &db, &channel,
                 std::make_unique<AtServerStrategy>(&db, 10.0), &delivery,
                 config);
-  MobileUnit unit(&sim, mc, std::make_unique<AtClientManager>(),
-                  std::make_unique<BernoulliSleepModel>(0.0, 1), &server, 9);
-  server.AttachUnit(&unit);
-  ASSERT_TRUE(unit.Start().ok());
+  std::vector<Server::ReportDelivery> deliveries;
+  server.SetDeliverySink([&](Server::ReportDelivery d) {
+    EXPECT_EQ(sim.Now(), d.done);
+    deliveries.push_back(std::move(d));
+  });
   ASSERT_TRUE(server.Start().ok());
   sim.RunUntil(105.0);
   server.Stop();
-  // The unit hears every report despite the jitter (mean 1 s << L).
-  EXPECT_EQ(unit.stats().reports_heard, 11u);
-  EXPECT_GT(unit.stats().listen_seconds, 0.0);
+  // Every report arrives despite the jitter (mean 1 s << L), after its
+  // nominal instant, and costs a listener at least its airtime.
+  ASSERT_EQ(deliveries.size(), 11u);
+  EXPECT_EQ(server.deliveries_completed(), 11u);
+  for (size_t i = 0; i < deliveries.size(); ++i) {
+    const double nominal = 10.0 * static_cast<double>(i);
+    EXPECT_EQ(ReportTimestamp(*deliveries[i].report), nominal);
+    EXPECT_GT(deliveries[i].done, nominal);
+    EXPECT_GT(deliveries[i].listen_seconds, 0.0);
+  }
 }
 
 TEST(ServerTest, NullStrategyBroadcastsZeroBits) {

@@ -12,8 +12,8 @@
 //    bit against a hand-rolled reference Rng.
 //  * Event-count canary: a mostly-sleeping cell dispatches far fewer events
 //    than the one-tick-per-unit-interval floor of a per-interval engine.
-//  * MegaCell cross-check: the sharded lockstep engine stays byte-identical
-//    to the classic cell when nearly every unit is fast-forwarding.
+//  * Shard cross-check: the lockstep engine stays byte-identical across
+//    shard counts when nearly every unit is fast-forwarding.
 
 #include <cstdint>
 #include <map>
@@ -25,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include "core/at.h"
-#include "exp/cell.h"
 #include "exp/megacell.h"
 #include "mu/mobile_unit.h"
 #include "mu/sleep_model.h"
@@ -319,7 +318,9 @@ TEST(SleeperCellTest, EventCountTracksAwakeWorkNotPopulation) {
   config.hotspot_size = 8;
   config.seed = 7;
 
-  Cell cell(config);
+  MegaCellConfig mc;
+  mc.cell = config;
+  MegaCell cell(mc);
   ASSERT_TRUE(cell.Build().ok());
   ASSERT_TRUE(cell.Run(2, 20).ok());
   const CellResult result = cell.result();
@@ -349,10 +350,10 @@ void ExpectUnitStatsEqual(const MobileUnitStats& a, const MobileUnitStats& b) {
   EXPECT_EQ(a.answer_latency.variance(), b.answer_latency.variance());
 }
 
-// megacell_test covers all strategies at s = 0.3; this pins the equivalence
-// where fast-forwarding dominates (s = 0.95: almost every unit-interval is
-// skipped, naps regularly span report windows) for a report-driven strategy
-// and an immediate-answer stateful one.
+// megacell_test covers all strategies at s = 0.3; this pins the shard-count
+// equivalence where fast-forwarding dominates (s = 0.95: almost every
+// unit-interval is skipped, naps regularly span report windows) for a
+// report-driven strategy and an immediate-answer stateful one.
 TEST(SleeperCellTest, MegaCellMatchesCellWhenMostUnitsSleep) {
   for (StrategyKind kind : {StrategyKind::kTs, StrategyKind::kStateful}) {
     CellConfig config;
@@ -367,12 +368,14 @@ TEST(SleeperCellTest, MegaCellMatchesCellWhenMostUnitsSleep) {
     config.hotspot_size = 30;
     config.seed = 1234;
 
-    Cell classic(config);
-    ASSERT_TRUE(classic.Build().ok());
-    ASSERT_TRUE(classic.Run(5, 60).ok());
-    const CellResult classic_result = classic.result();
+    MegaCellConfig one;
+    one.cell = config;
+    MegaCell reference(one);
+    ASSERT_TRUE(reference.Build().ok());
+    ASSERT_TRUE(reference.Run(5, 60).ok());
+    const CellResult reference_result = reference.result();
 
-    for (uint32_t shards : {1u, 3u}) {
+    for (uint32_t shards : {2u, 3u}) {
       SCOPED_TRACE(std::string(StrategyName(kind)) + " shards=" +
                    std::to_string(shards));
       MegaCellConfig mc;
@@ -383,25 +386,26 @@ TEST(SleeperCellTest, MegaCellMatchesCellWhenMostUnitsSleep) {
       ASSERT_TRUE(mega.Run(5, 60).ok());
 
       const CellResult& m = mega.result();
-      EXPECT_EQ(m.queries_answered, classic_result.queries_answered);
-      EXPECT_EQ(m.hits, classic_result.hits);
-      EXPECT_EQ(m.misses, classic_result.misses);
-      EXPECT_EQ(m.hit_ratio, classic_result.hit_ratio);
-      EXPECT_EQ(m.avg_report_bits, classic_result.avg_report_bits);
-      EXPECT_EQ(m.mean_answer_latency, classic_result.mean_answer_latency);
-      EXPECT_EQ(m.reports_heard, classic_result.reports_heard);
-      EXPECT_EQ(m.reports_missed, classic_result.reports_missed);
+      EXPECT_EQ(m.queries_answered, reference_result.queries_answered);
+      EXPECT_EQ(m.hits, reference_result.hits);
+      EXPECT_EQ(m.misses, reference_result.misses);
+      EXPECT_EQ(m.hit_ratio, reference_result.hit_ratio);
+      EXPECT_EQ(m.avg_report_bits, reference_result.avg_report_bits);
+      EXPECT_EQ(m.mean_answer_latency, reference_result.mean_answer_latency);
+      EXPECT_EQ(m.reports_heard, reference_result.reports_heard);
+      EXPECT_EQ(m.reports_missed, reference_result.reports_missed);
       EXPECT_EQ(m.measured_sleep_fraction,
-                classic_result.measured_sleep_fraction);
-      EXPECT_EQ(m.items_invalidated, classic_result.items_invalidated);
-      EXPECT_EQ(m.listen_seconds_total, classic_result.listen_seconds_total);
-      EXPECT_EQ(m.throughput, classic_result.throughput);
+                reference_result.measured_sleep_fraction);
+      EXPECT_EQ(m.items_invalidated, reference_result.items_invalidated);
+      EXPECT_EQ(m.listen_seconds_total, reference_result.listen_seconds_total);
+      EXPECT_EQ(m.throughput, reference_result.throughput);
       EXPECT_EQ(m.channel.uplink_query_bits,
-                classic_result.channel.uplink_query_bits);
-      EXPECT_EQ(m.channel.busy_seconds, classic_result.channel.busy_seconds);
+                reference_result.channel.uplink_query_bits);
+      EXPECT_EQ(m.channel.busy_seconds, reference_result.channel.busy_seconds);
+      EXPECT_EQ(m.sim_events, reference_result.sim_events);
       for (uint64_t i = 0; i < config.num_units; ++i) {
         SCOPED_TRACE("unit " + std::to_string(i));
-        ExpectUnitStatsEqual(mega.UnitStats(i), classic.units()[i]->stats());
+        ExpectUnitStatsEqual(mega.UnitStats(i), reference.UnitStats(i));
       }
     }
   }

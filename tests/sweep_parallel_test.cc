@@ -71,7 +71,7 @@ TEST(SweepParallelTest, EventAndCellTalliesMatchAcrossThreadCounts) {
 
 TEST(SweepParallelTest, BuildErrorsPropagateFromWorkerThreads) {
   SweepOptions options = SmallOptions(4);
-  options.hotspot_size = 0;  // Cell::Build rejects this in every job
+  options.hotspot_size = 0;  // MegaCell::Build rejects this in every job
   const StatusOr<SweepResult> result = RunScenarioSweep(
       PaperScenario::kScenario1, {StrategyKind::kTs}, options);
   ASSERT_FALSE(result.ok());

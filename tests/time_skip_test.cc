@@ -3,15 +3,17 @@
 // no unit wake, no pending event, no run-horizon edge — happens before the
 // next broadcast tick, the server replays whole quiet intervals inline at
 // their nominal virtual times instead of bouncing each one through the
-// scheduler. The contract is strict observational equivalence:
+// scheduler. The cell engine lets it run by coalescing a sleeping cell's
+// lockstep windows up to the shards' next event. The contract is strict
+// observational equivalence:
 //
 //  * every exposed counter, including sim_events (scheduler dispatches plus
 //    batched updates plus skip compensation), matches an elision-off run
 //    bit for bit, across sleep regimes that produce deep skips, straddled
 //    intervals (a wake or foreign event mid-transmission), and no skips;
 //  * the skip actually engages where the cell genuinely sleeps in long
-//    stretches (skipped_dispatches > 0), and never engages with elision
-//    off;
+//    stretches (skipped_dispatches > 0), at any shard count, and never
+//    engages with elision off;
 //  * PeriodicProcess::SkipTicks accounts skipped ticks bit-exactly: the
 //    re-armed tick lands on the same double the chain of per-tick
 //    reschedules would have produced, even for a non-representable period.
@@ -22,7 +24,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exp/cell.h"
+#include "exp/megacell.h"
 #include "mu/mobile_unit.h"
 #include "sim/simulator.h"
 
@@ -87,20 +89,21 @@ TEST_P(TimeSkipEquivalenceTest, OnAndOffRunsMatchIncludingEventCounts) {
   uint64_t skipped[2] = {0, 0};
   std::vector<MobileUnitStats> unit_stats[2];
   for (int on = 0; on < 2; ++on) {
-    CellConfig config = BaseConfig(param.kind, param.s);
+    MegaCellConfig mc;
+    mc.cell = BaseConfig(param.kind, param.s);
     if (param.renewal) {
-      config.renewal_sleep = true;
-      config.mean_awake_seconds = 12.0;
-      config.mean_sleep_seconds = 400.0;  // ~40 intervals: deep stretches
+      mc.cell.renewal_sleep = true;
+      mc.cell.mean_awake_seconds = 12.0;
+      mc.cell.mean_sleep_seconds = 400.0;  // ~40 intervals: deep stretches
     }
-    config.quiet_elision = on == 1;
-    Cell cell(config);
+    mc.cell.quiet_elision = on == 1;
+    MegaCell cell(mc);
     ASSERT_TRUE(cell.Build().ok());
     ASSERT_TRUE(cell.Run(4, 80).ok());
     results[on] = cell.result();
     skipped[on] = cell.server()->skipped_dispatches();
-    for (MobileUnit* unit : cell.units()) {
-      unit_stats[on].push_back(unit->stats());
+    for (uint64_t i = 0; i < mc.cell.num_units; ++i) {
+      unit_stats[on].push_back(cell.UnitStats(i));
     }
   }
 
@@ -162,21 +165,56 @@ INSTANTIATE_TEST_SUITE_P(
 // equivalence runs above only if warmup straddles a quiet stretch; pin it
 // with a warmup window placed mid-sleep.
 TEST(TimeSkipHorizonTest, PhaseBoundaryInsideAQuietStretchStaysExact) {
-  CellResult results[2];
-  for (int on = 0; on < 2; ++on) {
-    CellConfig config = BaseConfig(StrategyKind::kTs, 0.0);
-    config.renewal_sleep = true;
-    config.mean_awake_seconds = 8.0;
-    config.mean_sleep_seconds = 600.0;
-    config.quiet_elision = on == 1;
-    Cell cell(config);
-    ASSERT_TRUE(cell.Build().ok());
-    // Long warmup: with ~60-interval sleep stretches the boundary at
-    // interval 20 almost surely lands mid-stretch.
-    ASSERT_TRUE(cell.Run(20, 60).ok());
-    results[on] = cell.result();
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    CellResult results[2];
+    uint64_t skipped = 0;
+    for (int on = 0; on < 2; ++on) {
+      MegaCellConfig mc;
+      mc.cell = BaseConfig(StrategyKind::kTs, 0.0);
+      mc.cell.renewal_sleep = true;
+      mc.cell.mean_awake_seconds = 8.0;
+      mc.cell.mean_sleep_seconds = 600.0;
+      mc.cell.quiet_elision = on == 1;
+      mc.num_shards = shards;
+      MegaCell cell(mc);
+      ASSERT_TRUE(cell.Build().ok());
+      // Long warmup: with ~60-interval sleep stretches the boundary at
+      // interval 20 almost surely lands mid-stretch.
+      ASSERT_TRUE(cell.Run(20, 60).ok());
+      results[on] = cell.result();
+      if (on == 1) skipped = cell.server()->skipped_dispatches();
+    }
+    ExpectResultsIdenticalWithEvents(results[1], results[0]);
+    EXPECT_GT(skipped, 0u) << "time skip never engaged";
   }
-  ExpectResultsIdenticalWithEvents(results[1], results[0]);
+}
+
+// An idle cell — every unit asleep for the whole run — must skip at any
+// shard count: the per-shard wake indexes aggregate into one horizon, and
+// the engine's quiet windows span whole sleep stretches.
+TEST(TimeSkipShardTest, IdleCellSkipsAtAnyShardCount) {
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    CellResult results[2];
+    uint64_t skipped[2] = {0, 0};
+    for (int on = 0; on < 2; ++on) {
+      MegaCellConfig mc;
+      mc.cell = BaseConfig(StrategyKind::kTs, 1.0);
+      mc.cell.quiet_elision = on == 1;
+      mc.num_shards = shards;
+      MegaCell cell(mc);
+      ASSERT_TRUE(cell.Build().ok());
+      ASSERT_TRUE(cell.Run(4, 80).ok());
+      results[on] = cell.result();
+      skipped[on] = cell.server()->skipped_dispatches();
+    }
+    ExpectResultsIdenticalWithEvents(results[1], results[0]);
+    EXPECT_EQ(results[1].quiet_report_intervals, 80u);
+    EXPECT_GT(results[1].quiet_skipped_intervals, 0u);
+    EXPECT_EQ(skipped[0], 0u);
+    EXPECT_GT(skipped[1], 0u) << "time skip never engaged";
+  }
 }
 
 // ---------------------------------------------------------------------------

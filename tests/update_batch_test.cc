@@ -1,6 +1,6 @@
 // Contracts of the batched interval update kernel (db/update_generator.cc
-// batch mode + Database::ApplyUpdateBatch) and quiet-stretch journal
-// elision (digest-only buckets):
+// batch mode + Database::ApplyUpdateBatch) and digest-only journal
+// buckets:
 //
 //  * RNG replay: the batched drain applies the exact (item, time) sequence
 //    the per-event engine dispatches — same seed, same draws, bit-identical
@@ -8,13 +8,14 @@
 //    regardless of where the pump points fall.
 //  * Journal digests: a database whose buckets were laid down digest-only
 //    answers UpdatedIn / CountUpdatedIn exactly like a raw-journal twin,
-//    and a journal-quiescent cell (SIG) produces byte-identical results
-//    with elision on and off while actually eliding buckets.
-//  * Engines: MegaCell at shard counts {1, 4, 8} matches the classic Cell
-//    with batching on, including the applied-update count.
-//  * Allocation-freedom: once the staging buffers exist, the drain loop and
-//    the warm full-cell steady state (pump + elided journal appends)
-//    perform zero heap allocations.
+//    and a SIG cell — digest-only by its retention class — produces
+//    byte-identical results with quiet elision on and off and with an
+//    answer observer's raw-journal floor.
+//  * Engines: shard counts {2, 4, 8} match the 1-shard run with batching
+//    on, including the applied-update count.
+//  * Allocation-freedom: once the staging buffers exist, the drain loop
+//    performs zero heap allocations, and a warm full cell (pump + elided
+//    journal appends) none per extra interval.
 
 #include <atomic>
 #include <cstdint>
@@ -27,7 +28,6 @@
 
 #include "db/database.h"
 #include "db/update_generator.h"
-#include "exp/cell.h"
 #include "exp/megacell.h"
 #include "mu/mobile_unit.h"
 #include "sim/simulator.h"
@@ -155,16 +155,15 @@ TEST(JournalElisionDigestTest, ElidedBucketsAnswerWindowQueriesExactly) {
   Database elided(kN, /*seed=*/99);
   raw.SetJournalBucketWidth(kWidth);
   elided.SetJournalBucketWidth(kWidth);
-  elided.EnableJournalElision();
+  elided.SetRetention(JournalRetention::kDigestOnly);
 
   // Six buckets of a deterministic LCG-derived stream with plenty of
   // repeated ids (dedup inside elided buckets) and cross-bucket repeats
-  // (the is-still-latest filter). Buckets 1, 2, and 4 are laid down
-  // digest-only in the elided database.
+  // (the is-still-latest filter). Every bucket of the digest-only database
+  // is laid down elided.
   uint64_t x = 12345;
   SimTime t = 0.0;
   for (int bucket = 0; bucket < 6; ++bucket) {
-    elided.SetJournalElideHint(bucket == 1 || bucket == 2 || bucket == 4);
     for (int i = 0; i < 40; ++i) {
       x = x * 6364136223846793005ULL + 1442695040888963407ULL;
       const ItemId id = static_cast<ItemId>((x >> 33) % kN);
@@ -174,11 +173,11 @@ TEST(JournalElisionDigestTest, ElidedBucketsAnswerWindowQueriesExactly) {
       elided.ApplyUpdate(id, t);
     }
   }
-  EXPECT_EQ(elided.elided_journal_buckets(), 3u);
+  EXPECT_EQ(elided.elided_journal_buckets(), 6u);
   EXPECT_EQ(raw.elided_journal_buckets(), 0u);
 
-  // Windows: bucket-aligned, partial, spanning elided and raw buckets, and
-  // entirely inside an elided bucket.
+  // Windows: bucket-aligned, partial, spanning several buckets, and
+  // entirely inside one bucket.
   const struct {
     SimTime lo, hi;
   } windows[] = {{0.0, 60.0},  {10.0, 30.0}, {12.5, 47.3},
@@ -217,8 +216,8 @@ void ExpectUnitStatsEqual(const MobileUnitStats& a, const MobileUnitStats& b) {
   EXPECT_EQ(a.answer_latency.sum(), b.answer_latency.sum());
 }
 
-// Everything except quiet_skipped_intervals (engine-dependent diagnostic)
-// and sim_events (the sharded engine dispatches extra barrier events).
+// Everything a run exposes except quiet_skipped_intervals and sim_events,
+// which differ between quiet elision on and off by design.
 void ExpectResultsIdentical(const CellResult& a, const CellResult& b) {
   EXPECT_EQ(a.queries_answered, b.queries_answered);
   EXPECT_EQ(a.hits, b.hits);
@@ -260,34 +259,43 @@ CellConfig BaseConfig(StrategyKind kind, double s) {
   return config;
 }
 
-// A journal-quiescent strategy (SIG) must produce byte-identical runs with
-// quiet elision on and off. SIG declares kDigestOnly retention, so *every*
-// bucket is digest-only in both runs (the representation is a strategy
-// contract now, not a quiet-stretch heuristic) — equal bucket counts and
-// identical results prove the digest path serves both configurations.
+// SIG declares kDigestOnly retention, so every bucket is digest-only
+// whatever the quiet-elision setting — the representation follows the
+// retention class alone — and an answer observer's kFullWindow floor keeps
+// every bucket raw (its VersionAt audits must never meet an elided one).
+// All three configurations run byte-identically.
 TEST(JournalElisionCellTest, SigRunsAreByteIdenticalWithElisionOnAndOff) {
   for (double s : {0.9, 1.0}) {
     SCOPED_TRACE("s=" + std::to_string(s));
-    CellResult results[2];
-    uint64_t elided_buckets[2] = {0, 0};
-    bool armed[2] = {false, false};
-    for (int on = 0; on < 2; ++on) {
-      CellConfig config = BaseConfig(StrategyKind::kSig, s);
-      config.quiet_elision = on == 1;
-      Cell cell(config);
+    CellResult results[3];
+    uint64_t elided_buckets[3] = {0, 0, 0};
+    JournalRetention retention[3] = {};
+    for (int run = 0; run < 3; ++run) {
+      MegaCellConfig mc;
+      mc.cell = BaseConfig(StrategyKind::kSig, s);
+      mc.cell.quiet_elision = run != 0;
+      MegaCell cell(mc);
       ASSERT_TRUE(cell.Build().ok());
+      if (run == 2) {
+        for (MobileUnit* unit : cell.units()) {
+          unit->SetAnswerObserver([](ItemId, uint64_t, SimTime, bool) {});
+        }
+      }
       ASSERT_TRUE(cell.Run(4, 50).ok());
-      results[on] = cell.result();
-      elided_buckets[on] = cell.db()->elided_journal_buckets();
-      armed[on] = cell.server()->journal_elision_armed();
+      results[run] = cell.result();
+      elided_buckets[run] = cell.db()->elided_journal_buckets();
+      retention[run] = cell.db()->retention();
     }
     ExpectResultsIdentical(results[1], results[0]);
-    EXPECT_FALSE(armed[0]);
-    EXPECT_TRUE(armed[1]);
-    // kDigestOnly retention elides every bucket regardless of the
-    // quiet-elision config — same count either way, never zero.
+    ExpectResultsIdentical(results[2], results[1]);
+    EXPECT_EQ(results[2].quiet_skipped_intervals,
+              results[1].quiet_skipped_intervals);
+    EXPECT_EQ(retention[0], JournalRetention::kDigestOnly);
+    EXPECT_EQ(retention[1], JournalRetention::kDigestOnly);
+    EXPECT_EQ(retention[2], JournalRetention::kFullWindow);
     EXPECT_EQ(elided_buckets[0], elided_buckets[1]);
     EXPECT_GT(elided_buckets[0], 0u);
+    EXPECT_EQ(elided_buckets[2], 0u);
     if (s == 1.0) {
       // Everyone asleep: every measured interval elides its broadcast.
       EXPECT_GT(results[1].quiet_skipped_intervals, 0u);
@@ -297,30 +305,30 @@ TEST(JournalElisionCellTest, SigRunsAreByteIdenticalWithElisionOnAndOff) {
 
 TEST(UpdateBatchEngineTest, MegaCellMatchesCellAcrossShardCounts) {
   for (StrategyKind kind : {StrategyKind::kTs, StrategyKind::kSig}) {
-    CellConfig config = BaseConfig(kind, 0.9);
-    config.num_units = 16;
+    MegaCellConfig one;
+    one.cell = BaseConfig(kind, 0.9);
+    one.cell.num_units = 16;
+    MegaCell reference(one);
+    ASSERT_TRUE(reference.Build().ok());
+    ASSERT_TRUE(reference.Run(4, 50).ok());
+    const CellResult reference_result = reference.result();
+    EXPECT_GT(reference_result.updates_applied, 0u);
 
-    Cell classic(config);
-    ASSERT_TRUE(classic.Build().ok());
-    ASSERT_TRUE(classic.Run(4, 50).ok());
-    const CellResult classic_result = classic.result();
-    EXPECT_GT(classic_result.updates_applied, 0u);
-
-    for (uint32_t shards : {1u, 4u, 8u}) {
+    for (uint32_t shards : {2u, 4u, 8u}) {
       SCOPED_TRACE(std::string(StrategyName(kind)) + " shards=" +
                    std::to_string(shards));
-      MegaCellConfig mc;
-      mc.cell = config;
+      MegaCellConfig mc = one;
       mc.num_shards = shards;
       MegaCell mega(mc);
       ASSERT_TRUE(mega.Build().ok());
       ASSERT_TRUE(mega.Run(4, 50).ok());
 
       const CellResult& m = mega.result();
-      ExpectResultsIdentical(m, classic_result);
-      for (uint64_t i = 0; i < config.num_units; ++i) {
+      ExpectResultsIdentical(m, reference_result);
+      EXPECT_EQ(m.sim_events, reference_result.sim_events);
+      for (uint64_t i = 0; i < mc.cell.num_units; ++i) {
         SCOPED_TRACE("unit " + std::to_string(i));
-        ExpectUnitStatsEqual(mega.UnitStats(i), classic.units()[i]->stats());
+        ExpectUnitStatsEqual(mega.UnitStats(i), reference.UnitStats(i));
       }
     }
   }
@@ -351,30 +359,37 @@ TEST(UpdateBatchAllocationTest, DrainLoopAllocatesNothing) {
 }
 
 // Full-cell steady state: with every unit asleep under SIG, the measured
-// span covers elided broadcasts, batched pumps, and digest-only journal
-// appends — none of which may allocate once warm.
+// intervals cover elided broadcasts, batched pumps, and digest-only journal
+// appends — none of which may allocate once warm, so two runs that differ
+// only in measured intervals allocate equally often.
 TEST(UpdateBatchAllocationTest, WarmElidedCellSteadyStateAllocatesNothing) {
-  CellConfig config = BaseConfig(StrategyKind::kSig, 1.0);
-  config.model.lambda = 0.0;
-  config.num_units = 8;
-  Cell cell(config);
-  ASSERT_TRUE(cell.Build().ok());
-  ASSERT_TRUE(cell.updates()->batch_mode());
-  ASSERT_TRUE(cell.updates()->Start().ok());
-  for (MobileUnit* unit : cell.units()) {
-    ASSERT_TRUE(unit->Start().ok());
-  }
-  ASSERT_TRUE(cell.server()->Start().ok());
-  const double L = cell.config().model.L;
-  cell.sim()->RunUntil(L * 60.0 + 0.5 * L);
-
-  const size_t before = g_new_calls.load();
-  cell.sim()->RunUntil(L * 110.0 + 0.5 * L);
-  EXPECT_EQ(g_new_calls.load() - before, 0u)
+  auto run_allocs = [](uint64_t measure, size_t* allocs, CellResult* result,
+                       uint64_t* elided_buckets) {
+    const size_t before = g_new_calls.load();
+    MegaCellConfig mc;
+    mc.cell = BaseConfig(StrategyKind::kSig, 1.0);
+    mc.cell.model.lambda = 0.0;
+    mc.cell.num_units = 8;
+    MegaCell cell(mc);
+    ASSERT_TRUE(cell.Build().ok());
+    ASSERT_TRUE(cell.updates()->batch_mode());
+    ASSERT_TRUE(cell.Run(60, measure).ok());
+    *result = cell.result();
+    *elided_buckets = cell.db()->elided_journal_buckets();
+    *allocs = g_new_calls.load() - before;
+  };
+  size_t short_allocs = 0, long_allocs = 0;
+  CellResult short_run, long_run;
+  uint64_t short_elided = 0, long_elided = 0;
+  ASSERT_NO_FATAL_FAILURE(
+      run_allocs(50, &short_allocs, &short_run, &short_elided));
+  ASSERT_NO_FATAL_FAILURE(
+      run_allocs(100, &long_allocs, &long_run, &long_elided));
+  EXPECT_EQ(long_allocs, short_allocs)
       << "warm batched steady state allocated";
-  EXPECT_GT(cell.server()->stats().quiet_skipped_intervals, 0u);
-  EXPECT_GT(cell.updates()->batched_updates_applied(), 0u);
-  EXPECT_GT(cell.db()->elided_journal_buckets(), 0u);
+  EXPECT_GT(long_run.quiet_skipped_intervals, 0u);
+  EXPECT_GT(long_run.updates_applied, short_run.updates_applied);
+  EXPECT_GT(long_elided, short_elided);
 }
 
 }  // namespace

@@ -129,12 +129,6 @@ TEST(RandomTest, PoissonMeanSmallAndLarge) {
   EXPECT_EQ(rng.Poisson(0.0), 0u);
 }
 
-TEST(RandomTest, SubstreamsDiffer) {
-  Rng a = Rng::Substream(1, 0);
-  Rng b = Rng::Substream(1, 1);
-  EXPECT_NE(a.NextBits(), b.NextBits());
-}
-
 TEST(ZipfTest, UniformWhenThetaZero) {
   ZipfDistribution zipf(10, 0.0);
   for (uint64_t i = 0; i < 10; ++i) EXPECT_NEAR(zipf.Pmf(i), 0.1, 1e-12);

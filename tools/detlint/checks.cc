@@ -125,9 +125,9 @@ constexpr std::array kShardPhasePrefixes = {
 /// Control-plane calls (Start/Stop/ResetStats/SetDeliverySink/...) are not
 /// listed: wiring happens before the gang exists.
 constexpr std::array kServerPhaseMutators = {
-    "Broadcast",     "Deliver",           "ConsumeDelivery",
-    "FanOutReport",  "AcquireReportSlot", "SkipToNextInterestingTime",
-    "AccountUplinkQuery", "SettleUnitStats", "AttachUnit",
+    "Broadcast",         "StepInterval",       "Send",
+    "Deliver",           "ConsumeDelivery",    "AcquireReportSlot",
+    "SkipToNextInterestingTime", "AccountUplinkQuery",
 };
 
 /// phase-discipline: the sanctioned crossings — functions that run strictly

@@ -13,7 +13,7 @@ void MobileUnit::ReportDirectly(Server* server, const UplinkQueryInfo& info) {
 
 void MobileUnit::DrainDirectly(Server& server, uint64_t interval) {
   server.Broadcast(interval);  // detlint:expect(phase-discipline)
-  Server::SettleUnitStats();   // detlint:expect(phase-discipline)
+  Server::SkipToNextInterestingTime();  // detlint:expect(phase-discipline)
 }
 
 }  // namespace mobicache

@@ -16,9 +16,9 @@ void MegaCell::ReplayWindow(Server* server) {
   }
 }
 
-void MegaCell::SettleAfterBarrier(Server* server) {
+void MegaCell::StepAfterBarrier(Server* server, uint64_t interval) {
   // detlint:allow-function(phase-discipline) reviewed post-barrier helper
-  server->SettleUnitStats();
+  server->StepInterval(interval, 0.0);
 }
 
 }  // namespace mobicache
