@@ -192,12 +192,16 @@ int RunFigureBench(PaperScenario scenario,
   double update_seconds = 0.0;
   uint64_t updates_applied = 0;
   uint64_t journal_peak = 0;
-  uint64_t retention_cells[4] = {0, 0, 0, 0};  // by JournalRetention
+  // Cells per JournalRetention class. The enum is ordered by what each
+  // class can answer, so kFullWindow is its last value.
+  constexpr size_t kRetentionClasses =
+      static_cast<size_t>(JournalRetention::kFullWindow) + 1;
+  uint64_t retention_cells[kRetentionClasses] = {};
   for (const SweepResult::CellTiming& t : result->cell_timings) {
     update_seconds += t.update_seconds;
     updates_applied += t.updates_applied;
     journal_peak += t.journal_bytes_peak;
-    for (uint8_t c = 0; c < 4; ++c) {
+    for (size_t c = 0; c < kRetentionClasses; ++c) {
       const char* name = JournalRetentionName(static_cast<JournalRetention>(c));
       if (std::strcmp(t.retention_class, name) == 0) ++retention_cells[c];
     }
@@ -212,14 +216,14 @@ int RunFigureBench(PaperScenario scenario,
                 simd::ActiveKernelName());
   }
   if (!result->cell_timings.empty()) {
-    std::printf(
-        "journal peak %.2f MB summed over cells  "
-        "(retention: %llu full, %llu digest, %llu dirty, %llu none)\n",
-        static_cast<double>(journal_peak) / (1024.0 * 1024.0),
-        static_cast<unsigned long long>(retention_cells[3]),
-        static_cast<unsigned long long>(retention_cells[2]),
-        static_cast<unsigned long long>(retention_cells[1]),
-        static_cast<unsigned long long>(retention_cells[0]));
+    std::printf("journal peak %.2f MB summed over cells  (retention:",
+                static_cast<double>(journal_peak) / (1024.0 * 1024.0));
+    for (size_t c = kRetentionClasses; c-- > 0;) {
+      std::printf("%s %llu %s", c + 1 == kRetentionClasses ? "" : ",",
+                  static_cast<unsigned long long>(retention_cells[c]),
+                  JournalRetentionName(static_cast<JournalRetention>(c)));
+    }
+    std::printf(")\n");
   }
   if (!csv_path.empty()) {
     std::ofstream csv(csv_path);

@@ -89,7 +89,7 @@ struct BenchRecord {
     uint64_t replay_records = 0;
     double update_seconds = 0.0;
     uint64_t updates_applied = 0;
-    /// Journal retention class the cell's strategy armed ("none", "digest",
+    /// Journal retention class the cell's strategy armed ("none", "dirty",
     /// "full") and the journal's byte high-water mark over the cell's run.
     std::string retention_class = "full";
     uint64_t journal_bytes_peak = 0;

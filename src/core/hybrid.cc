@@ -34,50 +34,22 @@ HybridSigServerStrategy::HybridSigServerStrategy(
   assert(family->n() == db->size());
 }
 
-void HybridSigServerStrategy::AttachUpdateFeed(Database* db) {
-  // Collect dirty ids as updates land instead of re-querying the journal
-  // per report (see SigServerStrategy::AttachUpdateFeed).
-  dirty_flags_.assign(db->size(), 0);
-  // One entry per item at most (the flags dedup); reserve the bound so the
-  // observer never allocates across elided quiet stretches.
-  dirty_ids_.reserve(db->size());
-  db->AddUpdateObserver([this](ItemId id, SimTime) {
-    if (!dirty_flags_[id]) {
-      dirty_flags_[id] = 1;
-      dirty_ids_.push_back(id);
-    }
-  });
-  feed_attached_ = true;
-}
-
 void HybridSigServerStrategy::FoldChangesThrough(
     SimTime now, std::vector<ItemId>* hot_out) {
-  // One pass over the changes: hot changes are listed explicitly, cold
-  // changes fold into the combined signatures.
-  if (feed_attached_) {
-    for (ItemId id : dirty_ids_) {
-      dirty_flags_[id] = 0;
-      if (std::binary_search(hot_set_.begin(), hot_set_.end(), id)) {
-        if (db_->LastUpdateOf(id) > now - latency_) {
-          // Appends to the caller's hot list — the broadcast path hands in
-          // the reused report's storage. detlint:allow(alloc-event-path)
-          hot_out->push_back(id);
-        }
-      } else {
-        state_.OnItemChanged(id);
+  // One pass over the items changed since the last fold (the window and
+  // its broadcast-instant exception are SigServerStrategy's): hot changes
+  // are listed explicitly — in the query's ascending id order, so the list
+  // needs no sort — and cold changes fold into the combined signatures.
+  db_->UpdatedIn(last_folded_, now, &changed_);
+  for (const UpdatedItem& item : changed_) {
+    if (std::binary_search(hot_set_.begin(), hot_set_.end(), item.id)) {
+      if (item.updated_at > now - latency_) {
+        // Appends to the caller's hot list — the broadcast path hands in
+        // the reused report's storage. detlint:allow(alloc-event-path)
+        hot_out->push_back(item.id);
       }
-    }
-    dirty_ids_.clear();
-  } else {
-    for (const UpdatedItem& item : db_->UpdatedIn(last_folded_, now)) {
-      if (std::binary_search(hot_set_.begin(), hot_set_.end(), item.id)) {
-        if (item.updated_at > now - latency_) {
-          // Same caller-owned hot list as above. detlint:allow(alloc-event-path)
-          hot_out->push_back(item.id);
-        }
-      } else {
-        state_.OnItemChanged(item.id);
-      }
+    } else {
+      state_.OnItemChanged(item.id);
     }
   }
   last_folded_ = now;
@@ -88,7 +60,6 @@ Report HybridSigServerStrategy::BuildReport(SimTime now, uint64_t interval) {
   report.interval = interval;
   report.timestamp = now;
   FoldChangesThrough(now, &report.hot_ids);
-  std::sort(report.hot_ids.begin(), report.hot_ids.end());
   report.combined = state_.Combined();
   return report;
 }
@@ -102,7 +73,6 @@ void HybridSigServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
   hy->timestamp = now;
   hy->hot_ids.clear();
   FoldChangesThrough(now, &hy->hot_ids);
-  std::sort(hy->hot_ids.begin(), hy->hot_ids.end());
   const std::vector<uint64_t>& combined = state_.Combined();
   // Fills the reused report's retained capacity (signature width is fixed
   // after setup). detlint:allow(alloc-event-path)
@@ -115,7 +85,6 @@ bool HybridSigServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
   (void)interval;
   quiet_hot_scratch_.clear();
   FoldChangesThrough(now, &quiet_hot_scratch_);
-  std::sort(quiet_hot_scratch_.begin(), quiet_hot_scratch_.end());
   quiet_now_ = now;
   // Hot half AT-style plus m cold signatures (§10 weighted accounting).
   *bits = quiet_hot_scratch_.size() * sizes.id_bits +

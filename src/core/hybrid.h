@@ -34,20 +34,19 @@ class HybridSigServerStrategy : public ServerStrategy {
                     uint64_t* bits) override;
   void MaterializeQuietInto(SimTime now, uint64_t interval,
                             Report* out) override;
-  void AttachUpdateFeed(Database* db) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
-  /// No hybrid code path reads raw journal entries (JournalIn / VersionAt),
-  /// so every bucket may hold just the per-interval digest.
+  /// As for SIG: the fold's window query, whose lo never decreases, is the
+  /// only history hybrid reads, so the dirty set serves it.
   JournalRetention retention() const override {
-    return JournalRetention::kDigestOnly;
+    return JournalRetention::kDirtySet;
   }
 
   const std::vector<ItemId>& hot_set() const { return hot_set_; }
 
  private:
   /// One pass over the changes since the last snapshot: cold changes fold
-  /// into the combined signatures, changed hot ids land in `*hot_out`
-  /// (unsorted — callers sort).
+  /// into the combined signatures, changed hot ids are appended to
+  /// `*hot_out` in ascending id order.
   void FoldChangesThrough(SimTime now, std::vector<ItemId>* hot_out);
 
   const Database* db_;
@@ -56,11 +55,7 @@ class HybridSigServerStrategy : public ServerStrategy {
   std::vector<ItemId> hot_set_;
   ServerSignatureState state_;
   SimTime last_folded_ = 0.0;
-  // Dirty-id set fed by the database observer (when attached); replaces the
-  // per-report UpdatedIn journal scan.
-  bool feed_attached_ = false;
-  std::vector<uint8_t> dirty_flags_;
-  std::vector<ItemId> dirty_ids_;
+  std::vector<UpdatedItem> changed_;  // fold scratch, reused across reports
   // Hot ids of the interval most recently consumed by AdvanceQuiet, kept so
   // MaterializeQuietInto can reconstruct the elided report.
   std::vector<ItemId> quiet_hot_scratch_;

@@ -13,36 +13,18 @@ SigServerStrategy::SigServerStrategy(const Database* db,
   assert(family->n() == db->size());
 }
 
-void SigServerStrategy::AttachUpdateFeed(Database* db) {
-  // Collect dirty ids as updates land instead of re-querying the journal
-  // per report; OnItemChanged reads the current value, so folding once per
-  // dirty id at report time is exact.
-  dirty_flags_.assign(db->size(), 0);
-  // The flags dedup caps the list at one entry per item; size it for that
-  // bound up front so the observer never allocates, even when elided quiet
-  // stretches let dirty ids pile up across many unreported intervals.
-  dirty_ids_.reserve(db->size());
-  db->AddUpdateObserver([this](ItemId id, SimTime) {
-    if (!dirty_flags_[id]) {
-      dirty_flags_[id] = 1;
-      dirty_ids_.push_back(id);
-    }
-  });
-  feed_attached_ = true;
-}
-
 void SigServerStrategy::FoldChangesThrough(SimTime now) {
-  if (feed_attached_) {
-    for (ItemId id : dirty_ids_) {
-      state_.OnItemChanged(id);
-      dirty_flags_[id] = 0;
-    }
-    dirty_ids_.clear();
-  } else {
-    for (const UpdatedItem& item : db_->UpdatedIn(last_folded_, now)) {
-      state_.OnItemChanged(item.id);
-    }
-  }
+  // The items whose latest update lies in (last_folded_, now]: the server
+  // drains updates strictly before each broadcast instant, so these are
+  // exactly the items changed since the previous fold. OnItemChanged reads
+  // the current value and XORs a per-item delta, so folding each changed id
+  // once, in any order, is exact. One exception: an update stamped exactly
+  // at a broadcast instant T is applied after that broadcast's fold and
+  // lies outside (T, T + L], so it reaches the signatures with the item's
+  // next change. Update times are continuous draws, so that coincidence is
+  // vanishingly rare.
+  db_->UpdatedIn(last_folded_, now, &changed_);
+  for (const UpdatedItem& item : changed_) state_.OnItemChanged(item.id);
   last_folded_ = now;
 }
 

@@ -32,13 +32,12 @@ class SigServerStrategy : public ServerStrategy {
                     uint64_t* bits) override;
   void MaterializeQuietInto(SimTime now, uint64_t interval,
                             Report* out) override;
-  void AttachUpdateFeed(Database* db) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
-  /// With the feed attached, FoldChangesThrough reads only the dirty set,
-  /// and no SIG code path reads raw journal entries (JournalIn /
-  /// VersionAt), so every bucket may hold just the per-interval digest.
+  /// The only history SIG reads is FoldChangesThrough's window query, whose
+  /// lo (the previous fold) never decreases: the database's dirty set
+  /// answers it exactly, with no journal.
   JournalRetention retention() const override {
-    return JournalRetention::kDigestOnly;
+    return JournalRetention::kDirtySet;
   }
 
  private:
@@ -51,11 +50,7 @@ class SigServerStrategy : public ServerStrategy {
   SimTime latency_;
   ServerSignatureState state_;
   SimTime last_folded_ = 0.0;  // updates up to here are in `state_`
-  // Dirty-id set fed by the database observer (when attached); replaces the
-  // per-report UpdatedIn journal scan.
-  bool feed_attached_ = false;
-  std::vector<uint8_t> dirty_flags_;
-  std::vector<ItemId> dirty_ids_;
+  std::vector<UpdatedItem> changed_;  // fold scratch, reused across reports
 };
 
 /// SIG client half. Its view interns baselines in `family`'s pool, so the

@@ -116,9 +116,9 @@ class ServerStrategy {
   virtual void MaterializeQuietInto(SimTime now, uint64_t interval,
                                     Report* out);
 
-  /// Called once before the broadcast schedule starts. Strategies that
-  /// maintain state incrementally (e.g. SIG's combined signatures) register
-  /// update observers here instead of rescanning the database per report.
+  /// A no-op that no strategy overrides and the server does not call:
+  /// every strategy reads update history through the database's window
+  /// queries. Kept because perfbench's server probe still calls it.
   virtual void AttachUpdateFeed(Database* db) { (void)db; }
 
   /// The journal retention class this strategy requires of the server's
@@ -127,10 +127,8 @@ class ServerStrategy {
   /// through the cell drivers — possibly raised by an instrumentation floor
   /// (Server::SetRetentionFloor). kNone strategies never read update
   /// history at all; kDirtySet strategies only window-query with a lo that
-  /// never decreases (AT, grouped AT); kDigestOnly strategies consume
-  /// updates exclusively through the attached feed and window queries that
-  /// per-interval digests can serve exactly; the kFullWindow default keeps
-  /// raw entries over the report window.
+  /// never decreases (AT, grouped AT, SIG, hybrid); the kFullWindow default
+  /// keeps raw entries over the report window.
   virtual JournalRetention retention() const {
     return JournalRetention::kFullWindow;
   }

@@ -18,21 +18,14 @@ namespace {
 /// the bucket's parallel SoA arrays.
 constexpr uint64_t kRawEntryBytes = sizeof(SimTime) + sizeof(ItemId);
 
-/// Primary storage cost of one elided digest entry: the UpdatedItem plus the
-/// recorded slab version (digest_versions slot). Counted for the entry's
-/// lifetime even after a lazy sort drops the versions — the summary's
-/// retained footprint, not the transient vector sizes, is what the
-/// journal_bytes_peak diagnostic reports.
-constexpr uint64_t kDigestEntryBytes = sizeof(UpdatedItem) + sizeof(uint64_t);
-
 /// Lines of slack the digest walk prefetches ahead of the filter cursor —
 /// far enough to cover a memory round-trip at 4 digest entries per step,
 /// near enough that the line is still resident when the cursor arrives.
 constexpr size_t kDigestPrefetchDistance = 8;
 
 /// Entries of slack the batched update walk prefetches ahead of the apply
-/// cursor. Each entry touches one random hot-slab line (plus a mark line
-/// when eliding); eight entries of lead time covers a DRAM round-trip.
+/// cursor. Each entry touches one random hot-slab line; eight entries of
+/// lead time covers a DRAM round-trip.
 constexpr size_t kBatchPrefetchDistance = 8;
 
 /// Recycled bucket storages kept around after pruning. The server batches
@@ -73,8 +66,6 @@ const char* JournalRetentionName(JournalRetention retention) {
       return "none";
     case JournalRetention::kDirtySet:
       return "dirty";
-    case JournalRetention::kDigestOnly:
-      return "digest";
     case JournalRetention::kFullWindow:
       return "full";
   }
@@ -144,35 +135,14 @@ void Database::PushBucket(int64_t index) {
     b.times.clear();
     b.ids.clear();
     b.digest.clear();
-    b.digest_versions.clear();
     b.digest_built = false;
     b.sealed = false;
-    b.digest_only = false;
-    b.raw_count = 0;
-    b.first_time = 0.0;
-    b.last_time = 0.0;
   } else {
     buckets_.emplace_back();
     buckets_.back().index = index;
   }
   Bucket& b = buckets_.back();
-  // Representation is fixed at bucket open by the retention class.
-  if (retention_ == JournalRetention::kDigestOnly) {
-    b.digest_only = true;
-    ++elide_epoch_;
-    ++elided_buckets_;
-    assert(elide_epoch_ < (uint64_t{1} << 32) && "elide epoch overflow");
-    // Reserve well past the largest digest any sealed elided bucket has
-    // needed, so the append path stays allocation-free once warm (recycled
-    // buckets carry their capacity; fresh ones pay once, here). The floor
-    // absorbs the first buckets, before the high-water mark means anything.
-    const size_t want = std::min(static_cast<size_t>(n_),
-                                 std::max<size_t>(64, 2 * digest_high_water_));
-    if (b.digest.capacity() < want) {
-      b.digest.reserve(want);
-      b.digest_versions.reserve(want);
-    }
-  } else if (b.times.capacity() < raw_high_water_) {
+  if (b.times.capacity() < raw_high_water_) {
     // Recycled shells carry whatever capacity their last bucket needed. One
     // below the record is topped up to twice it, so appends stay
     // allocation-free — and shells are not topped up again — until a bucket
@@ -189,26 +159,18 @@ void Database::RecycleBucket(Bucket* bucket) {
   spare_buckets_.push_back(std::move(*bucket));
 }
 
-void Database::AppendJournal(ItemId id, SimTime now, uint64_t version) {
+void Database::AppendJournal(ItemId id, SimTime now) {
   const int64_t idx = BucketIndexFor(now);
   if (buckets_.empty()) {
     PushBucket(idx);
   } else if (idx > buckets_.back().index) {
     Bucket& closing = buckets_.back();
     closing.sealed = true;
-    if (closing.digest_only) {
-      digest_high_water_ = std::max(digest_high_water_, closing.digest.size());
-    } else {
-      raw_high_water_ = std::max(raw_high_water_, closing.times.size());
-    }
+    raw_high_water_ = std::max(raw_high_water_, closing.times.size());
     PushBucket(idx);
   }
   Bucket& tail = buckets_.back();
   ++journal_entries_;
-  if (tail.digest_only) {
-    AppendJournalElided(id, now, version);
-    return;
-  }
   // Appends land in capacity reserved at bucket open (twice the raw
   // high-water mark; see PushBucket).
   // detlint:allow(alloc-event-path)
@@ -219,38 +181,16 @@ void Database::AppendJournal(ItemId id, SimTime now, uint64_t version) {
   append_ids_cursor_ = tail.ids.data() + tail.ids.size();
 }
 
-void Database::AppendJournalElided(ItemId id, SimTime now, uint64_t version) {
-  Bucket& tail = buckets_.back();
-  if (tail.raw_count == 0) tail.first_time = now;
-  tail.last_time = now;
-  ++tail.raw_count;
-  uint64_t& mark = elide_marks_[id];
-  if ((mark >> 32) == elide_epoch_) {
-    // The id already has an entry in this bucket; this update supersedes it
-    // as the latest (an exact time tie included: one change, one entry).
-    const size_t slot = static_cast<uint32_t>(mark);
-    tail.digest[slot].updated_at = now;
-    tail.digest_versions[slot] = version;
-    return;
-  }
-  mark = (elide_epoch_ << 32) | static_cast<uint32_t>(tail.digest.size());
-  // Lands in the digest capacity reserved at bucket open (2x the digest
-  // high-water mark); see PushBucket. detlint:allow(alloc-event-path)
-  tail.digest.push_back(UpdatedItem{id, now});
-  tail.digest_versions.push_back(version);  // detlint:allow(alloc-event-path) same reservation
-  journal_bytes_ += kDigestEntryBytes;
-}
-
 void Database::ApplyUpdate(ItemId id, SimTime now) {
   assert(id < n_);
   assert(journal_entries_ == 0 || now >= JournalTailTime());
   HotItem& item = hot_[id];
   ++item.version;
   item.last_update = now;
-  if (journal_enabled_) AppendJournal(id, now, item.version);
+  if (journal_enabled_) AppendJournal(id, now);
   if (dirty_set_) MarkDirty(&id, 1);
   ++total_updates_;
-  DispatchUpdateObservers(id, now);
+  if (observer_) observer_(id, now);
 }
 
 void Database::ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
@@ -265,8 +205,7 @@ void Database::ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
     assert(i == 0 || times[i] >= times[i - 1]);
   }
 #endif
-  const bool observed = single_observer_ != nullptr || multi_observers_;
-  if (!observed) {
+  if (!observer_) {
     if (journal_enabled_) {
       ApplyBatchJournal(ids, times, count);
     } else {
@@ -288,11 +227,11 @@ void Database::ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
       HotItem& item = hot_[id];
       ++item.version;
       item.last_update = now;
-      if (journal_enabled_) AppendJournal(id, now, item.version);
-      // Marked before the observers run, so one that window-queries sees
+      if (journal_enabled_) AppendJournal(id, now);
+      // Marked before the observer runs, so one that window-queries sees
       // exactly the state a lone ApplyUpdate would leave.
       if (dirty_set_) MarkDirty(&id, 1);
-      DispatchUpdateObservers(id, now);
+      observer_(id, now);
     }
   }
   total_updates_ += count;
@@ -315,18 +254,11 @@ void Database::ApplyBatchSlabOnly(const ItemId* ids, const SimTime* times,
 
 void Database::ApplyBatchJournal(const ItemId* ids, const SimTime* times,
                                  size_t count) {
-  // Digest-only appends probe elide_marks_[id] — a second random line per
-  // entry — so prefetch it alongside the slab line for the same future
-  // entry.
-  const bool marks = retention_ == JournalRetention::kDigestOnly;
   for (size_t i = 0; i < count; ++i) {
 #if defined(__GNUC__) || defined(__clang__)
     if (i + kBatchPrefetchDistance < count) {
-      const ItemId ahead = ids[i + kBatchPrefetchDistance];
-      __builtin_prefetch(&hot_[ahead], /*rw=*/1, /*locality=*/1);
-      if (marks) {
-        __builtin_prefetch(&elide_marks_[ahead], /*rw=*/1, /*locality=*/1);
-      }
+      __builtin_prefetch(&hot_[ids[i + kBatchPrefetchDistance]], /*rw=*/1,
+                         /*locality=*/1);
     }
 #endif
     const ItemId id = ids[i];
@@ -334,7 +266,7 @@ void Database::ApplyBatchJournal(const ItemId* ids, const SimTime* times,
     HotItem& item = hot_[id];
     ++item.version;
     item.last_update = now;
-    AppendJournal(id, now, item.version);
+    AppendJournal(id, now);
   }
 }
 
@@ -344,29 +276,6 @@ void Database::MarkDirty(const ItemId* ids, size_t count) {
     const ItemId id = ids[i];
     words[id >> 6] |= uint64_t{1} << (id & 63);
   }
-}
-
-void Database::SortElidedDigest(const Bucket& bucket) {
-  assert(bucket.digest_only);
-  std::sort(bucket.digest.begin(), bucket.digest.end(), ByItemId);
-  // The versions were parallel to the append order; rather than permute
-  // them alongside, drop them — queries identify still-latest entries
-  // through the hot slab, and a queried bucket's summary role is over.
-  bucket.digest_versions.clear();
-  bucket.digest_built = true;
-}
-
-void Database::RebuildObserverFastPath() {
-  size_t live = observer_ ? 1 : 0;
-  const std::function<void(ItemId, SimTime)>* only =
-      observer_ ? &observer_ : nullptr;
-  for (const auto& observer : extra_observers_) {
-    if (!observer) continue;
-    ++live;
-    if (only == nullptr) only = &observer;
-  }
-  single_observer_ = live == 1 ? only : nullptr;
-  multi_observers_ = live > 1;
 }
 
 void Database::SetJournalEnabled(bool enabled) {
@@ -398,15 +307,6 @@ void Database::SetRetention(JournalRetention retention) {
       dirty_set_ = true;
       journal_bytes_ = (n_ + 7) / 8;
       break;
-    case JournalRetention::kDigestOnly:
-      SetJournalEnabled(true);
-      if (elide_marks_.empty()) {
-        elide_marks_.assign(n_, 0);
-        // Epoch 0 would make the zero-initialized marks look current for
-        // slot 0; start at 1 so every mark begins stale.
-        elide_epoch_ = 1;
-      }
-      break;
     case JournalRetention::kFullWindow:
       SetJournalEnabled(true);
       break;
@@ -416,11 +316,6 @@ void Database::SetRetention(JournalRetention retention) {
 void Database::SetJournalBucketWidth(SimTime width) {
   assert(width >= 0.0);
   if (width == bucket_width_) return;
-#ifndef NDEBUG
-  // Re-bucketing replays raw entries; elided buckets have none to replay.
-  // The server sets the width once at Start(), before any update.
-  for (const Bucket& bucket : buckets_) assert(!bucket.digest_only);
-#endif
   std::vector<SimTime> all_times;
   std::vector<ItemId> all_ids;
   all_times.reserve(journal_entries_);
@@ -436,9 +331,7 @@ void Database::SetJournalBucketWidth(SimTime width) {
   // Entries survive re-bucketing; the replay below re-adds their bytes.
   journal_bytes_ = 0;
   for (size_t i = 0; i < all_times.size(); ++i) {
-    // Version 0 is fine: raw buckets ignore it, and re-bucketing precedes
-    // any elision (asserted above).
-    AppendJournal(all_ids[i], all_times[i], /*version=*/0);
+    AppendJournal(all_ids[i], all_times[i]);
   }
 }
 
@@ -453,10 +346,9 @@ void Database::UpdatedIn(SimTime lo, SimTime hi,
   // Every append below lands in `out` (caller-owned scratch, reused across
   // intervals) or `merge_starts_` (member scratch); both retain capacity, so
   // the steady state allocates nothing. detlint:allow-function(alloc-event-path)
-  assert((journal_enabled_ || dirty_set_) &&
-         "window query against a disabled journal");
   out->clear();
-  if (hi <= lo) return;
+  // No history kept (kNone): the documented answer is empty.
+  if (hi <= lo || (!journal_enabled_ && !dirty_set_)) return;
   if (dirty_set_) {
     QueryDirtySet(lo, hi, out);
     return;
@@ -468,34 +360,7 @@ void Database::UpdatedIn(SimTime lo, SimTime hi,
     if (!bucket.HasEntries() || bucket.LastTime() <= lo) continue;
     if (bucket.FirstTime() > hi) break;
     starts.push_back(out->size());
-    if (bucket.digest_only) {
-      // Elided bucket: only the per-id latest-update summary exists — which
-      // is exactly what the raw scan's is-still-latest filter can ever
-      // emit (an entry superseded within the bucket is never the item's
-      // globally latest update). Filter by window and slab. A sealed
-      // digest is id-sorted in place once; the open tail's stays in append
-      // order — its slots are the live targets of the dedup marks — so
-      // only its filtered segment is sorted, as on the raw path.
-      if (bucket.sealed && !bucket.digest_built) SortElidedDigest(bucket);
-      const std::vector<UpdatedItem>& d = bucket.digest;
-      const size_t m = d.size();
-      for (size_t i = 0; i < m; ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-        if (i + kDigestPrefetchDistance < m) {
-          __builtin_prefetch(&hot_[d[i + kDigestPrefetchDistance].id],
-                             /*rw=*/0, /*locality=*/1);
-        }
-#endif
-        if (d[i].updated_at > lo && d[i].updated_at <= hi &&
-            hot_[d[i].id].last_update == d[i].updated_at) {
-          out->push_back(d[i]);
-        }
-      }
-      if (!bucket.sealed) {
-        std::sort(out->begin() + static_cast<ptrdiff_t>(starts.back()),
-                  out->end(), ByItemId);
-      }
-    } else if (bucket.sealed && lo < bucket.times.front() &&
+    if (bucket.sealed && lo < bucket.times.front() &&
                bucket.times.back() <= hi) {
       // Whole bucket inside the window: splice the digest (built on the
       // first such query, reused by every later one). The is-still-latest
@@ -547,23 +412,14 @@ void Database::UpdatedIn(SimTime lo, SimTime hi,
 }
 
 uint64_t Database::CountUpdatedIn(SimTime lo, SimTime hi) const {
-  assert((journal_enabled_ || dirty_set_) &&
-         "window query against a disabled journal");
   uint64_t count = 0;
-  if (hi <= lo) return count;
+  // No history kept (kNone): the documented answer is empty.
+  if (hi <= lo || (!journal_enabled_ && !dirty_set_)) return count;
   if (dirty_set_) return QueryDirtySet(lo, hi, nullptr);
   for (const Bucket& bucket : buckets_) {
     if (!bucket.HasEntries() || bucket.LastTime() <= lo) continue;
     if (bucket.FirstTime() > hi) break;
-    if (bucket.digest_only) {
-      // Order-free: no sort, so the open tail's append order stays intact.
-      for (const UpdatedItem& d : bucket.digest) {
-        if (d.updated_at > lo && d.updated_at <= hi &&
-            hot_[d.id].last_update == d.updated_at) {
-          ++count;
-        }
-      }
-    } else if (bucket.sealed && lo < bucket.times.front() &&
+    if (bucket.sealed && lo < bucket.times.front() &&
                bucket.times.back() <= hi) {
       if (!bucket.digest_built) BuildDigest(bucket);
       for (const UpdatedItem& d : bucket.digest) {
@@ -633,9 +489,6 @@ std::vector<UpdatedItem> Database::JournalIn(SimTime lo, SimTime hi) const {
   for (const Bucket& bucket : buckets_) {
     if (!bucket.HasEntries() || bucket.LastTime() <= lo) continue;
     if (bucket.FirstTime() > hi) break;
-    assert(!bucket.digest_only &&
-           "raw journal scan into an elided bucket (strategies that read "
-           "JournalIn must not declare kDigestOnly)");
     const size_t n = bucket.times.size();
     for (size_t i = FirstAfter(bucket.times, lo);
          i < n && bucket.times[i] <= hi; ++i) {
@@ -652,9 +505,6 @@ uint64_t Database::VersionAt(ItemId id, SimTime t) const {
   // Updates strictly after t are still in the journal (caller's contract).
   for (const Bucket& bucket : buckets_) {
     if (!bucket.HasEntries() || bucket.LastTime() <= t) continue;
-    assert(!bucket.digest_only &&
-           "historical read into an elided bucket (per-id multiplicity was "
-           "not retained)");
     const size_t n = bucket.times.size();
     for (size_t i = FirstAfter(bucket.times, t); i < n; ++i) {
       if (bucket.ids[i] == id) ++after;
@@ -672,19 +522,13 @@ void Database::PruneJournalBefore(SimTime horizon) {
   SyncJournalBytesPeak();
   while (!buckets_.empty() && buckets_.front().HasEntries() &&
          buckets_.front().LastTime() <= horizon) {
-    const Bucket& front = buckets_.front();
-    journal_entries_ -= front.EntryCount();
-    journal_bytes_ -= front.digest_only
-                          ? kDigestEntryBytes * front.digest.size()
-                          : kRawEntryBytes * front.times.size();
+    const size_t entries = buckets_.front().times.size();
+    journal_entries_ -= entries;
+    journal_bytes_ -= kRawEntryBytes * entries;
     RecycleBucket(&buckets_.front());
     buckets_.pop_front();
   }
   if (buckets_.empty() || buckets_.front().FirstTime() > horizon) return;
-  // Elided front bucket partially past the horizon: keep it whole. Pruning
-  // exists to bound memory, not for correctness — window queries filter by
-  // time — and the per-id dedup already bounds the bucket's size.
-  if (buckets_.front().digest_only) return;
   // Partially covered front bucket: trim the raw prefix and any digest
   // entries that fell with it (a digest entry at or before the horizon can
   // no longer be any surviving entry's latest time).

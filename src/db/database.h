@@ -26,31 +26,23 @@
 // list, so the steady state (one bucket appended, one pruned per interval)
 // allocates nothing.
 //
-// Digest-only retention (kDigestOnly, SIG and hybrid): a strategy whose
-// update feed carries all its report state never reads raw journal
-// entries, so every bucket skips the raw time/id arrays entirely and
-// maintains the digest directly — each id once at its latest in-bucket
-// time, deduplicated in place through an epoch-tagged per-item mark — plus
-// the raw entry count and per-entry slab versions, a summary sufficient to
-// serve any late window query (the digest filtered by window and
-// is-still-latest equals the raw scan's output exactly). The raw readers
-// (JournalIn, VersionAt) assert they never meet a digest-only bucket; an
-// answer observer that audits historical values raises the class to
-// kFullWindow.
-//
-// Dirty-set retention (kDirtySet, the AT family): no journal at all, just
-// one bit per item, set by every update of the item and cleared lazily by a
-// window query (lo, hi] that finds the item's latest update at or before
-// lo. A query walks the set bits in id order, reading each item's
-// last-update time from the slab: at or before lo clears the bit, inside
-// (lo, hi] emits the item — id-sorted by construction, no sort, no merge.
-// Invariant: lo never decreases across queries (asserted through a
-// watermark). Then a bit is only ever cleared for an item whose latest
+// Dirty-set retention (kDirtySet: AT, grouped AT, SIG, hybrid): no journal
+// at all, just one bit per item, set by every update of the item and
+// cleared lazily by a window query (lo, hi] that finds the item's latest
+// update at or before lo. A query walks the set bits in id order, reading
+// each item's last-update time from the slab: at or before lo clears the
+// bit, inside (lo, hi] emits the item — id-sorted by construction, no sort,
+// no merge. Invariant: lo never decreases across queries (asserted through
+// a watermark). Then a bit is only ever cleared for an item whose latest
 // update lies at or before a past — hence the current — lo, and a later
 // update sets it again, so every item whose latest update lies in (lo, hi]
 // still has its bit set: the answer is exact. Repeating a query is
 // idempotent. A query costs one pass over the n/64 words plus one slab read
 // per set bit.
+//
+// No retention (kNone, no-caching): no journal and no bit set. A window
+// query then has no history to consult and answers empty; the raw readers
+// (JournalIn, VersionAt) assert the journal is live.
 
 #ifndef MOBICACHE_DB_DATABASE_H_
 #define MOBICACHE_DB_DATABASE_H_
@@ -95,18 +87,16 @@ struct UpdatedItem {
 ///
 ///  * kNone        — no journal at all. The strategy never issues a window
 ///                   query (no-caching); every journal append would be pure
-///                   overhead on the hottest path.
+///                   overhead on the hottest path. Window queries answer
+///                   empty.
 ///  * kDirtySet    — no journal; an n-bit set of items updated since a
 ///                   window query last cleared them (see the file comment).
 ///                   Serves UpdatedIn/CountUpdatedIn exactly as long as the
 ///                   queries' lo never decreases — the AT family's one
-///                   window per broadcast, (T_i - L, T_i]. Bits are cleared
-///                   lazily, by the first query whose lo has passed the
-///                   item's latest update.
-///  * kDigestOnly  — per-interval digests only, no raw entries. The strategy
-///                   consumes updates through an attached feed and never
-///                   reads JournalIn/VersionAt (SIG, hybrid), so every
-///                   bucket is laid down in the elided representation.
+///                   window per broadcast, (T_i - L, T_i], and the SIG
+///                   family's fold since the previous broadcast. Bits are
+///                   cleared lazily, by the first query whose lo has passed
+///                   the item's latest update.
 ///  * kFullWindow  — raw entries over the report window (TS, adaptive TS,
 ///                   quasi-AT, and any cell whose answer observer audits
 ///                   historical values). The default.
@@ -116,11 +106,10 @@ struct UpdatedItem {
 enum class JournalRetention : uint8_t {
   kNone,
   kDirtySet,
-  kDigestOnly,
   kFullWindow,
 };
 
-/// Short name for bench/JSON output ("none", "dirty", "digest", "full").
+/// Short name for bench/JSON output ("none", "dirty", "full").
 const char* JournalRetentionName(JournalRetention retention);
 
 /// The replicated database held by the stationary server. Single-writer (the
@@ -203,7 +192,8 @@ class Database {
   /// Items whose *last* update falls in (lo, hi], each reported once with
   /// its latest update time, in increasing id order. This is exactly the
   /// report-list definition used by TS (Eq. 1) and AT (Eq. 2). Under
-  /// kDirtySet retention `lo` must not decrease across calls (asserted).
+  /// kDirtySet retention `lo` must not decrease across calls (asserted);
+  /// with no history kept (kNone) the answer is empty.
   std::vector<UpdatedItem> UpdatedIn(SimTime lo, SimTime hi) const;
 
   /// Same window query into a caller-owned buffer (cleared first). Report
@@ -241,17 +231,14 @@ class Database {
   /// Arms the retention class the strategy declared (see JournalRetention):
   /// kNone disables the journal, kDirtySet disables it and allocates the
   /// per-item bit set (once, before any update — the set cannot recover
-  /// earlier ones; asserted), kDigestOnly lays every bucket down digest-only
-  /// (pre-sizing the per-item dedup marks so that append path never
-  /// allocates), kFullWindow keeps the default raw-bucket journal. Call
-  /// before any updates flow; the server wires it in Start().
+  /// earlier ones; asserted), kFullWindow keeps the default raw-bucket
+  /// journal. Call before any updates flow; the server wires it in Start().
   void SetRetention(JournalRetention retention);
   JournalRetention retention() const { return retention_; }
 
   /// Primary journal storage held right now / at its high-water mark over
-  /// the run, in bytes: 12 per raw entry (time + id), 24 per digest entry
-  /// (UpdatedItem + recorded version) in elided buckets, ceil(n/8) for the
-  /// kDirtySet bit set. Derived digests of raw buckets are query caches, not
+  /// the run, in bytes: 12 per raw entry (time + id), ceil(n/8) for the
+  /// kDirtySet bit set. Derived bucket digests are query caches, not
   /// retention, and are excluded.
   uint64_t journal_bytes() const { return journal_bytes_; }
   uint64_t journal_bytes_peak() const {
@@ -270,33 +257,19 @@ class Database {
   /// empty reports and never issues a window query, so journaling its update
   /// stream — two appends plus a prune per interval — is pure overhead on
   /// the hottest path in the simulator. Disabling drops any existing
-  /// entries; the history readers (UpdatedIn, JournalIn, VersionAt) assert
-  /// the journal is live, so misuse fails loudly in debug builds.
+  /// entries; window queries then answer empty, and the raw readers
+  /// (JournalIn, VersionAt) assert the journal is live, so misuse fails
+  /// loudly in debug builds.
   void SetJournalEnabled(bool enabled);
   bool journal_enabled() const { return journal_enabled_; }
 
-  /// Journal buckets stored digest-only since construction (diagnostic).
-  uint64_t elided_journal_buckets() const { return elided_buckets_; }
-
-  /// Installs a callback invoked after every ApplyUpdate. Used by the
-  /// stateful-server baseline, which reacts to individual updates instead of
-  /// building periodic reports. Pass nullptr to remove.
+  /// Installs a callback invoked after every applied update (ApplyUpdate
+  /// and each entry of ApplyUpdateBatch, in order). Used by the cell's
+  /// update trace, which the ideal, stateful-server and async baselines
+  /// react to instead of building periodic reports. One slot: installing
+  /// replaces the previous callback; pass nullptr to remove.
   void SetUpdateObserver(std::function<void(ItemId, SimTime)> observer) {
     observer_ = std::move(observer);
-    RebuildObserverFastPath();
-  }
-
-  /// Adds a further update callback (the report strategies' incremental
-  /// feeds); unlike the single SetUpdateObserver slot these accumulate.
-  void AddUpdateObserver(std::function<void(ItemId, SimTime)> observer) {
-    extra_observers_.push_back(std::move(observer));
-    RebuildObserverFastPath();
-  }
-
-  /// Removes every observer installed via AddUpdateObserver.
-  void ClearExtraObservers() {
-    extra_observers_.clear();
-    RebuildObserverFastPath();
   }
 
  private:
@@ -318,31 +291,14 @@ class Database {
     /// Built lazily on the first fully-covering window query of a sealed
     /// bucket: each id once at its latest in-bucket time, ascending by id.
     /// `mutable` because the build is a cache fill under const query
-    /// methods. Elided (digest_only) buckets maintain it directly instead
-    /// of the raw arrays — append order while open, id-sorted in place by
-    /// the first UpdatedIn after sealing.
+    /// methods.
     mutable std::vector<UpdatedItem> digest;
     mutable bool digest_built = false;
     bool sealed = false;  ///< The clock has moved past this bucket.
-    /// Elided representation (see the file comment): times/ids stay empty.
-    bool digest_only = false;
-    /// Slab version written by each digest entry's update, parallel to
-    /// `digest` while in append order (the "(count, per-item last-version)"
-    /// summary). Dropped when the digest gets id-sorted — queries identify
-    /// still-latest entries through the hot slab, not the version.
-    mutable std::vector<uint64_t> digest_versions;
-    size_t raw_count = 0;       ///< Raw updates absorbed (digest_only).
-    SimTime first_time = 0.0;   ///< First/last raw update time
-    SimTime last_time = 0.0;    ///< (digest_only; raw buckets use times).
 
-    bool HasEntries() const {
-      return digest_only ? raw_count > 0 : !times.empty();
-    }
-    SimTime FirstTime() const {
-      return digest_only ? first_time : times.front();
-    }
-    SimTime LastTime() const { return digest_only ? last_time : times.back(); }
-    size_t EntryCount() const { return digest_only ? raw_count : times.size(); }
+    bool HasEntries() const { return !times.empty(); }
+    SimTime FirstTime() const { return times.front(); }
+    SimTime LastTime() const { return times.back(); }
   };
 
   /// FIFO of journal buckets over a flat vector: pop_front leaves a dead
@@ -401,45 +357,25 @@ class Database {
     return SyntheticValue(seed_, id, version);
   }
   int64_t BucketIndexFor(SimTime t) const;
-  /// `version` is the slab version just written for `id` (recorded by the
-  /// elided representation; raw buckets ignore it).
-  void AppendJournal(ItemId id, SimTime now, uint64_t version);
-  /// Digest-only append into the open tail bucket: overwrite the id's
-  /// existing entry (epoch-tagged mark hit) or append a new one.
-  void AppendJournalElided(ItemId id, SimTime now, uint64_t version);
+  void AppendJournal(ItemId id, SimTime now);
   /// Time of the newest journal entry (assert support for the monotonic
   /// append contract). Journal must be non-empty.
   SimTime JournalTailTime() const {
     return buckets_.back().LastTime();
   }
-  /// In-order observer dispatch shared by ApplyUpdate and the batch path.
-  void DispatchUpdateObservers(ItemId id, SimTime now) {
-    if (single_observer_ != nullptr) {
-      (*single_observer_)(id, now);
-    } else if (multi_observers_) {
-      if (observer_) observer_(id, now);
-      for (const auto& observer : extra_observers_) observer(id, now);
-    }
-  }
-  /// Id-sorts an elided bucket's digest on its first query (the lazy
-  /// equivalent of BuildDigest; drops the no-longer-aligned versions).
-  static void SortElidedDigest(const Bucket& bucket);
   /// ApplyUpdateBatch specializations: the slab-only walk hands the whole
   /// chunk to the SIMD kernel (no per-entry journal/observer work exists);
-  /// the journal walk prefetches the slab line and — when the tail bucket
-  /// elides — the dedup-mark line for the same future entry.
+  /// the journal walk prefetches the slab line of a future entry.
   void ApplyBatchSlabOnly(const ItemId* ids, const SimTime* times,
                           size_t count);
   void ApplyBatchJournal(const ItemId* ids, const SimTime* times,
                          size_t count);
   /// Appends a fresh bucket with `index`, reusing recycled storage when
-  /// available and reserving twice the high-water entry count of its
-  /// representation.
+  /// available and reserving twice the high-water raw entry count.
   void PushBucket(int64_t index);
   /// Saves a drained bucket's storage in the spare list (bounded).
   void RecycleBucket(Bucket* bucket);
   static void BuildDigest(const Bucket& bucket);
-  void RebuildObserverFastPath();
   /// Sets the kDirtySet bits of `count` updated ids.
   void MarkDirty(const ItemId* ids, size_t count);
   /// The kDirtySet window query (see the file comment): clears the bits of
@@ -474,29 +410,13 @@ class Database {
   SimTime bucket_width_ = 0.0;
   JournalRetention retention_ = JournalRetention::kFullWindow;
   bool journal_enabled_ = true;
-  uint64_t elided_buckets_ = 0;
-  /// Per-item dedup marks for the open elided bucket: high 32 bits hold the
-  /// bucket epoch, low 32 the digest slot. A stale epoch is simply a miss,
-  /// so switching buckets is O(1). Empty unless retention is kDigestOnly.
-  std::vector<uint64_t> elide_marks_;
-  uint64_t elide_epoch_ = 0;  ///< Bumped per elided bucket; starts marks stale.
-  /// High-water distinct-item count across sealed elided buckets. Newly
-  /// opened elided buckets reserve twice this (capped at n), so steady-state
-  /// digest appends stay allocation-free: a realloc needs one bucket to
-  /// double the record distinct count.
-  size_t digest_high_water_ = 0;
-  /// High-water raw entry count across sealed raw buckets; raw buckets
-  /// reserve twice this, for the same reason.
+  /// High-water raw entry count across sealed buckets. Newly opened buckets
+  /// reserve twice this, so steady-state appends stay allocation-free: a
+  /// realloc needs one bucket to double the record.
   size_t raw_high_water_ = 0;
   uint64_t total_updates_ = 0;
   uint64_t seed_;
   std::function<void(ItemId, SimTime)> observer_;
-  std::vector<std::function<void(ItemId, SimTime)>> extra_observers_;
-  /// Exactly-one-observer fast path: points at the lone registered callback
-  /// (refreshed on every observer mutation, so vector reallocation cannot
-  /// dangle it); null when zero or several observers are registered.
-  const std::function<void(ItemId, SimTime)>* single_observer_ = nullptr;
-  bool multi_observers_ = false;  ///< Two or more observers registered.
   /// UpdatedIn scratch (segment offsets for the bottom-up merge). `mutable`
   /// cache-fill state like the digests: window queries only run in the
   /// single-threaded server phase.

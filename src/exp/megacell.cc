@@ -163,12 +163,9 @@ struct MegaCell::Shard {
 MegaCell::MegaCell(MegaCellConfig config) : config_(std::move(config)) {}
 
 MegaCell::~MegaCell() {
-  // The database's update observers reference this object's trace buffer
-  // and the server strategy; detach them before members are torn down.
-  if (db_ != nullptr) {
-    db_->SetUpdateObserver(nullptr);
-    db_->ClearExtraObservers();
-  }
+  // The database's update observer references this object's trace buffer;
+  // detach it before members are torn down.
+  if (db_ != nullptr) db_->SetUpdateObserver(nullptr);
 }
 
 Status MegaCell::Build() {
@@ -200,7 +197,7 @@ Status MegaCell::Build() {
   sim_->Reserve(1024);
   db_ = std::make_unique<Database>(m.n, db_seed);
   // Journal retention is armed by Server::Start from the strategy's
-  // declaration (kNone for no-caching, kDigestOnly for SIG/hybrid, ...).
+  // declaration (kNone for no-caching, kDirtySet for AT/SIG families, ...).
   if (cc.update_rates.empty()) {
     updates_ = std::make_unique<UpdateGenerator>(sim_.get(), db_.get(), m.mu,
                                                  update_seed);

@@ -88,7 +88,7 @@ struct SweepResult {
     /// Updates applied to the cell's database over the run (either mode).
     uint64_t updates_applied = 0;
     /// Journal retention diagnostics of the cell's database: the class the
-    /// strategy armed ("none", "digest", "full" — see JournalRetention) and
+    /// strategy armed ("none", "dirty", "full" — see JournalRetention) and
     /// the journal's byte high-water mark over the run.
     const char* retention_class = "full";
     uint64_t journal_bytes_peak = 0;

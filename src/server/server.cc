@@ -41,15 +41,13 @@ Status Server::Start() {
     return Status::FailedPrecondition("server already started");
   }
   // Bucket the journal by broadcast interval so report builders splice
-  // sealed per-interval digests instead of re-scanning their window, and
-  // let incremental strategies tap the update stream directly.
+  // sealed per-interval digests instead of re-scanning their window.
   db_->SetJournalBucketWidth(config_.latency);
   // Arm the retention class the strategy declared (possibly raised by an
   // instrumentation floor): no journal at all for strategies that never
-  // read update history, digest-only buckets for feed-driven strategies
-  // that never touch raw entries, full raw retention otherwise.
+  // read update history, a dirty set for those whose window queries only
+  // move forward, full raw retention otherwise.
   db_->SetRetention(std::max(strategy_->retention(), retention_floor_));
-  strategy_->AttachUpdateFeed(db_);
   broadcaster_ = std::make_unique<PeriodicProcess>(
       sim_, sim_->Now(), config_.latency,
       [this](uint64_t interval) { Broadcast(interval); });

@@ -6,15 +6,15 @@
 // must stay observationally equivalent where the contract says they are:
 //
 //  * twin databases fed the identical update stream under kFullWindow and
-//    kDigestOnly retention answer the same window queries (UpdatedIn /
-//    CountUpdatedIn) over any window the report builders use, and a
-//    kDirtySet third matches both over any sequence of windows whose lo
-//    never decreases;
+//    kDirtySet retention answer the same window queries (UpdatedIn /
+//    CountUpdatedIn) over any sequence of windows whose lo never
+//    decreases;
 //  * window queries are sets: two updates of one id at one SimTime report
 //    the id once, in every representation;
 //  * an AT or grouped-AT cell runs bit-identically on the dirty set and on
 //    the raw journal an answer observer forces;
-//  * kNone keeps no journal at all — zero entries, zero bytes, forever;
+//  * kNone keeps no journal at all — zero entries, zero bytes, forever —
+//    and answers every window query empty;
 //  * journal_bytes_peak is a true high-water mark: monotone under appends
 //    and unaffected by pruning.
 
@@ -72,9 +72,9 @@ INSTANTIATE_TEST_SUITE_P(
     AllStrategies, RetentionDeclarationTest,
     ::testing::Values(
         DeclarationCase{StrategyKind::kNoCache, JournalRetention::kNone},
-        DeclarationCase{StrategyKind::kSig, JournalRetention::kDigestOnly},
+        DeclarationCase{StrategyKind::kSig, JournalRetention::kDirtySet},
         DeclarationCase{StrategyKind::kHybridSig,
-                        JournalRetention::kDigestOnly},
+                        JournalRetention::kDirtySet},
         DeclarationCase{StrategyKind::kTs, JournalRetention::kFullWindow},
         DeclarationCase{StrategyKind::kAt, JournalRetention::kDirtySet},
         DeclarationCase{StrategyKind::kGroupedAt,
@@ -90,7 +90,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(RetentionFloorTest, FloorRaisesDeclaredClassButNeverLowersIt) {
-  // A digest-only strategy with a kFullWindow floor (the answer-observer
+  // A dirty-set strategy with a kFullWindow floor (the answer-observer
   // case) must end up with raw retention...
   {
     MegaCell cell({BaseConfig(StrategyKind::kSig)});
@@ -136,77 +136,6 @@ void FeedUpdates(Database* db) {
   }
 }
 
-TEST(RetentionTwinTest, DigestOnlyAnswersTheSameWindowQueriesAsFull) {
-  Database full(kItems, /*seed=*/5);
-  Database digest(kItems, /*seed=*/5);
-  full.SetJournalBucketWidth(kBucket);
-  digest.SetJournalBucketWidth(kBucket);
-  full.SetRetention(JournalRetention::kFullWindow);
-  digest.SetRetention(JournalRetention::kDigestOnly);
-  FeedUpdates(&full);
-  FeedUpdates(&digest);
-
-  ASSERT_EQ(full.total_updates(), digest.total_updates());
-  EXPECT_GT(digest.elided_journal_buckets(), 0u);
-
-  // Windows the report builders use: bucket-aligned, multi-bucket, and
-  // deliberately unaligned (mid-bucket endpoints).
-  const double windows[][2] = {{0.0, kBucket},      {kBucket, 3 * kBucket},
-                               {0.0, 120.0},        {4.2, 37.9},
-                               {55.0, 55.0},        {33.3, 34.4},
-                               {100.0, 1000.0}};
-  for (const auto& w : windows) {
-    SCOPED_TRACE("window (" + std::to_string(w[0]) + ", " +
-                 std::to_string(w[1]) + "]");
-    const std::vector<UpdatedItem> a = full.UpdatedIn(w[0], w[1]);
-    const std::vector<UpdatedItem> b = digest.UpdatedIn(w[0], w[1]);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id);
-      EXPECT_EQ(a[i].updated_at, b[i].updated_at);
-    }
-    EXPECT_EQ(full.CountUpdatedIn(w[0], w[1]),
-              digest.CountUpdatedIn(w[0], w[1]));
-  }
-
-  // Live item state never depends on the journal at all.
-  for (ItemId id = 0; id < kItems; ++id) {
-    EXPECT_EQ(full.VersionOf(id), digest.VersionOf(id));
-    EXPECT_EQ(full.LastUpdateOf(id), digest.LastUpdateOf(id));
-    EXPECT_EQ(full.ValueOf(id), digest.ValueOf(id));
-  }
-
-  EXPECT_GT(full.journal_bytes(), 0u);
-  EXPECT_GT(digest.journal_bytes(), 0u);
-}
-
-TEST(RetentionTwinTest, DigestUndercutsRawBytesUnderHeavyRepetition) {
-  // One 24-byte digest record per distinct item per bucket vs 12 bytes per
-  // raw update: with 4 hot items hammered ~60 times per bucket the digest
-  // footprint collapses while the raw journal keeps every event.
-  Database full(kItems, /*seed=*/7);
-  Database digest(kItems, /*seed=*/7);
-  full.SetJournalBucketWidth(kBucket);
-  digest.SetJournalBucketWidth(kBucket);
-  full.SetRetention(JournalRetention::kFullWindow);
-  digest.SetRetention(JournalRetention::kDigestOnly);
-
-  std::vector<ItemId> ids;
-  std::vector<SimTime> times;
-  double t = 0.0;
-  for (int i = 0; i < 2000; ++i) {
-    t += 0.17;
-    ids.push_back(static_cast<ItemId>(i % 4));
-    times.push_back(t);
-  }
-  full.ApplyUpdateBatch(ids.data(), times.data(), ids.size());
-  digest.ApplyUpdateBatch(ids.data(), times.data(), ids.size());
-
-  EXPECT_LT(digest.journal_bytes(), full.journal_bytes());
-  EXPECT_LT(digest.journal_bytes_peak(), full.journal_bytes_peak());
-  EXPECT_EQ(full.CountUpdatedIn(0.0, t), digest.CountUpdatedIn(0.0, t));
-}
-
 TEST(RetentionTwinTest, NoneRetentionKeepsNoJournal) {
   Database none(kItems, /*seed=*/5);
   none.SetJournalBucketWidth(kBucket);
@@ -246,9 +175,10 @@ TEST(RetentionTwinTest, JournalBytesPeakIsAHighWaterMark) {
   EXPECT_EQ(db.journal_bytes_peak(), peak_before);
 
   // Appending after the prune grows bytes again; the peak only moves once
-  // the live footprint exceeds it.
+  // the live footprint exceeds it. The batch continues past the journal's
+  // tail (FeedUpdates ends near 513.4 s), as ApplyUpdateBatch requires.
   std::vector<ItemId> ids{1, 2, 3};
-  std::vector<SimTime> times{500.0, 500.5, 501.0};
+  std::vector<SimTime> times{600.0, 600.5, 601.0};
   db.ApplyUpdateBatch(ids.data(), times.data(), ids.size());
   EXPECT_GE(db.journal_bytes_peak(), db.journal_bytes());
   EXPECT_EQ(db.journal_bytes_peak(), peak_before);
@@ -259,8 +189,7 @@ TEST(RetentionTwinTest, JournalBytesPeakIsAHighWaterMark) {
 
 TEST(RetentionSetSemanticsTest, TiedUpdatesOfOneIdAreReportedOnce) {
   for (JournalRetention retention :
-       {JournalRetention::kFullWindow, JournalRetention::kDigestOnly,
-        JournalRetention::kDirtySet}) {
+       {JournalRetention::kFullWindow, JournalRetention::kDirtySet}) {
     SCOPED_TRACE(JournalRetentionName(retention));
     Database db(/*n=*/16, /*seed=*/3);
     db.SetJournalBucketWidth(1.0);
@@ -285,8 +214,8 @@ TEST(RetentionSetSemanticsTest, TiedUpdatesOfOneIdAreReportedOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Triple databases: full journal, digest-only, dirty set, under a seeded
-// stream of updates and monotone-lo window queries.
+// Twin databases: full journal and dirty set, under a seeded stream of
+// updates and monotone-lo window queries.
 
 SimTime StepUlps(SimTime x, int ulps) {
   const SimTime toward = ulps < 0 ? -std::numeric_limits<SimTime>::infinity()
@@ -320,19 +249,17 @@ TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
     auto uniform = [&rng](uint64_t bound) { return rng() % bound; };
 
     Database full(kTripleItems, seed);
-    Database digest(kTripleItems, seed);
     Database dirty(kTripleItems, seed);
-    Database* dbs[] = {&full, &digest, &dirty};
+    Database* dbs[] = {&full, &dirty};
     const JournalRetention classes[] = {JournalRetention::kFullWindow,
-                                        JournalRetention::kDigestOnly,
                                         JournalRetention::kDirtySet};
     uint64_t observed = 0;
-    for (int d = 0; d < 3; ++d) {
+    for (int d = 0; d < 2; ++d) {
       dbs[d]->SetJournalBucketWidth(kBucket);
       dbs[d]->SetRetention(classes[d]);
       // Odd seeds run the observed apply loop.
       if (seed % 2 == 1) {
-        dbs[d]->AddUpdateObserver([&observed](ItemId, SimTime) { ++observed; });
+        dbs[d]->SetUpdateObserver([&observed](ItemId, SimTime) { ++observed; });
       }
     }
 
@@ -341,7 +268,7 @@ TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
     SimTime prev_hi = 0.0;
     std::vector<ItemId> ids;
     std::vector<SimTime> times;
-    std::vector<UpdatedItem> scratch[3];
+    std::vector<UpdatedItem> scratch[2];
     for (int step = 0; step < 160; ++step) {
       // Updates up to ~2.5 intervals ahead; a zero count is a quiet
       // stretch, a burst lists more items than the dirty-set query buffers
@@ -402,7 +329,7 @@ TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
         SCOPED_TRACE("step " + std::to_string(step) + " window (" +
                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
         const std::vector<UpdatedItem> want = full.UpdatedIn(lo, hi);
-        for (int d = 0; d < 3; ++d) {
+        for (int d = 0; d < 2; ++d) {
           dbs[d]->UpdatedIn(lo, hi, &scratch[d]);
           ASSERT_TRUE(SameItems(want, scratch[d])) << JournalRetentionName(
               classes[d]);
@@ -413,10 +340,7 @@ TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
         prev_hi = std::max(lo, hi);
       }
       // The server's pruning trails every window.
-      if (step % 8 == 7) {
-        full.PruneJournalBefore(prev_lo - kBucket);
-        digest.PruneJournalBefore(prev_lo - kBucket);
-      }
+      if (step % 8 == 7) full.PruneJournalBefore(prev_lo - kBucket);
     }
     for (ItemId id = 0; id < kTripleItems; ++id) {
       ASSERT_EQ(dirty.LastUpdateOf(id), full.LastUpdateOf(id));
@@ -424,7 +348,7 @@ TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
     EXPECT_EQ(dirty.journal_size(), 0u);
     EXPECT_EQ(dirty.journal_bytes_peak(), (kTripleItems + 7) / 8);
     if (seed % 2 == 1) {
-      EXPECT_EQ(observed, 3 * full.total_updates());
+      EXPECT_EQ(observed, 2 * full.total_updates());
     }
   }
 }
@@ -544,7 +468,6 @@ TEST(RetentionAllocationTest, WarmAtBuildOnDirtySetDoesNotAllocate) {
 TEST(RetentionTest, ClassNamesAreStable) {
   EXPECT_STREQ(JournalRetentionName(JournalRetention::kNone), "none");
   EXPECT_STREQ(JournalRetentionName(JournalRetention::kDirtySet), "dirty");
-  EXPECT_STREQ(JournalRetentionName(JournalRetention::kDigestOnly), "digest");
   EXPECT_STREQ(JournalRetentionName(JournalRetention::kFullWindow), "full");
 }
 

@@ -1,21 +1,19 @@
 // Contracts of the batched interval update kernel (db/update_generator.cc
-// batch mode + Database::ApplyUpdateBatch) and digest-only journal
-// buckets:
+// batch mode + Database::ApplyUpdateBatch) and of the signature strategies'
+// fold over it:
 //
 //  * RNG replay: the batched drain applies the exact (item, time) sequence
 //    the per-event engine dispatches — same seed, same draws, bit-identical
 //    timestamps — for the uniform, Zipf-weighted, and zero-rate profiles,
 //    regardless of where the pump points fall.
-//  * Journal digests: a database whose buckets were laid down digest-only
-//    answers UpdatedIn / CountUpdatedIn exactly like a raw-journal twin,
-//    and a SIG cell — digest-only by its retention class — produces
-//    byte-identical results with quiet elision on and off and with an
-//    answer observer's raw-journal floor.
+//  * Dirty-set folds: SIG and hybrid cells — dirty-set retention by their
+//    class — produce byte-identical results with quiet elision on and off
+//    and with an answer observer's raw-journal floor.
 //  * Engines: shard counts {2, 4, 8} match the 1-shard run with batching
 //    on, including the applied-update count.
 //  * Allocation-freedom: once the staging buffers exist, the drain loop
-//    performs zero heap allocations, and a warm full cell (pump + elided
-//    journal appends) none per extra interval.
+//    performs zero heap allocations, and a warm full cell (pump + dirty-set
+//    marks + signature folds) none per extra interval.
 
 #include <atomic>
 #include <cstdint>
@@ -68,7 +66,7 @@ std::vector<AppliedUpdate> ReplayUpdates(double uniform_mu,
   }
   UpdateGenerator& gen = *holder.back();
   std::vector<AppliedUpdate> applied;
-  db.AddUpdateObserver([&applied](ItemId id, SimTime t) {
+  db.SetUpdateObserver([&applied](ItemId id, SimTime t) {
     applied.push_back(AppliedUpdate{id, t});
   });
   if (batched) gen.EnableBatchMode();
@@ -85,7 +83,7 @@ std::vector<AppliedUpdate> ReplayUpdates(double uniform_mu,
     sim.RunUntil(kReplayEnd);
   }
   gen.Stop();
-  db.ClearExtraObservers();
+  db.SetUpdateObserver(nullptr);
   EXPECT_EQ(gen.updates_generated(), applied.size());
   EXPECT_EQ(db.total_updates(), applied.size());
   if (batched) {
@@ -143,60 +141,6 @@ TEST(UpdateBatchReplayTest, BothModesLeaveIdenticalDatabaseState) {
     EXPECT_EQ(dbs[0].ValueOf(id), dbs[1].ValueOf(id)) << "item " << id;
   }
   EXPECT_EQ(dbs[0].journal_size(), dbs[1].journal_size());
-}
-
-// ---------------------------------------------------------------------------
-// Digest-only journal buckets: window queries match a raw-journal twin.
-
-TEST(JournalElisionDigestTest, ElidedBucketsAnswerWindowQueriesExactly) {
-  constexpr uint64_t kN = 64;
-  constexpr SimTime kWidth = 10.0;
-  Database raw(kN, /*seed=*/99);
-  Database elided(kN, /*seed=*/99);
-  raw.SetJournalBucketWidth(kWidth);
-  elided.SetJournalBucketWidth(kWidth);
-  elided.SetRetention(JournalRetention::kDigestOnly);
-
-  // Six buckets of a deterministic LCG-derived stream with plenty of
-  // repeated ids (dedup inside elided buckets) and cross-bucket repeats
-  // (the is-still-latest filter). Every bucket of the digest-only database
-  // is laid down elided.
-  uint64_t x = 12345;
-  SimTime t = 0.0;
-  for (int bucket = 0; bucket < 6; ++bucket) {
-    for (int i = 0; i < 40; ++i) {
-      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-      const ItemId id = static_cast<ItemId>((x >> 33) % kN);
-      t = kWidth * static_cast<double>(bucket) +
-          kWidth * (static_cast<double>(i) + 1.0) / 41.0;
-      raw.ApplyUpdate(id, t);
-      elided.ApplyUpdate(id, t);
-    }
-  }
-  EXPECT_EQ(elided.elided_journal_buckets(), 6u);
-  EXPECT_EQ(raw.elided_journal_buckets(), 0u);
-
-  // Windows: bucket-aligned, partial, spanning several buckets, and
-  // entirely inside one bucket.
-  const struct {
-    SimTime lo, hi;
-  } windows[] = {{0.0, 60.0},  {10.0, 30.0}, {12.5, 47.3},
-                 {20.0, 50.0}, {23.1, 28.9}, {40.0, 41.0},
-                 {55.0, 60.0}, {0.0, 10.0}};
-  for (const auto& w : windows) {
-    SCOPED_TRACE("window (" + std::to_string(w.lo) + ", " +
-                 std::to_string(w.hi) + "]");
-    const std::vector<UpdatedItem> expect = raw.UpdatedIn(w.lo, w.hi);
-    const std::vector<UpdatedItem> got = elided.UpdatedIn(w.lo, w.hi);
-    ASSERT_EQ(expect.size(), got.size());
-    for (size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(expect[i].id, got[i].id) << "entry " << i;
-      EXPECT_EQ(expect[i].updated_at, got[i].updated_at) << "entry " << i;
-    }
-    EXPECT_EQ(raw.CountUpdatedIn(w.lo, w.hi),
-              elided.CountUpdatedIn(w.lo, w.hi));
-  }
-  EXPECT_EQ(raw.journal_size(), elided.journal_size());
 }
 
 // ---------------------------------------------------------------------------
@@ -259,46 +203,52 @@ CellConfig BaseConfig(StrategyKind kind, double s) {
   return config;
 }
 
-// SIG declares kDigestOnly retention, so every bucket is digest-only
-// whatever the quiet-elision setting — the representation follows the
-// retention class alone — and an answer observer's kFullWindow floor keeps
-// every bucket raw (its VersionAt audits must never meet an elided one).
-// All three configurations run byte-identically.
+// SIG and hybrid declare kDirtySet retention: each fold window-queries the
+// items changed since the previous fold, and the dirty set answers that
+// whatever the quiet-elision setting. An answer observer's kFullWindow floor
+// makes the same query scan the raw journal (its VersionAt audits need the
+// history). All three configurations — dirty set with quiet elision off and
+// on, raw journal — run byte-identically.
 TEST(JournalElisionCellTest, SigRunsAreByteIdenticalWithElisionOnAndOff) {
-  for (double s : {0.9, 1.0}) {
-    SCOPED_TRACE("s=" + std::to_string(s));
-    CellResult results[3];
-    uint64_t elided_buckets[3] = {0, 0, 0};
-    JournalRetention retention[3] = {};
-    for (int run = 0; run < 3; ++run) {
-      MegaCellConfig mc;
-      mc.cell = BaseConfig(StrategyKind::kSig, s);
-      mc.cell.quiet_elision = run != 0;
-      MegaCell cell(mc);
-      ASSERT_TRUE(cell.Build().ok());
-      if (run == 2) {
-        for (MobileUnit* unit : cell.units()) {
-          unit->SetAnswerObserver([](ItemId, uint64_t, SimTime, bool) {});
+  for (StrategyKind kind : {StrategyKind::kSig, StrategyKind::kHybridSig}) {
+    for (double s : {0.9, 1.0}) {
+      SCOPED_TRACE(std::string(StrategyName(kind)) + " s=" +
+                   std::to_string(s));
+      CellResult results[3];
+      JournalRetention retention[3] = {};
+      uint64_t journal_peak[3] = {0, 0, 0};
+      for (int run = 0; run < 3; ++run) {
+        MegaCellConfig mc;
+        mc.cell = BaseConfig(kind, s);
+        mc.cell.quiet_elision = run != 0;
+        MegaCell cell(mc);
+        ASSERT_TRUE(cell.Build().ok());
+        if (run == 2) {
+          for (MobileUnit* unit : cell.units()) {
+            unit->SetAnswerObserver([](ItemId, uint64_t, SimTime, bool) {});
+          }
         }
+        ASSERT_TRUE(cell.Run(4, 50).ok());
+        results[run] = cell.result();
+        retention[run] = cell.db()->retention();
+        journal_peak[run] = cell.db()->journal_bytes_peak();
       }
-      ASSERT_TRUE(cell.Run(4, 50).ok());
-      results[run] = cell.result();
-      elided_buckets[run] = cell.db()->elided_journal_buckets();
-      retention[run] = cell.db()->retention();
-    }
-    ExpectResultsIdentical(results[1], results[0]);
-    ExpectResultsIdentical(results[2], results[1]);
-    EXPECT_EQ(results[2].quiet_skipped_intervals,
-              results[1].quiet_skipped_intervals);
-    EXPECT_EQ(retention[0], JournalRetention::kDigestOnly);
-    EXPECT_EQ(retention[1], JournalRetention::kDigestOnly);
-    EXPECT_EQ(retention[2], JournalRetention::kFullWindow);
-    EXPECT_EQ(elided_buckets[0], elided_buckets[1]);
-    EXPECT_GT(elided_buckets[0], 0u);
-    EXPECT_EQ(elided_buckets[2], 0u);
-    if (s == 1.0) {
-      // Everyone asleep: every measured interval elides its broadcast.
-      EXPECT_GT(results[1].quiet_skipped_intervals, 0u);
+      ExpectResultsIdentical(results[1], results[0]);
+      ExpectResultsIdentical(results[2], results[1]);
+      EXPECT_EQ(results[2].quiet_skipped_intervals,
+                results[1].quiet_skipped_intervals);
+      EXPECT_EQ(retention[0], JournalRetention::kDirtySet);
+      EXPECT_EQ(retention[1], JournalRetention::kDirtySet);
+      EXPECT_EQ(retention[2], JournalRetention::kFullWindow);
+      // The dirty set's footprint is its n bits, whatever the updates.
+      const uint64_t set_bytes = (BaseConfig(kind, s).model.n + 7) / 8;
+      EXPECT_EQ(journal_peak[0], set_bytes);
+      EXPECT_EQ(journal_peak[1], set_bytes);
+      EXPECT_GT(results[0].updates_applied, 0u);
+      if (s == 1.0) {
+        // Everyone asleep: every measured interval elides its broadcast.
+        EXPECT_GT(results[1].quiet_skipped_intervals, 0u);
+      }
     }
   }
 }
@@ -359,12 +309,12 @@ TEST(UpdateBatchAllocationTest, DrainLoopAllocatesNothing) {
 }
 
 // Full-cell steady state: with every unit asleep under SIG, the measured
-// intervals cover elided broadcasts, batched pumps, and digest-only journal
-// appends — none of which may allocate once warm, so two runs that differ
-// only in measured intervals allocate equally often.
+// intervals cover elided broadcasts, batched pumps, dirty-set marks and the
+// signature fold's window query — none of which may allocate once warm, so
+// two runs that differ only in measured intervals allocate equally often.
 TEST(UpdateBatchAllocationTest, WarmElidedCellSteadyStateAllocatesNothing) {
   auto run_allocs = [](uint64_t measure, size_t* allocs, CellResult* result,
-                       uint64_t* elided_buckets) {
+                       JournalRetention* retention) {
     const size_t before = g_new_calls.load();
     MegaCellConfig mc;
     mc.cell = BaseConfig(StrategyKind::kSig, 1.0);
@@ -375,21 +325,22 @@ TEST(UpdateBatchAllocationTest, WarmElidedCellSteadyStateAllocatesNothing) {
     ASSERT_TRUE(cell.updates()->batch_mode());
     ASSERT_TRUE(cell.Run(60, measure).ok());
     *result = cell.result();
-    *elided_buckets = cell.db()->elided_journal_buckets();
+    *retention = cell.db()->retention();
     *allocs = g_new_calls.load() - before;
   };
   size_t short_allocs = 0, long_allocs = 0;
   CellResult short_run, long_run;
-  uint64_t short_elided = 0, long_elided = 0;
+  JournalRetention short_retention{}, long_retention{};
   ASSERT_NO_FATAL_FAILURE(
-      run_allocs(50, &short_allocs, &short_run, &short_elided));
+      run_allocs(50, &short_allocs, &short_run, &short_retention));
   ASSERT_NO_FATAL_FAILURE(
-      run_allocs(100, &long_allocs, &long_run, &long_elided));
+      run_allocs(100, &long_allocs, &long_run, &long_retention));
   EXPECT_EQ(long_allocs, short_allocs)
       << "warm batched steady state allocated";
   EXPECT_GT(long_run.quiet_skipped_intervals, 0u);
   EXPECT_GT(long_run.updates_applied, short_run.updates_applied);
-  EXPECT_GT(long_elided, short_elided);
+  EXPECT_EQ(short_retention, JournalRetention::kDirtySet);
+  EXPECT_EQ(long_retention, JournalRetention::kDirtySet);
 }
 
 }  // namespace

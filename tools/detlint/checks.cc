@@ -141,7 +141,8 @@ constexpr std::array kPhaseSanctionedCrossings = {
 /// retention-discipline: the raw-journal readers. Outside the database
 /// itself, a call site must sit in a function that has already checked the
 /// retention class (kFullWindow / retention() guard) — mirroring the
-/// digest-only asserts inside Database::JournalIn / VersionAt.
+/// live-journal asserts inside Database::JournalIn / VersionAt: under
+/// kNone and kDirtySet retention the raw entries do not exist.
 constexpr std::array kRetentionReaders = {"JournalIn", "VersionAt"};
 
 /// retention-discipline: the database's own files, where the asserts live.
@@ -663,10 +664,11 @@ void CheckRetentionDiscipline(const RepoIndex& repo,
       if (guarded) continue;
       emit("retention-discipline", call.line,
            "raw journal read `" + call.name +
-               "(...)` without a retention guard; under kDigestOnly "
-               "retention the raw entries do not exist. Assert or check "
-               "`retention() == JournalRetention::kFullWindow` in this "
-               "function first (mirroring the asserts inside Database).");
+               "(...)` without a retention guard; under kNone and "
+               "kDirtySet retention the raw entries do not exist. Assert "
+               "or check `retention() == JournalRetention::kFullWindow` in "
+               "this function first (mirroring the asserts inside "
+               "Database).");
     }
   }
 }

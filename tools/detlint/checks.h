@@ -49,8 +49,9 @@
 //   retention-discipline    JournalIn/VersionAt call sites outside the
 //                           database itself must sit in a function that
 //                           checks the retention class first (kFullWindow /
-//                           retention() guard), mirroring the digest-only
-//                           asserts inside Database.
+//                           retention() guard), mirroring the asserts
+//                           inside Database: under kNone and kDirtySet
+//                           retention the raw entries do not exist.
 //
 // Suppress a deliberate, justified exception with
 // `// detlint:allow(<check>) <reason>` on or above the offending line, or

@@ -1,7 +1,7 @@
 // Fixture: retention-discipline. Raw journal reads (JournalIn / VersionAt)
 // outside the database must sit in a function that has already checked the
-// retention class: under kDigestOnly retention the raw entries do not
-// exist, and an unguarded reader would silently see an empty history.
+// retention class: under kNone and kDirtySet retention the raw entries do
+// not exist, and an unguarded reader would silently see an empty history.
 // detlint:pretend(src/core/retention_bad.cc)
 
 namespace mobicache {
