@@ -13,13 +13,25 @@
 // misread as a regression.
 //
 //   megacell [--units=1000,10000,100000,1000000] [--shards=1,2,4]
-//            [--warmup=N] [--measure=N] [--seed=N] [--json=PATH]
+//            [--strategy=ts] [--items=10000] [--mu=0.0001]
+//            [--bandwidth=10000] [--warmup=N] [--measure=N] [--seed=N]
+//            [--json=PATH]
+//
+// The AT update-storm record (BENCH_megacell.json), on perfbench's
+// update_storm_at channel: a 10^5-id report is ~2 Mb, so the default
+// 10 kb/s channel would carry reports only and answer no query.
+//
+//   megacell --strategy=at --items=1000000 --mu=0.01 --bandwidth=1000000
+//            --units=1000
 
+#include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/megacell.h"
@@ -54,6 +66,11 @@ struct RunRecord {
 struct BenchArgs {
   std::vector<uint64_t> units{1000, 10000, 100000, 1000000};
   std::vector<uint64_t> shards{1, 2, 4};
+  std::string strategy_name = "ts";
+  uint64_t items = 10000;
+  double mu = 1e-4;
+  double bandwidth = 1e4;
+  StrategyKind strategy = StrategyKind::kTs;  ///< Parsed from strategy_name.
   uint64_t warmup = 2;
   uint64_t measure = 10;
   uint64_t seed = 42;
@@ -67,6 +84,15 @@ void AddFlags(FlagParser* flags, BenchArgs* args) {
   flags->AddUintList("shards", args->shards,
                      "shard counts to sweep (0 is skipped as invalid)",
                      &args->shards);
+  flags->AddString("strategy", args->strategy_name,
+                   "cell strategy by short name: ts, at, sig, nocache, ats,\n"
+                   "      ideal, stateful, qat, async, gat, hyb (any case)",
+                   &args->strategy_name);
+  flags->AddUint("items", args->items, "database size n", &args->items);
+  flags->AddDouble("mu", args->mu, "update rate per item per second",
+                   &args->mu);
+  flags->AddDouble("bandwidth", args->bandwidth,
+                   "channel bandwidth W, bits per second", &args->bandwidth);
   flags->AddUint("warmup", args->warmup, "warm-up intervals", &args->warmup);
   flags->AddUint("measure", args->measure, "measured intervals",
                  &args->measure);
@@ -75,20 +101,58 @@ void AddFlags(FlagParser* flags, BenchArgs* args) {
                    &args->json_path);
 }
 
-/// One cell configuration scaled to `units` MUs: a 10^4-item database with a
-/// small shared hot spot keeps per-unit event rates paper-like (~1 query per
-/// unit-interval) while the population carries the scaling load.
-MegaCellConfig MakeConfig(uint64_t units, uint64_t shards, uint64_t seed) {
+std::string Lowercase(std::string_view name) {
+  std::string out(name);
+  for (char& c : out) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return out;
+}
+
+/// Range checks the parser's types cannot express; resolves --strategy.
+Status ValidateArgs(BenchArgs* args) {
+  bool known = false;
+  for (int k = 0; k <= static_cast<int>(StrategyKind::kHybridSig); ++k) {
+    const StrategyKind kind = static_cast<StrategyKind>(k);
+    if (Lowercase(StrategyName(kind)) == Lowercase(args->strategy_name)) {
+      args->strategy = kind;
+      known = true;
+    }
+  }
+  if (!known) {
+    return Status::InvalidArgument("--strategy: unknown strategy '" +
+                                   args->strategy_name + "'");
+  }
+  if (args->items == 0) {
+    return Status::InvalidArgument("--items must be at least 1");
+  }
+  if (!(args->mu >= 0.0 && std::isfinite(args->mu))) {
+    return Status::InvalidArgument("--mu must be finite and non-negative");
+  }
+  if (!(args->bandwidth > 0.0 && std::isfinite(args->bandwidth))) {
+    return Status::InvalidArgument("--bandwidth must be finite and positive");
+  }
+  return Status::OK();
+}
+
+/// One cell configuration scaled to `units` MUs. By default a 10^4-item TS
+/// database with a small shared hot spot keeps per-unit event rates
+/// paper-like (~1 query per unit-interval) while the population carries the
+/// scaling load; --strategy, --items, --mu and --bandwidth reshape the
+/// server's side.
+MegaCellConfig MakeConfig(const BenchArgs& args, uint64_t units,
+                          uint64_t shards) {
   MegaCellConfig mc;
-  mc.cell.model.n = 10000;
+  mc.cell.model.n = args.items;
   mc.cell.model.lambda = 0.01;
-  mc.cell.model.mu = 1e-4;
+  mc.cell.model.mu = args.mu;
   mc.cell.model.L = 10.0;
+  mc.cell.model.W = args.bandwidth;
   mc.cell.model.s = 0.3;
-  mc.cell.strategy = StrategyKind::kTs;
+  mc.cell.strategy = args.strategy;
   mc.cell.num_units = units;
   mc.cell.hotspot_size = 8;
-  mc.cell.seed = seed;
+  mc.cell.seed = args.seed;
   mc.num_shards = static_cast<uint32_t>(shards);
   return mc;
 }
@@ -103,7 +167,11 @@ void WriteJson(const BenchArgs& args, const std::vector<RunRecord>& runs,
                std::ostream& os) {
   os << "{\n";
   os << "  \"name\": \"megacell\",\n";
-  os << "  \"strategy\": \"ts\",\n";
+  os << "  \"strategy\": \"" << Lowercase(StrategyName(args.strategy))
+     << "\",\n";
+  os << "  \"items\": " << args.items << ",\n";
+  os << "  \"mu\": " << Num(args.mu) << ",\n";
+  os << "  \"bandwidth\": " << Num(args.bandwidth) << ",\n";
   os << "  \"hardware_concurrency\": " << ThreadPool::DefaultThreadCount()
      << ",\n";
   os << "  \"warmup_intervals\": " << args.warmup << ",\n";
@@ -143,8 +211,10 @@ int Main(int argc, char** argv) {
       "population and\nshard count; checks every shard count against "
       "shards=1.");
   AddFlags(&flags, &args);
-  if (Status st = flags.Parse(argc, argv); !st.ok()) {
-    std::cerr << st.ToString() << "\n\n" << flags.Usage();
+  Status parsed = flags.Parse(argc, argv);
+  if (parsed.ok()) parsed = ValidateArgs(&args);
+  if (!parsed.ok()) {
+    std::cerr << parsed.ToString() << "\n\n" << flags.Usage();
     return 2;
   }
   if (flags.help_requested()) {
@@ -165,7 +235,7 @@ int Main(int argc, char** argv) {
                     static_cast<unsigned long long>(shards));
         continue;
       }
-      MegaCell cell(MakeConfig(units, shards, args.seed));
+      MegaCell cell(MakeConfig(args, units, shards));
 
       auto t0 = std::chrono::steady_clock::now();
       Status st = cell.Build();

@@ -517,47 +517,62 @@ void BM_DatabaseUpdatedInReused(benchmark::State& state) {
 }
 BENCHMARK(BM_DatabaseUpdatedInReused)->Arg(10)->Arg(50);
 
-// AT report build over n = 10^6 items, L = 10: each timed build follows one
-// interval's updates, drained through the batched update kernel (untimed).
-// First arg: 0 keeps the raw journal (kFullWindow: bucket scan, slab
-// gather, sort), 1 the dirty set (kDirtySet: one id-ordered walk over the
-// set bits). Second arg: updates per interval — 10^5 is update_storm_at's
-// shape (mu = 0.01; server.report_build_s accumulates this per-report
-// cost), 10^3 is Scenario 2's sparse windows (mu = 10^-4), where the dirty
-// set's pass over all n/64 words is a visible share of the build.
-void BM_AtBuildReportStorm(benchmark::State& state) {
-  constexpr uint64_t kItems = 1000000;
-  constexpr double kL = 10.0;
-  const double mu = static_cast<double>(state.range(1)) /
-                    (static_cast<double>(kItems) * kL);
-  Simulator sim;
-  Database db(kItems, 1);
-  db.SetJournalBucketWidth(kL);
-  db.SetRetention(state.range(0) == 0 ? JournalRetention::kFullWindow
-                                      : JournalRetention::kDirtySet);
-  AtServerStrategy server(&db, kL);
-  UpdateGenerator gen(&sim, &db, mu, 5);
-  gen.EnableBatchMode();
-  if (!gen.Start().ok()) state.SkipWithError("generator start failed");
-  Report report;
-  uint64_t interval = 0;
-  // One interval's updates, then the server's batched prune.
-  auto drain = [&] {
+// An AT server over n = 10^6 items, L = 10, and its update stream at
+// `updates_per_interval`: 10^5 is update_storm_at's shape (mu = 0.01), 10^3
+// Scenario 2's sparse windows (mu = 10^-4). Drain() applies the next
+// interval's updates through the batched update kernel, prunes as the
+// server does, and returns the broadcast instant T_i.
+struct AtStormCell {
+  static constexpr uint64_t kItems = 1000000;
+  static constexpr double kL = 10.0;
+
+  AtStormCell(JournalRetention retention, int64_t updates_per_interval)
+      : db(kItems, 1),
+        server(&db, kL),
+        gen(&sim, &db,
+            static_cast<double>(updates_per_interval) /
+                (static_cast<double>(kItems) * kL),
+            5) {
+    db.SetJournalBucketWidth(kL);
+    db.SetRetention(retention);
+    gen.EnableBatchMode();
+  }
+
+  SimTime Drain() {
     ++interval;
     const SimTime now = kL * static_cast<double>(interval);
     gen.GenerateIntervalUpdates(now, /*inclusive=*/false);
     if (interval % 8 == 0) db.PruneJournalBefore(now - 3.0 * kL);
     return now;
-  };
+  }
+
+  Simulator sim;
+  Database db;
+  AtServerStrategy server;
+  UpdateGenerator gen;
+  uint64_t interval = 0;
+};
+
+// AT report build, timed after each untimed drain. First arg: 0 keeps the
+// raw journal (kFullWindow: bucket scan, slab gather, sort), 1 the dirty set
+// (kDirtySet: the fresh bits alone in steady state). Second arg: updates per
+// interval; server.report_build_s on update_storm_at accumulates the
+// /1/100000 per-report cost.
+void BM_AtBuildReportStorm(benchmark::State& state) {
+  AtStormCell cell(state.range(0) == 0 ? JournalRetention::kFullWindow
+                                       : JournalRetention::kDirtySet,
+                   state.range(1));
+  if (!cell.gen.Start().ok()) state.SkipWithError("generator start failed");
+  Report report;
   for (int warm = 0; warm < 3; ++warm) {
-    server.BuildReportInto(drain(), interval, &report);
+    cell.server.BuildReportInto(cell.Drain(), cell.interval, &report);
   }
   uint64_t listed = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    const SimTime now = drain();
+    const SimTime now = cell.Drain();
     state.ResumeTiming();
-    server.BuildReportInto(now, interval, &report);
+    cell.server.BuildReportInto(now, cell.interval, &report);
     const std::vector<ItemId>& ids = std::get<AtReport>(report).ids;
     benchmark::DoNotOptimize(ids.data());
     benchmark::ClobberMemory();
@@ -570,6 +585,36 @@ BENCHMARK(BM_AtBuildReportStorm)
     ->Args({1, 100000})
     ->Args({0, 1000})
     ->Args({1, 1000})
+    ->Unit(benchmark::kMicrosecond);
+
+// The all-asleep AT cell's per-interval work: with nobody listening the
+// server elides every broadcast and only sizes the report, one
+// CountUpdatedIn over (T_i - L, T_i] on the dirty set (AdvanceQuiet). Arg
+// is updates per interval.
+void BM_AtCountQuietWindow(benchmark::State& state) {
+  AtStormCell cell(JournalRetention::kDirtySet, state.range(0));
+  if (!cell.gen.Start().ok()) state.SkipWithError("generator start failed");
+  MessageSizes sizes;
+  sizes.id_bits = 20;
+  uint64_t bits = 0;
+  for (int warm = 0; warm < 3; ++warm) {
+    cell.server.AdvanceQuiet(cell.Drain(), cell.interval, sizes, &bits);
+  }
+  uint64_t counted = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const SimTime now = cell.Drain();
+    state.ResumeTiming();
+    cell.server.AdvanceQuiet(now, cell.interval, sizes, &bits);
+    benchmark::DoNotOptimize(bits);
+    counted += bits / sizes.id_bits;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(counted));
+}
+BENCHMARK(BM_AtCountQuietWindow)
+    ->Arg(100000)
+    ->Arg(1000)
+    ->MinTime(0.05)  // the untimed drain dwarfs the timed count
     ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------

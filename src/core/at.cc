@@ -18,9 +18,7 @@ Report AtServerStrategy::BuildReport(SimTime now, uint64_t interval) {
   report.interval = interval;
   report.timestamp = now;
   // U_i = { j : T_{i-1} < t_j <= T_i }  (Eq. 2)
-  for (const UpdatedItem& item : db_->UpdatedIn(now - latency_, now)) {
-    report.ids.push_back(item.id);
-  }
+  db_->UpdatedIdsIn(now - latency_, now, &report.ids);
   return report;
 }
 
@@ -32,11 +30,8 @@ void AtServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
   if (at == nullptr) at = &out->emplace<AtReport>();
   at->interval = interval;
   at->timestamp = now;
-  db_->UpdatedIn(now - latency_, now, &delta_scratch_);
-  at->ids.clear();
-  // Fills the reused report's retained capacity. detlint:allow(alloc-event-path)
-  at->ids.reserve(delta_scratch_.size());
-  for (const UpdatedItem& item : delta_scratch_) at->ids.push_back(item.id);  // detlint:allow(alloc-event-path)
+  // Fills the reused report's retained capacity.
+  db_->UpdatedIdsIn(now - latency_, now, &at->ids);
 }
 
 bool AtServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,

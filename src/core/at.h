@@ -35,8 +35,6 @@ class AtServerStrategy : public ServerStrategy {
  private:
   const Database* db_;
   SimTime latency_;
-  // Scratch for Database::UpdatedIn, reused across reports.
-  std::vector<UpdatedItem> delta_scratch_;
 };
 
 /// AT client half: implements the §3.2 client algorithm.

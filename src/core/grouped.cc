@@ -23,9 +23,9 @@ GroupedAtServerStrategy::GroupedAtServerStrategy(const Database* db,
 
 void GroupedAtServerStrategy::ChangedGroups(SimTime now,
                                             std::vector<uint32_t>* out) {
-  db_->UpdatedIn(now - latency_, now, &delta_scratch_);
-  for (const UpdatedItem& item : delta_scratch_) {
-    const uint32_t group = grouping_.GroupOf(item.id);
+  db_->UpdatedIdsIn(now - latency_, now, &changed_);
+  for (ItemId id : changed_) {
+    const uint32_t group = grouping_.GroupOf(id);
     // Appends to the caller's group list — the broadcast path hands in the
     // reused report's retained storage. detlint:allow(alloc-event-path)
     if (out->empty() || out->back() != group) out->push_back(group);
@@ -59,11 +59,11 @@ bool GroupedAtServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
   (void)interval;
   (void)sizes;
   // Count the distinct changed groups without materializing them.
-  db_->UpdatedIn(now - latency_, now, &delta_scratch_);
+  db_->UpdatedIdsIn(now - latency_, now, &changed_);
   uint64_t count = 0;
   uint32_t prev_group = 0;
-  for (const UpdatedItem& item : delta_scratch_) {
-    const uint32_t group = grouping_.GroupOf(item.id);
+  for (ItemId id : changed_) {
+    const uint32_t group = grouping_.GroupOf(id);
     if (count == 0 || group != prev_group) {
       ++count;
       prev_group = group;

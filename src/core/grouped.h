@@ -58,15 +58,15 @@ class GroupedAtServerStrategy : public ServerStrategy {
 
  private:
   /// Appends the window's changed groups (distinct, ascending) to `*out`.
-  /// UpdatedIn yields ascending ids and GroupOf is nondecreasing in id, so
+  /// UpdatedIdsIn yields ascending ids and GroupOf is nondecreasing in id, so
   /// consecutive dedup produces exactly the sorted distinct set.
   void ChangedGroups(SimTime now, std::vector<uint32_t>* out);
 
   const Database* db_;
   SimTime latency_;
   ItemGrouping grouping_;
-  // Scratch for Database::UpdatedIn, reused across reports.
-  std::vector<UpdatedItem> delta_scratch_;
+  // Scratch for Database::UpdatedIdsIn, reused across reports.
+  std::vector<ItemId> changed_;
 };
 
 /// Client half: AT drop rules at group granularity.

@@ -40,16 +40,17 @@ void HybridSigServerStrategy::FoldChangesThrough(
   // its broadcast-instant exception are SigServerStrategy's): hot changes
   // are listed explicitly — in the query's ascending id order, so the list
   // needs no sort — and cold changes fold into the combined signatures.
-  db_->UpdatedIn(last_folded_, now, &changed_);
-  for (const UpdatedItem& item : changed_) {
-    if (std::binary_search(hot_set_.begin(), hot_set_.end(), item.id)) {
-      if (item.updated_at > now - latency_) {
+  // Only a hot id's update time is read, to keep it to the AT window.
+  db_->UpdatedIdsIn(last_folded_, now, &changed_);
+  for (ItemId id : changed_) {
+    if (std::binary_search(hot_set_.begin(), hot_set_.end(), id)) {
+      if (db_->LastUpdateOf(id) > now - latency_) {
         // Appends to the caller's hot list — the broadcast path hands in
         // the reused report's storage. detlint:allow(alloc-event-path)
-        hot_out->push_back(item.id);
+        hot_out->push_back(id);
       }
     } else {
-      state_.OnItemChanged(item.id);
+      state_.OnItemChanged(id);
     }
   }
   last_folded_ = now;

@@ -55,7 +55,7 @@ class HybridSigServerStrategy : public ServerStrategy {
   std::vector<ItemId> hot_set_;
   ServerSignatureState state_;
   SimTime last_folded_ = 0.0;
-  std::vector<UpdatedItem> changed_;  // fold scratch, reused across reports
+  std::vector<ItemId> changed_;  // fold scratch, reused across reports
   // Hot ids of the interval most recently consumed by AdvanceQuiet, kept so
   // MaterializeQuietInto can reconstruct the elided report.
   std::vector<ItemId> quiet_hot_scratch_;

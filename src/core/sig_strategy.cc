@@ -23,8 +23,8 @@ void SigServerStrategy::FoldChangesThrough(SimTime now) {
   // lies outside (T, T + L], so it reaches the signatures with the item's
   // next change. Update times are continuous draws, so that coincidence is
   // vanishingly rare.
-  db_->UpdatedIn(last_folded_, now, &changed_);
-  for (const UpdatedItem& item : changed_) state_.OnItemChanged(item.id);
+  db_->UpdatedIdsIn(last_folded_, now, &changed_);
+  for (ItemId id : changed_) state_.OnItemChanged(id);
   last_folded_ = now;
 }
 

@@ -50,7 +50,7 @@ class SigServerStrategy : public ServerStrategy {
   SimTime latency_;
   ServerSignatureState state_;
   SimTime last_folded_ = 0.0;  // updates up to here are in `state_`
-  std::vector<UpdatedItem> changed_;  // fold scratch, reused across reports
+  std::vector<ItemId> changed_;  // fold scratch, reused across reports
 };
 
 /// SIG client half. Its view interns baselines in `family`'s pool, so the

@@ -28,6 +28,11 @@ constexpr size_t kDigestPrefetchDistance = 8;
 /// lead time covers a DRAM round-trip.
 constexpr size_t kBatchPrefetchDistance = 8;
 
+/// Ids a dirty-set walk gathers in its stack buffer before appending them
+/// to the caller's vector: a sparse window then pays one append per block
+/// rather than one per set word.
+constexpr size_t kFoundFlushAt = 192;
+
 /// Recycled bucket storages kept around after pruning. The server batches
 /// pruning (ServerConfig::journal_prune_period_intervals, default 8), so a
 /// prune drops that many buckets at once; the bound must absorb the whole
@@ -188,7 +193,7 @@ void Database::ApplyUpdate(ItemId id, SimTime now) {
   ++item.version;
   item.last_update = now;
   if (journal_enabled_) AppendJournal(id, now);
-  if (dirty_set_) MarkDirty(&id, 1);
+  if (dirty_set_) MarkDirty(&id, &now, 1);
   ++total_updates_;
   if (observer_) observer_(id, now);
 }
@@ -213,7 +218,7 @@ void Database::ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
     }
     // After the walk: no window query runs inside it. Under kDirtySet the
     // journal is off, so this follows the SIMD kernel.
-    if (dirty_set_) MarkDirty(ids, count);
+    if (dirty_set_) MarkDirty(ids, times, count);
   } else {
     for (size_t i = 0; i < count; ++i) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -230,7 +235,7 @@ void Database::ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
       if (journal_enabled_) AppendJournal(id, now);
       // Marked before the observer runs, so one that window-queries sees
       // exactly the state a lone ApplyUpdate would leave.
-      if (dirty_set_) MarkDirty(&id, 1);
+      if (dirty_set_) MarkDirty(&id, &now, 1);
       observer_(id, now);
     }
   }
@@ -270,12 +275,20 @@ void Database::ApplyBatchJournal(const ItemId* ids, const SimTime* times,
   }
 }
 
-void Database::MarkDirty(const ItemId* ids, size_t count) {
-  uint64_t* words = dirty_words_.data();
+void Database::MarkDirty(const ItemId* ids, const SimTime* times,
+                         size_t count) {
+  uint64_t* words = fresh_words_.data();
+  uint64_t added = 0;
   for (size_t i = 0; i < count; ++i) {
     const ItemId id = ids[i];
-    words[id >> 6] |= uint64_t{1} << (id & 63);
+    uint64_t& word = words[id >> 6];
+    const uint64_t bit = uint64_t{1} << (id & 63);
+    added += static_cast<uint64_t>((word & bit) == 0);
+    word |= bit;
   }
+  fresh_count_ += added;
+  fresh_first_ = std::min(fresh_first_, times[0]);
+  fresh_last_ = std::max(fresh_last_, times[count - 1]);
 }
 
 void Database::SetJournalEnabled(bool enabled) {
@@ -303,9 +316,10 @@ void Database::SetRetention(JournalRetention retention) {
       // A bit set only learns of updates applied after it exists.
       assert(total_updates_ == 0 && "arm kDirtySet before any update");
       SetJournalEnabled(false);
-      dirty_words_.assign((n_ + 63) / 64, 0);
+      fresh_words_.assign((n_ + 63) / 64, 0);
+      older_words_.assign((n_ + 63) / 64, 0);
       dirty_set_ = true;
-      journal_bytes_ = (n_ + 7) / 8;
+      journal_bytes_ = 2 * ((n_ + 7) / 8);
       break;
     case JournalRetention::kFullWindow:
       SetJournalEnabled(true);
@@ -350,7 +364,22 @@ void Database::UpdatedIn(SimTime lo, SimTime hi,
   // No history kept (kNone): the documented answer is empty.
   if (hi <= lo || (!journal_enabled_ && !dirty_set_)) return;
   if (dirty_set_) {
-    QueryDirtySet(lo, hi, out);
+    // The ids query, then each listed item's time from the slab, prefetched
+    // a few ids ahead of the read.
+    std::vector<ItemId>& ids = ids_scratch_;
+    ids.clear();
+    QueryDirtySet(lo, hi, &ids);
+    const size_t m = ids.size();
+    out->reserve(m);
+    for (size_t i = 0; i < m; ++i) {
+#if defined(__GNUC__) || defined(__clang__)
+      if (i + kDigestPrefetchDistance < m) {
+        __builtin_prefetch(&hot_[ids[i + kDigestPrefetchDistance]], /*rw=*/0,
+                           /*locality=*/1);
+      }
+#endif
+      out->push_back(UpdatedItem{ids[i], hot_[ids[i]].last_update});
+    }
     return;
   }
   // Per-bucket id-sorted segments, merged pairwise below.
@@ -411,6 +440,22 @@ void Database::UpdatedIn(SimTime lo, SimTime hi,
   }
 }
 
+void Database::UpdatedIdsIn(SimTime lo, SimTime hi,
+                            std::vector<ItemId>* out) const {
+  // Appends land in `out` (caller-owned, reused across intervals) or member
+  // scratch; both retain capacity. detlint:allow-function(alloc-event-path)
+  out->clear();
+  if (hi <= lo) return;
+  if (dirty_set_) {
+    QueryDirtySet(lo, hi, out);
+    return;
+  }
+  // The journal classes answer the (id, time) query; project its ids.
+  UpdatedIn(lo, hi, &items_scratch_);
+  out->reserve(items_scratch_.size());
+  for (const UpdatedItem& item : items_scratch_) out->push_back(item.id);
+}
+
 uint64_t Database::CountUpdatedIn(SimTime lo, SimTime hi) const {
   uint64_t count = 0;
   // No history kept (kNone): the documented answer is empty.
@@ -440,38 +485,91 @@ uint64_t Database::CountUpdatedIn(SimTime lo, SimTime hi) const {
 }
 
 uint64_t Database::QueryDirtySet(SimTime lo, SimTime hi,
-                                 std::vector<UpdatedItem>* out) const {
-  // Appends land in the caller's reused report scratch (retained capacity).
-  // detlint:allow-function(alloc-event-path)
+                                 std::vector<ItemId>* out) const {
   assert(lo < hi);
   assert(lo >= dirty_floor_ &&
          "dirty-set window queries need a non-decreasing lo");
+  // The three proofs of the file comment. When the older-only items are
+  // proven both outside and inside there are none, so the first wins.
+  const bool fresh_inside = fresh_first_ > lo && fresh_last_ <= hi;
+  const bool older_outside = settled_last_ <= lo;
+  const bool older_inside = lo == dirty_floor_ && settled_last_ <= hi;
+  const bool bitwise = fresh_inside && (older_outside || older_inside);
+  dirty_bitwise_queries_ += bitwise ? 1 : 0;
+  uint64_t found = 0;
+  if (bitwise && older_outside) {
+    // The answer is the fresh set, counted as it was marked; it becomes
+    // the older set, and the old older bits are dropped.
+    found = fresh_count_;
+    if (out != nullptr) AppendSetBits(fresh_words_, out);
+    fresh_words_.swap(older_words_);
+    std::fill(fresh_words_.begin(), fresh_words_.end(), uint64_t{0});
+  } else {
+    found = MergeDirtyWords(lo, hi, /*all_inside=*/bitwise, out);
+  }
   dirty_floor_ = lo;
-  // Found items gather in a stack buffer flushed in blocks, so a sparse
-  // window pays one append per block rather than one per set word.
-  constexpr size_t kFlushAt = 192;
-  UpdatedItem found[kFlushAt + 64];
+  settled_last_ = std::max(settled_last_, fresh_last_);
+  fresh_first_ = std::numeric_limits<SimTime>::infinity();
+  fresh_last_ = -std::numeric_limits<SimTime>::infinity();
+  fresh_count_ = 0;
+  return found;
+}
+
+void Database::AppendSetBits(const std::vector<uint64_t>& words,
+                             std::vector<ItemId>* out) {
+  // Appends land in the caller's reused report scratch (retained capacity).
+  // detlint:allow-function(alloc-event-path)
+  ItemId found[kFoundFlushAt + 64];
+  size_t k = 0;
+  const size_t n_words = words.size();
+  for (size_t w = 0; w < n_words; ++w) {
+    if (words[w] == 0) continue;
+    const ItemId base = static_cast<ItemId>(w * 64);
+    for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      found[k++] = base + static_cast<ItemId>(std::countr_zero(bits));
+    }
+    if (k >= kFoundFlushAt) {
+      out->insert(out->end(), found, found + k);
+      k = 0;
+    }
+  }
+  out->insert(out->end(), found, found + k);
+}
+
+uint64_t Database::MergeDirtyWords(SimTime lo, SimTime hi, bool all_inside,
+                                   std::vector<ItemId>* out) const {
+  // Appends land in the caller's reused report scratch (retained capacity).
+  // detlint:allow-function(alloc-event-path)
+  ItemId found[kFoundFlushAt + 64];
   size_t k = 0;
   uint64_t found_total = 0;
-  uint64_t* words = dirty_words_.data();
-  const size_t n_words = dirty_words_.size();
+  uint64_t* fresh = fresh_words_.data();
+  uint64_t* older = older_words_.data();
+  const size_t n_words = fresh_words_.size();
   for (size_t w = 0; w < n_words; ++w) {
-    uint64_t word = words[w];
+    uint64_t word = fresh[w] | older[w];
     if (word == 0) continue;
     const ItemId base = static_cast<ItemId>(w * 64);
-    // Branch-free over the word's set bits: whether an item's latest
-    // update predates lo, or falls in the window, is a coin flip the
-    // predictor cannot learn, so both outcomes are arithmetic.
-    for (uint64_t bits = word; bits != 0; bits &= bits - 1) {
-      const int b = std::countr_zero(bits);
-      const ItemId id = base + static_cast<ItemId>(b);
-      const SimTime t = hot_[id].last_update;
-      word &= ~(uint64_t{t <= lo} << b);
-      found[k] = UpdatedItem{id, t};
-      k += static_cast<size_t>((t > lo) & (t <= hi));
+    if (all_inside) {
+      for (uint64_t bits = word; bits != 0; bits &= bits - 1) {
+        found[k++] = base + static_cast<ItemId>(std::countr_zero(bits));
+      }
+    } else {
+      // Branch-free over the word's set bits: whether an item's latest
+      // update predates lo, or falls in the window, is a coin flip the
+      // predictor cannot learn, so both outcomes are arithmetic.
+      for (uint64_t bits = word; bits != 0; bits &= bits - 1) {
+        const int b = std::countr_zero(bits);
+        const ItemId id = base + static_cast<ItemId>(b);
+        const SimTime t = hot_[id].last_update;
+        word &= ~(uint64_t{t <= lo} << b);
+        found[k] = id;
+        k += static_cast<size_t>((t > lo) & (t <= hi));
+      }
     }
-    words[w] = word;
-    if (k >= kFlushAt) {
+    older[w] = word;
+    fresh[w] = 0;
+    if (k >= kFoundFlushAt) {
       found_total += k;
       if (out != nullptr) out->insert(out->end(), found, found + k);
       k = 0;

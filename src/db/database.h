@@ -26,19 +26,44 @@
 // list, so the steady state (one bucket appended, one pruned per interval)
 // allocates nothing.
 //
-// Dirty-set retention (kDirtySet: AT, grouped AT, SIG, hybrid): no journal
-// at all, just one bit per item, set by every update of the item and
-// cleared lazily by a window query (lo, hi] that finds the item's latest
-// update at or before lo. A query walks the set bits in id order, reading
-// each item's last-update time from the slab: at or before lo clears the
-// bit, inside (lo, hi] emits the item — id-sorted by construction, no sort,
-// no merge. Invariant: lo never decreases across queries (asserted through
-// a watermark). Then a bit is only ever cleared for an item whose latest
-// update lies at or before a past — hence the current — lo, and a later
-// update sets it again, so every item whose latest update lies in (lo, hi]
-// still has its bit set: the answer is exact. Repeating a query is
-// idempotent. A query costs one pass over the n/64 words plus one slab read
-// per set bit.
+// Dirty-set retention (kDirtySet: AT, grouped AT, SIG, hybrid): no journal,
+// two n-bit sets instead. The fresh set holds every item updated since the
+// last window query; the older set holds the bits no query has cleared yet,
+// each that of an item whose latest update lies above that query's lo.
+// Three times are recorded: the first and the latest update since the last
+// query (by the apply path), and the latest update as of the last query (by
+// the query). Queries' lo never decreases (asserted through a watermark),
+// and every applied update is at or before the latest applied time, so a
+// query (lo, hi] answers from the bits alone — no slab read — whenever the
+// times prove it:
+//
+//  * every fresh item is inside the window when the first fresh time is
+//    above lo and the latest fresh time is at or below hi;
+//  * every older-only item is outside when the latest update as of the last
+//    query is at or below lo (its bit can be cleared);
+//  * every older-only item is inside when lo equals the last query's lo and
+//    the latest update as of that query is at or below hi: every bit that
+//    survives a query lies above that query's lo. This is the quiet report
+//    counted and then materialized for the same window.
+//
+// The answer is then the fresh bits, or fresh | older. Otherwise the query
+// falls back to the exact walk: over the union's set bits in id order,
+// reading each item's last-update time from the slab, clearing it at or
+// before lo and emitting it inside (lo, hi]. Either way the query leaves
+// its surviving bits (each above lo) in the older set and zeroes the fresh
+// set, so a bit is only ever cleared for an item whose latest update lies
+// at or before a past — hence the current — lo, and a later update sets it
+// again: the answer is exact, and repeating a query is idempotent. Answers
+// are id-sorted by construction, with no sort and no merge.
+//
+// Cost. In steady state (one window per broadcast, (T_i - L, T_i], its
+// updates drained before T_i) every query answers bitwise with the older
+// bits proven outside: the answer is the fresh set, whose size the apply
+// path counts as it sets new bits, and the fresh set becomes the older one
+// by a swap. A count is then one zeroing pass over ceil(n/64) words; a
+// list adds one pass reading them. A repeated window (fresh | older) and
+// the fallback are one pass over both sets' 2 * ceil(n/64) words, and the
+// fallback adds one slab read per set bit.
 //
 // No retention (kNone, no-caching): no journal and no bit set. A window
 // query then has no history to consult and answers empty; the raw readers
@@ -89,14 +114,15 @@ struct UpdatedItem {
 ///                   query (no-caching); every journal append would be pure
 ///                   overhead on the hottest path. Window queries answer
 ///                   empty.
-///  * kDirtySet    — no journal; an n-bit set of items updated since a
-///                   window query last cleared them (see the file comment).
-///                   Serves UpdatedIn/CountUpdatedIn exactly as long as the
+///  * kDirtySet    — no journal; two n-bit sets, the items updated since
+///                   the last window query and those no query has cleared
+///                   yet (see the file comment). Serves UpdatedIn,
+///                   UpdatedIdsIn and CountUpdatedIn exactly as long as the
 ///                   queries' lo never decreases — the AT family's one
 ///                   window per broadcast, (T_i - L, T_i], and the SIG
-///                   family's fold since the previous broadcast. Bits are
-///                   cleared lazily, by the first query whose lo has passed
-///                   the item's latest update.
+///                   family's fold since the previous broadcast. Such
+///                   queries answer from the bits alone; any other window
+///                   falls back to an exact walk that reads update times.
 ///  * kFullWindow  — raw entries over the report window (TS, adaptive TS,
 ///                   quasi-AT, and any cell whose answer observer audits
 ///                   historical values). The default.
@@ -198,8 +224,15 @@ class Database {
 
   /// Same window query into a caller-owned buffer (cleared first). Report
   /// builders run once per interval; reusing one buffer across intervals
-  /// keeps the per-report allocation count flat.
+  /// keeps the per-report allocation count flat. Under kDirtySet this is
+  /// UpdatedIdsIn plus one slab read per listed id.
   void UpdatedIn(SimTime lo, SimTime hi, std::vector<UpdatedItem>* out) const;
+
+  /// The ids of UpdatedIn(lo, hi), in the same increasing id order, into a
+  /// caller-owned buffer (cleared first). Under kDirtySet a steady-state
+  /// window answers from the bit sets with no per-item time read (see the
+  /// file comment); this is what the AT and SIG families' builders use.
+  void UpdatedIdsIn(SimTime lo, SimTime hi, std::vector<ItemId>* out) const;
 
   /// Number of distinct items whose last update lies in (lo, hi].
   uint64_t CountUpdatedIn(SimTime lo, SimTime hi) const;
@@ -237,10 +270,13 @@ class Database {
   JournalRetention retention() const { return retention_; }
 
   /// Primary journal storage held right now / at its high-water mark over
-  /// the run, in bytes: 12 per raw entry (time + id), ceil(n/8) for the
-  /// kDirtySet bit set. Derived bucket digests are query caches, not
+  /// the run, in bytes: 12 per raw entry (time + id), 2 * ceil(n/8) for the
+  /// kDirtySet bit sets. Derived bucket digests are query caches, not
   /// retention, and are excluded.
   uint64_t journal_bytes() const { return journal_bytes_; }
+  /// kDirtySet window queries answered from the bit sets alone, without the
+  /// time-reading walk (see the file comment). A diagnostic count.
+  uint64_t dirty_bitwise_queries() const { return dirty_bitwise_queries_; }
   uint64_t journal_bytes_peak() const {
     return journal_bytes_ > journal_bytes_peak_ ? journal_bytes_
                                                 : journal_bytes_peak_;
@@ -376,14 +412,25 @@ class Database {
   /// Saves a drained bucket's storage in the spare list (bounded).
   void RecycleBucket(Bucket* bucket);
   static void BuildDigest(const Bucket& bucket);
-  /// Sets the kDirtySet bits of `count` updated ids.
-  void MarkDirty(const ItemId* ids, size_t count);
-  /// The kDirtySet window query (see the file comment): clears the bits of
-  /// items last updated at or before `lo`, appends the items last updated
-  /// in (lo, hi] to `out` (if non-null) in id order, and returns how many
-  /// it found. Requires lo < hi and lo at or past every earlier query's lo.
+  /// Sets the kDirtySet fresh bits of `count` updated ids and folds their
+  /// times (non-decreasing) into the fresh-interval bounds.
+  void MarkDirty(const ItemId* ids, const SimTime* times, size_t count);
+  /// The kDirtySet window query (see the file comment): answers bitwise when
+  /// the recorded times prove the answer, else walks the set bits reading
+  /// update times. Appends the items last updated in (lo, hi] to `out` (if
+  /// non-null) in id order and returns how many it found. Requires lo < hi
+  /// and lo at or past every earlier query's lo.
   uint64_t QueryDirtySet(SimTime lo, SimTime hi,
-                         std::vector<UpdatedItem>* out) const;
+                         std::vector<ItemId>* out) const;
+  /// Appends the ids of `words`' set bits to `out`, in id order.
+  static void AppendSetBits(const std::vector<uint64_t>& words,
+                            std::vector<ItemId>* out);
+  /// One pass over fresh | older: keeps each set bit whose item lies above
+  /// lo in the older set (every one when `all_inside`, else by its slab
+  /// time), zeroes the fresh set, appends the items in (lo, hi] to `out`
+  /// (if non-null) and returns how many there are.
+  uint64_t MergeDirtyWords(SimTime lo, SimTime hi, bool all_inside,
+                           std::vector<ItemId>* out) const;
 
   /// Folds the current byte count into the peak watermark. Bytes grow
   /// monotonically between prunes, so calling this right before any
@@ -421,12 +468,26 @@ class Database {
   /// cache-fill state like the digests: window queries only run in the
   /// single-threaded server phase.
   mutable std::vector<size_t> merge_starts_;
-  /// kDirtySet state (see the file comment): bit j of dirty_words_ is set
-  /// while item j may still belong to a window. Empty under other classes.
-  /// `mutable` like the digests: queries clear bits lazily.
-  mutable std::vector<uint64_t> dirty_words_;
+  /// UpdatedIdsIn scratch under the journal classes, and UpdatedIn scratch
+  /// under kDirtySet: each query form is the other one projected.
+  mutable std::vector<UpdatedItem> items_scratch_;
+  mutable std::vector<ItemId> ids_scratch_;
+  /// kDirtySet state (see the file comment): bit j of fresh_words_ is set
+  /// when item j was updated since the last query; bit j of older_words_
+  /// while a query left it set. Empty under other classes. `mutable` like
+  /// the digests: queries move and clear bits.
+  mutable std::vector<uint64_t> fresh_words_;
+  mutable std::vector<uint64_t> older_words_;
+  /// First and latest update time since the last query (+inf / -inf while
+  /// none), and the latest update time as of the last query.
+  mutable SimTime fresh_first_ = std::numeric_limits<SimTime>::infinity();
+  mutable SimTime fresh_last_ = -std::numeric_limits<SimTime>::infinity();
+  mutable SimTime settled_last_ = -std::numeric_limits<SimTime>::infinity();
   /// Largest lo any dirty-set query has used: the exactness watermark.
   mutable SimTime dirty_floor_ = -std::numeric_limits<SimTime>::infinity();
+  /// Distinct items in the fresh set, counted as their bits are set.
+  mutable uint64_t fresh_count_ = 0;
+  mutable uint64_t dirty_bitwise_queries_ = 0;
   bool dirty_set_ = false;  ///< retention_ == kDirtySet, tested per batch.
 };
 

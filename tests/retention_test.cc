@@ -7,8 +7,10 @@
 //
 //  * twin databases fed the identical update stream under kFullWindow and
 //    kDirtySet retention answer the same window queries (UpdatedIn /
-//    CountUpdatedIn) over any sequence of windows whose lo never
-//    decreases;
+//    UpdatedIdsIn / CountUpdatedIn) over any sequence of windows whose lo
+//    never decreases, on the dirty set's bitwise path and on its
+//    time-reading fallback alike, and a warm AT cell answers every
+//    steady-state window bitwise;
 //  * window queries are sets: two updates of one id at one SimTime report
 //    the id once, in every representation;
 //  * an AT or grouped-AT cell runs bit-identically on the dirty set and on
@@ -31,7 +33,9 @@
 #include "core/at.h"
 #include "counting_new.h"
 #include "db/database.h"
+#include "db/update_generator.h"
 #include "exp/megacell.h"
+#include "sim/simulator.h"
 
 namespace mobicache {
 namespace {
@@ -224,6 +228,12 @@ SimTime StepUlps(SimTime x, int ulps) {
   return x;
 }
 
+std::vector<ItemId> IdsOf(const std::vector<UpdatedItem>& items) {
+  std::vector<ItemId> ids;
+  for (const UpdatedItem& item : items) ids.push_back(item.id);
+  return ids;
+}
+
 ::testing::AssertionResult SameItems(const std::vector<UpdatedItem>& a,
                                      const std::vector<UpdatedItem>& b) {
   if (a.size() != b.size()) {
@@ -269,6 +279,8 @@ TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
     std::vector<ItemId> ids;
     std::vector<SimTime> times;
     std::vector<UpdatedItem> scratch[2];
+    std::vector<ItemId> id_scratch[2];
+    uint64_t dirty_queries = 0;
     for (int step = 0; step < 160; ++step) {
       // Updates up to ~2.5 intervals ahead; a zero count is a quiet
       // stretch, a burst lists more items than the dirty-set query buffers
@@ -329,13 +341,30 @@ TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
         SCOPED_TRACE("step " + std::to_string(step) + " window (" +
                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
         const std::vector<UpdatedItem> want = full.UpdatedIn(lo, hi);
+        // All three query forms, in a rotating order: whichever runs first
+        // sees the window fresh, the others repeat it.
+        const int first = static_cast<int>(uniform(3));
         for (int d = 0; d < 2; ++d) {
-          dbs[d]->UpdatedIn(lo, hi, &scratch[d]);
-          ASSERT_TRUE(SameItems(want, scratch[d])) << JournalRetentionName(
-              classes[d]);
-          ASSERT_EQ(dbs[d]->CountUpdatedIn(lo, hi), want.size())
-              << JournalRetentionName(classes[d]);
+          for (int f = 0; f < 3; ++f) {
+            switch ((first + f) % 3) {
+              case 0:
+                dbs[d]->UpdatedIn(lo, hi, &scratch[d]);
+                ASSERT_TRUE(SameItems(want, scratch[d]))
+                    << JournalRetentionName(classes[d]);
+                break;
+              case 1:
+                dbs[d]->UpdatedIdsIn(lo, hi, &id_scratch[d]);
+                ASSERT_EQ(id_scratch[d], IdsOf(want))
+                    << JournalRetentionName(classes[d]);
+                break;
+              case 2:
+                ASSERT_EQ(dbs[d]->CountUpdatedIn(lo, hi), want.size())
+                    << JournalRetentionName(classes[d]);
+                break;
+            }
+          }
         }
+        if (lo < hi) dirty_queries += 3;
         prev_lo = lo;
         prev_hi = std::max(lo, hi);
       }
@@ -346,11 +375,164 @@ TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
       ASSERT_EQ(dirty.LastUpdateOf(id), full.LastUpdateOf(id));
     }
     EXPECT_EQ(dirty.journal_size(), 0u);
-    EXPECT_EQ(dirty.journal_bytes_peak(), (kTripleItems + 7) / 8);
+    // Two n-bit sets: the fresh and the older bits.
+    EXPECT_EQ(dirty.journal_bytes_peak(), 2 * ((kTripleItems + 7) / 8));
+    // The seeded windows reach both the bitwise path and the fallback.
+    EXPECT_GT(dirty.dirty_bitwise_queries(), 0u);
+    EXPECT_LT(dirty.dirty_bitwise_queries(), dirty_queries);
     if (seed % 2 == 1) {
       EXPECT_EQ(observed, 2 * full.total_updates());
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The dirty set's bitwise conditions at their boundaries: each scripted
+// window is checked against the full-journal twin, and against the path
+// (bitwise or time-reading fallback) its recorded times call for.
+
+class DirtyBoundaryTest : public ::testing::Test {
+ protected:
+  DirtyBoundaryTest() : full_(kItems, 7), dirty_(kItems, 7) {
+    for (Database* db : {&full_, &dirty_}) db->SetJournalBucketWidth(kBucket);
+    dirty_.SetRetention(JournalRetention::kDirtySet);
+  }
+
+  void Apply(ItemId id, SimTime t) {
+    full_.ApplyUpdate(id, t);
+    dirty_.ApplyUpdate(id, t);
+  }
+
+  // Queries (lo, hi] on both twins, list form unless `count_only`, and
+  // returns whether the dirty set answered from the bits alone.
+  bool Query(SimTime lo, SimTime hi, bool count_only = false) {
+    const std::vector<UpdatedItem> want = full_.UpdatedIn(lo, hi);
+    const uint64_t bitwise = dirty_.dirty_bitwise_queries();
+    if (count_only) {
+      EXPECT_EQ(dirty_.CountUpdatedIn(lo, hi), want.size());
+    } else {
+      std::vector<ItemId> got;
+      dirty_.UpdatedIdsIn(lo, hi, &got);
+      EXPECT_EQ(got, IdsOf(want));
+    }
+    return dirty_.dirty_bitwise_queries() > bitwise;
+  }
+
+  Database full_;
+  Database dirty_;
+};
+
+TEST_F(DirtyBoundaryTest, UpdateAtThePreviousHiFallsBack) {
+  Apply(1, 3.0);
+  EXPECT_TRUE(Query(0.0, 10.0));
+  // Stamped exactly at the previous hi, applied after that query: outside
+  // the next window (10, 20], which only the time read can tell.
+  Apply(2, 10.0);
+  Apply(3, 15.0);
+  EXPECT_FALSE(Query(10.0, 20.0));
+  Apply(4, 25.0);
+  EXPECT_TRUE(Query(20.0, 30.0));
+}
+
+TEST_F(DirtyBoundaryTest, LoOneUlpEitherSideOfThePreviousHi) {
+  const SimTime below = std::nextafter(10.0, 0.0);
+  Apply(1, 3.0);
+  EXPECT_TRUE(Query(0.0, 10.0));
+  Apply(2, 10.0);
+  Apply(3, 15.0);
+  // One ulp below the previous hi: the update at 10 is inside.
+  EXPECT_TRUE(Query(below, 20.0));
+  Apply(4, 20.0);
+  Apply(5, std::nextafter(20.0, 30.0));
+  Apply(6, 25.0);
+  // One ulp above: the update one ulp past 20 sits exactly at lo.
+  EXPECT_FALSE(Query(std::nextafter(20.0, 30.0), 30.0));
+  Apply(7, 35.0);
+  EXPECT_TRUE(Query(30.0, 40.0));
+}
+
+TEST_F(DirtyBoundaryTest, RepeatedWindowAnswersBitwise) {
+  Apply(1, 2.0);
+  Apply(2, 4.0);
+  EXPECT_TRUE(Query(0.0, 10.0));
+  EXPECT_TRUE(Query(0.0, 10.0));
+  EXPECT_TRUE(Query(0.0, 10.0));
+  Apply(3, 12.0);
+  EXPECT_TRUE(Query(10.0, 20.0));
+}
+
+TEST_F(DirtyBoundaryTest, WindowAfterUnqueriedIntervalsFallsBack) {
+  EXPECT_TRUE(Query(0.0, 10.0));
+  // Three intervals pass unqueried; only the last one's updates are in
+  // the window.
+  Apply(1, 12.0);
+  Apply(2, 23.0);
+  Apply(1, 27.0);
+  Apply(3, 34.0);
+  Apply(4, 38.0);
+  EXPECT_FALSE(Query(30.0, 40.0));
+  Apply(5, 45.0);
+  EXPECT_TRUE(Query(40.0, 50.0));
+}
+
+TEST_F(DirtyBoundaryTest, CountThenListOfOneWindowBothAnswerBitwise) {
+  Apply(1, 2.0);
+  EXPECT_TRUE(Query(0.0, 10.0));
+  Apply(2, 11.0);
+  Apply(3, 19.0);
+  // The quiet report: counted first, then materialized for one window.
+  EXPECT_TRUE(Query(10.0, 20.0, /*count_only=*/true));
+  EXPECT_TRUE(Query(10.0, 20.0));
+}
+
+TEST_F(DirtyBoundaryTest, UpdatePastHiFallsBack) {
+  Apply(1, 5.0);
+  Apply(2, 15.0);
+  // The later update lies past hi: the fallback keeps its bit for the
+  // next window.
+  EXPECT_FALSE(Query(0.0, 10.0));
+  EXPECT_FALSE(Query(10.0, 20.0));
+  Apply(3, 25.0);
+  EXPECT_TRUE(Query(20.0, 30.0));
+}
+
+TEST(DirtyStormTest, WarmAtCellAnswersEverySteadyStateQueryBitwise) {
+  // The storm workload's shape at a test's size: AT on n items, ~15% of
+  // them updated per interval, drained strictly before each broadcast in
+  // the server's order, with the quiet path (count, then materialize the
+  // same window) every third interval.
+  constexpr uint64_t kN = 1 << 16;
+  constexpr double kL = 10.0;
+  Simulator sim;
+  Database db(kN, /*seed=*/3);
+  db.SetJournalBucketWidth(kL);
+  db.SetRetention(JournalRetention::kDirtySet);
+  AtServerStrategy at(&db, kL);
+  UpdateGenerator gen(&sim, &db, 0.015, /*seed=*/9);
+  gen.EnableBatchMode();
+  ASSERT_TRUE(gen.Start().ok());
+  Report report;
+  MessageSizes sizes;
+  sizes.id_bits = 16;
+  uint64_t queries = 0;
+  uint64_t bitwise_at_warm = 0;
+  for (uint64_t i = 1; i <= 40; ++i) {
+    const SimTime now = kL * static_cast<double>(i);
+    gen.GenerateIntervalUpdates(now, /*inclusive=*/false);
+    if (i == 3) bitwise_at_warm = db.dirty_bitwise_queries();
+    if (i % 3 == 0) {
+      uint64_t bits = 0;
+      ASSERT_TRUE(at.AdvanceQuiet(now, i, sizes, &bits));
+      at.MaterializeQuietInto(now, i, &report);
+      EXPECT_EQ(bits, std::get<AtReport>(report).ids.size() * sizes.id_bits);
+      if (i >= 3) queries += 2;
+    } else {
+      at.BuildReportInto(now, i, &report);
+      if (i >= 3) ++queries;
+    }
+    EXPECT_GT(std::get<AtReport>(report).ids.size(), kN / 10);
+  }
+  EXPECT_EQ(db.dirty_bitwise_queries() - bitwise_at_warm, queries);
 }
 
 // ---------------------------------------------------------------------------

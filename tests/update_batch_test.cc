@@ -240,8 +240,9 @@ TEST(JournalElisionCellTest, SigRunsAreByteIdenticalWithElisionOnAndOff) {
       EXPECT_EQ(retention[0], JournalRetention::kDirtySet);
       EXPECT_EQ(retention[1], JournalRetention::kDirtySet);
       EXPECT_EQ(retention[2], JournalRetention::kFullWindow);
-      // The dirty set's footprint is its n bits, whatever the updates.
-      const uint64_t set_bytes = (BaseConfig(kind, s).model.n + 7) / 8;
+      // The dirty set's footprint is its two n-bit sets, whatever the
+      // updates.
+      const uint64_t set_bytes = 2 * ((BaseConfig(kind, s).model.n + 7) / 8);
       EXPECT_EQ(journal_peak[0], set_bytes);
       EXPECT_EQ(journal_peak[1], set_bytes);
       EXPECT_GT(results[0].updates_applied, 0u);
