@@ -16,6 +16,7 @@
 #include <iostream>
 #include <string>
 
+#include "bench_common.h"
 #include "core/adaptive.h"
 #include "exp/megacell.h"
 #include "util/table.h"
@@ -150,4 +151,10 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  mobicache::ParseNoFlags(
+      argc, argv,
+      "adaptive invalidation reports (paper §8) against plain TS on a\n"
+      "hot spot mixing cold favourites and hot churners.");
+  return mobicache::Run();
+}

@@ -7,6 +7,7 @@
 
 #include <iostream>
 
+#include "bench_common.h"
 #include "exp/megacell.h"
 #include "util/table.h"
 
@@ -61,4 +62,10 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  mobicache::ParseNoFlags(
+      argc, argv,
+      "AT vs asynchronous per-update invalidation broadcast (paper\n"
+      "§3.2) across sleep levels.");
+  return mobicache::Run();
+}

@@ -82,6 +82,18 @@ std::string BenchNameFromArgv0(const char* argv0) {
 
 }  // namespace
 
+void ParseNoFlags(int argc, char** argv, const std::string& description) {
+  FlagParser flags(BenchNameFromArgv0(argv[0]) + ": " + description);
+  if (Status st = flags.Parse(argc, argv); !st.ok()) {
+    std::cerr << st.ToString() << "\n\n" << flags.Usage();
+    std::exit(2);
+  }
+  if (flags.help_requested()) {
+    std::cout << flags.Usage();
+    std::exit(0);
+  }
+}
+
 SweepOptions ParseSweepArgs(int argc, char** argv, SweepOptions defaults,
                             std::string* csv_path, std::string* json_path) {
   SweepOptions options = defaults;

@@ -26,6 +26,12 @@ SweepOptions ParseSweepArgs(int argc, char** argv, SweepOptions defaults,
                             std::string* csv_path = nullptr,
                             std::string* json_path = nullptr);
 
+/// Parses the arguments of a bench that has no options: --help prints a
+/// usage page headed by `description` and exits 0; any other argument (an
+/// unknown flag, a stray value) prints a one-line Status error plus the
+/// usage page and exits with status 2.
+void ParseNoFlags(int argc, char** argv, const std::string& description);
+
 /// Runs one paper figure: analytic curves plus (unless --no-sim) the
 /// matching simulated series, printed as aligned tables. With --json, also
 /// emits a machine-readable BenchRecord (see bench_json.h) capturing wall

@@ -7,6 +7,7 @@
 #include <iostream>
 #include <string>
 
+#include "bench_common.h"
 #include "analysis/model.h"
 #include "exp/megacell.h"
 #include "util/table.h"
@@ -78,4 +79,10 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  mobicache::ParseNoFlags(
+      argc, argv,
+      "grouped (compressed) invalidation reports, sweeping the\n"
+      "number of groups G (paper §2 and §10).");
+  return mobicache::Run();
+}

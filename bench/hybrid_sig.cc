@@ -6,6 +6,7 @@
 
 #include <iostream>
 
+#include "bench_common.h"
 #include "exp/megacell.h"
 #include "util/table.h"
 
@@ -66,4 +67,10 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  mobicache::ParseNoFlags(
+      argc, argv,
+      "hybrid SIG (paper §10): hot items broadcast individually, cold\n"
+      "items signed, against plain SIG and AT.");
+  return mobicache::Run();
+}

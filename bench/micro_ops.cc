@@ -20,6 +20,7 @@
 #include "sim/simulator.h"
 #include "util/merge.h"
 #include "util/random.h"
+#include "util/simd.h"
 
 namespace mobicache {
 namespace {
@@ -133,22 +134,32 @@ void BM_SubsetsOfCold(benchmark::State& state) {
 }
 BENCHMARK(BM_SubsetsOfCold)->Arg(1000)->Arg(10000)->Arg(100000);
 
-// Memoized path: repeat lookups over a small working set, as the server's
-// per-update fold and the clients' per-report diagnosis actually issue them.
-void BM_SubsetsOfMemoized(benchmark::State& state) {
+// Row-table path: one cached item's mismatch count as diagnosis issues it,
+// over a small working set of filled membership rows — the row lookup plus
+// popcount(mismatch AND row) through the dispatched kernel.
+void BM_MembershipRowCount(benchmark::State& state) {
   SignatureParams params;
   params.m = static_cast<uint32_t>(state.range(0));
   params.f = 10;
   params.g = 16;
   SignatureFamily family(1u << 20, params, 1);
+  for (ItemId i = 0; i < 256; ++i) {
+    benchmark::DoNotOptimize(family.MembershipRow(i));  // builds the rows
+  }
+  uint64_t seed_state = 3;
+  std::vector<uint64_t> mismatch(family.row_words());
+  for (uint64_t& word : mismatch) {
+    word = SplitMix64(&seed_state) & SplitMix64(&seed_state);
+  }
   ItemId id = 0;
   for (auto _ : state) {
-    const auto& subsets = family.SubsetsOf(id);
+    const uint64_t* row = family.MembershipRow(id);
     id = (id + 1) % 256;
-    benchmark::DoNotOptimize(subsets.data());
+    benchmark::DoNotOptimize(
+        simd::AndPopcount(mismatch.data(), row, family.row_words()));
   }
 }
-BENCHMARK(BM_SubsetsOfMemoized)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_MembershipRowCount)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_ServerSignatureFold(benchmark::State& state) {
   Database db(100000, 1);
@@ -191,7 +202,7 @@ void BM_SigDiagnose(benchmark::State& state) {
       t += 0.01;
     }
     state.ResumeTiming();
-    auto invalid = view.DiagnoseAndAdopt(server.Combined(), interest);
+    const auto& invalid = view.DiagnoseAndAdopt(server.Combined(), interest);
     benchmark::DoNotOptimize(invalid);
   }
 }
@@ -233,7 +244,8 @@ void BM_SigDiagnosePopulation(benchmark::State& state) {
     int64_t diagnoses = 0;
     for (size_t v = 0; v < kViews; ++v) {
       if (rng.NextDouble() >= kAwake) continue;
-      auto invalid = views[v]->DiagnoseAndAdopt(server.Combined(), hotspots[v]);
+      const auto& invalid =
+          views[v]->DiagnoseAndAdopt(server.Combined(), hotspots[v]);
       benchmark::DoNotOptimize(invalid);
       ++diagnoses;
     }

@@ -16,6 +16,7 @@
 
 #include <iostream>
 
+#include "bench_common.h"
 #include "exp/megacell.h"
 #include "net/delivery.h"
 #include "net/energy.h"
@@ -94,4 +95,9 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  mobicache::ParseNoFlags(
+      argc, argv,
+      "report delivery across network environments (paper §9).");
+  return mobicache::Run();
+}

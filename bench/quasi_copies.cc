@@ -12,6 +12,7 @@
 
 #include <iostream>
 
+#include "bench_common.h"
 #include "core/coherency.h"
 #include "exp/megacell.h"
 #include "util/table.h"
@@ -114,4 +115,9 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  mobicache::ParseNoFlags(
+      argc, argv,
+      "quasi-copies (paper §7) against a plain-AT baseline.");
+  return mobicache::Run();
+}

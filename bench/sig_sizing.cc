@@ -15,6 +15,7 @@
 
 #include <iostream>
 
+#include "bench_common.h"
 #include "analysis/model.h"
 #include "exp/megacell.h"
 #include "sig/signature.h"
@@ -186,4 +187,10 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  mobicache::ParseNoFlags(
+      argc, argv,
+      "SIG sizing: the design parameter f against the changes between\n"
+      "baselines, and the threshold rule.");
+  return mobicache::Run();
+}

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench_common.h"
 #include "analysis/model.h"
 #include "analysis/scenarios.h"
 #include "util/table.h"
@@ -118,4 +119,9 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  mobicache::ParseNoFlags(
+      argc, argv,
+      "the asymptotic-analysis tables of paper §5.");
+  return mobicache::Run();
+}

@@ -22,7 +22,7 @@ std::vector<ItemId> ColdInterest(const std::vector<ItemId>& interest,
 }  // namespace
 
 HybridSigServerStrategy::HybridSigServerStrategy(
-    const Database* db, const SignatureFamily* family, SimTime latency,
+    const Database* db, SignatureFamily* family, SimTime latency,
     std::vector<ItemId> hot_set)
     : db_(db),
       family_(family),
@@ -145,14 +145,15 @@ uint64_t HybridSigClientManager::OnReport(const Report& report,
   });
   for (ItemId id : hot_victims_) cache->Erase(id);
   invalidated += hot_victims_.size();
-  // DiagnoseAndAdopt expects the cached-id list sorted (as Items() was).
-  std::sort(cold_cached_.begin(), cold_cached_.end());
 
-  // Cold half: syndrome diagnosis against the cold-only signatures.
-  for (ItemId id : view_.DiagnoseAndAdopt(hybrid.combined, cold_cached_)) {
-    cache->Erase(id);
-    ++invalidated;
-  }
+  // Cold half: syndrome diagnosis against the cold-only signatures. The
+  // invalid list comes back in cache-slot order; erase in ascending id
+  // order, independent of the slot layout.
+  std::vector<ItemId>& cold_invalid =
+      view_.DiagnoseAndAdopt(hybrid.combined, hybrid.interval, cold_cached_);
+  std::sort(cold_invalid.begin(), cold_invalid.end());
+  for (ItemId id : cold_invalid) cache->Erase(id);
+  invalidated += cold_invalid.size();
 
   cache->ValidateAllThrough(hybrid.timestamp);
   heard_any_ = true;

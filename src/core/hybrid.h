@@ -24,7 +24,7 @@ namespace mobicache {
 class HybridSigServerStrategy : public ServerStrategy {
  public:
   /// `hot_set` must be sorted and contain valid item ids.
-  HybridSigServerStrategy(const Database* db, const SignatureFamily* family,
+  HybridSigServerStrategy(const Database* db, SignatureFamily* family,
                           SimTime latency, std::vector<ItemId> hot_set);
 
   StrategyKind kind() const override { return StrategyKind::kHybridSig; }
@@ -50,7 +50,7 @@ class HybridSigServerStrategy : public ServerStrategy {
   void FoldChangesThrough(SimTime now, std::vector<ItemId>* hot_out);
 
   const Database* db_;
-  const SignatureFamily* family_;
+  SignatureFamily* family_;
   SimTime latency_;
   std::vector<ItemId> hot_set_;
   ServerSignatureState state_;
@@ -65,8 +65,8 @@ class HybridSigServerStrategy : public ServerStrategy {
 /// Client half: AT rules for cached hot items (including the drop-on-missed-
 /// report amnesia, but only for the hot half of the cache), signature
 /// diagnosis for cached cold items (robust to arbitrary naps). The cold
-/// view interns baselines in `family`'s pool, so the family must outlive
-/// the manager.
+/// view interns baselines in `family`'s pool and reads its membership
+/// rows, so the family must outlive the manager.
 class HybridSigClientManager : public ClientCacheManager {
  public:
   /// `interest` is the client's hot spot; `hot_set` must match the server's.

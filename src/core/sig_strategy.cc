@@ -6,7 +6,7 @@
 namespace mobicache {
 
 SigServerStrategy::SigServerStrategy(const Database* db,
-                                     const SignatureFamily* family,
+                                     SignatureFamily* family,
                                      SimTime latency)
     : db_(db), family_(family), latency_(latency), state_(family, db) {
   assert(latency > 0.0);
@@ -90,11 +90,11 @@ uint64_t SigClientManager::OnReport(const Report& report, ClientCache* cache) {
     // detlint:allow(alloc-event-path)
     cached_.push_back(id);
   });
-  // Diagnosis reports invalid ids in cached-list order; sort so that order
-  // is ascending id, independent of the cache's slot layout.
-  std::sort(cached_.begin(), cached_.end());
-  const std::vector<ItemId> invalid =
-      view_.DiagnoseAndAdopt(sig.combined, cached_);
+  // Diagnosis lists invalid ids in cache-slot order; erase them in
+  // ascending id order, independent of the cache's slot layout.
+  std::vector<ItemId>& invalid =
+      view_.DiagnoseAndAdopt(sig.combined, sig.interval, cached_);
+  std::sort(invalid.begin(), invalid.end());
   for (ItemId id : invalid) cache->Erase(id);
   cache->ValidateAllThrough(sig.timestamp);
   return invalid.size();

@@ -22,7 +22,7 @@ class SigServerStrategy : public ServerStrategy {
  public:
   /// `latency` is L (> 0). Builds the initial combined signatures from the
   /// database's current contents (O(n * m / (f+1))).
-  SigServerStrategy(const Database* db, const SignatureFamily* family,
+  SigServerStrategy(const Database* db, SignatureFamily* family,
                     SimTime latency);
 
   StrategyKind kind() const override { return StrategyKind::kSig; }
@@ -46,15 +46,15 @@ class SigServerStrategy : public ServerStrategy {
   void FoldChangesThrough(SimTime now);
 
   const Database* db_;
-  const SignatureFamily* family_;
+  SignatureFamily* family_;
   SimTime latency_;
   ServerSignatureState state_;
   SimTime last_folded_ = 0.0;  // updates up to here are in `state_`
   std::vector<ItemId> changed_;  // fold scratch, reused across reports
 };
 
-/// SIG client half. Its view interns baselines in `family`'s pool, so the
-/// family must outlive the manager.
+/// SIG client half. Its view interns baselines in `family`'s pool and reads
+/// the family's membership rows, so the family must outlive the manager.
 class SigClientManager : public ClientCacheManager {
  public:
   /// `interest` is this client's hot spot (the items it may ever cache).

@@ -128,10 +128,10 @@ struct MegaCell::Shard {
   }
 
   /// SIG strategies: deterministic per-shard replica of the signature
-  /// family (its subset-expansion memo and baseline pool are not
-  /// thread-safe to share). Declared before `units` so it is destroyed after
-  /// them: a unit's signature view releases its baseline into this pool on
-  /// destruction.
+  /// family (its membership rows, baseline pool and invalid-id scratch are
+  /// written by this shard's diagnoses, so they are not thread-safe to
+  /// share). Declared before `units` so it is destroyed after them: a unit's
+  /// signature view releases its baseline into this pool on destruction.
   std::unique_ptr<SignatureFamily> family;
   /// TS strategies: this shard's decoding domain, one report decode shared
   /// by the slice's client managers (not thread-safe, so never shared

@@ -2,9 +2,10 @@
 // strategy-kind -> component switches, so the cell engine (megacell.*)
 // builds byte-identical components per shard — each
 // shard needs its own ClientCacheManager per unit and, for the signature
-// strategies, its own SignatureFamily replica (the family's subset-expansion
-// memo is not thread-safe; deterministically re-deriving it from the same
-// seed is cheaper than locking it). TS strategies likewise get one
+// strategies, its own SignatureFamily replica (the family's membership rows
+// and baseline pool are written by diagnosis and are not thread-safe;
+// deterministically re-deriving them from the same seed is cheaper than
+// locking them). TS strategies likewise get one
 // TsReportIndex per shard.
 
 #ifndef MOBICACHE_EXP_STRATEGY_FACTORY_H_

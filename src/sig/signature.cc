@@ -1,11 +1,13 @@
 #include "sig/signature.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <utility>
 
 #include "util/random.h"
+#include "util/simd.h"
 
 namespace mobicache {
 
@@ -64,6 +66,7 @@ SignatureFamily::SignatureFamily(uint64_t n, SignatureParams params,
   sig_mask_ = params_.g == 64 ? ~0ULL : ((1ULL << params_.g) - 1);
   member_prob_ = SubsetMembershipProbability(params_.f);
   log1m_member_ = std::log1p(-member_prob_);
+  row_words_ = (static_cast<size_t>(params_.m) + 63) / 64;
   global_threshold_ = params_.k_threshold *
                       ValidItemMismatchProbability(params_.f, params_.g) *
                       static_cast<double>(params_.m);
@@ -75,46 +78,65 @@ uint64_t SignatureFamily::ItemSignature(uint64_t value) const {
 }
 
 std::vector<uint32_t> SignatureFamily::ComputeSubsetsOf(ItemId item) const {
-  // Runs once per item: SubsetsOf memoizes the result (under
-  // kMemoBudgetBytes), so steady-state queries never reach this.
-  // detlint:allow-function(alloc-event-path)
-  // Geometric skipping over subset indices: each subset contains `item`
-  // independently with probability 1/(f+1); the gap between consecutive
-  // member indices is geometric. The stream is a pure function of
-  // (seed, item), so all parties agree on the family without communication.
+  // The list form, for tests, tools and cold paths; the simulation reads
+  // membership rows or streams through ForEachSubsetOf.
   std::vector<uint32_t> out;
   out.reserve(static_cast<size_t>(member_prob_ * params_.m * 1.5) + 4);
-  uint64_t state = seed_ ^ (0x6C62272E07BB0142ULL * (item + 1));
-  double j = -1.0;
-  while (true) {
-    // u in (0, 1]: avoids log(0).
-    const double u =
-        (static_cast<double>(SplitMix64(&state) >> 11) + 1.0) * 0x1.0p-53;
-    j += 1.0 + std::floor(std::log(u) / log1m_member_);
-    if (j >= static_cast<double>(params_.m)) break;
-    out.push_back(static_cast<uint32_t>(j));
-  }
+  ForEachSubsetOf(item, [&out](uint32_t j) { out.push_back(j); });
   return out;
 }
 
-const std::vector<uint32_t>& SignatureFamily::SubsetsOf(ItemId item) const {
-  const auto it = memo_.find(item);
-  if (it != memo_.end()) return it->second;
-  std::vector<uint32_t> subsets = ComputeSubsetsOf(item);
-  const size_t bytes = subsets.capacity() * sizeof(uint32_t);
-  if (memo_bytes_ + bytes <= kMemoBudgetBytes) {
-    memo_bytes_ += bytes;
-    // One-time memo insertion per item, capped by kMemoBudgetBytes.
-    // detlint:allow(alloc-event-path)
-    return memo_.emplace(item, std::move(subsets)).first->second;
-  }
-  scratch_ = std::move(subsets);
-  return scratch_;
+bool SignatureFamily::Contains(uint32_t subset, ItemId item) const {
+  bool found = false;
+  ForEachSubsetOf(item, [&](uint32_t j) { found = found || j == subset; });
+  return found;
 }
 
-bool SignatureFamily::Contains(uint32_t subset, ItemId item) const {
-  const std::vector<uint32_t>& subsets = SubsetsOf(item);
-  return std::binary_search(subsets.begin(), subsets.end(), subset);
+uint32_t SignatureFamily::RowOf(ItemId item) {
+  assert(item < n_);
+  // The index, the table and the counts grow until every item the views
+  // diagnose has a row, then stay put.
+  if (row_of_.empty()) row_of_.assign(n_, kNoRow);
+  if (row_of_[item] != kNoRow) return row_of_[item] - 1;
+  const size_t first = rows_.size();
+  rows_.resize(first + row_words_, 0);
+  uint64_t* words = rows_.data() + first;
+  uint32_t members = 0;
+  ForEachSubsetOf(item, [&](uint32_t j) {
+    words[j >> 6] |= uint64_t{1} << (j & 63);
+    ++members;
+  });
+  row_members_.push_back(members);
+  row_of_[item] = static_cast<uint32_t>(row_members_.size());
+  return row_of_[item] - 1;
+}
+
+void SignatureFamily::ExtendSubsetLists(ItemId item) {
+  // Set-up only: the server state's initial pass extends the prefix.
+  if (list_offsets_.empty()) {
+    // Room for every list within the bound, at the expected size plus four
+    // standard deviations, so the pass does not copy a growing table.
+    const double expected = member_prob_ * static_cast<double>(params_.m);
+    const size_t per_item =
+        static_cast<size_t>(expected + 4.0 * std::sqrt(expected)) + 2;
+    const size_t budget = kMemoBudgetBytes / sizeof(uint32_t);
+    const size_t items =
+        static_cast<size_t>(std::min<uint64_t>(n_, budget / per_item));
+    list_offsets_.reserve(items + 1);
+    list_subsets_.reserve(std::min(budget, items * per_item));
+    list_offsets_.push_back(0);
+  }
+  if (item + 1 != list_offsets_.size()) return;
+  if ((list_offsets_.size() + list_subsets_.size()) * sizeof(uint32_t) >=
+      kMemoBudgetBytes) {
+    return;
+  }
+  ForEachSubsetOf(item, [this](uint32_t j) { list_subsets_.push_back(j); });
+  list_offsets_.push_back(static_cast<uint32_t>(list_subsets_.size()));
+}
+
+const uint64_t* SignatureFamily::MembershipRow(ItemId item) {
+  return RowWords(RowOf(item));
 }
 
 SignatureFamily::BaselineId SignatureFamily::AcquireSlot() {
@@ -131,7 +153,7 @@ SignatureFamily::BaselineId SignatureFamily::AcquireSlot() {
   // A new slot's buffers. detlint:allow(alloc-event-path)
   slot.signatures.resize(params_.m);
   // detlint:allow(alloc-event-path)
-  slot.mismatch.resize((params_.m + 63) / 64);
+  slot.mismatch.resize(row_words_);
   // Grows with the pool, so a release never allocates.
   // detlint:allow(alloc-event-path)
   free_slots_.reserve(pool_.size());
@@ -148,12 +170,29 @@ SignatureFamily::BaselineId SignatureFamily::InternBroadcast(
   }
   const BaselineId previous = current_;
   current_ = AcquireSlot();
+  has_current_key_ = false;
   Baseline& slot = pool_[current_];
   std::copy(broadcast.begin(), broadcast.end(), slot.signatures.begin());
   slot.refs = 1;  // the family's own reference to the current broadcast
   ++generation_;
   if (previous != kNoBaseline) ReleaseBaseline(previous);
   return current_;
+}
+
+SignatureFamily::BaselineId SignatureFamily::InternBroadcast(
+    const std::vector<uint64_t>& broadcast, uint64_t key) {
+  if (current_ != kNoBaseline && has_current_key_ && key == current_key_) {
+    // One report, one broadcast: every unit of a shard hearing the same
+    // report lands here without comparing m signatures.
+    assert(broadcast.size() == params_.m &&
+           std::equal(broadcast.begin(), broadcast.end(),
+                      pool_[current_].signatures.begin()));
+    return current_;
+  }
+  const BaselineId id = InternBroadcast(broadcast);
+  has_current_key_ = true;
+  current_key_ = key;
+  return id;
 }
 
 void SignatureFamily::RetainBaseline(BaselineId id) {
@@ -174,7 +213,7 @@ const uint64_t* SignatureFamily::MismatchWords(BaselineId baseline) {
   Baseline& slot = pool_[baseline];
   if (slot.mismatch_generation != generation_) {
     // The alpha_j = 1 entries of §3.3 over all m subsets, packed 64 to a
-    // word; diagnosis probes one bit per subset membership.
+    // word like the membership rows it is ANDed with.
     const uint64_t* then = slot.signatures.data();
     const uint64_t* now = pool_[current_].signatures.data();
     uint32_t j = 0;
@@ -191,7 +230,7 @@ const uint64_t* SignatureFamily::MismatchWords(BaselineId baseline) {
   return slot.mismatch.data();
 }
 
-ServerSignatureState::ServerSignatureState(const SignatureFamily* family,
+ServerSignatureState::ServerSignatureState(SignatureFamily* family,
                                            const Database* db,
                                            const std::vector<ItemId>* excluded)
     : family_(family), db_(db) {
@@ -203,15 +242,26 @@ ServerSignatureState::ServerSignatureState(const SignatureFamily* family,
   incorporated_.resize(db_->size());
   for (uint64_t i = 0; i < db_->size(); ++i) {
     const ItemId id = static_cast<ItemId>(i);
+    family_->ExtendSubsetLists(id);
     if (IsExcluded(id)) continue;
     const uint64_t sig = family_->ItemSignature(db_->ValueOf(id));
     incorporated_[i] = sig;
-    for (uint32_t j : family_->SubsetsOf(id)) combined_[j] ^= sig;
+    Fold(id, sig);
   }
 }
 
 bool ServerSignatureState::IsExcluded(ItemId id) const {
   return std::binary_search(excluded_.begin(), excluded_.end(), id);
+}
+
+void ServerSignatureState::Fold(ItemId item, uint64_t delta) {
+  const uint32_t* begin = nullptr;
+  const uint32_t* end = nullptr;
+  if (family_->SubsetList(item, &begin, &end)) {
+    for (const uint32_t* j = begin; j != end; ++j) combined_[*j] ^= delta;
+  } else {
+    family_->ForEachSubsetOf(item, [&](uint32_t j) { combined_[j] ^= delta; });
+  }
 }
 
 void ServerSignatureState::OnItemChanged(ItemId id) {
@@ -220,7 +270,7 @@ void ServerSignatureState::OnItemChanged(ItemId id) {
   const uint64_t fresh = family_->ItemSignature(db_->ValueOf(id));
   const uint64_t delta = fresh ^ incorporated_[id];
   if (delta == 0) return;
-  for (uint32_t j : family_->SubsetsOf(id)) combined_[j] ^= delta;
+  Fold(id, delta);
   incorporated_[id] = fresh;
 }
 
@@ -233,48 +283,61 @@ ClientSignatureView::~ClientSignatureView() {
 }
 
 size_t ClientSignatureView::cached_signature_count() const {
-  std::vector<bool> seen(family_->params().m, false);
-  size_t count = 0;
+  std::vector<uint64_t> covered(family_->row_words(), 0);
   for (ItemId item : interest_) {
-    for (uint32_t j : family_->SubsetsOf(item)) {
-      if (!seen[j]) {
-        seen[j] = true;
-        ++count;
-      }
-    }
+    const uint64_t* row = family_->MembershipRow(item);
+    for (size_t w = 0; w < covered.size(); ++w) covered[w] |= row[w];
+  }
+  size_t count = 0;
+  for (uint64_t word : covered) {
+    count += static_cast<size_t>(std::popcount(word));
   }
   return count;
 }
 
-std::vector<ItemId> ClientSignatureView::DiagnoseAndAdopt(
+std::vector<ItemId>& ClientSignatureView::DiagnoseAndAdopt(
     const std::vector<uint64_t>& broadcast,
     const std::vector<ItemId>& cached_items) {
-  const SignatureFamily::BaselineId current =
-      family_->InternBroadcast(broadcast);
-  std::vector<ItemId> invalid;
+  return Diagnose(family_->InternBroadcast(broadcast), cached_items);
+}
+
+std::vector<ItemId>& ClientSignatureView::DiagnoseAndAdopt(
+    const std::vector<uint64_t>& broadcast, uint64_t report_key,
+    const std::vector<ItemId>& cached_items) {
+  return Diagnose(family_->InternBroadcast(broadcast, report_key),
+                  cached_items);
+}
+
+std::vector<ItemId>& ClientSignatureView::Diagnose(
+    SignatureFamily::BaselineId current,
+    const std::vector<ItemId>& cached_items) {
+  // The family's scratch keeps the capacity of the longest list any of its
+  // views returned, so a warm diagnosis does not allocate.
+  std::vector<ItemId>& invalid = family_->invalid_;
+  invalid.clear();
   if (!has_baseline()) {
     // Nothing to compare against yet: conservatively treat every cached item
     // as suspect and adopt this broadcast as the baseline.
-    invalid = cached_items;
+    invalid.assign(cached_items.begin(), cached_items.end());
   } else if (baseline_ != current) {
-    // Cached items lie in the interest set, so counting over SubsetsOf(item)
-    // touches only the relevant subsets a per-client copy would have held.
+    // Cached items lie in the interest set, so the count touches only the
+    // subsets a per-client copy would have held: popcount(mismatch AND row),
+    // a few words per item.
     const uint64_t* mismatch = family_->MismatchWords(baseline_);
     const SignatureParams& params = family_->params();
     const double global_threshold = family_->MismatchThreshold();
+    const size_t words = family_->row_words();
     for (ItemId item : cached_items) {
-      const std::vector<uint32_t>& subsets = family_->SubsetsOf(item);
-      uint32_t count = 0;
-      for (uint32_t j : subsets) {
-        count += static_cast<uint32_t>((mismatch[j >> 6] >> (j & 63)) & 1);
-      }
+      const uint32_t row = family_->RowOf(item);
+      const uint64_t count =
+          simd::AndPopcount(mismatch, family_->RowWords(row), words);
       const double threshold =
           params.per_item_threshold
-              ? params.gamma * static_cast<double>(subsets.size())
+              ? params.gamma *
+                    static_cast<double>(family_->row_members_[row])
               : global_threshold;
-      // Diagnosis returns the invalid-id list it builds; it is sized by
-      // actual mismatches, empty on the (overwhelmingly common) clean
-      // report. detlint:allow(alloc-event-path)
+      // Sized by actual mismatches, empty on the (overwhelmingly common)
+      // clean report. detlint:allow(alloc-event-path)
       if (static_cast<double>(count) > threshold) invalid.push_back(item);
     }
   }

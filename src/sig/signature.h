@@ -13,17 +13,22 @@
 //
 // Subset membership is a deterministic pseudo-random function of
 // (family seed, item), "agreed on before any exchange of information takes
-// place": both server and clients can enumerate SubsetsOf(item) without
-// communicating, and no membership tables are stored.
+// place": both server and clients can enumerate an item's subsets without
+// communicating. Each party stores the memberships it revisits, in the
+// shape its loop reads: clients keep an m-bit membership row per item they
+// have diagnosed, so a mismatch count is popcount(mismatch AND row); the
+// server keeps ascending subset lists, which its XOR fold scatters through,
+// for as many items as a byte bound allows.
 
 #ifndef MOBICACHE_SIG_SIGNATURE_H_
 #define MOBICACHE_SIG_SIGNATURE_H_
 
+#include <cmath>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "db/database.h"
+#include "util/random.h"
 #include "util/status.h"
 
 namespace mobicache {
@@ -74,15 +79,25 @@ uint32_t PaperRequiredSignatures(uint64_t n, uint32_t f, double delta);
 /// item-signature function. The math is immutable and shared between the
 /// server and all clients (it is "universally known").
 ///
-/// The family is also the per-cell (in MegaCell, per-shard) memo host, and
-/// like the SubsetsOf memo it is not thread-safe. Besides subset lists it
-/// interns the broadcasts its client views adopt as baselines. Every view
-/// that last heard broadcast h holds exactly broadcast h, so the family
-/// stores each distinct broadcast once in a refcounted pool, with freed
-/// slots recycled through a free list, and views keep only a handle. For
-/// the current broadcast it memoizes one m-bit mismatch bitmap per live
-/// baseline, so a report's syndrome against a given baseline is built once
-/// no matter how many views hold that baseline.
+/// The family is also the per-cell (in MegaCell, per-shard) state host, and
+/// is not thread-safe. It holds:
+///  * one flat table of membership rows, ceil(m/64) words each, indexed
+///    through a dense per-item row index. An item's row is added and filled
+///    from the subset stream the first time a view diagnoses it, so view
+///    construction does no work on the family.
+///  * the server's subset lists: one flat CSR table (offsets plus subset
+///    ids) over an item prefix [0, k), appended by the server state's
+///    initial pass until the table reaches kMemoBudgetBytes. Scattering an
+///    XOR through a list beats decoding a bit row, whose per-word bit loop
+///    exits at an unpredictable count.
+///  * the broadcasts its client views adopt as baselines. Every view that
+///    last heard broadcast h holds exactly broadcast h, so the family stores
+///    each distinct broadcast once in a refcounted pool, with freed slots
+///    recycled through a free list, and views keep only a handle. For the
+///    current broadcast it memoizes one m-bit mismatch bitmap per live
+///    baseline, so a report's syndrome against a given baseline is built
+///    once no matter how many views hold that baseline.
+///  * one invalid-id scratch list that every view's diagnosis fills.
 class SignatureFamily {
  public:
   /// `n` >= 1, 1 <= g <= 64, m >= 1, f >= 1.
@@ -91,24 +106,45 @@ class SignatureFamily {
   /// g-bit signature of an item value.
   uint64_t ItemSignature(uint64_t value) const;
 
-  /// Indices (ascending) of the subsets containing `item`; expected size
-  /// m/(f+1). Deterministic. The first call per item generates the list via
-  /// geometric skipping (O(expected size), with a log per member); repeat
-  /// calls return a memoized copy, so the server's per-update fold and the
-  /// clients' per-report diagnosis stop regenerating the stream. The memo is
-  /// byte-budgeted (families over huge item spaces fall back to a scratch
-  /// buffer once the budget is spent), and the returned reference is valid
-  /// until the next SubsetsOf() call on this family. Not thread-safe: each
-  /// simulation cell owns its family; do not share one instance across
-  /// concurrently running cells.
-  const std::vector<uint32_t>& SubsetsOf(ItemId item) const;
+  /// Calls `visit(j)` for each subset index j containing `item`, ascending;
+  /// expected m/(f+1) calls. Deterministic: the geometric skipping stream,
+  /// one log per member, with no storage.
+  template <typename Visit>
+  void ForEachSubsetOf(ItemId item, Visit&& visit) const {
+    // Each subset contains `item` independently with probability 1/(f+1);
+    // the gap between consecutive member indices is geometric. The stream
+    // is a pure function of (seed, item), so all parties agree on the
+    // family without communication.
+    uint64_t state = seed_ ^ (0x6C62272E07BB0142ULL * (item + 1));
+    double j = -1.0;
+    while (true) {
+      // u in (0, 1]: avoids log(0).
+      const double u =
+          (static_cast<double>(SplitMix64(&state) >> 11) + 1.0) *
+          0x1.0p-53;
+      j += 1.0 + std::floor(std::log(u) / log1m_member_);
+      if (j >= static_cast<double>(params_.m)) break;
+      visit(static_cast<uint32_t>(j));
+    }
+  }
 
-  /// Uncached SubsetsOf: always regenerates the geometric stream. Exposed so
-  /// tests can check memo consistency and benches can time the cold path.
+  /// ForEachSubsetOf collected into a list (ascending). Allocates; for
+  /// tests, tools and cold paths.
   std::vector<uint32_t> ComputeSubsetsOf(ItemId item) const;
 
-  /// Whether subset `j` contains `item` (consistent with SubsetsOf).
+  /// Whether subset `j` contains `item` (consistent with ForEachSubsetOf).
   bool Contains(uint32_t subset, ItemId item) const;
+
+  /// Words per membership row: ceil(m / 64).
+  size_t row_words() const { return row_words_; }
+
+  /// `item`'s membership row (bit j of word j/64 set iff subset j contains
+  /// the item), added and filled on first use. Valid until a row is next
+  /// added to the table.
+  const uint64_t* MembershipRow(ItemId item);
+
+  /// Rows in the table.
+  size_t row_count() const { return row_members_.size(); }
 
   /// Invalidations threshold: a cached item is diagnosed invalid when it
   /// belongs to strictly more than this many mismatching subsets.
@@ -125,12 +161,39 @@ class SignatureFamily {
   size_t live_baselines() const { return pool_.size() - free_slots_.size(); }
 
  private:
-  // The baseline pool is driven only by ClientSignatureView.
+  // Rows, the baseline pool and the invalid scratch are driven only by the
+  // server state and the client views.
+  friend class ServerSignatureState;
   friend class ClientSignatureView;
 
   /// Handle of an interned broadcast in the baseline pool.
   using BaselineId = uint32_t;
   static constexpr BaselineId kNoBaseline = ~BaselineId{0};
+  /// row_of_ entry of an item without a row (row r is stored as r + 1).
+  static constexpr uint32_t kNoRow = 0;
+
+  /// Row index of `item`, adding and filling the row on first use. No byte
+  /// bound: clients diagnose only their interest items, so the table is
+  /// bounded by the union of the views' interest sets.
+  uint32_t RowOf(ItemId item);
+
+  const uint64_t* RowWords(uint32_t row) const {
+    return rows_.data() + static_cast<size_t>(row) * row_words_;
+  }
+
+  /// Appends `item`'s subset list when the list prefix ends just before it
+  /// and the table is still under kMemoBudgetBytes (the last list appended
+  /// may cross it); otherwise does nothing.
+  void ExtendSubsetLists(ItemId item);
+
+  /// [*begin, *end) = `item`'s subset list; false past the list prefix.
+  bool SubsetList(ItemId item, const uint32_t** begin,
+                  const uint32_t** end) const {
+    if (static_cast<size_t>(item) + 1 >= list_offsets_.size()) return false;
+    *begin = list_subsets_.data() + list_offsets_[item];
+    *end = list_subsets_.data() + list_offsets_[item + 1];
+    return true;
+  }
 
   /// Makes `broadcast` (m signatures) the current broadcast and returns its
   /// handle. A broadcast equal to the current one keeps the current handle;
@@ -138,6 +201,13 @@ class SignatureFamily {
   /// generation. The family holds one reference to the current broadcast
   /// until the next different one arrives.
   BaselineId InternBroadcast(const std::vector<uint64_t>& broadcast);
+
+  /// InternBroadcast keyed by the report that carried the broadcast (its
+  /// interval): a report sends one broadcast, so a key equal to the current
+  /// broadcast's returns its handle without comparing content. Any other
+  /// key takes the content path above.
+  BaselineId InternBroadcast(const std::vector<uint64_t>& broadcast,
+                             uint64_t key);
 
   /// Takes / drops one reference to an interned broadcast. A slot whose
   /// count reaches zero goes back to the free list.
@@ -168,13 +238,18 @@ class SignatureFamily {
   uint64_t sig_mask_;       // low-g-bits mask
   double member_prob_;      // 1/(f+1)
   double log1m_member_;     // ln(1 - member_prob_), for geometric skipping
+  size_t row_words_;        // ceil(m / 64)
 
-  // SubsetsOf memo (see its doc comment). memo_bytes_ tracks the payload of
-  // memo_ against kMemoBudgetBytes; scratch_ serves items past the budget.
+  // Membership rows (see the class comment).
+  std::vector<uint32_t> row_of_;       // per item, sized n on first use
+  std::vector<uint64_t> rows_;         // row_count() * row_words_ words
+  std::vector<uint32_t> row_members_;  // per row: the item's subset count
+
+  // Server subset lists (see the class comment). Families over huge item
+  // spaces stop the prefix at the byte bound and stream the items past it.
   static constexpr size_t kMemoBudgetBytes = 64u << 20;
-  mutable std::unordered_map<ItemId, std::vector<uint32_t>> memo_;
-  mutable std::vector<uint32_t> scratch_;
-  mutable size_t memo_bytes_ = 0;
+  std::vector<uint32_t> list_offsets_;  // prefix length + 1 entries, or none
+  std::vector<uint32_t> list_subsets_;
 
   double global_threshold_ = 0.0;  // K * p * m, see MismatchThreshold()
 
@@ -182,7 +257,12 @@ class SignatureFamily {
   std::vector<Baseline> pool_;
   std::vector<BaselineId> free_slots_;
   BaselineId current_ = kNoBaseline;
+  bool has_current_key_ = false;  // current_ was interned under current_key_
+  uint64_t current_key_ = 0;
   uint64_t generation_ = 0;  // bumped whenever current_ changes
+
+  // Diagnosis output, shared by every view of this family.
+  std::vector<ItemId> invalid_;
 };
 
 /// Server-side incremental maintenance of the m combined signatures. XORs
@@ -190,15 +270,19 @@ class SignatureFamily {
 /// and an update is O(m/(f+1)) instead of O(n*m).
 class ServerSignatureState {
  public:
-  /// Builds combined signatures of the database's current contents.
+  /// Builds combined signatures of the database's current contents: one
+  /// pass over the items, each streamed once into the family's subset lists
+  /// while their byte bound allows, so later folds of the item read the
+  /// list. Items past the bound are folded straight from the stream.
   /// `excluded` (optional, sorted) lists items that do NOT participate in
   /// the signatures — the hybrid scheme's individually-broadcast hot set.
-  ServerSignatureState(const SignatureFamily* family, const Database* db,
+  ServerSignatureState(SignatureFamily* family, const Database* db,
                        const std::vector<ItemId>* excluded = nullptr);
 
   /// Must be called (once) for each item whose value changed since the last
   /// call, *after* the database was updated. Folds the delta into every
-  /// subset containing the item; excluded items are ignored.
+  /// subset containing the item, through its subset list or else the
+  /// subset stream; excluded items are ignored.
   void OnItemChanged(ItemId id);
 
   /// The current m combined signatures (one g-bit value per subset).
@@ -207,7 +291,10 @@ class ServerSignatureState {
  private:
   bool IsExcluded(ItemId id) const;
 
-  const SignatureFamily* family_;
+  /// combined_[j] ^= delta for every subset j containing `item`.
+  void Fold(ItemId item, uint64_t delta);
+
+  SignatureFamily* family_;
   const Database* db_;
   std::vector<ItemId> excluded_;         // sorted; empty = none
   std::vector<uint64_t> combined_;       // m combined signatures
@@ -219,15 +306,16 @@ class ServerSignatureState {
 /// only the combined signatures of the subsets covering its items of
 /// interest; those are exactly that broadcast restricted to the interest
 /// set, so the view stores the interest list and counts only subsets of
-/// cached items, which must be a subset of it.
+/// cached items, which must be a subset of it. An item's count is
+/// popcount(mismatch AND row) over its membership row in the family.
 ///
 /// A view releases its baseline when destroyed, so the family must outlive
 /// every view built on it.
 class ClientSignatureView {
  public:
   /// `interest` is the item set this client may cache (its hot spot). O(1)
-  /// beyond copying the interest list: nothing is expanded until a report
-  /// is diagnosed.
+  /// beyond copying the interest list: an item's membership row is built
+  /// when the item is first diagnosed.
   ClientSignatureView(SignatureFamily* family, std::vector<ItemId> interest);
   ~ClientSignatureView();
 
@@ -238,13 +326,24 @@ class ClientSignatureView {
   /// broadcast of all m combined signatures. Returns the items whose count
   /// of mismatching subsets exceeds the threshold (the set T of §3.3), in
   /// `cached_items` order; on the first report, every cached item.
-  /// Afterwards the broadcast becomes this client's stored baseline.
-  std::vector<ItemId> DiagnoseAndAdopt(
+  /// Afterwards the broadcast becomes this client's stored baseline. The
+  /// list is the family's scratch, which the caller may reorder: it stays
+  /// valid until the next diagnosis by any view of the family.
+  std::vector<ItemId>& DiagnoseAndAdopt(
       const std::vector<uint64_t>& broadcast,
       const std::vector<ItemId>& cached_items);
 
+  /// DiagnoseAndAdopt of the broadcast carried by report `report_key` (its
+  /// interval). A cell sends one broadcast per report, so a key equal to
+  /// the family's current one reuses that baseline without comparing
+  /// content; any other key is interned by content, as above.
+  std::vector<ItemId>& DiagnoseAndAdopt(
+      const std::vector<uint64_t>& broadcast, uint64_t report_key,
+      const std::vector<ItemId>& cached_items);
+
   /// Number of subset signatures the paper's client retains: the distinct
-  /// subsets covering the interest set. Computed on demand.
+  /// subsets covering the interest set. Computed on demand (builds the
+  /// interest items' rows).
   size_t cached_signature_count() const;
 
   /// Whether the client has adopted at least one broadcast yet.
@@ -253,6 +352,10 @@ class ClientSignatureView {
   }
 
  private:
+  /// Diagnosis against interned broadcast `current`, then adoption.
+  std::vector<ItemId>& Diagnose(SignatureFamily::BaselineId current,
+                                const std::vector<ItemId>& cached_items);
+
   SignatureFamily* family_;
   std::vector<ItemId> interest_;
   SignatureFamily::BaselineId baseline_ = SignatureFamily::kNoBaseline;

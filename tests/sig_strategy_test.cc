@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "core/sig_strategy.h"
+#include "counting_new.h"
 #include "db/database.h"
+#include "exp/megacell.h"
 
 namespace mobicache {
 namespace {
@@ -104,6 +106,45 @@ TEST(SigClientTest, ViewOnlyKeepsRelevantSubsets) {
             wide.view().cached_signature_count());
   EXPECT_LE(wide.view().cached_signature_count(),
             static_cast<size_t>(Params().m));
+}
+
+// Warm SIG cell steady state: units wake, query, cache and diagnose every
+// report they hear (invalidations included) through the keyed baselines,
+// the membership rows and the family's invalid-id scratch; the server folds
+// through its subset lists. Once warm none of that allocates, so two runs
+// that differ only in measured intervals allocate equally often. Eight
+// items of the shared ten-item hot spot change every interval (rate 1/s
+// against L = 10 s) and each unit asks ~20 queries per interval, so the
+// buffers outside the signature path that grow to a per-interval maximum
+// (query batches, the fold's changed-id list) reach it during warm-up.
+TEST(SigCellAllocationTest, WarmDiagnosingCellSteadyStateAllocatesNothing) {
+  auto run_allocs = [](uint64_t measure, size_t* allocs, CellResult* result) {
+    const size_t before = g_new_calls.load();
+    MegaCellConfig mc;
+    mc.cell.model.n = 400;
+    mc.cell.model.lambda = 2.0;
+    mc.cell.model.s = 0.5;
+    mc.cell.model.L = kL;
+    mc.cell.update_rates.assign(mc.cell.model.n, 0.0);
+    for (ItemId id = 0; id < 8; ++id) mc.cell.update_rates[id] = 1.0;
+    mc.cell.strategy = StrategyKind::kSig;
+    mc.cell.num_units = 16;
+    mc.cell.hotspot_size = 10;
+    mc.cell.seed = 77;
+    mc.num_shards = 2;
+    MegaCell cell(std::move(mc));
+    ASSERT_TRUE(cell.Build().ok());
+    ASSERT_TRUE(cell.Run(200, measure).ok());
+    *result = cell.result();
+    *allocs = g_new_calls.load() - before;
+  };
+  size_t short_allocs = 0, long_allocs = 0;
+  CellResult short_run, long_run;
+  ASSERT_NO_FATAL_FAILURE(run_allocs(100, &short_allocs, &short_run));
+  ASSERT_NO_FATAL_FAILURE(run_allocs(200, &long_allocs, &long_run));
+  EXPECT_EQ(long_allocs, short_allocs) << "warm SIG diagnosis allocated";
+  EXPECT_GT(long_run.items_invalidated, short_run.items_invalidated);
+  EXPECT_GT(long_run.reports_broadcast, short_run.reports_broadcast);
 }
 
 }  // namespace

@@ -62,8 +62,8 @@ TEST(SigMathTest, SizingFormulas) {
 
 TEST(SignatureFamilyTest, SubsetsAreDeterministicAndSorted) {
   SignatureFamily fam(1000, SmallParams(), 77);
-  const auto a = fam.SubsetsOf(123);
-  const auto b = fam.SubsetsOf(123);
+  const auto a = fam.ComputeSubsetsOf(123);
+  const auto b = fam.ComputeSubsetsOf(123);
   EXPECT_EQ(a, b);
   EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
   for (uint32_t j : a) EXPECT_LT(j, SmallParams().m);
@@ -72,7 +72,7 @@ TEST(SignatureFamilyTest, SubsetsAreDeterministicAndSorted) {
 TEST(SignatureFamilyTest, MembershipFrequencyMatchesProbability) {
   SignatureFamily fam(2000, SmallParams(), 77);
   uint64_t total = 0;
-  for (ItemId i = 0; i < 2000; ++i) total += fam.SubsetsOf(i).size();
+  for (ItemId i = 0; i < 2000; ++i) total += fam.ComputeSubsetsOf(i).size();
   const double avg = static_cast<double>(total) / 2000.0;
   const double expected = 600.0 / 6.0;  // m / (f+1)
   EXPECT_NEAR(avg, expected, expected * 0.05);
@@ -81,7 +81,7 @@ TEST(SignatureFamilyTest, MembershipFrequencyMatchesProbability) {
 TEST(SignatureFamilyTest, ContainsAgreesWithSubsetsOf) {
   SignatureFamily fam(100, SmallParams(), 77);
   for (ItemId i = 0; i < 20; ++i) {
-    const auto subsets = fam.SubsetsOf(i);
+    const auto subsets = fam.ComputeSubsetsOf(i);
     for (uint32_t j : subsets) EXPECT_TRUE(fam.Contains(j, i));
     // Spot-check some non-members.
     uint32_t misses = 0;
@@ -92,6 +92,85 @@ TEST(SignatureFamilyTest, ContainsAgreesWithSubsetsOf) {
       }
     }
   }
+}
+
+// A membership row is built the first time its item is diagnosed (or
+// read), once per item, and holds exactly ComputeSubsetsOf's set.
+TEST(SignatureFamilyTest, MembershipRowsMatchComputeSubsetsOf) {
+  constexpr uint64_t kN = 400;
+  SignatureFamily fam(kN, SmallParams(), 77);
+  EXPECT_EQ(fam.row_words(), (SmallParams().m + 63) / 64);
+  Database db(kN, 5);
+  ServerSignatureState server(&fam, &db);
+  const std::vector<ItemId> interest{3, 7, 11, 250};
+  ClientSignatureView view(&fam, interest);
+  view.DiagnoseAndAdopt(server.Combined(), interest);  // adopts, no count
+  EXPECT_EQ(fam.row_count(), 0u);
+  db.ApplyUpdate(7, 1.0);
+  server.OnItemChanged(7);
+  view.DiagnoseAndAdopt(server.Combined(), interest);
+  EXPECT_EQ(fam.row_count(), interest.size());
+
+  for (int pass = 0; pass < 2; ++pass) {
+    for (ItemId id = 0; id < kN; ++id) {
+      const uint64_t* row = fam.MembershipRow(id);
+      std::vector<uint32_t> from_row;
+      for (uint32_t j = 0; j < SmallParams().m; ++j) {
+        if ((row[j / 64] >> (j % 64)) & 1) from_row.push_back(j);
+      }
+      EXPECT_EQ(from_row, fam.ComputeSubsetsOf(id)) << "item " << id;
+      // Bits past m in the last word stay clear.
+      for (uint32_t j = SmallParams().m; j < 64 * fam.row_words(); ++j) {
+        EXPECT_EQ((row[j / 64] >> (j % 64)) & 1, 0u) << "item " << id;
+      }
+    }
+    EXPECT_EQ(fam.row_count(), kN);
+  }
+}
+
+// The server's combined signatures, folded through the family's subset
+// lists, equal the XOR over ComputeSubsetsOf's sets, before and after
+// updates and on a second state built over the same (already listed)
+// family.
+TEST(ServerSignatureStateTest, ListFoldMatchesComputeSubsetsOf) {
+  constexpr uint64_t kN = 300;
+  Database db(kN, 4);
+  SignatureFamily fam(kN, SmallParams(), 77);
+  auto reference = [&] {
+    std::vector<uint64_t> combined(SmallParams().m, 0);
+    for (ItemId id = 0; id < kN; ++id) {
+      const uint64_t sig = fam.ItemSignature(db.ValueOf(id));
+      for (uint32_t j : fam.ComputeSubsetsOf(id)) combined[j] ^= sig;
+    }
+    return combined;
+  };
+  ServerSignatureState server(&fam, &db);
+  EXPECT_EQ(server.Combined(), reference());
+  for (ItemId id = 0; id < kN; id += 7) {
+    db.ApplyUpdate(id, 1.0);
+    server.OnItemChanged(id);
+  }
+  EXPECT_EQ(server.Combined(), reference());
+  ServerSignatureState again(&fam, &db);
+  EXPECT_EQ(again.Combined(), reference());
+}
+
+// A report key names one broadcast: reusing the current key with different
+// content breaks the interning contract, which Debug builds assert.
+TEST(ClientSignatureViewDeathTest, KeyHitWithDifferentContentAsserts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "asserts are compiled out";
+#else
+  Database db(100, 3);
+  SignatureFamily fam(100, SmallParams(), 77);
+  ServerSignatureState server(&fam, &db);
+  ClientSignatureView view(&fam, {1, 2, 3});
+  view.DiagnoseAndAdopt(server.Combined(), /*report_key=*/7, {1, 2, 3});
+  std::vector<uint64_t> altered = server.Combined();
+  altered[0] ^= 1;
+  EXPECT_DEATH(view.DiagnoseAndAdopt(altered, /*report_key=*/7, {1, 2, 3}),
+               "");
+#endif
 }
 
 TEST(SignatureFamilyTest, ItemSignatureRespectsBitWidth) {
@@ -371,6 +450,8 @@ TEST_P(ViewDifferentialTest, MatchesPerClientReference) {
   };
 
   uint64_t diagnosed_invalid = 0;
+  uint64_t keyed_diagnoses = 0;
+  uint64_t late_diagnoses = 0;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
@@ -412,32 +493,47 @@ TEST_P(ViewDifferentialTest, MatchesPerClientReference) {
     std::vector<Client> clients(kViews);
     for (Client& c : clients) fresh_client(&c);
 
+    // Half the diagnoses intern by report key (the report index), half by
+    // content. Every seventh report changes nothing, so a new key arrives
+    // with the previous report's content; now and then a view hears the
+    // previous report late, an older key after a newer one.
     double t = 0.0;
+    std::vector<uint64_t> previous;
     for (int report = 0; report < kReports; ++report) {
-      const uint64_t changes = rng.NextUint64(3 * params.f + 1);
+      const uint64_t changes =
+          report % 7 == 3 ? 0 : rng.NextUint64(3 * params.f + 1);
       for (uint64_t c = 0; c < changes; ++c) {
         const ItemId id = static_cast<ItemId>(rng.NextUint64(kN));
         t += 1.0;
         db.ApplyUpdate(id, t);
         server.OnItemChanged(id);
       }
+      const std::vector<uint64_t> current = server.Combined();
       for (size_t v = 0; v < kViews; ++v) {
         Client& c = clients[v];
         if (rng.NextDouble() < 0.02) fresh_client(&c);
         if (rng.NextDouble() >= c.awake) continue;
+        // Cache-slot order: diagnosis must not rely on sorted input.
         std::vector<ItemId> cached;
         for (ItemId id : c.interest) {
           if (rng.NextDouble() < 0.7) cached.push_back(id);
         }
-        std::sort(cached.begin(), cached.end());
+        const bool late = report > 0 && rng.NextDouble() < 0.1;
+        const std::vector<uint64_t>& broadcast = late ? previous : current;
+        const uint64_t key = static_cast<uint64_t>(late ? report - 1 : report);
+        const bool keyed = rng.NextDouble() < 0.5;
+        keyed_diagnoses += keyed ? 1 : 0;
+        late_diagnoses += late && keyed ? 1 : 0;
         const bool diagnosing = c.reference->has_baseline();
         const std::vector<ItemId> got =
-            c.view->DiagnoseAndAdopt(server.Combined(), cached);
+            keyed ? c.view->DiagnoseAndAdopt(broadcast, key, cached)
+                  : c.view->DiagnoseAndAdopt(broadcast, cached);
         const std::vector<ItemId> want =
-            c.reference->DiagnoseAndAdopt(server.Combined(), cached);
+            c.reference->DiagnoseAndAdopt(broadcast, cached);
         ASSERT_EQ(got, want) << "report " << report << " view " << v;
         if (diagnosing) diagnosed_invalid += got.size();
       }
+      previous = current;
       // Live baselines: at most one per view plus the current broadcast.
       ASSERT_LE(family.live_baselines(), kViews + 1);
     }
@@ -445,8 +541,11 @@ TEST_P(ViewDifferentialTest, MatchesPerClientReference) {
     // Only the family's own reference to the current broadcast remains.
     EXPECT_EQ(family.live_baselines(), 1u);
   }
-  // The stream must exercise diagnosis, not just first-report drops.
+  // The stream must exercise diagnosis, not just first-report drops, and
+  // both interning paths, late keys included.
   EXPECT_GT(diagnosed_invalid, 0u);
+  EXPECT_GT(keyed_diagnoses, 0u);
+  EXPECT_GT(late_diagnoses, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

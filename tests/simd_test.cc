@@ -1,4 +1,4 @@
-// Bit-exactness of the batched-apply SIMD kernels (util/simd.h): every
+// Bit-exactness of the SIMD kernels (util/simd.h). Batched apply: every
 // variant must produce a byte-identical record slab for any input the
 // database's batch walk can feed it, because the sweep goldens are byte
 // goldens and MOBICACHE_SIMD may select any variant at runtime.
@@ -9,7 +9,9 @@
 // shapes cover random ids, heavy duplicates (the AVX2 quad collision
 // bailout), strictly ascending walks, and timestamps whose *bits* matter:
 // negative zero, denormals, infinities, and NaN payloads must all be
-// bit-copied, never arithmetically laundered.
+// bit-copied, never arithmetically laundered. AndPopcount: every variant
+// returns the scalar count on random words, at lengths that cross the SSE2
+// two-word step and the AVX2 two-accumulator split.
 
 #include <cmath>
 #include <cstdint>
@@ -180,6 +182,40 @@ TEST(SimdKernelTest, UnknownKernelNameIsRejectedUntouched) {
   EXPECT_EQ(std::memcmp(slab.data(), before.data(),
                         slab.size() * sizeof(Record16)),
             0);
+}
+
+TEST(SimdKernelTest, AndPopcountVariantsMatchScalar) {
+  std::mt19937_64 rng(0x5EED);
+  std::vector<uint64_t> a(40), b(40);
+  for (int trial = 0; trial < 200; ++trial) {
+    for (size_t w = 0; w < a.size(); ++w) {
+      // Mix dense, sparse and all-ones words.
+      a[w] = trial % 5 == 0 ? ~uint64_t{0} : rng();
+      b[w] = trial % 3 == 0 ? rng() & rng() & rng() : rng();
+    }
+    const size_t words = static_cast<size_t>(trial) % (a.size() + 1);
+    uint64_t want = 0;
+    ASSERT_TRUE(AndPopcountWithKernelForTesting("scalar", a.data(), b.data(),
+                                                words, &want));
+    uint64_t naive = 0;
+    for (size_t w = 0; w < words; ++w) {
+      for (int bit = 0; bit < 64; ++bit) naive += ((a[w] & b[w]) >> bit) & 1;
+    }
+    ASSERT_EQ(want, naive) << "words=" << words;
+    for (const char* kernel : {"sse2", "avx2"}) {
+      uint64_t got = ~uint64_t{0};
+      if (!AndPopcountWithKernelForTesting(kernel, a.data(), b.data(), words,
+                                           &got)) {
+        continue;  // variant not supported on this CPU/arch
+      }
+      EXPECT_EQ(got, want) << kernel << " words=" << words;
+    }
+    EXPECT_EQ(AndPopcount(a.data(), b.data(), words), want);
+  }
+  uint64_t untouched = 7;
+  EXPECT_FALSE(AndPopcountWithKernelForTesting("neon", a.data(), b.data(), 1,
+                                               &untouched));
+  EXPECT_EQ(untouched, 7u);
 }
 
 }  // namespace
