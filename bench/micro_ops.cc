@@ -547,7 +547,6 @@ struct AtStormCell {
             5) {
     db.SetJournalBucketWidth(kL);
     db.SetRetention(retention);
-    gen.EnableBatchMode();
   }
 
   SimTime Drain() {
@@ -630,39 +629,19 @@ BENCHMARK(BM_AtCountQuietWindow)
     ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
-// Update delivery: one scheduled event per update (the classic engine) vs
-// the batched interval drain (UpdateGenerator batch mode through
-// Database::ApplyUpdateBatch). Identical RNG streams and slab writes; the
-// difference is pure scheduler traffic vs the tight staging loop. Arg is
-// the database size — larger slabs push every update into a DRAM miss,
-// which the batch path's prefetch distance hides. The journal is disabled
-// so both modes measure the kernel, not bucket bookkeeping. ~1000 updates
-// flow per iteration (total rate 1000/s, one simulated second advanced).
-
-void BM_UpdatePerEvent(benchmark::State& state) {
-  const uint64_t n = static_cast<uint64_t>(state.range(0));
-  Simulator sim;
-  Database db(n, 1);
-  db.SetJournalEnabled(false);
-  UpdateGenerator gen(&sim, &db, 1000.0 / static_cast<double>(n), 5);
-  if (!gen.Start().ok()) state.SkipWithError("generator start failed");
-  double t = 0.0;
-  for (auto _ : state) {
-    t += 1.0;
-    sim.RunUntil(t);
-    benchmark::DoNotOptimize(db.total_updates());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(gen.updates_generated()));
-}
-BENCHMARK(BM_UpdatePerEvent)->RangeMultiplier(10)->Range(1000, 1000000);
+// Update delivery: the lookahead drain (UpdateGenerator through
+// Database::ApplyUpdateBatch). Arg is the database size — larger slabs push
+// every update into a DRAM miss, which the drain's prefetches hide. No
+// journal (kNone), so this measures the kernel, not bucket bookkeeping.
+// ~1000 updates flow per iteration (total rate 1000/s, one simulated second
+// advanced).
 
 void BM_UpdateBatch(benchmark::State& state) {
   const uint64_t n = static_cast<uint64_t>(state.range(0));
   Simulator sim;
   Database db(n, 1);
-  db.SetJournalEnabled(false);
+  db.SetRetention(JournalRetention::kNone);
   UpdateGenerator gen(&sim, &db, 1000.0 / static_cast<double>(n), 5);
-  gen.EnableBatchMode();
   if (!gen.Start().ok()) state.SkipWithError("generator start failed");
   double t = 0.0;
   for (auto _ : state) {
@@ -761,6 +740,10 @@ void BM_SigRecomputeFull(benchmark::State& state) {
   params.f = 10;
   params.g = 16;
   SignatureFamily family(50000, params, 1);
+  // One untimed build fills the family's subset storage, so every timed
+  // iteration is the same warm recompute.
+  ServerSignatureState warm(&family, &db);
+  benchmark::DoNotOptimize(warm.Combined());
   for (auto _ : state) {
     ServerSignatureState server(&family, &db);
     benchmark::DoNotOptimize(server.Combined());

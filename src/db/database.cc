@@ -192,7 +192,7 @@ void Database::ApplyUpdate(ItemId id, SimTime now) {
   HotItem& item = hot_[id];
   ++item.version;
   item.last_update = now;
-  if (journal_enabled_) AppendJournal(id, now);
+  if (journal_enabled()) AppendJournal(id, now);
   if (dirty_set_) MarkDirty(&id, &now, 1);
   ++total_updates_;
   if (observer_) observer_(id, now);
@@ -211,7 +211,7 @@ void Database::ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
   }
 #endif
   if (!observer_) {
-    if (journal_enabled_) {
+    if (journal_enabled()) {
       ApplyBatchJournal(ids, times, count);
     } else {
       ApplyBatchSlabOnly(ids, times, count);
@@ -232,7 +232,7 @@ void Database::ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
       HotItem& item = hot_[id];
       ++item.version;
       item.last_update = now;
-      if (journal_enabled_) AppendJournal(id, now);
+      if (journal_enabled()) AppendJournal(id, now);
       // Marked before the observer runs, so one that window-queries sees
       // exactly the state a lone ApplyUpdate would leave.
       if (dirty_set_) MarkDirty(&id, &now, 1);
@@ -291,39 +291,25 @@ void Database::MarkDirty(const ItemId* ids, const SimTime* times,
   fresh_last_ = std::max(fresh_last_, times[count - 1]);
 }
 
-void Database::SetJournalEnabled(bool enabled) {
-  if (enabled == journal_enabled_) return;
-  journal_enabled_ = enabled;
-  if (!enabled) {
-    buckets_.clear();
-    spare_buckets_.clear();
-    journal_entries_ = 0;
-    SyncJournalBytesPeak();
-    journal_bytes_ = 0;
-    append_times_cursor_ = nullptr;
-    append_ids_cursor_ = nullptr;
-  }
-}
-
 void Database::SetRetention(JournalRetention retention) {
   assert(!dirty_set_ && "kDirtySet is armed once and never left");
   retention_ = retention;
-  switch (retention) {
-    case JournalRetention::kNone:
-      SetJournalEnabled(false);
-      break;
-    case JournalRetention::kDirtySet:
-      // A bit set only learns of updates applied after it exists.
-      assert(total_updates_ == 0 && "arm kDirtySet before any update");
-      SetJournalEnabled(false);
-      fresh_words_.assign((n_ + 63) / 64, 0);
-      older_words_.assign((n_ + 63) / 64, 0);
-      dirty_set_ = true;
-      journal_bytes_ = 2 * ((n_ + 7) / 8);
-      break;
-    case JournalRetention::kFullWindow:
-      SetJournalEnabled(true);
-      break;
+  if (retention == JournalRetention::kFullWindow) return;
+  // Neither class keeps the raw journal: drop whatever it holds.
+  buckets_.clear();
+  spare_buckets_.clear();
+  journal_entries_ = 0;
+  SyncJournalBytesPeak();
+  journal_bytes_ = 0;
+  append_times_cursor_ = nullptr;
+  append_ids_cursor_ = nullptr;
+  if (retention == JournalRetention::kDirtySet) {
+    // A bit set only learns of updates applied after it exists.
+    assert(total_updates_ == 0 && "arm kDirtySet before any update");
+    fresh_words_.assign((n_ + 63) / 64, 0);
+    older_words_.assign((n_ + 63) / 64, 0);
+    dirty_set_ = true;
+    journal_bytes_ = 2 * ((n_ + 7) / 8);
   }
 }
 
@@ -362,7 +348,7 @@ void Database::UpdatedIn(SimTime lo, SimTime hi,
   // the steady state allocates nothing. detlint:allow-function(alloc-event-path)
   out->clear();
   // No history kept (kNone): the documented answer is empty.
-  if (hi <= lo || (!journal_enabled_ && !dirty_set_)) return;
+  if (hi <= lo || retention_ == JournalRetention::kNone) return;
   if (dirty_set_) {
     // The ids query, then each listed item's time from the slab, prefetched
     // a few ids ahead of the read.
@@ -459,7 +445,7 @@ void Database::UpdatedIdsIn(SimTime lo, SimTime hi,
 uint64_t Database::CountUpdatedIn(SimTime lo, SimTime hi) const {
   uint64_t count = 0;
   // No history kept (kNone): the documented answer is empty.
-  if (hi <= lo || (!journal_enabled_ && !dirty_set_)) return count;
+  if (hi <= lo || retention_ == JournalRetention::kNone) return count;
   if (dirty_set_) return QueryDirtySet(lo, hi, nullptr);
   for (const Bucket& bucket : buckets_) {
     if (!bucket.HasEntries() || bucket.LastTime() <= lo) continue;
@@ -581,7 +567,7 @@ uint64_t Database::MergeDirtyWords(SimTime lo, SimTime hi, bool all_inside,
 }
 
 std::vector<UpdatedItem> Database::JournalIn(SimTime lo, SimTime hi) const {
-  assert(journal_enabled_ && "journal scan against a disabled journal");
+  assert(journal_enabled() && "journal scan against a disabled journal");
   std::vector<UpdatedItem> out;
   if (hi <= lo) return out;
   for (const Bucket& bucket : buckets_) {
@@ -598,7 +584,7 @@ std::vector<UpdatedItem> Database::JournalIn(SimTime lo, SimTime hi) const {
 
 uint64_t Database::VersionAt(ItemId id, SimTime t) const {
   assert(id < n_);
-  assert(journal_enabled_ && "historical read against a disabled journal");
+  assert(journal_enabled() && "historical read against a disabled journal");
   uint64_t after = 0;
   // Updates strictly after t are still in the journal (caller's contract).
   for (const Bucket& bucket : buckets_) {

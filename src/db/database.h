@@ -179,16 +179,14 @@ class Database {
   /// slab with the same per-update effects (version bump, timestamp,
   /// journal append or dirty bit, observer dispatch, in order) as `count`
   /// ApplyUpdate calls. `times` must be non-decreasing and continue the
-  /// journal's tail. The batched update kernel's sink (UpdateGenerator
-  /// batch mode).
+  /// journal's tail. The update generator's sink.
   void ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
                         size_t count);
 
   /// Hints that `id` will be updated soon. With millions of items the
   /// per-update random access to the hot slab misses every cache level; a
-  /// caller that knows the id ahead of time (the update generator samples it
-  /// one event early) can hide that miss behind the intervening event
-  /// dispatches. Also touches the journal's append cursor, which the same
+  /// caller that knows the id ahead of time (the update generator draws it
+  /// ahead of its pump) can hide that miss behind the intervening work. Also touches the journal's append cursor, which the same
   /// update will write.
   void PrefetchItem(ItemId id) const {
 #if defined(__GNUC__) || defined(__clang__)
@@ -262,10 +260,12 @@ class Database {
   size_t journal_size() const { return journal_entries_; }
 
   /// Arms the retention class the strategy declared (see JournalRetention):
-  /// kNone disables the journal, kDirtySet disables it and allocates the
+  /// kNone drops the raw journal, kDirtySet drops it and allocates the
   /// per-item bit set (once, before any update — the set cannot recover
   /// earlier ones; asserted), kFullWindow keeps the default raw-bucket
-  /// journal. Call before any updates flow; the server wires it in Start().
+  /// journal. Without the raw journal the raw readers (JournalIn,
+  /// VersionAt) assert, so misuse fails loudly in debug builds. Call before
+  /// any updates flow; the server wires it in Start().
   void SetRetention(JournalRetention retention);
   JournalRetention retention() const { return retention_; }
 
@@ -289,16 +289,6 @@ class Database {
   void SetJournalBucketWidth(SimTime width);
   SimTime journal_bucket_width() const { return bucket_width_; }
 
-  /// Disables (or re-enables) the update journal. A no-caching cell builds
-  /// empty reports and never issues a window query, so journaling its update
-  /// stream — two appends plus a prune per interval — is pure overhead on
-  /// the hottest path in the simulator. Disabling drops any existing
-  /// entries; window queries then answer empty, and the raw readers
-  /// (JournalIn, VersionAt) assert the journal is live, so misuse fails
-  /// loudly in debug builds.
-  void SetJournalEnabled(bool enabled);
-  bool journal_enabled() const { return journal_enabled_; }
-
   /// Installs a callback invoked after every applied update (ApplyUpdate
   /// and each entry of ApplyUpdateBatch, in order). Used by the cell's
   /// update trace, which the ideal, stateful-server and async baselines
@@ -316,6 +306,11 @@ class Database {
     SimTime last_update = 0.0;
   };
   static_assert(sizeof(HotItem) == 16, "hot record must pack 4 per line");
+
+  /// Whether updates append to the raw journal (kFullWindow only).
+  bool journal_enabled() const {
+    return retention_ == JournalRetention::kFullWindow;
+  }
 
   /// One bucket of the journal ring, covering times in
   /// (index * width, (index + 1) * width]. Parallel SoA arrays: times is
@@ -456,7 +451,6 @@ class Database {
   uint64_t journal_bytes_peak_ = 0;
   SimTime bucket_width_ = 0.0;
   JournalRetention retention_ = JournalRetention::kFullWindow;
-  bool journal_enabled_ = true;
   /// High-water raw entry count across sealed buckets. Newly opened buckets
   /// reserve twice this, so steady-state appends stay allocation-free: a
   /// realloc needs one bucket to double the record.

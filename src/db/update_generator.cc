@@ -10,10 +10,13 @@ namespace mobicache {
 
 namespace {
 
-/// Updates staged per ApplyUpdateBatch call. Large enough that the per-call
-/// overhead (virtual-free, but a call and a couple of branch misses)
-/// amortizes away, small enough that the staging arrays stay L1-resident.
-constexpr size_t kBatchChunk = 1024;
+/// The weighted profile's item for a uniform draw `u` in [0, total): the
+/// first item whose cumulative rate reaches it.
+ItemId CdfPick(const std::vector<double>& cdf, double u) {
+  auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  if (it == cdf.end()) --it;
+  return static_cast<ItemId>(it - cdf.begin());
+}
 
 }  // namespace
 
@@ -40,43 +43,27 @@ UpdateGenerator::UpdateGenerator(Simulator* sim, Database* db,
 
 UpdateGenerator::~UpdateGenerator() { Stop(); }
 
-void UpdateGenerator::EnableBatchMode() {
-  assert(!active_ && "switch modes before Start()");
-  if (batch_mode_) return;
-  batch_mode_ = true;
-  if (rates_.empty()) {
-    look_raw_.resize(kLookahead);
-    look_time_.resize(kLookahead);
-    look_item_.resize(kLookahead);
-  } else {
-    batch_ids_.resize(kBatchChunk);
-    batch_times_.resize(kBatchChunk);
-  }
-}
-
 Status UpdateGenerator::Start() {
   if (active_) return Status::FailedPrecondition("generator already started");
   active_ = true;
   if (total_rate_ > 0.0) {
-    if (batch_mode_) {
-      PrimeBatch();
-    } else {
-      ScheduleNext();
-    }
+    // Seed the lookahead with the first pair, so the drain loop's invariant
+    // (the queue head *is* the pending update) holds from the first pump.
+    const double gap = rng_.Exponential(total_rate_);
+    look_item_[0] = SampleItem();
+    look_time_[0] = sim_->Now() + gap;
+    look_pos_ = 0;
+    look_len_ = 1;
+    db_->PrefetchItem(look_item_[0]);
   }
   return Status::OK();
 }
 
 void UpdateGenerator::Stop() {
   if (!active_) return;
-  if (batch_mode_) {
-    // The per-event engine has dispatched every update event with time
-    // <= Now() when a run stops; drain to the same point before going
-    // inactive so both modes leave identical database state behind.
-    GenerateIntervalUpdates(sim_->Now(), /*inclusive=*/true);
-  } else {
-    sim_->Cancel(pending_);
-  }
+  // A run that stops at Now() has seen every update up to and including
+  // that instant.
+  GenerateIntervalUpdates(sim_->Now(), /*inclusive=*/true);
   active_ = false;
 }
 
@@ -85,41 +72,11 @@ double UpdateGenerator::RateOf(ItemId id) const {
   return rates_.empty() ? uniform_rate_ : rates_[id];
 }
 
-void UpdateGenerator::ScheduleNext() {
-  const double gap = rng_.Exponential(total_rate_);
-  next_item_ = SampleItem();
-  db_->PrefetchItem(next_item_);
-  pending_ = sim_->ScheduleAfter(gap, [this] { Fire(); });
-}
-
-void UpdateGenerator::PrimeBatch() {
-  // Identical draws to ScheduleNext (gap, then item); the gap becomes the
-  // absolute pending time instead of a scheduled event.
-  const double gap = rng_.Exponential(total_rate_);
-  next_item_ = SampleItem();
-  db_->PrefetchItem(next_item_);
-  next_time_ = sim_->Now() + gap;
+ItemId UpdateGenerator::SampleItem() {
   if (rates_.empty()) {
-    // Seed the lookahead queue with the pending pair so the drain loop's
-    // invariant (the queue head *is* the pending update) holds from the
-    // first pump.
-    look_item_[0] = next_item_;
-    look_time_[0] = next_time_;
-    look_pos_ = 0;
-    look_len_ = 1;
+    return static_cast<ItemId>(rng_.NextUint64(db_->size()));
   }
-}
-
-void UpdateGenerator::Fire() {
-  const ItemId item = next_item_;
-  // Draw and schedule the follow-up update *before* applying this one: the
-  // draws touch no database state (same RNG order as before — gap then item,
-  // once per cycle), and the freshly sampled item's prefetch then has this
-  // update's slab write and observer work as extra distance to hide its
-  // DRAM miss behind, instead of only the next dispatch's heap operations.
-  ScheduleNext();
-  db_->ApplyUpdate(item, sim_->Now());
-  ++updates_generated_;
+  return CdfPick(rate_cdf_, rng_.NextDouble() * total_rate_);
 }
 
 void UpdateGenerator::RefillLookahead() {
@@ -129,23 +86,32 @@ void UpdateGenerator::RefillLookahead() {
   Rng rng = rng_;  // draw through a register-resident copy
   uint64_t* const raw = look_raw_.data();
   ItemId* const items = look_item_.data();
-  const uint64_t n = db_->size();
-  // Pass 1: raw draws in stream order — gap bits, then item bits, one pair
-  // per future update. NextUint64's rare rejection redraws stay inside the
-  // pair, exactly where the on-demand order has them.
-  for (size_t j = 0; j < kLookahead; ++j) {
-    raw[j] = rng.NextBits();
-    items[j] = static_cast<ItemId>(rng.NextUint64(n));
-    // The slab line this item will dirty is known a whole block before the
-    // apply loop reaches it — enough lead time for a far (T1-hint)
-    // prefetch to land without evicting the apply loop's L1 working set.
-    db_->PrefetchItemFar(items[j]);
+  // Pass 1: raw draws in stream order — gap bits, then the item draw, one
+  // pair per future update. The profile is chosen once per block, outside
+  // the per-pair loop. NextUint64's rare rejection redraws stay inside the
+  // pair, exactly where the on-demand order has them. The slab line each
+  // item will dirty is known a whole block before the apply loop reaches
+  // it — enough lead time for a far (T1-hint) prefetch to land without
+  // evicting the apply loop's L1 working set.
+  if (rate_cdf_.empty()) {
+    const uint64_t n = db_->size();
+    for (size_t j = 0; j < kLookahead; ++j) {
+      raw[j] = rng.NextBits();
+      items[j] = static_cast<ItemId>(rng.NextUint64(n));
+      db_->PrefetchItemFar(items[j]);
+    }
+  } else {
+    const double total = total_rate_;
+    for (size_t j = 0; j < kLookahead; ++j) {
+      raw[j] = rng.NextBits();
+      items[j] = CdfPick(rate_cdf_, rng.NextDouble() * total);
+      db_->PrefetchItemFar(items[j]);
+    }
   }
   rng_ = rng;
   // Pass 2: decode the gaps and accumulate absolute event times. Identical
   // arithmetic to Exponential(rate) on the same bits — u = 1 -
-  // (bits>>11)*2^-53, gap = -log(u)/rate — and the same repeated `+= gap`
-  // addition chain ScheduleAfter performs, so every decoded time is
+  // (bits>>11)*2^-53, gap = -log(u)/rate — so every decoded time is
   // bit-identical to an on-demand draw; the log calls still pipeline
   // back-to-back (each accumulate only waits on its own log result).
   double* const times = look_time_.data();
@@ -161,16 +127,13 @@ void UpdateGenerator::RefillLookahead() {
 }
 
 void UpdateGenerator::GenerateIntervalUpdates(SimTime through, bool inclusive) {
-  if (!batch_mode_ || !active_ || total_rate_ <= 0.0) return;
-  if (inclusive ? next_time_ > through : next_time_ >= through) return;
+  if (!active_ || total_rate_ <= 0.0) return;
+  const SimTime head = look_time_[look_pos_];
+  if (inclusive ? head > through : head >= through) return;
   WallTimer timer(&update_wall_seconds_);
-  if (!rates_.empty()) {
-    GenerateIntervalUpdatesWeighted(through, inclusive);
-    return;
-  }
   // The queue [look_pos_, look_len_) is drawn-but-unapplied with absolute
   // times; each due run feeds ApplyUpdateBatch directly from the lookahead
-  // arrays — the former staging copy is gone.
+  // arrays.
   for (;;) {
     const double* const times = look_time_.data();
     size_t end = look_pos_;
@@ -183,50 +146,14 @@ void UpdateGenerator::GenerateIntervalUpdates(SimTime through, bool inclusive) {
       db_->ApplyUpdateBatch(look_item_.data() + look_pos_, times + look_pos_,
                             count);
       updates_generated_ += count;
-      batched_applied_ += count;
       look_pos_ = end;
     }
     if (look_pos_ < look_len_) break;  // head exists and is not due
     RefillLookahead();
   }
-  next_item_ = look_item_[look_pos_];
-  next_time_ = look_time_[look_pos_];
   // The pending pair outlives the pump; give its slab line the span until
-  // the next pump point to arrive, like the per-event one-ahead prefetch.
-  db_->PrefetchItem(next_item_);
-}
-
-void UpdateGenerator::GenerateIntervalUpdatesWeighted(SimTime through,
-                                                      bool inclusive) {
-  ItemId* const ids = batch_ids_.data();
-  SimTime* const times = batch_times_.data();
-  size_t count = 0;
-  for (;;) {
-    ids[count] = next_item_;
-    times[count] = next_time_;
-    ++count;
-    next_time_ += rng_.Exponential(total_rate_);
-    next_item_ = SampleItem();
-    const bool due = inclusive ? next_time_ <= through : next_time_ < through;
-    if (count == kBatchChunk || !due) {
-      db_->ApplyUpdateBatch(ids, times, count);
-      updates_generated_ += count;
-      batched_applied_ += count;
-      count = 0;
-      if (!due) break;
-    }
-  }
-  db_->PrefetchItem(next_item_);
-}
-
-ItemId UpdateGenerator::SampleItem() {
-  if (rates_.empty()) {
-    return static_cast<ItemId>(rng_.NextUint64(db_->size()));
-  }
-  const double u = rng_.NextDouble() * total_rate_;
-  auto it = std::lower_bound(rate_cdf_.begin(), rate_cdf_.end(), u);
-  if (it == rate_cdf_.end()) --it;
-  return static_cast<ItemId>(it - rate_cdf_.begin());
+  // the next pump point to arrive.
+  db_->PrefetchItem(look_item_[look_pos_]);
 }
 
 std::vector<double> ZipfUpdateRates(uint64_t n, double mu_mean, double theta) {

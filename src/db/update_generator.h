@@ -4,26 +4,19 @@
 // choice), which also generalizes to non-uniform per-item weights (Zipf)
 // for the weighted-signature / adaptive-window extensions.
 //
-// Two delivery modes share one RNG stream:
+// The stream is drawn ahead into a lookahead of (absolute time, item) pairs
+// and applied in batches: GenerateIntervalUpdates drains every pair due
+// before a pump point in one tight loop through Database::ApplyUpdateBatch,
+// with no scheduler traffic. The pump points — the server's broadcast head,
+// its delivery-consumption instant, the cell engine's window barrier, and
+// Stop() at the end of a run — are the places a reader can first observe an
+// update, so every reader (report builders, window queries, the update
+// observer behind the stateful/async trace) sees the database exactly as an
+// update-at-its-instant stream would leave it.
 //
-//  * Per-event (default): every update is its own scheduled event
-//    (ScheduleNext/Fire), interleaved with the rest of the simulation. This
-//    is required when an update observer has simulation side effects at the
-//    update instant (the stateful-server invalidation push, the async
-//    broadcaster, MegaCell's update trace).
-//  * Batched (EnableBatchMode): the generator holds the predrawn next
-//    (time, item) pair and GenerateIntervalUpdates drains everything due
-//    before a pump point in one tight loop through
-//    Database::ApplyUpdateBatch — zero scheduler traffic for ~all of the
-//    hottest event class. The pump points (server broadcast head, uplink
-//    fetch, delivery consumption, the sharded engine's window barrier, and
-//    the end-of-run drain) are exactly the places a reader can first
-//    observe an update, so the database trajectory every reader sees —
-//    values, journal buckets, observer call order, timestamps — is
-//    bit-identical to the per-event interleaving.
-//
-// The RNG draw order is identical in both modes: one (gap, item) pair per
-// cycle, drawn one update ahead of its application.
+// Draw order: one (gap, item) pair per update, gap first. Times accumulate
+// by repeated `+= gap` addition from the start time, so each is a pure
+// function of the seed and the update's index, whatever the pump points.
 
 #ifndef MOBICACHE_DB_UPDATE_GENERATOR_H_
 #define MOBICACHE_DB_UPDATE_GENERATOR_H_
@@ -56,27 +49,23 @@ class UpdateGenerator {
   UpdateGenerator& operator=(const UpdateGenerator&) = delete;
   ~UpdateGenerator();
 
-  /// Switches to batched-interval mode (see the file comment). Must be
-  /// called before Start(); preallocates the batch staging buffers so the
-  /// drain loop never allocates.
-  void EnableBatchMode();
-  bool batch_mode() const { return batch_mode_; }
+  /// Does nothing: the stream always drains in batches. perfbench's server
+  /// probe is its last caller; it goes with the next benchmark change.
+  void EnableBatchMode() {}
 
-  /// Begins generating updates from the current simulation time. Returns
-  /// FailedPrecondition if already started. A zero total rate is legal and
-  /// generates nothing.
+  /// Begins generating updates from the current simulation time: draws the
+  /// first (gap, item) pair. Returns FailedPrecondition if already started.
+  /// A zero total rate is legal and generates nothing.
   Status Start();
 
-  /// Stops generating. Per-event mode cancels the pending update event;
-  /// batch mode first drains updates due at or before the current
-  /// simulation time (matching the per-event engine, which has dispatched
-  /// exactly those when a run stops at Now()). Idempotent.
+  /// Applies every update due at or before the current simulation time,
+  /// then stops generating. Idempotent.
   void Stop();
 
-  /// Batch mode: applies every pending update with time < `through`
-  /// (<= `through` when `inclusive`) via Database::ApplyUpdateBatch. No-op
-  /// in per-event mode, before Start(), or when nothing is due — callers
-  /// pump unconditionally from every observation point.
+  /// Applies every pending update with time < `through` (<= `through` when
+  /// `inclusive`) via Database::ApplyUpdateBatch. No-op before Start(),
+  /// after Stop(), or when nothing is due — callers pump unconditionally
+  /// from every observation point.
   void GenerateIntervalUpdates(SimTime through, bool inclusive);
 
   /// Per-item rate for `id`.
@@ -85,51 +74,30 @@ class UpdateGenerator {
   /// Sum of all per-item rates.
   double total_rate() const { return total_rate_; }
 
+  /// Updates applied so far. Engines add this to the scheduler's dispatched
+  /// events for the events/sec denominator: each update is one simulated
+  /// event that never passes through the scheduler.
   uint64_t updates_generated() const { return updates_generated_; }
 
-  /// Updates applied through the batched path. Each of these was one
-  /// dispatched simulator event before batching, so engines add this to
-  /// DispatchedEvents() when reporting the events/sec denominator.
-  uint64_t batched_updates_applied() const { return batched_applied_; }
-
   /// Wall time spent inside GenerateIntervalUpdates over the whole run
-  /// (diagnostic, like MegaCell's phase walls). Always 0 in
-  /// per-event mode, where update application is indistinguishable from
-  /// scheduler time.
+  /// (diagnostic, like MegaCell's phase walls).
   double update_wall_seconds() const { return update_wall_seconds_; }
 
  private:
-  /// Future (gap, item) pairs decoded ahead of consumption in the uniform
-  /// profile's drain loop (see RefillLookahead).
+  /// Future (gap, item) pairs decoded ahead of consumption (see
+  /// RefillLookahead).
   static constexpr size_t kLookahead = 512;
 
-  void ScheduleNext();
-  void Fire();
+  /// One item draw of the pair: uniform over the items, or by CDF for the
+  /// weighted profile.
   ItemId SampleItem();
-  /// Draws the first (gap, item) pair in batch mode — same draws as
-  /// ScheduleNext, minus the scheduled event.
-  void PrimeBatch();
   /// Refills the decoded lookahead: one block of raw draws in stream order
-  /// (gap bits, then item bits, per pair), then a decode pass that turns
-  /// the gap bits into *absolute* event times by the same repeated `+= gap`
-  /// addition ScheduleAfter performs. Buffer contents are a pure function
-  /// of the RNG stream position, so every pair is bit-identical to an
-  /// on-demand draw; undrawn pairs simply wait for a later pump.
+  /// (gap bits, then the item draw, per pair), then a decode pass that turns
+  /// the gap bits into *absolute* event times by repeated `+= gap` addition.
+  /// Buffer contents are a pure function of the RNG stream position, so
+  /// every pair is bit-identical to an on-demand draw; undrawn pairs simply
+  /// wait for a later pump.
   void RefillLookahead();
-  /// Drain loop for the weighted (CDF-sampled) profile — the original
-  /// draw-as-you-go loop, kept separate so the uniform path stays tight.
-  void GenerateIntervalUpdatesWeighted(SimTime through, bool inclusive);
-
-  /// The item of the *pending* update. Sampled at schedule time — one event
-  /// ahead of its ApplyUpdate — so its state line can be prefetched across
-  /// the intervening event dispatches. The RNG stream is unchanged: the
-  /// draws per cycle (gap, then item) happen in the same order as sampling
-  /// the item inside Fire() did.
-  ItemId next_item_ = 0;
-  /// Batch mode: absolute time of the pending update. Advanced by repeated
-  /// `+= gap` addition, the exact double sequence ScheduleAfter produces in
-  /// per-event mode.
-  SimTime next_time_ = 0.0;
 
   Simulator* sim_;
   Database* db_;
@@ -139,25 +107,16 @@ class UpdateGenerator {
   std::vector<double> rate_cdf_;    // cumulative rates for weighted sampling
   double total_rate_ = 0.0;
   bool active_ = false;
-  bool batch_mode_ = false;
-  EventId pending_{};
   uint64_t updates_generated_ = 0;
-  uint64_t batched_applied_ = 0;
   double update_wall_seconds_ = 0.0;
-  /// Staging arrays for one ApplyUpdateBatch chunk (weighted profile only;
-  /// preallocated by EnableBatchMode, written through raw pointers).
-  std::vector<ItemId> batch_ids_;
-  std::vector<SimTime> batch_times_;
-  /// Decoded lookahead (uniform profile only; preallocated by
-  /// EnableBatchMode). look_raw_ holds the gap draws' raw bits between the
-  /// draw pass and the log pass; look_item_/look_time_ hold decoded pairs
-  /// with *absolute* event times, so due runs feed ApplyUpdateBatch in
-  /// place — no per-update copy into staging. Entries [look_pos_,
-  /// look_len_) are drawn but unapplied; the head is the pending update,
-  /// mirrored in next_item_/next_time_.
-  std::vector<uint64_t> look_raw_;
-  std::vector<double> look_time_;
-  std::vector<ItemId> look_item_;
+  /// Decoded lookahead. look_raw_ holds the gap draws' raw bits between the
+  /// draw pass and the decode pass; look_item_/look_time_ hold decoded
+  /// pairs with *absolute* event times, so due runs feed ApplyUpdateBatch
+  /// in place. Entries [look_pos_, look_len_) are drawn but unapplied; the
+  /// head is the pending update.
+  std::vector<uint64_t> look_raw_ = std::vector<uint64_t>(kLookahead);
+  std::vector<double> look_time_ = std::vector<double>(kLookahead);
+  std::vector<ItemId> look_item_ = std::vector<ItemId>(kLookahead);
   size_t look_pos_ = 0;
   size_t look_len_ = 0;
 };

@@ -111,12 +111,11 @@ struct CellResult {
   /// harness's events/sec denominator. Counts every event the server and
   /// the units dispatched, each once whatever the shard count (a delivery
   /// or update-trace event replayed into every shard counts once), plus
-  /// every update applied through the batched drain path and every
-  /// dispatch the quiet skip replayed inline — each of those was one
-  /// dispatched event under the per-event engine, so the denominator
-  /// measures the same simulated work in every mode.
+  /// the simulated events that bypass the scheduler: every applied update
+  /// (the update stream drains in batches) and every dispatch the quiet
+  /// skip replayed inline.
   uint64_t sim_events = 0;
-  /// Updates applied to the database over the whole run (either mode).
+  /// Updates applied to the database over the whole run.
   uint64_t updates_applied = 0;
   ChannelStats channel;
 

@@ -238,15 +238,11 @@ Status MegaCell::Build() {
   server_->SetDeliverySink([this](Server::ReportDelivery d) {
     pending_deliveries_.push_back(std::move(d));
   });
-  if (!trace_updates_) {
-    // The stateful/async baselines record a per-event update trace (their
-    // observers act at the update instant); every other strategy only reads
-    // database state at pump points, so its update stream drains in
-    // batches. One more pump at the window barrier leaves the shards a
-    // database advanced exactly to the cut.
-    updates_->EnableBatchMode();
-    server_->SetUpdatePump(updates_.get());
-  }
+  // The server pumps the update stream at its observation points; one more
+  // pump at the window barrier leaves the shards a database advanced
+  // exactly to the cut, and the stateful/async trace holding every update
+  // of the window.
+  server_->SetUpdatePump(updates_.get());
 
   // Contiguous partition: shard s holds global units
   // [shard_offset_[s], shard_offset_[s + 1]), the first `rem` shards one
@@ -504,8 +500,8 @@ void MegaCell::AdvanceWindow(SimTime cut, bool inclusive) {
     sim_->RunUntilBefore(cut);
   }
   // The shard phase answers uplinks from the quiescent database; drain the
-  // batched update stream to the cut (matching inclusivity) so it holds
-  // exactly the state the per-event engine would have reached.
+  // update stream to the cut (matching inclusivity) so it holds every
+  // update the window covers, and the stateful/async trace lists them all.
   updates_->GenerateIntervalUpdates(cut, inclusive);
   server_wall_seconds_ += SecondsSince(t0);
 
@@ -731,11 +727,10 @@ CellResult MegaCell::result() const {
       decisions == 0 ? 0.0
                      : static_cast<double>(r.reports_missed) /
                            static_cast<double>(decisions);
-  // Batched updates and the quiet skip's inline replays count back into
-  // the denominator (one dispatched event each under the per-event engine);
-  // a delivery or trace event replayed into every shard counts once.
-  r.sim_events = sim_->DispatchedEvents() +
-                 updates_->batched_updates_applied() +
+  // Updates and the quiet skip's inline replays are simulated events that
+  // bypass the scheduler, so they count into the denominator; a delivery or
+  // trace event replayed into every shard counts once.
+  r.sim_events = sim_->DispatchedEvents() + updates_->updates_generated() +
                  server_->skipped_dispatches();
   for (const auto& shard : shards_) {
     r.sim_events += shard->sim.DispatchedEvents() - shard->replayed_events;

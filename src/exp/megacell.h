@@ -140,8 +140,8 @@ class MegaCell {
   /// Records replayed at the barriers (shard log entries + async trace
   /// broadcasts), warmup included.
   uint64_t replay_records() const { return replay_records_; }
-  /// Wall time draining the batched update stream — a sub-account of the
-  /// server phase (pumps run inside it); 0 in per-event modes.
+  /// Wall time draining the update stream — a sub-account of the server
+  /// phase (pumps run inside it).
   double update_wall_seconds() const {
     return updates_ == nullptr ? 0.0 : updates_->update_wall_seconds();
   }

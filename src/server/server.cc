@@ -32,7 +32,6 @@ void Server::AttachWakeIndex(const WakeIndex* index) {
 
 void Server::SetUpdatePump(UpdateGenerator* pump) {
   assert(broadcaster_ == nullptr && "attach the update pump before Start()");
-  assert(pump == nullptr || pump->batch_mode());
   update_pump_ = pump;
 }
 
@@ -94,9 +93,9 @@ void Server::Broadcast(uint64_t interval) {
 }
 
 Server::Transmission Server::StepInterval(uint64_t interval, SimTime now) {
-  // Batched update drain: everything strictly before this broadcast instant
-  // becomes visible before the report builds — the per-event engine had
-  // dispatched exactly those update events when this one fired.
+  // Update drain: everything strictly before this broadcast instant
+  // becomes visible before the report builds; updates at the instant itself
+  // belong to the next report.
   if (update_pump_ != nullptr) {
     update_pump_->GenerateIntervalUpdates(now, /*inclusive=*/false);
   }
@@ -212,8 +211,7 @@ void Server::ConsumeDelivery(std::shared_ptr<const Report> report,
 
 void Server::CompleteDelivery(SimTime done, bool elided) {
   // Drain updates due before the consumption instant: report observers
-  // snapshot ground truth here, and the per-event engine had applied
-  // exactly the updates with time < done by this point.
+  // snapshot ground truth here, as of every update with time < done.
   if (update_pump_ != nullptr) {
     update_pump_->GenerateIntervalUpdates(done, /*inclusive=*/false);
   }
@@ -227,8 +225,8 @@ void Server::CompleteDelivery(SimTime done, bool elided) {
 void Server::SkipToNextInterestingTime() {
   // Entry context: the consumption event of an elided interval — every unit
   // is asleep and no jittered delivery is in flight. Replaying further
-  // intervals needs the batched update pump (the per-event update mode
-  // keeps the scheduler busy anyway) and a live broadcast schedule.
+  // intervals needs the update pump (each replayed step drains through it)
+  // and a live broadcast schedule.
   if (update_pump_ == nullptr || !broadcaster_->active()) return;
   uint64_t interval = broadcaster_->ticks_fired();
   SimTime tick = broadcaster_->pending_time();

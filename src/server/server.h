@@ -87,12 +87,15 @@ class Server {
   /// shard. Call before Start().
   void AttachWakeIndex(const WakeIndex* index);
 
-  /// Attaches a batched update generator as the server's update pump. The
+  /// Attaches the cell's update generator as the server's update pump. The
   /// server then drains pending updates at every point a reader can first
-  /// observe database state — the broadcast head (before the report build)
-  /// and the delivery-consumption instant — so the database trajectory
-  /// every reader sees is identical to the per-event interleaving. The cell
-  /// engine adds one more pump at its window barrier. Call before Start().
+  /// observe database state — the broadcast head (updates strictly before
+  /// the broadcast instant, before the report build) and the
+  /// delivery-consumption instant (strictly before it) — so every reader
+  /// sees each update in place from its own instant on. The cell engine
+  /// adds one more pump at its window barrier. With no pump (a server
+  /// driven without an update stream) the database changes only through
+  /// the caller. Call before Start().
   void SetUpdatePump(UpdateGenerator* pump);
 
   /// Raises the journal retention class Start() arms beyond what the

@@ -104,7 +104,7 @@ TEST(UpdateGeneratorTest, UniformRateProducesExpectedVolume) {
   UpdateGenerator gen(&sim, &db, /*mu_per_item=*/0.01, /*seed=*/5);
   EXPECT_DOUBLE_EQ(gen.total_rate(), 1.0);
   ASSERT_TRUE(gen.Start().ok());
-  sim.RunUntil(10000.0);
+  gen.GenerateIntervalUpdates(10000.0, /*inclusive=*/true);
   gen.Stop();
   // ~10000 updates expected; allow 5 sigma.
   EXPECT_NEAR(static_cast<double>(gen.updates_generated()), 10000.0, 500.0);
@@ -116,8 +116,10 @@ TEST(UpdateGeneratorTest, ZeroRateGeneratesNothing) {
   Database db(10, 1);
   UpdateGenerator gen(&sim, &db, 0.0, 5);
   ASSERT_TRUE(gen.Start().ok());
-  sim.RunUntil(1000.0);
+  gen.GenerateIntervalUpdates(1000.0, /*inclusive=*/true);
+  gen.Stop();
   EXPECT_EQ(gen.updates_generated(), 0u);
+  EXPECT_EQ(db.total_updates(), 0u);
 }
 
 TEST(UpdateGeneratorTest, DoubleStartFails) {
@@ -133,11 +135,14 @@ TEST(UpdateGeneratorTest, StopHaltsGeneration) {
   Database db(10, 1);
   UpdateGenerator gen(&sim, &db, 1.0, 5);
   ASSERT_TRUE(gen.Start().ok());
-  sim.RunUntil(10.0);
+  gen.GenerateIntervalUpdates(10.0, /*inclusive=*/true);
   gen.Stop();
   const uint64_t at_stop = gen.updates_generated();
-  sim.RunUntil(100.0);
+  EXPECT_GT(at_stop, 0u);
+  // A pump after Stop() applies nothing, however far it reaches.
+  gen.GenerateIntervalUpdates(100.0, /*inclusive=*/true);
   EXPECT_EQ(gen.updates_generated(), at_stop);
+  EXPECT_EQ(db.total_updates(), at_stop);
 }
 
 TEST(UpdateGeneratorTest, WeightedRatesSkewItemChoice) {
@@ -147,7 +152,7 @@ TEST(UpdateGeneratorTest, WeightedRatesSkewItemChoice) {
   EXPECT_DOUBLE_EQ(gen.total_rate(), 1.0);
   EXPECT_DOUBLE_EQ(gen.RateOf(0), 0.9);
   ASSERT_TRUE(gen.Start().ok());
-  sim.RunUntil(20000.0);
+  gen.GenerateIntervalUpdates(20000.0, /*inclusive=*/true);
   gen.Stop();
   const double frac0 = static_cast<double>(db.Get(0).version) /
                        static_cast<double>(db.total_updates());

@@ -509,7 +509,6 @@ TEST(DirtyStormTest, WarmAtCellAnswersEverySteadyStateQueryBitwise) {
   db.SetRetention(JournalRetention::kDirtySet);
   AtServerStrategy at(&db, kL);
   UpdateGenerator gen(&sim, &db, 0.015, /*seed=*/9);
-  gen.EnableBatchMode();
   ASSERT_TRUE(gen.Start().ok());
   Report report;
   MessageSizes sizes;

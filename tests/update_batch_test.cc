@@ -1,23 +1,26 @@
-// Contracts of the batched interval update kernel (db/update_generator.cc
-// batch mode + Database::ApplyUpdateBatch) and of the signature strategies'
-// fold over it:
+// Contracts of the update stream (db/update_generator.cc's lookahead drain
+// + Database::ApplyUpdateBatch) and of the signature strategies' fold over
+// it:
 //
-//  * RNG replay: the batched drain applies the exact (item, time) sequence
-//    the per-event engine dispatches — same seed, same draws, bit-identical
-//    timestamps — for the uniform, Zipf-weighted, and zero-rate profiles,
-//    regardless of where the pump points fall.
+//  * RNG replay: the drain applies the exact (item, time) sequence of a
+//    test-local spec stream — one (gap, item) draw pair per update from the
+//    same seed, times accumulated by `t += gap` — bit for bit, for the
+//    uniform, Zipf-weighted, and zero-rate profiles, regardless of where
+//    the pump points fall.
 //  * Dirty-set folds: SIG and hybrid cells — dirty-set retention by their
 //    class — produce byte-identical results with quiet elision on and off
 //    and with an answer observer's raw-journal floor.
-//  * Engines: shard counts {2, 4, 8} match the 1-shard run with batching
-//    on, including the applied-update count.
-//  * Allocation-freedom: once the staging buffers exist, the drain loop
-//    performs zero heap allocations, and a warm full cell (pump + dirty-set
-//    marks + signature folds) none per extra interval.
+//  * Engines: shard counts {2, 4, 8} match the 1-shard run, including the
+//    applied-update count.
+//  * Allocation-freedom: once the lookahead exists, the drain loop performs
+//    zero heap allocations for either profile, and a warm full cell (pump +
+//    dirty-set marks + signature folds) none per extra interval.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -29,6 +32,7 @@
 #include "exp/megacell.h"
 #include "mu/mobile_unit.h"
 #include "sim/simulator.h"
+#include "util/random.h"
 
 #include "counting_new.h"
 
@@ -36,7 +40,7 @@ namespace mobicache {
 namespace {
 
 // ---------------------------------------------------------------------------
-// RNG replay: per-event vs batched drain.
+// RNG replay: the drain against the spec stream.
 
 struct AppliedUpdate {
   ItemId id;
@@ -47,100 +51,131 @@ constexpr uint64_t kReplayItems = 96;
 constexpr uint64_t kReplaySeed = 20260809;
 constexpr SimTime kReplayEnd = 400.0;
 
-// Runs one generator to kReplayEnd in the given mode and returns the
-// observed (item, time) application sequence. Batched runs drain through a
-// deliberately irregular set of pump points (repeats, both inclusivities,
-// cuts that land between updates) — the sequence must not depend on them.
+// The update process as specified, one update at a time: draw the gap, then
+// the item (uniform, or the first item whose cumulative rate reaches a
+// uniform draw over the total), and apply it at the accumulated time.
+// Applies every update with time <= kReplayEnd to `db`.
+void SpecStream(double uniform_mu, const std::vector<double>& rates,
+                Database* db) {
+  std::vector<double> cdf;
+  double total = uniform_mu * static_cast<double>(kReplayItems);
+  if (!rates.empty()) {
+    total = 0.0;
+    for (double r : rates) cdf.push_back(total += r);
+  }
+  if (total <= 0.0) return;
+  Rng rng(kReplaySeed);
+  for (SimTime t = 0.0;;) {
+    t += rng.Exponential(total);
+    ItemId id = 0;
+    if (cdf.empty()) {
+      id = static_cast<ItemId>(rng.NextUint64(kReplayItems));
+    } else {
+      const double u = rng.NextDouble() * total;
+      const auto it = std::lower_bound(cdf.begin(), cdf.end() - 1, u);
+      id = static_cast<ItemId>(it - cdf.begin());
+    }
+    if (t > kReplayEnd) return;
+    db->ApplyUpdate(id, t);
+  }
+}
+
+std::unique_ptr<UpdateGenerator> MakeGenerator(
+    Simulator* sim, Database* db, double uniform_mu,
+    const std::vector<double>& rates) {
+  if (rates.empty()) {
+    return std::make_unique<UpdateGenerator>(sim, db, uniform_mu,
+                                             kReplaySeed);
+  }
+  return std::make_unique<UpdateGenerator>(sim, db, rates, kReplaySeed);
+}
+
+// Drains one generator to kReplayEnd through a deliberately irregular set
+// of pump points (repeats, both inclusivities, cuts that land between
+// updates) — the sequence must not depend on them — into `db`.
+void DrainWithIrregularPumps(double uniform_mu,
+                             const std::vector<double>& rates, Database* db) {
+  Simulator sim;
+  std::unique_ptr<UpdateGenerator> gen =
+      MakeGenerator(&sim, db, uniform_mu, rates);
+  EXPECT_TRUE(gen->Start().ok());
+  for (SimTime cut : {13.7, 13.7, 40.0, 111.2, 111.2, 250.0}) {
+    gen->GenerateIntervalUpdates(cut, /*inclusive=*/false);
+    gen->GenerateIntervalUpdates(cut, /*inclusive=*/true);
+  }
+  gen->GenerateIntervalUpdates(kReplayEnd, /*inclusive=*/true);
+  gen->Stop();
+  EXPECT_EQ(gen->updates_generated(), db->total_updates());
+}
+
+// Returns the observed (item, time) application sequence of the spec
+// stream (`drained` false) or of the drain (`drained` true).
 std::vector<AppliedUpdate> ReplayUpdates(double uniform_mu,
                                          const std::vector<double>& rates,
-                                         bool batched) {
-  Simulator sim;
+                                         bool drained) {
   Database db(kReplayItems, /*seed=*/7);
-  std::vector<std::unique_ptr<UpdateGenerator>> holder;
-  if (rates.empty()) {
-    holder.push_back(std::make_unique<UpdateGenerator>(&sim, &db, uniform_mu,
-                                                       kReplaySeed));
-  } else {
-    holder.push_back(
-        std::make_unique<UpdateGenerator>(&sim, &db, rates, kReplaySeed));
-  }
-  UpdateGenerator& gen = *holder.back();
   std::vector<AppliedUpdate> applied;
   db.SetUpdateObserver([&applied](ItemId id, SimTime t) {
     applied.push_back(AppliedUpdate{id, t});
   });
-  if (batched) gen.EnableBatchMode();
-  EXPECT_TRUE(gen.Start().ok());
-  if (batched) {
-    for (SimTime cut : {13.7, 13.7, 40.0, 111.2, 111.2, 250.0}) {
-      gen.GenerateIntervalUpdates(cut, /*inclusive=*/false);
-      gen.GenerateIntervalUpdates(cut, /*inclusive=*/true);
-    }
-    // RunUntil dispatches events with time <= end, so the final drain is
-    // inclusive at the same point.
-    gen.GenerateIntervalUpdates(kReplayEnd, /*inclusive=*/true);
+  if (drained) {
+    DrainWithIrregularPumps(uniform_mu, rates, &db);
   } else {
-    sim.RunUntil(kReplayEnd);
+    SpecStream(uniform_mu, rates, &db);
   }
-  gen.Stop();
   db.SetUpdateObserver(nullptr);
-  EXPECT_EQ(gen.updates_generated(), applied.size());
   EXPECT_EQ(db.total_updates(), applied.size());
-  if (batched) {
-    EXPECT_EQ(gen.batched_updates_applied(), applied.size());
-  }
   return applied;
 }
 
 void ExpectSameReplay(double uniform_mu, const std::vector<double>& rates) {
-  const std::vector<AppliedUpdate> per_event =
-      ReplayUpdates(uniform_mu, rates, /*batched=*/false);
-  const std::vector<AppliedUpdate> batched =
-      ReplayUpdates(uniform_mu, rates, /*batched=*/true);
-  ASSERT_EQ(per_event.size(), batched.size());
-  for (size_t i = 0; i < per_event.size(); ++i) {
-    ASSERT_EQ(per_event[i].id, batched[i].id) << "update " << i;
-    // Bit-exact: the batched path accumulates the same doubles by the same
-    // repeated addition ScheduleAfter performs.
-    ASSERT_EQ(per_event[i].at, batched[i].at) << "update " << i;
+  const std::vector<AppliedUpdate> spec =
+      ReplayUpdates(uniform_mu, rates, /*drained=*/false);
+  const std::vector<AppliedUpdate> drained =
+      ReplayUpdates(uniform_mu, rates, /*drained=*/true);
+  ASSERT_GT(spec.size(), 1000u);  // the stream crosses lookahead refills
+  ASSERT_EQ(spec.size(), drained.size());
+  for (size_t i = 0; i < spec.size(); ++i) {
+    ASSERT_EQ(spec[i].id, drained[i].id) << "update " << i;
+    // Bit-exact: the lookahead decodes the same bits and accumulates the
+    // same doubles by the same repeated addition.
+    ASSERT_EQ(spec[i].at, drained[i].at) << "update " << i;
   }
 }
 
-TEST(UpdateBatchReplayTest, UniformProfileMatchesPerEvent) {
+TEST(UpdateBatchReplayTest, UniformProfileMatchesSpecStream) {
   ExpectSameReplay(/*uniform_mu=*/0.05, {});
 }
 
-TEST(UpdateBatchReplayTest, ZipfProfileMatchesPerEvent) {
+TEST(UpdateBatchReplayTest, ZipfProfileMatchesSpecStream) {
   ExpectSameReplay(0.0, ZipfUpdateRates(kReplayItems, /*mu_mean=*/0.05,
                                         /*theta=*/0.9));
 }
 
-TEST(UpdateBatchReplayTest, ZeroRateGeneratesNothingInEitherMode) {
-  EXPECT_TRUE(ReplayUpdates(0.0, {}, /*batched=*/false).empty());
-  EXPECT_TRUE(ReplayUpdates(0.0, {}, /*batched=*/true).empty());
+TEST(UpdateBatchReplayTest, ZeroRateGeneratesNothingLikeSpecStream) {
+  EXPECT_TRUE(ReplayUpdates(0.0, {}, /*drained=*/false).empty());
+  EXPECT_TRUE(ReplayUpdates(0.0, {}, /*drained=*/true).empty());
 }
 
-TEST(UpdateBatchReplayTest, BothModesLeaveIdenticalDatabaseState) {
-  Database dbs[2] = {Database(kReplayItems, 7), Database(kReplayItems, 7)};
-  for (int batched = 0; batched < 2; ++batched) {
-    Simulator sim;
-    UpdateGenerator gen(&sim, &dbs[batched], 0.08, kReplaySeed);
-    if (batched == 1) gen.EnableBatchMode();
-    ASSERT_TRUE(gen.Start().ok());
-    if (batched == 1) {
-      gen.GenerateIntervalUpdates(kReplayEnd, /*inclusive=*/true);
-    } else {
-      sim.RunUntil(kReplayEnd);
+TEST(UpdateBatchReplayTest, DrainLeavesSpecStreamDatabaseState) {
+  const std::vector<double> zipf =
+      ZipfUpdateRates(kReplayItems, /*mu_mean=*/0.08, /*theta=*/0.9);
+  for (bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "zipf" : "uniform");
+    const std::vector<double> rates = weighted ? zipf : std::vector<double>{};
+    Database spec(kReplayItems, 7), drained(kReplayItems, 7);
+    SpecStream(0.08, rates, &spec);
+    DrainWithIrregularPumps(0.08, rates, &drained);
+    ASSERT_GT(spec.total_updates(), 0u);
+    EXPECT_EQ(spec.total_updates(), drained.total_updates());
+    for (ItemId id = 0; id < kReplayItems; ++id) {
+      EXPECT_EQ(spec.VersionOf(id), drained.VersionOf(id)) << "item " << id;
+      EXPECT_EQ(spec.LastUpdateOf(id), drained.LastUpdateOf(id))
+          << "item " << id;
+      EXPECT_EQ(spec.ValueOf(id), drained.ValueOf(id)) << "item " << id;
     }
-    gen.Stop();
+    EXPECT_EQ(spec.journal_size(), drained.journal_size());
   }
-  for (ItemId id = 0; id < kReplayItems; ++id) {
-    EXPECT_EQ(dbs[0].VersionOf(id), dbs[1].VersionOf(id)) << "item " << id;
-    EXPECT_EQ(dbs[0].LastUpdateOf(id), dbs[1].LastUpdateOf(id))
-        << "item " << id;
-    EXPECT_EQ(dbs[0].ValueOf(id), dbs[1].ValueOf(id)) << "item " << id;
-  }
-  EXPECT_EQ(dbs[0].journal_size(), dbs[1].journal_size());
 }
 
 // ---------------------------------------------------------------------------
@@ -288,25 +323,32 @@ TEST(UpdateBatchEngineTest, MegaCellMatchesCellAcrossShardCounts) {
 // ---------------------------------------------------------------------------
 // Allocation-freedom.
 
-// The drain loop itself: once EnableBatchMode has sized the staging
-// buffers, pumping any number of updates through a journal-less database
-// allocates nothing.
+// The drain loop itself: once the constructor has sized the lookahead,
+// pumping any number of updates through a journal-less database allocates
+// nothing, for the uniform and the Zipf-weighted profile alike.
 TEST(UpdateBatchAllocationTest, DrainLoopAllocatesNothing) {
-  Simulator sim;
-  Database db(10000, /*seed=*/3);
-  db.SetJournalEnabled(false);
-  UpdateGenerator gen(&sim, &db, /*mu_per_item=*/0.01, /*seed=*/77);
-  gen.EnableBatchMode();
-  ASSERT_TRUE(gen.Start().ok());
-  gen.GenerateIntervalUpdates(50.0, /*inclusive=*/false);  // warm
+  constexpr uint64_t kItems = 10000;
+  const std::vector<double> zipf =
+      ZipfUpdateRates(kItems, /*mu_mean=*/0.01, /*theta=*/0.9);
+  for (bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "zipf" : "uniform");
+    Simulator sim;
+    Database db(kItems, /*seed=*/3);
+    db.SetRetention(JournalRetention::kNone);
+    UpdateGenerator gen =
+        weighted ? UpdateGenerator(&sim, &db, zipf, /*seed=*/77)
+                 : UpdateGenerator(&sim, &db, /*mu_per_item=*/0.01, 77);
+    ASSERT_TRUE(gen.Start().ok());
+    gen.GenerateIntervalUpdates(50.0, /*inclusive=*/false);  // warm
 
-  const size_t before = g_new_calls.load();
-  for (int i = 1; i <= 40; ++i) {
-    gen.GenerateIntervalUpdates(50.0 + 10.0 * static_cast<double>(i),
-                                /*inclusive=*/false);
+    const size_t before = g_new_calls.load();
+    for (int i = 1; i <= 40; ++i) {
+      gen.GenerateIntervalUpdates(50.0 + 10.0 * static_cast<double>(i),
+                                  /*inclusive=*/false);
+    }
+    EXPECT_EQ(g_new_calls.load() - before, 0u) << "update drain allocated";
+    EXPECT_GT(gen.updates_generated(), 10000u);
   }
-  EXPECT_EQ(g_new_calls.load() - before, 0u) << "batched drain allocated";
-  EXPECT_GT(gen.batched_updates_applied(), 10000u);
 }
 
 // Full-cell steady state: with every unit asleep under SIG, the measured
@@ -323,7 +365,6 @@ TEST(UpdateBatchAllocationTest, WarmElidedCellSteadyStateAllocatesNothing) {
     mc.cell.num_units = 8;
     MegaCell cell(mc);
     ASSERT_TRUE(cell.Build().ok());
-    ASSERT_TRUE(cell.updates()->batch_mode());
     ASSERT_TRUE(cell.Run(60, measure).ok());
     *result = cell.result();
     *retention = cell.db()->retention();
