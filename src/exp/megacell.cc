@@ -4,13 +4,14 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <utility>
 
 #include "exp/strategy_factory.h"
+#include "mu/hot_state.h"
 #include "mu/hotspot.h"
 #include "mu/sleep_model.h"
+#include "mu/uplink.h"
 #include "mu/wake_index.h"
 #include "util/random.h"
 
@@ -27,64 +28,9 @@ double SecondsSince(WallClock::time_point t0) {
 /// One shard: a private simulator, a contiguous slice of the unit
 /// population with its SoA hot state, per-shard replicas of the components
 /// that are not safe (or not meaningful) to share across threads, and the
-/// chronological log the barrier replays.
+/// uplink whose chronological log the barrier replays.
 struct MegaCell::Shard {
-  /// One logged server interaction. Appended at shard-simulation-time order
-  /// (the shard clock is monotonic), so the log is sorted by time.
-  struct LogRecord {
-    enum Kind : uint8_t { kUplink, kTransmit };
-    SimTime time = 0.0;
-    Kind kind = kUplink;
-    UplinkQueryInfo info;        ///< kUplink.
-    uint64_t bits = 0;           ///< kTransmit.
-    TrafficClass cls = TrafficClass::kReport;  ///< kTransmit.
-  };
-
-  /// Shard-side uplink: answers from the (shard-phase-quiescent) database
-  /// at the shard's own clock and logs the query for barrier replay, where
-  /// Server::AccountUplinkQuery charges it. The database already holds the
-  /// window's updates up to the cut; no statistic or protocol decision
-  /// reads a fetched value (validity is timestamp-based), so the current
-  /// value serves unless `exact` is set — then, for an answer observer's
-  /// audit, the value as of the fetch instant (updates strictly before
-  /// it), rebuilt from the journal when the item changed since.
-  struct Uplink final : UplinkService {
-    Uplink(Shard* owner, const Database* database)
-        : shard(owner), db(database) {}
-    FetchResult FetchItem(const UplinkQueryInfo& info) override {
-      const SimTime now = shard->sim.Now();
-      LogRecord rec;
-      rec.time = now;
-      rec.kind = LogRecord::kUplink;
-      rec.info = info;
-      // Per-window shard log, cleared at the barrier with capacity
-      // retained. detlint:allow(alloc-event-path)
-      shard->log.push_back(std::move(rec));
-      if (exact && db->LastUpdateOf(info.id) >= now) {
-        // VersionAt is a const journal scan (no lazy fill), safe to run on
-        // every lane at once; the bound just below `now` excludes updates
-        // at the fetch instant itself.
-        const SimTime before =
-            std::nextafter(now, -std::numeric_limits<SimTime>::infinity());
-        return FetchResult{db->ValueAt(info.id, before), now};
-      }
-      return FetchResult{db->ValueOf(info.id), now};
-    }
-    Shard* shard;
-    const Database* db;
-    bool exact = false;  ///< Set by Run() when a unit has an answer observer.
-  };
-
-  explicit Shard(const Database* db) : uplink(this, db) {}
-
-  void LogTransmit(uint64_t bits, TrafficClass cls) {
-    LogRecord rec;
-    rec.time = sim.Now();
-    rec.kind = LogRecord::kTransmit;
-    rec.bits = bits;
-    rec.cls = cls;
-    log.push_back(std::move(rec));
-  }
+  explicit Shard(const Database* db) : uplink(&sim, db) {}
 
   /// Delivers one report to the slice by walking the awake bitmap in
   /// ascending local index — the global unit order within the slice.
@@ -104,7 +50,7 @@ struct MegaCell::Shard {
         ++heard;
         ++soa.reports_heard[i];
         soa.listen_seconds[i] += listen_seconds;
-        if (!soa.immediate[i]) units[i]->OnReportDelivery(report);
+        if (!answer_immediately) units[i]->OnReportDelivery(report);
       }
     }
     return heard;
@@ -138,17 +84,23 @@ struct MegaCell::Shard {
   /// across shards). Declared before `units`, which point into it.
   std::unique_ptr<TsReportIndex> ts_index;
   Simulator sim;
+  /// Answers the slice's cache misses and logs them, plus the registry's
+  /// channel charges, for the barrier replay. Declared before `units`,
+  /// which point at it.
+  Uplink uplink;
   MuHotSoA soa;
+  /// The cell's unit kind: immediate-answer units (stateful, ideal and
+  /// async cells) only count a report; report-driven units consume it.
+  bool answer_immediately = false;
   /// Awake bitmap + wake horizon for this slice. Units publish transitions
   /// at their shard-phase ticks; the (serial) server phase reads every
   /// shard's index for the elision check — the phases never overlap.
   WakeIndex wake_index;
   std::vector<std::unique_ptr<MobileUnit>> units;
   /// Stateful baselines: per-shard registry replica over this slice's
-  /// clients (channel charges routed into the log via the transmit sink).
+  /// clients (channel charges routed into the uplink's log via the
+  /// transmit sink).
   std::unique_ptr<StatefulRegistry> registry;
-  Uplink uplink;
-  std::vector<LogRecord> log;
   /// Units heard per pending delivery this window (index-aligned with
   /// MegaCell::pending_deliveries_; sized in the shard phase, summed at the
   /// barrier).
@@ -260,6 +212,7 @@ Status MegaCell::Build() {
                                 ? StatefulMode::kIdeal
                                 : StatefulMode::kStateful;
   const bool sig_strategy = family_ != nullptr;
+  const bool answer_immediately = stateful_mode_ || async_mode_;
   shards_.reserve(num_shards);
   for (uint64_t s = 0; s < num_shards; ++s) {
     auto shard = std::make_unique<Shard>(db_.get());
@@ -269,7 +222,12 @@ Status MegaCell::Build() {
     // The server aggregates the shards' indexes for its elision and skip
     // checks; fan-out happens shard-side through the delivery sink.
     server_->AttachWakeIndex(&shard->wake_index);
+    shard->answer_immediately = answer_immediately;
     shard->units.reserve(count);
+    // One pending tick per unit plus headroom. An immediate-answer cell
+    // also queues each awake unit's interval of answer events at its tick
+    // (λ·|hot spot|·L each); past this, the pool grows to its warm-up
+    // high-water mark.
     shard->sim.Reserve(2 * count + 1024);
     if (sig_strategy) {
       shard->family = MakeSignatureFamilyForCell(cc, family_seed);
@@ -278,10 +236,10 @@ Status MegaCell::Build() {
     if (stateful_mode_) {
       shard->registry = std::make_unique<StatefulRegistry>(
           mode, /*channel=*/nullptr, sizes_);
-      Shard* raw = shard.get();
+      Uplink* uplink = &shard->uplink;
       shard->registry->SetTransmitSink(
-          [raw](uint64_t bits, TrafficClass cls) {
-            raw->LogTransmit(bits, cls);
+          [uplink](uint64_t bits, TrafficClass cls) {
+            uplink->LogTransmit(bits, cls);
           });
     }
     shards_.push_back(std::move(shard));
@@ -307,7 +265,9 @@ Status MegaCell::Build() {
     mc.latency = m.L;
     mc.lambda_per_item = m.lambda;
     mc.hotspot = hotspot;
-    mc.answer_immediately = stateful_mode_ || async_mode_;
+    mc.answer_immediately = answer_immediately;
+    mc.drop_cache_on_wake =
+        cc.strategy == StrategyKind::kStateful || async_mode_;
     mc.cache_capacity = cc.cache_capacity;
     mc.unit_id = static_cast<uint32_t>(i);
     mc.query_zipf_theta = cc.query_zipf_theta;
@@ -334,12 +294,7 @@ Status MegaCell::Build() {
     auto unit = std::make_unique<MobileUnit>(
         &sh.sim, std::move(mc), MakeClientManager(shard_ctx, hotspot),
         std::move(sleep), &sh.uplink, mu_seed);
-    if (stateful_mode_) {
-      unit->BindStatefulRegistry(sh.registry.get(),
-                                 cc.strategy == StrategyKind::kStateful);
-    }
-    if (async_mode_) unit->SetDropCacheOnWake(true);
-    unit->BindHotState(&sh.soa, local);
+    if (stateful_mode_) unit->BindStatefulRegistry(sh.registry.get());
     unit->BindWakeIndex(&sh.wake_index, local);
     sh.units.push_back(std::move(unit));
   }
@@ -372,8 +327,8 @@ void MegaCell::ReplayWindow() {
   // lower shard), and the serial tree runs over pairs instead of shards —
   // same total order, half the serial comparisons.
   const size_t num_shards = shards_.size();
-  const auto consume = [this](const Shard::LogRecord& rec) {
-    if (rec.kind == Shard::LogRecord::kUplink) {
+  const auto consume = [this](const Uplink::LogRecord& rec) {
+    if (rec.kind == Uplink::LogRecord::kUplink) {
       server_->AccountUplinkQuery(rec.info);
     } else {
       channel_->Transmit(rec.bits, rec.cls);
@@ -396,10 +351,10 @@ void MegaCell::ReplayWindow() {
       const size_t a = 2 * static_cast<size_t>(lane);
       if (a >= num_sh) return;
       const size_t b = a + 1;
-      const std::vector<Shard::LogRecord>& la = shards_[a]->log;
+      const std::vector<Uplink::LogRecord>& la = shards_[a]->uplink.log();
       const bool has_b = b < num_sh;
-      const std::vector<Shard::LogRecord>& lb =
-          has_b ? shards_[b]->log : la;
+      const std::vector<Uplink::LogRecord>& lb =
+          has_b ? shards_[b]->uplink.log() : la;
       std::vector<MergedRef>& out = premerged_[lane];
       out.clear();
       out.reserve(la.size() + (has_b ? lb.size() : 0));
@@ -448,7 +403,7 @@ void MegaCell::ReplayWindow() {
         const std::vector<MergedRef>& refs = premerged_[rank - 1];
         const size_t h = replay_heads_[rank - 1]++;
         const MergedRef& ref = refs[h];
-        consume(shards_[ref.shard]->log[ref.index]);
+        consume(shards_[ref.shard]->uplink.log()[ref.index]);
         merger_.Advance(h + 1 < refs.size() ? refs[h + 1].time
                                             : LoserTreeMerger::kExhausted);
       }
@@ -459,9 +414,8 @@ void MegaCell::ReplayWindow() {
     if (trace_end > 0) merger_.SetHead(0, update_trace_[0].time);
     replay_heads_.assign(num_shards, 0);
     for (size_t s = 0; s < num_shards; ++s) {
-      if (!shards_[s]->log.empty()) {
-        merger_.SetHead(s + 1, shards_[s]->log[0].time);
-      }
+      const std::vector<Uplink::LogRecord>& log = shards_[s]->uplink.log();
+      if (!log.empty()) merger_.SetHead(s + 1, log[0].time);
     }
     merger_.Build();
     while (!merger_.exhausted()) {
@@ -473,7 +427,8 @@ void MegaCell::ReplayWindow() {
                             ? update_trace_[trace_head].time
                             : LoserTreeMerger::kExhausted);
       } else {
-        const std::vector<Shard::LogRecord>& log = shards_[rank - 1]->log;
+        const std::vector<Uplink::LogRecord>& log =
+            shards_[rank - 1]->uplink.log();
         const size_t h = replay_heads_[rank - 1]++;
         consume(log[h]);
         merger_.Advance(h + 1 < log.size() ? log[h + 1].time
@@ -483,7 +438,7 @@ void MegaCell::ReplayWindow() {
     }
   }
 
-  for (auto& shard : shards_) shard->log.clear();
+  for (auto& shard : shards_) shard->uplink.ClearLog();
   update_trace_.clear();
   pending_deliveries_.clear();
 }
@@ -599,7 +554,7 @@ Status MegaCell::Run(uint64_t warmup_intervals, uint64_t measure_intervals) {
     // truth (ValueAt), which needs raw journal entries no matter how little
     // the strategy itself retains, and fetched values as of their instant.
     server_->SetRetentionFloor(JournalRetention::kFullWindow);
-    for (auto& shard : shards_) shard->uplink.exact = true;
+    for (auto& shard : shards_) shard->uplink.set_exact(true);
   }
   MOBICACHE_RETURN_IF_ERROR(server_->Start());
 

@@ -24,7 +24,7 @@ constexpr size_t kMaxSpareBatchVectors = 4;
 MobileUnit::MobileUnit(Simulator* sim, MobileUnitConfig config,
                        std::unique_ptr<ClientCacheManager> manager,
                        std::unique_ptr<SleepModel> sleep,
-                       UplinkService* uplink, uint64_t seed)
+                       Uplink* uplink, uint64_t seed)
     : sim_(sim),
       config_(std::move(config)),
       manager_(std::move(manager)),
@@ -55,22 +55,10 @@ Status MobileUnit::Start() {
   return Status::OK();
 }
 
-void MobileUnit::BindStatefulRegistry(StatefulRegistry* registry,
-                                      bool drop_cache_on_wake) {
+void MobileUnit::BindStatefulRegistry(StatefulRegistry* registry) {
   registry_ = registry;
-  drop_cache_on_wake_ = drop_cache_on_wake;
   registry_id_ = registry->RegisterClient(
-      [this](ItemId id) { ServerInvalidate(id); },
-      [this]() { return awake_; });
-}
-
-void MobileUnit::ServerInvalidate(ItemId id) { cache_.Erase(id); }
-
-void MobileUnit::BindHotState(MuHotSoA* soa, uint32_t index) {
-  assert(soa != nullptr && index < soa->size());
-  hot_ = soa;
-  hot_index_ = index;
-  soa->immediate[index] = config_.answer_immediately ? 1 : 0;
+      [this](ItemId id) { PushInvalidate(id); }, [this]() { return awake_; });
 }
 
 void MobileUnit::BindWakeIndex(WakeIndex* index, uint32_t slot) {
@@ -94,7 +82,7 @@ void MobileUnit::OnIntervalTick(uint64_t interval) {
   if (ever_decided_) {
     if (awake_now && !awake_) {
       if (registry_ != nullptr) registry_->OnClientWake(registry_id_);
-      if (drop_cache_on_wake_) cache_.Clear();
+      if (config_.drop_cache_on_wake) cache_.Clear();
     } else if (!awake_now && awake_) {
       if (registry_ != nullptr) registry_->OnClientSleep(registry_id_);
     }
@@ -123,13 +111,21 @@ void MobileUnit::OnIntervalTick(uint64_t interval) {
   if (awake_) {
     // The user poses queries throughout the interval, independent of when
     // (or whether) the report physically lands.
+    const SimTime interval_end = sim_->Now() + config_.latency;
     if (config_.answer_immediately) {
-      // Immediate-answer units keep per-event arrivals: each one fetches
-      // through the uplink/channel, so its interleaving with other units'
-      // traffic must stay exactly as scheduled.
-      ScheduleNextArrival(sim_->Now() + config_.latency);
+      // One answer event per arrival, at its instant: each answer reads the
+      // cache and registry state of that moment, and its fetch interleaves
+      // with other units' traffic exactly as scheduled. The event counts
+      // the query when it fires, so a statistics reset between the tick and
+      // the arrival leaves it counted in the new period.
+      GenerateIntervalArrivals(interval_end, [this](ItemId item, SimTime t) {
+        sim_->ScheduleAt(t, [this, item] { OnQueryArrival(item); });
+      });
     } else {
-      GenerateIntervalArrivals(sim_->Now() + config_.latency);
+      GenerateIntervalArrivals(interval_end, [this](ItemId item, SimTime t) {
+        ++stats_.queries_issued;
+        RecordArrival(item, t);
+      });
     }
   }
 
@@ -192,12 +188,12 @@ void MobileUnit::ScheduleNextTick(uint64_t interval) {
   }
 }
 
-void MobileUnit::GenerateIntervalArrivals(SimTime interval_end) {
+template <typename Sink>
+void MobileUnit::GenerateIntervalArrivals(SimTime interval_end, Sink sink) {
   if (total_query_rate_ <= 0.0) return;
-  // Identical draw sequence to the per-event path: exponential gap first;
-  // if it lands in the interval, then the item pick — repeat. Arrival
-  // timestamps accumulate gap by gap, reproducing the event clock bit for
-  // bit.
+  // Exponential gap first; if it lands in the interval, then the item pick —
+  // repeat. Nothing else draws from rng_, so the stream is the same whether
+  // a unit draws here or one arrival per event.
   SimTime t = sim_->Now();
   for (;;) {
     t += rng_.Exponential(total_query_rate_);
@@ -206,8 +202,7 @@ void MobileUnit::GenerateIntervalArrivals(SimTime interval_end) {
         config_.hotspot[query_zipf_ != nullptr
                             ? query_zipf_->Sample(rng_)
                             : rng_.NextUint64(config_.hotspot.size())];
-    ++stats_.queries_issued;
-    RecordArrival(item, t);
+    sink(item, t);
   }
 }
 
@@ -219,19 +214,6 @@ void MobileUnit::RecordArrival(ItemId id, SimTime t) {
   // Sorted insert into warm batch storage recycled via spare_batches_; at
   // steady state capacity is already there. detlint:allow(alloc-event-path)
   arriving_.insert(it, PendingBatch{id, t});
-}
-
-bool MobileUnit::OnBroadcast(const Report& report, double listen_seconds) {
-  if (!awake_) {
-    ++stats_.reports_missed;
-    return false;
-  }
-  ++stats_.reports_heard;
-  stats_.listen_seconds += listen_seconds;
-
-  // Stateful modes ignore report contents but still pay the listen cost.
-  if (!config_.answer_immediately) OnReportDelivery(report);
-  return true;
 }
 
 void MobileUnit::OnReportDelivery(const Report& report) {
@@ -276,25 +258,9 @@ void MobileUnit::OnReportDelivery(const Report& report) {
   }
 }
 
-void MobileUnit::ScheduleNextArrival(SimTime interval_end) {
-  if (total_query_rate_ <= 0.0) return;
-  const SimTime next = sim_->Now() + rng_.Exponential(total_query_rate_);
-  if (next >= interval_end) return;  // no more arrivals this interval
-  sim_->ScheduleAt(next,
-                   [this, interval_end] { OnQueryArrival(interval_end); });
-}
-
-void MobileUnit::OnQueryArrival(SimTime interval_end) {
-  // Only immediate-answer units take this path; report-driven arrivals are
-  // generated in bulk at the interval tick (GenerateIntervalArrivals).
-  assert(config_.answer_immediately);
-  const ItemId item =
-      config_.hotspot[query_zipf_ != nullptr
-                          ? query_zipf_->Sample(rng_)
-                          : rng_.NextUint64(config_.hotspot.size())];
+void MobileUnit::OnQueryArrival(ItemId id) {
   ++stats_.queries_issued;
-  AnswerBatch(item, sim_->Now(), sim_->Now());
-  ScheduleNextArrival(interval_end);
+  AnswerBatch(id, sim_->Now(), sim_->Now());
 }
 
 void MobileUnit::AnswerBatch(ItemId id, SimTime first_issued,
@@ -318,7 +284,7 @@ void MobileUnit::AnswerBatch(ItemId id, SimTime first_issued,
     info.time = now;
     info.client_id = config_.unit_id;
     info.local_hit_times = manager_->TakePiggyback(id);
-    const UplinkService::FetchResult result = uplink_->FetchItem(info);
+    const Uplink::FetchResult result = uplink_->FetchItem(std::move(info));
     value = result.value;
     manager_->OnUplinkFetch(id, result.value, result.server_time, &cache_);
     if (registry_ != nullptr && cache_.Contains(id)) {

@@ -2,30 +2,34 @@
 // manager, a sleep model, and a Poisson query stream over its hot spot.
 //
 // Protocol (§2): the unit decides at every interval boundary T_i whether it
-// is awake for [T_i, T_i+L). While awake it issues queries (queued, not yet
-// answered) and listens for the invalidation report; when the report lands
-// the unit first applies it to its cache, then answers everything queued —
-// locally if the manager vouches for the copy, otherwise via an uplink
-// fetch. A unit asleep for an interval hears nothing; its pending queries
-// wait for the next report it actually hears (TS can often still revalidate
-// after the nap; AT cannot).
+// is awake for [T_i, T_i+L). An awake unit's tick draws the interval's whole
+// query stream through one kernel (GenerateIntervalArrivals: gap, then item,
+// repeated; timestamps bit-exact with a per-arrival event clock). A unit
+// asleep for an interval issues no queries and hears nothing.
 //
-// Queries on the same item queued together are answered as one *batch*
-// (they share one answer and at most one uplink request, exactly the
+// Report-driven units queue the arrivals. When a report they hear lands
+// (OnReportDelivery) they first apply it to the cache, then answer
+// everything queued — locally if the manager vouches for the copy,
+// otherwise via an uplink fetch. Pending queries survive naps and wait for
+// the next report the unit actually hears (TS can often still revalidate
+// after the nap; AT cannot). Queries on the same item queued together are
+// answered as one *batch* (one answer, at most one uplink request: the
 // paper's "all answered at the same time" rule), and the hit/miss
 // statistics count batches — the unit of the paper's throughput model.
 //
-// For the stateful baselines (§4.1) the unit instead answers queries
-// immediately on arrival and is invalidated push-style via the
-// StatefulRegistry.
+// Immediate-answer units (the stateful and ideal baselines of §4.1, and the
+// asynchronous-invalidation cell) instead schedule one answer event per
+// arrival, at its instant, since a stateful answer depends on server state
+// then; they are invalidated push-style (PushInvalidate).
 //
-// Event cost model: a unit only costs simulator events while it has work.
-// Sleeping stretches are fast-forwarded (one wake event per nap, however
-// long), and report-driven units materialize each interval's whole query
-// stream inside the tick instead of one event per arrival — so dispatch
+// Misses go through the shard's Uplink (mu/uplink.h), which logs them for
+// the barrier replay. Reports heard/missed and listen time are counted by
+// the cell engine's fan-out in the shard's SoA lanes (mu/hot_state.h).
+//
+// Event cost: sleeping stretches are fast-forwarded (one wake event per
+// nap, however long) and report-driven arrivals cost no events, so dispatch
 // counts scale with awake-unit activity, not units x intervals. All RNG
-// draw sequences are preserved bit for bit (see ScheduleNextTick /
-// GenerateIntervalArrivals).
+// draw sequences are preserved bit for bit (see ScheduleNextTick).
 
 #ifndef MOBICACHE_MU_MOBILE_UNIT_H_
 #define MOBICACHE_MU_MOBILE_UNIT_H_
@@ -39,10 +43,9 @@
 #include "core/report.h"
 #include "core/stateful.h"
 #include "core/strategy.h"
-#include "mu/hot_state.h"
 #include "mu/sleep_model.h"
+#include "mu/uplink.h"
 #include "mu/wake_index.h"
-#include "mu/uplink_service.h"
 #include "sim/simulator.h"
 #include "util/random.h"
 #include "util/stats.h"
@@ -53,7 +56,11 @@ struct MobileUnitConfig {
   SimTime latency = 10.0;          ///< L; must match the cell's broadcast.
   double lambda_per_item = 0.1;    ///< Query rate per hot-spot item.
   std::vector<ItemId> hotspot;     ///< Items this unit queries.
-  bool answer_immediately = false; ///< True for the stateful baselines.
+  bool answer_immediately = false; ///< Stateful, ideal and async cells.
+  /// Discard the whole cache on waking from a nap: a reconnecting stateful
+  /// client loses it, and an asynchronous-mode unit cannot know what it
+  /// missed.
+  bool drop_cache_on_wake = false;
   size_t cache_capacity = 0;       ///< 0 = unbounded.
   uint32_t unit_id = 0;            ///< Carried on uplink queries (stats only).
   /// Extension: Zipf exponent for query popularity *within* the hot spot
@@ -67,9 +74,11 @@ struct MobileUnitStats {
   uint64_t queries_answered = 0;  ///< Answered batches (paper's query unit).
   uint64_t hits = 0;              ///< Batches answered from cache.
   uint64_t misses = 0;            ///< Batches that required an uplink fetch.
+  uint64_t items_invalidated = 0;
+  /// Broadcast accounting: zero in the unit itself; MegaCell::UnitStats
+  /// fills these from the shard's SoA lanes.
   uint64_t reports_heard = 0;
   uint64_t reports_missed = 0;
-  uint64_t items_invalidated = 0;
   double listen_seconds = 0.0;
   OnlineStats answer_latency;  ///< Seconds from first arrival to answer.
 
@@ -91,7 +100,7 @@ class MobileUnit {
 
   MobileUnit(Simulator* sim, MobileUnitConfig config,
              std::unique_ptr<ClientCacheManager> manager,
-             std::unique_ptr<SleepModel> sleep, UplinkService* uplink,
+             std::unique_ptr<SleepModel> sleep, Uplink* uplink,
              uint64_t seed);
 
   ~MobileUnit();
@@ -105,24 +114,11 @@ class MobileUnit {
   /// report delivery within it.
   Status Start();
 
-  /// Delivers a report to a unit not bound to SoA hot state (standalone
-  /// drivers and unit tests) when its transmission completes.
-  /// `listen_seconds` is the energy the unit pays to receive it if awake.
-  /// Returns true when the unit heard the report (was awake).
-  bool OnBroadcast(const Report& report, double listen_seconds);
-
-  /// The report-consumption half of OnBroadcast, minus the awake check and
-  /// the heard/missed/listen accounting: applies the report to the cache and
-  /// answers every sealed query group it covers. The cell engine calls this
-  /// directly for awake non-immediate units after settling the accounting
-  /// in the shard's SoA lanes.
+  /// Applies a report the unit heard to its cache and answers every sealed
+  /// query group it covers. The cell engine's fan-out calls it for awake
+  /// report-driven units, after counting the delivery in the shard's SoA
+  /// lanes.
   void OnReportDelivery(const Report& report);
-
-  /// Mirrors this unit's hot fields into `soa` slot `index` (see
-  /// hot_state.h). The broadcast counters become SoA-owned, so the caller
-  /// must stop routing OnBroadcast through this unit and drive the awake-set
-  /// fan-out + OnReportDelivery itself.
-  void BindHotState(MuHotSoA* soa, uint32_t index);
 
   /// Publishes this unit's awake/asleep transitions into slot `slot` of a
   /// shared WakeIndex (see wake_index.h): every tick marks the slot awake,
@@ -138,19 +134,13 @@ class MobileUnit {
     return awake_ ? sim_->Now() : pending_tick_time_;
   }
 
-  /// Wires this unit to a stateful-server registry. `drop_cache_on_wake`
-  /// should be true in kStateful mode (reconnection loses the cache).
-  void BindStatefulRegistry(StatefulRegistry* registry,
-                            bool drop_cache_on_wake);
+  /// Wires this unit to a stateful-server registry: the registry's
+  /// invalidations reach PushInvalidate while the unit is awake.
+  void BindStatefulRegistry(StatefulRegistry* registry);
 
-  /// Makes the unit discard its whole cache when it wakes from a nap,
-  /// independent of any registry (used by the asynchronous-invalidation
-  /// mode, where a disconnected unit cannot know what it missed).
-  void SetDropCacheOnWake(bool drop) { drop_cache_on_wake_ = drop; }
-
-  /// Push-invalidation entry point for asynchronous broadcast messages
-  /// (§3.2): erases the item if cached. Only meaningful while awake; the
-  /// caller checks reachability.
+  /// Push invalidation (§3.2 asynchronous messages, stateful-server
+  /// invalidations): erases the item if cached. The caller checks
+  /// reachability.
   void PushInvalidate(ItemId id) { cache_.Erase(id); }
 
   void SetAnswerObserver(AnswerObserver observer) {
@@ -169,16 +159,8 @@ class MobileUnit {
   bool awake() const { return awake_; }
   ClientCache* cache() { return &cache_; }
   const ClientCache& cache() const { return cache_; }
-  ClientCacheManager* manager() { return manager_.get(); }
   const MobileUnitStats& stats() const { return stats_; }
   const MobileUnitConfig& config() const { return config_; }
-  size_t pending_batches() const {
-    size_t n = arriving_.size();
-    for (size_t i = pending_head_; i < pending_groups_.size(); ++i) {
-      n += pending_groups_[i].batches.size();
-    }
-    return n;
-  }
 
  private:
   void OnIntervalTick(uint64_t interval);
@@ -189,13 +171,14 @@ class MobileUnit {
   /// interval whose decision flips the state, buffering that pre-drawn
   /// decision for the tick to consume.
   void ScheduleNextTick(uint64_t interval);
-  /// Report-driven units: draws the whole interval's exponential
-  /// interarrival gaps and item picks in one loop and appends to
-  /// `arriving_`, replicating the per-event engine's draw order (gap, then
-  /// item) and arrival timestamps bit for bit.
-  void GenerateIntervalArrivals(SimTime interval_end);
-  void ScheduleNextArrival(SimTime interval_end);
-  void OnQueryArrival(SimTime interval_end);
+  /// The arrival kernel: draws the interval's exponential interarrival gaps
+  /// and item picks in one loop (gap, then item, repeated) and hands each
+  /// (item, time) to `sink`. Timestamps accumulate gap by gap from the tick,
+  /// reproducing a per-arrival event clock bit for bit.
+  template <typename Sink>
+  void GenerateIntervalArrivals(SimTime interval_end, Sink sink);
+  /// An immediate-answer unit's answer event for one arrival.
+  void OnQueryArrival(ItemId id);
   /// Queues one arrival into `arriving_` (sorted insert). Arrivals come in
   /// time order, so an id already present keeps its earlier first-arrival
   /// time — the std::map::emplace "first insert wins" rule.
@@ -204,13 +187,12 @@ class MobileUnit {
   /// vouching for cache answers (report timestamp, or now for immediate
   /// mode).
   void AnswerBatch(ItemId id, SimTime first_issued, SimTime validity_ts);
-  void ServerInvalidate(ItemId id);
 
   Simulator* sim_;
   MobileUnitConfig config_;
   std::unique_ptr<ClientCacheManager> manager_;
   std::unique_ptr<SleepModel> sleep_;
-  UplinkService* uplink_;
+  Uplink* uplink_;
   Rng rng_;
   std::unique_ptr<ZipfDistribution> query_zipf_;  // null = uniform
   ClientCache cache_;
@@ -267,10 +249,6 @@ class MobileUnit {
 
   StatefulRegistry* registry_ = nullptr;
   StatefulRegistry::ClientId registry_id_ = 0;
-  bool drop_cache_on_wake_ = false;
-
-  MuHotSoA* hot_ = nullptr;  ///< Shard-owned SoA mirror; null when unbound.
-  uint32_t hot_index_ = 0;
 
   WakeIndex* wake_index_ = nullptr;  ///< Shared wake index; null = unbound.
   uint32_t wake_slot_ = 0;

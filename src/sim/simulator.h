@@ -247,8 +247,8 @@ class Simulator {
 
   /// Pre-sizes the slot slab, its free list, and the heap over buckets for
   /// `pending_events` simultaneously queued events, so populations that
-  /// schedule one ticker plus one arrival per unit (10^6 pending events
-  /// per shard) never reallocate them mid-run. The id chunks are sized for
+  /// schedule about one pending event per unit (10^6 per shard) never
+  /// reallocate them mid-run. The id chunks are sized for
   /// twice the chunks those events fill (room for one partly filled chunk
   /// per pending time on a tick schedule); a schedule spread over more
   /// times grows the chunk pool to its high-water mark during warm-up.

@@ -1,13 +1,18 @@
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/at.h"
 #include "core/nocache.h"
 #include "db/database.h"
+#include "exp/megacell.h"
 #include "mu/hotspot.h"
 #include "mu/mobile_unit.h"
 #include "mu/sleep_model.h"
+#include "mu/uplink.h"
 #include "util/random.h"
 
 namespace mobicache {
@@ -80,49 +85,33 @@ TEST(SleepModelTest, RenewalAllAwakeWhenSleepNegligible) {
   EXPECT_GT(awake, 990);
 }
 
-TEST(SleepModelTest, ZipfQueriesSkewTowardFirstItems) {
-  // Covered indirectly here because the MU owns the sampling: build two
-  // units, uniform vs Zipf, and compare which items go uplink.
-  // (See MobileUnitTest below for the rig.)
-  SUCCEED();
-}
-
-// A scripted uplink service for unit-testing the MU in isolation.
-class FakeUplink : public UplinkService {
- public:
-  explicit FakeUplink(Simulator* sim) : sim_(sim) {}
-  FetchResult FetchItem(const UplinkQueryInfo& info) override {
-    queries.push_back(info);
-    return FetchResult{1000 + info.id, sim_->Now()};
-  }
-  Simulator* sim_;
-  std::vector<UplinkQueryInfo> queries;
-};
-
+// Builds a unit over the real shard uplink and a small database, so the
+// uplink's log shows every fetch and answers carry database values.
 struct MuRig {
-  explicit MuRig(double lambda = 0.2, double s = 0.0) {
+  explicit MuRig(double lambda = 0.2, double s = 0.0)
+      : db(16, 3), uplink(&sim, &db) {
     MobileUnitConfig config;
     config.latency = 10.0;
     config.lambda_per_item = lambda;
     config.hotspot = {0, 1, 2, 3, 4};
-    uplink = std::make_unique<FakeUplink>(&sim);
     unit = std::make_unique<MobileUnit>(
         &sim, config, std::make_unique<AtClientManager>(),
-        std::make_unique<BernoulliSleepModel>(s, 11), uplink.get(), 21);
+        std::make_unique<BernoulliSleepModel>(s, 11), &uplink, 21);
   }
 
-  // Broadcasts an AT report at T = 10 * interval.
+  // Broadcasts an AT report at T = 10 * interval; an awake unit hears it.
   void Broadcast(uint64_t interval, std::vector<ItemId> ids = {}) {
     AtReport r;
     r.interval = interval;
     r.timestamp = 10.0 * static_cast<double>(interval);
     r.ids = std::move(ids);
     sim.RunUntil(r.timestamp);
-    unit->OnBroadcast(Report(r), 0.25);
+    if (unit->awake()) unit->OnReportDelivery(Report(r));
   }
 
   Simulator sim;
-  std::unique_ptr<FakeUplink> uplink;
+  Database db;
+  Uplink uplink;
   std::unique_ptr<MobileUnit> unit;
 };
 
@@ -138,7 +127,7 @@ TEST(MobileUnitTest, QueriesAreQueuedAndAnsweredAtNextReport) {
   EXPECT_GT(rig.unit->stats().queries_answered, 0u);
   // Everything was a miss (cold cache) and went uplink once per item batch.
   EXPECT_EQ(rig.unit->stats().hits, 0u);
-  EXPECT_EQ(rig.uplink->queries.size(), rig.unit->stats().misses);
+  EXPECT_EQ(rig.uplink.log().size(), rig.unit->stats().misses);
 }
 
 TEST(MobileUnitTest, SecondRoundHitsCachedItems) {
@@ -150,8 +139,6 @@ TEST(MobileUnitTest, SecondRoundHitsCachedItems) {
   rig.sim.RunUntil(20.0);
   rig.Broadcast(2);  // no changes -> all hits
   EXPECT_GT(rig.unit->stats().hits, 0u);
-  EXPECT_GT(rig.unit->stats().reports_heard, 0u);
-  EXPECT_GT(rig.unit->stats().listen_seconds, 0.0);
 }
 
 TEST(MobileUnitTest, BatchesMergeSameItemQueries) {
@@ -173,8 +160,8 @@ TEST(MobileUnitTest, AsleepUnitMissesReportsAndIssuesNoQueries) {
   rig.sim.RunUntil(10.0);
   rig.Broadcast(1);
   EXPECT_EQ(rig.unit->stats().queries_issued, 0u);
-  EXPECT_EQ(rig.unit->stats().reports_heard, 0u);
-  EXPECT_EQ(rig.unit->stats().reports_missed, 2u);
+  EXPECT_EQ(rig.unit->stats().queries_answered, 0u);
+  EXPECT_TRUE(rig.uplink.log().empty());
   EXPECT_FALSE(rig.unit->awake());
 }
 
@@ -185,7 +172,8 @@ TEST(MobileUnitTest, PendingQueriesSurviveSleepAndAnswerLater) {
   config.lambda_per_item = 2.0;
   config.hotspot = {0};
   Simulator sim;
-  FakeUplink uplink(&sim);
+  Database db(4, 3);
+  Uplink uplink(&sim, &db);
 
   class ScriptedSleep : public SleepModel {
    public:
@@ -204,7 +192,7 @@ TEST(MobileUnitTest, PendingQueriesSurviveSleepAndAnswerLater) {
     r.interval = i;
     r.timestamp = 10.0 * static_cast<double>(i);
     sim.RunUntil(r.timestamp);
-    unit.OnBroadcast(Report(r), 0.0);
+    if (unit.awake()) unit.OnReportDelivery(Report(r));
   };
   broadcast(0);
   sim.RunUntil(10.0);  // queries issued during interval 0
@@ -219,15 +207,17 @@ TEST(MobileUnitTest, PendingQueriesSurviveSleepAndAnswerLater) {
 
 TEST(MobileUnitTest, AnswerObserverSeesValues) {
   MuRig rig(/*lambda=*/1.0);
-  std::vector<uint64_t> values;
-  rig.unit->SetAnswerObserver(
-      [&](ItemId, uint64_t value, SimTime, bool) { values.push_back(value); });
+  std::vector<std::pair<ItemId, uint64_t>> answers;
+  rig.unit->SetAnswerObserver([&](ItemId id, uint64_t value, SimTime, bool) {
+    answers.emplace_back(id, value);
+  });
   ASSERT_TRUE(rig.unit->Start().ok());
   rig.Broadcast(0);
   rig.sim.RunUntil(10.0);
   rig.Broadcast(1);
-  ASSERT_FALSE(values.empty());
-  for (uint64_t v : values) EXPECT_GE(v, 1000u);  // FakeUplink values
+  ASSERT_FALSE(answers.empty());
+  // No updates ran, so every answer is the database's current value.
+  for (const auto& [id, value] : answers) EXPECT_EQ(value, rig.db.ValueOf(id));
 }
 
 TEST(MobileUnitTest, NoCacheManagerAlwaysGoesUplink) {
@@ -236,7 +226,8 @@ TEST(MobileUnitTest, NoCacheManagerAlwaysGoesUplink) {
   config.lambda_per_item = 1.0;
   config.hotspot = {0, 1};
   Simulator sim;
-  FakeUplink uplink(&sim);
+  Database db(4, 3);
+  Uplink uplink(&sim, &db);
   MobileUnit unit(&sim, config, std::make_unique<NoCacheClientManager>(),
                   std::make_unique<BernoulliSleepModel>(0.0, 1), &uplink, 5);
   ASSERT_TRUE(unit.Start().ok());
@@ -245,7 +236,7 @@ TEST(MobileUnitTest, NoCacheManagerAlwaysGoesUplink) {
     r.interval = i;
     r.timestamp = 10.0 * static_cast<double>(i);
     sim.RunUntil(r.timestamp);
-    unit.OnBroadcast(Report(r), 0.0);
+    if (unit.awake()) unit.OnReportDelivery(Report(r));
   }
   EXPECT_EQ(unit.stats().hits, 0u);
   EXPECT_GT(unit.stats().misses, 0u);
@@ -261,7 +252,8 @@ TEST(MobileUnitTest, ZipfQueryPopularitySkewsItemChoice) {
   config.hotspot = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   config.query_zipf_theta = 1.2;
   Simulator sim;
-  FakeUplink uplink(&sim);
+  Database db(16, 3);
+  Uplink uplink(&sim, &db);
   MobileUnit unit(&sim, config, std::make_unique<NoCacheClientManager>(),
                   std::make_unique<BernoulliSleepModel>(0.0, 1), &uplink, 5);
   ASSERT_TRUE(unit.Start().ok());
@@ -270,11 +262,11 @@ TEST(MobileUnitTest, ZipfQueryPopularitySkewsItemChoice) {
     r.interval = i;
     r.timestamp = 10.0 * static_cast<double>(i);
     sim.RunUntil(r.timestamp);
-    unit.OnBroadcast(Report(r), 0.0);
+    if (unit.awake()) unit.OnReportDelivery(Report(r));
   }
   // Count uplink queries per item (no-cache: every batch goes uplink).
   std::vector<uint64_t> counts(10, 0);
-  for (const auto& q : uplink.queries) ++counts[q.id];
+  for (const Uplink::LogRecord& rec : uplink.log()) ++counts[rec.info.id];
   // The first item must be queried far more often than the last
   // (Zipf(1.2) pmf ratio is ~16; batching compresses it somewhat).
   EXPECT_GT(counts[0], counts[9] * 3);
@@ -292,7 +284,75 @@ TEST(MobileUnitTest, ResetStatsClearsCounters) {
   ASSERT_GT(rig.unit->stats().queries_answered, 0u);
   rig.unit->ResetStats();
   EXPECT_EQ(rig.unit->stats().queries_answered, 0u);
-  EXPECT_EQ(rig.unit->stats().reports_heard, 0u);
+  EXPECT_EQ(rig.unit->stats().queries_issued, 0u);
+}
+
+// Broadcast accounting (reports heard and missed, listen seconds) lives in
+// the cell engine's SoA lanes, not in the unit; these read it per unit
+// through MegaCell::UnitStats.
+CellConfig BroadcastCountersCell(double s) {
+  CellConfig config;
+  config.model.n = 50;
+  config.model.lambda = 0.1;
+  config.model.mu = 1e-3;
+  config.model.L = 10.0;
+  config.model.s = s;
+  config.strategy = StrategyKind::kAt;
+  config.num_units = 4;
+  config.hotspot_size = 5;
+  config.seed = 3;
+  return config;
+}
+
+TEST(MobileUnitBroadcastStatsTest, AwakeUnitsHearEveryReportAndPayListenTime) {
+  MegaCell cell({BroadcastCountersCell(/*s=*/0.0)});
+  ASSERT_TRUE(cell.Build().ok());
+  ASSERT_TRUE(cell.Run(2, 10).ok());
+  const uint64_t deliveries = cell.server()->deliveries_completed();
+  ASSERT_GT(deliveries, 0u);
+  const std::vector<MobileUnit*> units = cell.units();
+  for (uint64_t i = 0; i < units.size(); ++i) {
+    SCOPED_TRACE("unit " + std::to_string(i));
+    const MobileUnitStats st = cell.UnitStats(i);
+    EXPECT_EQ(st.reports_heard, deliveries);
+    EXPECT_EQ(st.reports_missed, 0u);
+    EXPECT_GT(st.listen_seconds, 0.0);
+    EXPECT_GT(st.hits, 0u);
+    // The unit's own copies stay zero: the SoA lanes own the counters.
+    EXPECT_EQ(units[i]->stats().reports_heard, 0u);
+    EXPECT_EQ(units[i]->stats().listen_seconds, 0.0);
+  }
+}
+
+TEST(MobileUnitBroadcastStatsTest, SleepingUnitsMissEveryReport) {
+  MegaCell cell({BroadcastCountersCell(/*s=*/1.0)});
+  ASSERT_TRUE(cell.Build().ok());
+  ASSERT_TRUE(cell.Run(2, 10).ok());
+  const uint64_t deliveries = cell.server()->deliveries_completed();
+  ASSERT_GT(deliveries, 0u);
+  for (uint64_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE("unit " + std::to_string(i));
+    const MobileUnitStats st = cell.UnitStats(i);
+    EXPECT_EQ(st.queries_issued, 0u);
+    EXPECT_EQ(st.reports_heard, 0u);
+    EXPECT_EQ(st.reports_missed, deliveries);
+    EXPECT_EQ(st.listen_seconds, 0.0);
+  }
+}
+
+TEST(MobileUnitBroadcastStatsTest, WarmupResetClearsBroadcastCounters) {
+  // 20 warm-up intervals, then 5 measured: an always-awake unit must report
+  // only the measured deliveries, not the warm-up ones.
+  MegaCell cell({BroadcastCountersCell(/*s=*/0.0)});
+  ASSERT_TRUE(cell.Build().ok());
+  ASSERT_TRUE(cell.Run(20, 5).ok());
+  for (uint64_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE("unit " + std::to_string(i));
+    const MobileUnitStats st = cell.UnitStats(i);
+    EXPECT_GT(st.reports_heard, 0u);
+    EXPECT_LE(st.reports_heard, 6u);
+    EXPECT_EQ(st.reports_heard, cell.server()->deliveries_completed());
+  }
 }
 
 }  // namespace

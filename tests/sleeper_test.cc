@@ -7,9 +7,10 @@
 //    the resulting awake flag matches a per-interval reference at every
 //    probe point — for s in {0, 0.2, 0.9, 1.0} and for zero-query-rate
 //    units (which fast-forward even while awake).
-//  * Batched arrivals: the in-tick arrival kernel replays the per-event
-//    draw order (exponential gap, then item pick) and timestamps bit for
-//    bit against a hand-rolled reference Rng.
+//  * One arrival kernel: for report-driven and immediate-answer units alike,
+//    the in-tick kernel replays the per-event draw order (exponential gap,
+//    then item pick) and timestamps bit for bit against a hand-rolled
+//    reference Rng; immediate units answer each arrival at its own instant.
 //  * Event-count canary: a mostly-sleeping cell dispatches far fewer events
 //    than the one-tick-per-unit-interval floor of a per-interval engine.
 //  * Shard cross-check: the lockstep engine stays byte-identical across
@@ -25,26 +26,24 @@
 #include <gtest/gtest.h>
 
 #include "core/at.h"
+#include "core/nocache.h"
+#include "db/database.h"
 #include "exp/megacell.h"
 #include "mu/mobile_unit.h"
 #include "mu/sleep_model.h"
+#include "mu/uplink.h"
 #include "util/random.h"
 
 namespace mobicache {
 namespace {
 
-// Uplink that records every fetch; answers value = 1000 + id like mu_test.
-class RecordingUplink : public UplinkService {
- public:
-  explicit RecordingUplink(Simulator* sim) : sim_(sim) {}
-  FetchResult FetchItem(const UplinkQueryInfo& info) override {
-    queries.push_back({info.id, sim_->Now()});
-    return FetchResult{1000 + info.id, sim_->Now()};
-  }
-  std::vector<std::pair<ItemId, SimTime>> queries;
-
- private:
-  Simulator* sim_;
+// Every unit here fetches through the real shard uplink over a small
+// database; the uplink's log records each fetch's item and time.
+struct UplinkRig {
+  UplinkRig() : db(16, 3), uplink(&sim, &db) {}
+  Simulator sim;
+  Database db;
+  Uplink uplink;
 };
 
 // Wraps another SleepModel and asserts the consumption contract: exactly one
@@ -112,14 +111,14 @@ TEST_P(SleepStreamIdentityTest, FastForwardConsumesIdenticalDecisionStream) {
     }
   }
 
-  Simulator sim;
-  RecordingUplink uplink(&sim);
+  UplinkRig rig;
+  Simulator& sim = rig.sim;
   auto spy_owned = std::make_unique<OrderSpySleepModel>(
       std::make_unique<BernoulliSleepModel>(param.s, kSleepSeed));
   OrderSpySleepModel* spy = spy_owned.get();
   MobileUnit unit(&sim, UnitConfig(param.lambda_per_item),
                   std::make_unique<AtClientManager>(), std::move(spy_owned),
-                  &uplink, 21);
+                  &rig.uplink, 21);
   ASSERT_TRUE(unit.Start().ok());
 
   // Probe mid-interval: the awake flag must match the reference decision for
@@ -179,10 +178,10 @@ class ScriptedSleep : public SleepModel {
 // A scripted pattern with two long naps pins the exact event count: one tick
 // per awake interval, one per sleep onset, one per wake — nothing else.
 TEST(SleepFastForwardTest, ScriptedNapsCostOneEventEach) {
-  Simulator sim;
-  RecordingUplink uplink(&sim);
+  UplinkRig rig;
+  Simulator& sim = rig.sim;
   MobileUnit unit(&sim, UnitConfig(0.2), std::make_unique<AtClientManager>(),
-                  std::make_unique<ScriptedSleep>(), &uplink, 21);
+                  std::make_unique<ScriptedSleep>(), &rig.uplink, 21);
   ASSERT_TRUE(unit.Start().ok());
   sim.RunUntil(1005.0);
 
@@ -200,10 +199,10 @@ TEST(SleepFastForwardTest, ScriptedNapsCostOneEventEach) {
 // exact time of the fast-forward-scheduled wake tick (the quiet-elision
 // horizon the server's WakeIndex aggregates); while awake it is "now".
 TEST(SleepFastForwardTest, NextWakeTimeNamesTheScheduledWakeTick) {
-  Simulator sim;
-  RecordingUplink uplink(&sim);
+  UplinkRig rig;
+  Simulator& sim = rig.sim;
   MobileUnit unit(&sim, UnitConfig(0.2), std::make_unique<AtClientManager>(),
-                  std::make_unique<ScriptedSleep>(), &uplink, 21);
+                  std::make_unique<ScriptedSleep>(), &rig.uplink, 21);
   ASSERT_TRUE(unit.Start().ok());
 
   struct Probe {
@@ -245,62 +244,115 @@ TEST(BatchedArrivalTest, ReplaysPerEventDrawOrderBitForBit) {
   const std::vector<ItemId> kHotspot{0, 1, 2, 3, 4};
   const double rate = 0.2 * static_cast<double>(kHotspot.size());
 
-  Simulator sim;
-  RecordingUplink uplink(&sim);
-  MobileUnitConfig config = UnitConfig(0.2);
-  MobileUnit unit(&sim, config, std::make_unique<AtClientManager>(),
-                  std::make_unique<BernoulliSleepModel>(0.0, 11), &uplink,
-                  kUnitSeed);
-  ASSERT_TRUE(unit.Start().ok());
-
-  // Reference replay with a raw Rng on the unit's seed: per interval, the
+  // Reference replay with a raw Rng on the unit's seed: per interval, a
   // per-event engine draws gap-then-item, timestamps accumulating gap by
-  // gap from the interval start. Intervals 0..2 cover everything the unit
-  // generates by T = 25 (the tick at T = 20 materializes all of [20, 30)).
-  Rng ref(kUnitSeed);
-  uint64_t ref_issued = 0;
-  std::map<ItemId, SimTime> ref_first;  // first arrival, intervals 0 and 1
-  for (uint64_t interval = 0; interval < 3; ++interval) {
-    SimTime t = kLatency * static_cast<double>(interval);
-    const SimTime end = kLatency * static_cast<double>(interval + 1);
-    for (;;) {
-      t += ref.Exponential(rate);
-      if (t >= end) break;
-      const ItemId item = kHotspot[ref.NextUint64(kHotspot.size())];
-      ++ref_issued;
-      if (interval < 2) {
-        auto [it, inserted] = ref_first.emplace(item, t);
-        if (!inserted && t < it->second) it->second = t;
+  // gap from the interval start. Intervals 0..2 cover everything either
+  // unit generates before T = 30.
+  struct RefArrival {
+    uint64_t interval;
+    SimTime t;
+    ItemId item;
+  };
+  std::vector<RefArrival> ref_arrivals;
+  {
+    Rng ref(kUnitSeed);
+    for (uint64_t interval = 0; interval < 3; ++interval) {
+      SimTime t = kLatency * static_cast<double>(interval);
+      const SimTime end = kLatency * static_cast<double>(interval + 1);
+      for (;;) {
+        t += ref.Exponential(rate);
+        if (t >= end) break;
+        const ItemId item = kHotspot[ref.NextUint64(kHotspot.size())];
+        ref_arrivals.push_back(RefArrival{interval, t, item});
       }
     }
   }
-  ASSERT_FALSE(ref_first.empty());
 
-  // Run through the tick at T = 20, then deliver an AT report covering
-  // intervals <= 2 at T = 25: every batch sealed from intervals 0 and 1 is
-  // answered (cold cache, so one uplink fetch per batch, in item order).
-  sim.RunUntil(25.0);
-  AtReport report;
-  report.interval = 2;
-  report.timestamp = 25.0;
-  unit.OnBroadcast(Report(report), 0.0);
+  // Report-driven unit: the tick at T = 20 materializes all of [20, 30), so
+  // by T = 25 it has issued every reference arrival. An AT report covering
+  // intervals <= 2 at T = 25 answers every batch sealed from intervals 0
+  // and 1 (cold cache, so one uplink fetch per batch, in item order).
+  {
+    std::map<ItemId, SimTime> ref_first;  // first arrival, intervals 0, 1
+    for (const RefArrival& a : ref_arrivals) {
+      if (a.interval < 2) ref_first.emplace(a.item, a.t);
+    }
+    ASSERT_FALSE(ref_first.empty());
 
-  EXPECT_EQ(unit.stats().queries_issued, ref_issued);
-  ASSERT_EQ(uplink.queries.size(), ref_first.size());
-  size_t i = 0;
-  double ref_latency_sum = 0.0;
-  for (const auto& [item, first] : ref_first) {
-    EXPECT_EQ(uplink.queries[i].first, item);
-    EXPECT_EQ(uplink.queries[i].second, 25.0);
-    ref_latency_sum += 25.0 - first;
-    ++i;
+    UplinkRig rig;
+    MobileUnit unit(&rig.sim, UnitConfig(0.2),
+                    std::make_unique<AtClientManager>(),
+                    std::make_unique<BernoulliSleepModel>(0.0, 11),
+                    &rig.uplink, kUnitSeed);
+    ASSERT_TRUE(unit.Start().ok());
+    rig.sim.RunUntil(25.0);
+    AtReport report;
+    report.interval = 2;
+    report.timestamp = 25.0;
+    if (unit.awake()) unit.OnReportDelivery(Report(report));
+
+    EXPECT_EQ(unit.stats().queries_issued, ref_arrivals.size());
+    const std::vector<Uplink::LogRecord>& log = rig.uplink.log();
+    ASSERT_EQ(log.size(), ref_first.size());
+    size_t i = 0;
+    double ref_latency_sum = 0.0;
+    for (const auto& [item, first] : ref_first) {
+      EXPECT_EQ(log[i].info.id, item);
+      EXPECT_EQ(log[i].time, 25.0);
+      ref_latency_sum += 25.0 - first;
+      ++i;
+    }
+    EXPECT_EQ(unit.stats().queries_answered, ref_first.size());
+    EXPECT_EQ(unit.stats().hits, 0u);
+    // Answer latency is measured from each batch's *first* arrival —
+    // exactly the reference timestamps, so the sum must match to rounding.
+    EXPECT_EQ(unit.stats().answer_latency.count(), ref_first.size());
+    EXPECT_NEAR(unit.stats().answer_latency.sum(), ref_latency_sum, 1e-9);
   }
-  EXPECT_EQ(unit.stats().queries_answered, ref_first.size());
-  EXPECT_EQ(unit.stats().hits, 0u);
-  // Answer latency is measured from each batch's *first* arrival — exactly
-  // the reference timestamps, so the accumulated sum must match to rounding.
-  EXPECT_EQ(unit.stats().answer_latency.count(), ref_first.size());
-  EXPECT_NEAR(unit.stats().answer_latency.sum(), ref_latency_sum, 1e-9);
+
+  // Immediate-answer unit: the same kernel draws the same stream, but each
+  // arrival is answered by its own event at its own instant — one uplink
+  // fetch per arrival (a no-cache manager never hits), at the reference
+  // time bit for bit, with no batching. The answer event counts the query,
+  // so a statistics reset mid-interval keeps only the arrivals after it.
+  {
+    constexpr SimTime kReset = 15.0;  // mid-interval 1
+    size_t after_reset = 0;
+    for (const RefArrival& a : ref_arrivals) {
+      if (a.t > kReset) ++after_reset;
+    }
+    ASSERT_GT(after_reset, 0u);
+    ASSERT_LT(after_reset, ref_arrivals.size());
+
+    UplinkRig rig;
+    MobileUnitConfig config = UnitConfig(0.2);
+    config.answer_immediately = true;
+    MobileUnit unit(&rig.sim, config,
+                    std::make_unique<NoCacheClientManager>(),
+                    std::make_unique<BernoulliSleepModel>(0.0, 11),
+                    &rig.uplink, kUnitSeed);
+    ASSERT_TRUE(unit.Start().ok());
+    rig.sim.RunUntil(kReset);
+    unit.ResetStats();
+    rig.sim.RunUntilBefore(3 * kLatency);
+
+    const std::vector<Uplink::LogRecord>& log = rig.uplink.log();
+    ASSERT_EQ(log.size(), ref_arrivals.size());
+    for (size_t i = 0; i < log.size(); ++i) {
+      SCOPED_TRACE("arrival " + std::to_string(i));
+      EXPECT_EQ(log[i].kind, Uplink::LogRecord::kUplink);
+      EXPECT_EQ(log[i].info.id, ref_arrivals[i].item);
+      EXPECT_EQ(log[i].time, ref_arrivals[i].t);
+      if (i > 0) {
+        EXPECT_LE(log[i - 1].time, log[i].time);
+      }
+    }
+    EXPECT_EQ(unit.stats().queries_issued, after_reset);
+    EXPECT_EQ(unit.stats().queries_answered, after_reset);
+    EXPECT_EQ(unit.stats().misses, after_reset);
+    EXPECT_EQ(unit.stats().answer_latency.count(), after_reset);
+    EXPECT_EQ(unit.stats().answer_latency.sum(), 0.0);
+  }
 }
 
 // ---------------------------------------------------------------------------
