@@ -279,8 +279,10 @@ void BM_TsBuildReport(benchmark::State& state) {
     db.ApplyUpdate(static_cast<ItemId>(rng.NextUint64(1u << 20)), t);
   }
   uint64_t interval = 10;
+  // One reused report, as the server's arena slot is.
+  Report report;
   for (auto _ : state) {
-    Report report = server.BuildReport(100.0, interval);
+    server.BuildReportInto(100.0, interval, &report);
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -514,8 +516,8 @@ void BM_DatabaseUpdatedInBucketed(benchmark::State& state) {
 BENCHMARK(BM_DatabaseUpdatedInBucketed)->Arg(10)->Arg(50);
 
 // Same bucketed query through the out-param overload with a reused buffer
-// (how TsServerStrategy::BuildReport and the replay-side consumers call it):
-// measures the query without the per-call vector allocation.
+// (how TsServerStrategy::BuildReportInto and the replay-side consumers call
+// it): measures the query without the per-call vector allocation.
 void BM_DatabaseUpdatedInReused(benchmark::State& state) {
   Database db(1u << 16, 1);
   db.SetJournalBucketWidth(10.0);
@@ -596,36 +598,6 @@ BENCHMARK(BM_AtBuildReportStorm)
     ->Args({1, 100000})
     ->Args({0, 1000})
     ->Args({1, 1000})
-    ->Unit(benchmark::kMicrosecond);
-
-// The all-asleep AT cell's per-interval work: with nobody listening the
-// server elides every broadcast and only sizes the report, one
-// CountUpdatedIn over (T_i - L, T_i] on the dirty set (AdvanceQuiet). Arg
-// is updates per interval.
-void BM_AtCountQuietWindow(benchmark::State& state) {
-  AtStormCell cell(JournalRetention::kDirtySet, state.range(0));
-  if (!cell.gen.Start().ok()) state.SkipWithError("generator start failed");
-  MessageSizes sizes;
-  sizes.id_bits = 20;
-  uint64_t bits = 0;
-  for (int warm = 0; warm < 3; ++warm) {
-    cell.server.AdvanceQuiet(cell.Drain(), cell.interval, sizes, &bits);
-  }
-  uint64_t counted = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    const SimTime now = cell.Drain();
-    state.ResumeTiming();
-    cell.server.AdvanceQuiet(now, cell.interval, sizes, &bits);
-    benchmark::DoNotOptimize(bits);
-    counted += bits / sizes.id_bits;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(counted));
-}
-BENCHMARK(BM_AtCountQuietWindow)
-    ->Arg(100000)
-    ->Arg(1000)
-    ->MinTime(0.05)  // the untimed drain dwarfs the timed count
     ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------

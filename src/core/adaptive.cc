@@ -64,21 +64,28 @@ uint64_t AdaptiveTsServerStrategy::UplinkExtraBits(
   return static_cast<uint64_t>(info.local_hit_times.size()) * sizes_.bT;
 }
 
-Report AdaptiveTsServerStrategy::BuildReport(SimTime now, uint64_t interval) {
+void AdaptiveTsServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
+                                               Report* out) {
+  // Reevaluation and the per-period activity map allocate by design (see
+  // OnUplinkQuery); the report lists fill retained capacity.
+  // detlint:allow-function(alloc-event-path)
   if (interval > 0 && interval % options_.eval_period == 0) {
     Reevaluate(now, interval);
   }
 
-  AdaptiveTsReport report;
+  AdaptiveTsReport& report = ReuseAs<AdaptiveTsReport>(out);
   report.interval = interval;
   report.timestamp = now;
   report.window_bits =
       static_cast<uint32_t>(std::max<uint64_t>(1, CeilLog2(options_.max_window + 1)));
+  report.entries.clear();
+  report.window_changes.clear();
 
   // Items updated within their own window w(i) = k_i * L.
   const SimTime max_window_secs =
       latency_ * static_cast<double>(options_.max_window);
-  for (const UpdatedItem& item : db_->UpdatedIn(now - max_window_secs, now)) {
+  db_->UpdatedIn(now - max_window_secs, now, &updated_);
+  for (const UpdatedItem& item : updated_) {
     const uint64_t k = WindowOf(item.id);
     if (k == 0) continue;
     if (item.updated_at > now - latency_ * static_cast<double>(k)) {
@@ -101,7 +108,6 @@ Report AdaptiveTsServerStrategy::BuildReport(SimTime now, uint64_t interval) {
             [](const WindowChangeEntry& a, const WindowChangeEntry& b) {
               return a.id < b.id;
             });
-  return report;
 }
 
 namespace {

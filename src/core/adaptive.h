@@ -79,7 +79,7 @@ class AdaptiveTsServerStrategy : public ServerStrategy {
                            const MessageSizes& sizes, AdaptiveTsOptions options);
 
   StrategyKind kind() const override { return StrategyKind::kAdaptiveTs; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
+  void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   SimTime JournalHorizonSeconds() const override;
   void OnUplinkQuery(const UplinkQueryInfo& info) override;
   uint64_t UplinkExtraBits(const UplinkQueryInfo& info) const override;
@@ -127,6 +127,7 @@ class AdaptiveTsServerStrategy : public ServerStrategy {
   std::unordered_map<ItemId, PeriodActivity> period_;
   SimTime period_start_ = 0.0;
   uint64_t evaluations_run_ = 0;
+  std::vector<UpdatedItem> updated_;  // window scratch, reused across reports
 };
 
 /// Client half of adaptive TS.

@@ -10,44 +10,14 @@ AtServerStrategy::AtServerStrategy(const Database* db, SimTime latency)
   assert(latency > 0.0);
 }
 
-Report AtServerStrategy::BuildReport(SimTime now, uint64_t interval) {
-  // Fresh-report path for callers outside the broadcast loop (which uses
-  // BuildReportInto); building a new report is the point.
-  // detlint:allow-function(alloc-event-path)
-  AtReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  // U_i = { j : T_{i-1} < t_j <= T_i }  (Eq. 2)
-  db_->UpdatedIdsIn(now - latency_, now, &report.ids);
-  return report;
-}
-
 void AtServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
                                        Report* out) {
-  AtReport* at = std::get_if<AtReport>(out);
-  // Variant switch happens on the first broadcast only; thereafter the held
-  // alternative is reused. detlint:allow(alloc-event-path)
-  if (at == nullptr) at = &out->emplace<AtReport>();
-  at->interval = interval;
-  at->timestamp = now;
-  // Fills the reused report's retained capacity.
-  db_->UpdatedIdsIn(now - latency_, now, &at->ids);
-}
-
-bool AtServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
-                                    const MessageSizes& sizes,
-                                    uint64_t* bits) {
-  (void)interval;
-  // AT keeps no state across intervals; a quiet interval only needs the
-  // report's size (Eq. 19: nL * log n), countable without materializing ids.
-  *bits = db_->CountUpdatedIn(now - latency_, now) * sizes.id_bits;
-  return true;
-}
-
-void AtServerStrategy::MaterializeQuietInto(SimTime now, uint64_t interval,
-                                           Report* out) {
-  // AT keeps no state across intervals: the quiet report is the built one.
-  BuildReportInto(now, interval, out);
+  AtReport& at = ReuseAs<AtReport>(out);
+  at.interval = interval;
+  at.timestamp = now;
+  // U_i = { j : T_{i-1} < t_j <= T_i }  (Eq. 2), into the reused report's
+  // retained capacity.
+  db_->UpdatedIdsIn(now - latency_, now, &at.ids);
 }
 
 uint64_t AtClientManager::OnReport(const Report& report, ClientCache* cache) {

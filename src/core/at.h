@@ -19,12 +19,7 @@ class AtServerStrategy : public ServerStrategy {
   AtServerStrategy(const Database* db, SimTime latency);
 
   StrategyKind kind() const override { return StrategyKind::kAt; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
-  bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
-                    uint64_t* bits) override;
-  void MaterializeQuietInto(SimTime now, uint64_t interval,
-                            Report* out) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
   /// One window per broadcast, (T_i - L, T_i], with T_i non-decreasing:
   /// exactly the queries a dirty set answers without a journal.

@@ -68,23 +68,25 @@ void QuasiAtServerStrategy::OnUplinkQuery(const UplinkQueryInfo& info) {
   // outstanding copy governs the reporting deadline.
 }
 
-Report QuasiAtServerStrategy::BuildReport(SimTime now, uint64_t interval) {
-  AtReport report;
+void QuasiAtServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
+                                            Report* out) {
+  // The obligation tables grow with the items clients fetch, off the lean
+  // strategies' allocation-free contract; the candidate list and the report
+  // fill retained capacity. detlint:allow-function(alloc-event-path)
+  AtReport& report = ReuseAs<AtReport>(out);
   report.interval = interval;
   report.timestamp = now;
+  report.ids.clear();
 
   // Candidates: fresh changes from the last interval plus changes still
   // deferred by an unmatured obligation.
-  std::vector<ItemId> candidates;
-  for (const UpdatedItem& item : db_->UpdatedIn(now - latency_, now)) {
-    candidates.push_back(item.id);
-  }
-  candidates.insert(candidates.end(), pending_.begin(), pending_.end());
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
+  db_->UpdatedIdsIn(now - latency_, now, &candidates_);
+  candidates_.insert(candidates_.end(), pending_.begin(), pending_.end());
+  std::sort(candidates_.begin(), candidates_.end());
+  candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
+                    candidates_.end());
 
-  for (ItemId id : candidates) {
+  for (ItemId id : candidates_) {
     ItemObligation& ob = obligations_[id];
     const bool changed = db_->VersionOf(id) > ob.last_included_version;
     if (!changed) {
@@ -112,7 +114,6 @@ Report QuasiAtServerStrategy::BuildReport(SimTime now, uint64_t interval) {
     }
   }
   std::sort(report.ids.begin(), report.ids.end());
-  return report;
 }
 
 uint64_t QuasiAtClientManager::OnReport(const Report& report,
@@ -177,21 +178,26 @@ ArithmeticAtServerStrategy::ItemDrift& ArithmeticAtServerStrategy::Track(
   return d;
 }
 
-Report ArithmeticAtServerStrategy::BuildReport(SimTime now,
-                                               uint64_t interval) {
-  AtReport report;
+void ArithmeticAtServerStrategy::BuildReportInto(SimTime now,
+                                                 uint64_t interval,
+                                                 Report* out) {
+  // The drift table grows with the items that change, off the lean
+  // strategies' allocation-free contract; the report fills retained
+  // capacity. detlint:allow-function(alloc-event-path)
+  AtReport& report = ReuseAs<AtReport>(out);
   report.interval = interval;
   report.timestamp = now;
-  for (const UpdatedItem& item : db_->UpdatedIn(now - latency_, now)) {
-    ItemDrift& d = Track(item.id);
+  report.ids.clear();
+  db_->UpdatedIdsIn(now - latency_, now, &changed_);
+  for (ItemId id : changed_) {
+    ItemDrift& d = Track(id);
     if (std::fabs(d.numeric - d.last_reported) > epsilon_) {
-      report.ids.push_back(item.id);
+      report.ids.push_back(id);
       d.last_reported = d.numeric;
     } else {
       ++suppressions_;
     }
   }
-  return report;
 }
 
 double ArithmeticAtServerStrategy::CurrentNumeric(ItemId id) const {

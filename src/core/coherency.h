@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "core/at.h"
 #include "core/strategy.h"
@@ -63,7 +64,7 @@ class QuasiAtServerStrategy : public ServerStrategy {
                         uint64_t alpha_intervals);
 
   StrategyKind kind() const override { return StrategyKind::kQuasiAt; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
+  void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   SimTime JournalHorizonSeconds() const override;
   void OnUplinkQuery(const UplinkQueryInfo& info) override;
 
@@ -92,6 +93,7 @@ class QuasiAtServerStrategy : public ServerStrategy {
   /// Items with a change awaiting a matured obligation; re-examined at every
   /// report until included.
   std::unordered_set<ItemId> pending_;
+  std::vector<ItemId> candidates_;  // build scratch, reused across reports
   uint64_t deferrals_ = 0;
 };
 
@@ -131,7 +133,7 @@ class ArithmeticAtServerStrategy : public ServerStrategy {
                              SimTime latency, double epsilon);
 
   StrategyKind kind() const override { return StrategyKind::kQuasiAt; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
+  void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
 
   double epsilon() const { return epsilon_; }
@@ -157,6 +159,7 @@ class ArithmeticAtServerStrategy : public ServerStrategy {
   SimTime latency_;
   double epsilon_;
   mutable std::unordered_map<ItemId, ItemDrift> drift_;
+  std::vector<ItemId> changed_;  // window scratch, reused across reports
   uint64_t suppressions_ = 0;
 };
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/bits.h"
-
 namespace mobicache {
 
 ItemGrouping::ItemGrouping(uint64_t n, uint32_t num_groups)
@@ -32,51 +30,14 @@ void GroupedAtServerStrategy::ChangedGroups(SimTime now,
   }
 }
 
-Report GroupedAtServerStrategy::BuildReport(SimTime now, uint64_t interval) {
-  GroupedAtReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  report.num_groups = grouping_.num_groups();
-  ChangedGroups(now, &report.groups);
-  return report;
-}
-
 void GroupedAtServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
                                               Report* out) {
-  GroupedAtReport* gat = std::get_if<GroupedAtReport>(out);
-  // Variant switch happens on the first broadcast only. detlint:allow(alloc-event-path)
-  if (gat == nullptr) gat = &out->emplace<GroupedAtReport>();
-  gat->interval = interval;
-  gat->timestamp = now;
-  gat->num_groups = grouping_.num_groups();
-  gat->groups.clear();
-  ChangedGroups(now, &gat->groups);
-}
-
-bool GroupedAtServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
-                                           const MessageSizes& sizes,
-                                           uint64_t* bits) {
-  (void)interval;
-  (void)sizes;
-  // Count the distinct changed groups without materializing them.
-  db_->UpdatedIdsIn(now - latency_, now, &changed_);
-  uint64_t count = 0;
-  uint32_t prev_group = 0;
-  for (ItemId id : changed_) {
-    const uint32_t group = grouping_.GroupOf(id);
-    if (count == 0 || group != prev_group) {
-      ++count;
-      prev_group = group;
-    }
-  }
-  *bits = count * BitsForIds(grouping_.num_groups());
-  return true;
-}
-
-void GroupedAtServerStrategy::MaterializeQuietInto(SimTime now,
-                                                   uint64_t interval,
-                                                   Report* out) {
-  BuildReportInto(now, interval, out);
+  GroupedAtReport& gat = ReuseAs<GroupedAtReport>(out);
+  gat.interval = interval;
+  gat.timestamp = now;
+  gat.num_groups = grouping_.num_groups();
+  gat.groups.clear();
+  ChangedGroups(now, &gat.groups);
 }
 
 GroupedAtClientManager::GroupedAtClientManager(uint64_t n,

@@ -42,12 +42,7 @@ class GroupedAtServerStrategy : public ServerStrategy {
                           uint32_t num_groups);
 
   StrategyKind kind() const override { return StrategyKind::kGroupedAt; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
-  bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
-                    uint64_t* bits) override;
-  void MaterializeQuietInto(SimTime now, uint64_t interval,
-                            Report* out) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
   /// AT's windows (see AtServerStrategy::retention).
   JournalRetention retention() const override {

@@ -56,56 +56,17 @@ void HybridSigServerStrategy::FoldChangesThrough(
   last_folded_ = now;
 }
 
-Report HybridSigServerStrategy::BuildReport(SimTime now, uint64_t interval) {
-  HybridReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  FoldChangesThrough(now, &report.hot_ids);
-  report.combined = state_.Combined();
-  return report;
-}
-
 void HybridSigServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
                                               Report* out) {
-  HybridReport* hy = std::get_if<HybridReport>(out);
-  // Variant switch happens on the first broadcast only. detlint:allow(alloc-event-path)
-  if (hy == nullptr) hy = &out->emplace<HybridReport>();
-  hy->interval = interval;
-  hy->timestamp = now;
-  hy->hot_ids.clear();
-  FoldChangesThrough(now, &hy->hot_ids);
+  HybridReport& hy = ReuseAs<HybridReport>(out);
+  hy.interval = interval;
+  hy.timestamp = now;
+  hy.hot_ids.clear();
+  FoldChangesThrough(now, &hy.hot_ids);
   const std::vector<uint64_t>& combined = state_.Combined();
   // Fills the reused report's retained capacity (signature width is fixed
   // after setup). detlint:allow(alloc-event-path)
-  hy->combined.assign(combined.begin(), combined.end());
-}
-
-bool HybridSigServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
-                                           const MessageSizes& sizes,
-                                           uint64_t* bits) {
-  (void)interval;
-  quiet_hot_scratch_.clear();
-  FoldChangesThrough(now, &quiet_hot_scratch_);
-  quiet_now_ = now;
-  // Hot half AT-style plus m cold signatures (§10 weighted accounting).
-  *bits = quiet_hot_scratch_.size() * sizes.id_bits +
-          state_.Combined().size() * sizes.sig_bits;
-  return true;
-}
-
-void HybridSigServerStrategy::MaterializeQuietInto(SimTime now,
-                                                   uint64_t interval,
-                                                   Report* out) {
-  assert(quiet_now_ == now && last_folded_ == now);
-  HybridReport* hy = std::get_if<HybridReport>(out);
-  // Variant switch happens on the first broadcast only. detlint:allow(alloc-event-path)
-  if (hy == nullptr) hy = &out->emplace<HybridReport>();
-  hy->interval = interval;
-  hy->timestamp = now;
-  // Fill the reused report's retained capacity. detlint:allow(alloc-event-path)
-  hy->hot_ids.assign(quiet_hot_scratch_.begin(), quiet_hot_scratch_.end());
-  const std::vector<uint64_t>& combined = state_.Combined();
-  hy->combined.assign(combined.begin(), combined.end());  // detlint:allow(alloc-event-path)
+  hy.combined.assign(combined.begin(), combined.end());
 }
 
 HybridSigClientManager::HybridSigClientManager(

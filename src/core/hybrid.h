@@ -28,12 +28,7 @@ class HybridSigServerStrategy : public ServerStrategy {
                           SimTime latency, std::vector<ItemId> hot_set);
 
   StrategyKind kind() const override { return StrategyKind::kHybridSig; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
-  bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
-                    uint64_t* bits) override;
-  void MaterializeQuietInto(SimTime now, uint64_t interval,
-                            Report* out) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
   /// As for SIG: the fold's window query, whose lo never decreases, is the
   /// only history hybrid reads, so the dirty set serves it.
@@ -56,10 +51,6 @@ class HybridSigServerStrategy : public ServerStrategy {
   ServerSignatureState state_;
   SimTime last_folded_ = 0.0;
   std::vector<ItemId> changed_;  // fold scratch, reused across reports
-  // Hot ids of the interval most recently consumed by AdvanceQuiet, kept so
-  // MaterializeQuietInto can reconstruct the elided report.
-  std::vector<ItemId> quiet_hot_scratch_;
-  SimTime quiet_now_ = 0.0;
 };
 
 /// Client half: AT rules for cached hot items (including the drop-on-missed-

@@ -22,31 +22,11 @@ class NullServerStrategy : public ServerStrategy {
       : retention_(retention) {}
 
   StrategyKind kind() const override { return StrategyKind::kNoCache; }
-  Report BuildReport(SimTime now, uint64_t interval) override {
-    NullReport report;
-    report.interval = interval;
-    report.timestamp = now;
-    return report;
-  }
   void BuildReportInto(SimTime now, uint64_t interval,
                        Report* out) override {
-    NullReport* null = std::get_if<NullReport>(out);
-    // Variant switch happens on the first broadcast only. detlint:allow(alloc-event-path)
-    if (null == nullptr) null = &out->emplace<NullReport>();
-    null->interval = interval;
-    null->timestamp = now;
-  }
-  bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
-                    uint64_t* bits) override {
-    (void)now;
-    (void)interval;
-    (void)sizes;
-    *bits = 0;  // Bc = 0: empty reports, no state to advance.
-    return true;
-  }
-  void MaterializeQuietInto(SimTime now, uint64_t interval,
-                            Report* out) override {
-    BuildReportInto(now, interval, out);
+    NullReport& null = ReuseAs<NullReport>(out);
+    null.interval = interval;
+    null.timestamp = now;
   }
   JournalRetention retention() const override { return retention_; }
   SimTime JournalHorizonSeconds() const override { return 0.0; }

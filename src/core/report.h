@@ -98,6 +98,18 @@ struct NullReport {
 using Report = std::variant<NullReport, TsReport, AtReport, SigReport,
                             AdaptiveTsReport, GroupedAtReport, HybridReport>;
 
+/// The `R` alternative `*out` holds, emplaced fresh when it holds another.
+/// Report builders fill the returned report in place, so a recycled arena
+/// slot keeps its payload vectors' capacity; the caller overwrites every
+/// field (and clears every list it appends to).
+template <class R>
+R& ReuseAs(Report* out) {
+  if (R* held = std::get_if<R>(out)) return *held;
+  // The alternative switches on a slot's first build only; thereafter the
+  // held one is reused. detlint:allow(alloc-event-path)
+  return out->emplace<R>();
+}
+
 /// Broadcast timestamp of any report alternative.
 SimTime ReportTimestamp(const Report& report);
 

@@ -28,54 +28,18 @@ void SigServerStrategy::FoldChangesThrough(SimTime now) {
   last_folded_ = now;
 }
 
-Report SigServerStrategy::BuildReport(SimTime now, uint64_t interval) {
+void SigServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
+                                        Report* out) {
   // Fold every item changed since the last snapshot into the combined
   // signatures, then broadcast the current m signatures.
   FoldChangesThrough(now);
-
-  SigReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  report.combined = state_.Combined();
-  return report;
-}
-
-void SigServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
-                                        Report* out) {
-  FoldChangesThrough(now);
-  SigReport* sig = std::get_if<SigReport>(out);
-  // Variant switch happens on the first broadcast only. detlint:allow(alloc-event-path)
-  if (sig == nullptr) sig = &out->emplace<SigReport>();
-  sig->interval = interval;
-  sig->timestamp = now;
+  SigReport& sig = ReuseAs<SigReport>(out);
+  sig.interval = interval;
+  sig.timestamp = now;
   const std::vector<uint64_t>& combined = state_.Combined();
   // Fills the reused report's retained capacity (signature width is fixed
   // after setup). detlint:allow(alloc-event-path)
-  sig->combined.assign(combined.begin(), combined.end());
-}
-
-bool SigServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
-                                     const MessageSizes& sizes,
-                                     uint64_t* bits) {
-  (void)interval;
-  // SIG reports are the current state: advancing is just folding, and the
-  // size is fixed at m signatures (Eq. 25: m * g).
-  FoldChangesThrough(now);
-  *bits = state_.Combined().size() * sizes.sig_bits;
-  return true;
-}
-
-void SigServerStrategy::MaterializeQuietInto(SimTime now, uint64_t interval,
-                                            Report* out) {
-  assert(last_folded_ == now);
-  SigReport* sig = std::get_if<SigReport>(out);
-  // Variant switch happens on the first broadcast only. detlint:allow(alloc-event-path)
-  if (sig == nullptr) sig = &out->emplace<SigReport>();
-  sig->interval = interval;
-  sig->timestamp = now;
-  const std::vector<uint64_t>& combined = state_.Combined();
-  // Fills the reused report's retained capacity. detlint:allow(alloc-event-path)
-  sig->combined.assign(combined.begin(), combined.end());
+  sig.combined.assign(combined.begin(), combined.end());
 }
 
 SigClientManager::SigClientManager(SignatureFamily* family,

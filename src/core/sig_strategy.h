@@ -26,12 +26,7 @@ class SigServerStrategy : public ServerStrategy {
                     SimTime latency);
 
   StrategyKind kind() const override { return StrategyKind::kSig; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
-  bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
-                    uint64_t* bits) override;
-  void MaterializeQuietInto(SimTime now, uint64_t interval,
-                            Report* out) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
   /// The only history SIG reads is FoldChangesThrough's window query, whose
   /// lo (the previous fold) never decreases: the database's dirty set
@@ -42,7 +37,7 @@ class SigServerStrategy : public ServerStrategy {
 
  private:
   /// Folds every item changed since the last snapshot into the combined
-  /// signatures (the state-advance half of BuildReport).
+  /// signatures (the state-advance half of BuildReportInto).
   void FoldChangesThrough(SimTime now);
 
   const Database* db_;

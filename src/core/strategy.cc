@@ -1,14 +1,6 @@
 #include "core/strategy.h"
 
-#include <cassert>
-
 namespace mobicache {
-
-void ServerStrategy::MaterializeQuietInto(SimTime /*now*/,
-                                          uint64_t /*interval*/,
-                                          Report* /*out*/) {
-  assert(false && "MaterializeQuietInto without a preceding AdvanceQuiet");
-}
 
 std::string_view StrategyName(StrategyKind kind) {
   switch (kind) {

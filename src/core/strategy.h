@@ -20,7 +20,6 @@
 #include "core/cache.h"
 #include "core/report.h"
 #include "db/database.h"
-#include "net/channel.h"
 #include "sim/simulator.h"
 
 namespace mobicache {
@@ -76,45 +75,15 @@ class ServerStrategy {
 
   virtual StrategyKind kind() const = 0;
 
-  /// Builds the report broadcast at T = `now` with index `interval`.
-  virtual Report BuildReport(SimTime now, uint64_t interval) = 0;
-
-  /// Builds the interval's report directly into `*out`, reusing the storage
-  /// `*out` already holds when it carries a report of the same kind. The
-  /// server's report arena recycles slots through this so the steady-state
-  /// broadcast path allocates nothing. Semantically identical to
-  /// `*out = BuildReport(now, interval)` — the default is exactly that.
-  virtual void BuildReportInto(SimTime now, uint64_t interval, Report* out) {
-    *out = BuildReport(now, interval);
-  }
-
-  /// Advances the strategy across one *quiet* interval — one whose report no
-  /// attached unit can hear — exactly as BuildReport(now, interval) would,
-  /// without materializing the report. On success writes the report's exact
-  /// airtime size (per ReportSizeBits with `sizes`) to `*bits` and returns
-  /// true; the interval is then consumed (the next build continues from it)
-  /// and MaterializeQuietInto() can still reconstruct its report. Returns false
-  /// when the strategy has no advance cheaper than a full build (e.g. the
-  /// adaptive controller, whose reevaluation clock rides on BuildReport);
-  /// the server then falls back to building without delivering.
-  virtual bool AdvanceQuiet(SimTime now, uint64_t interval,
-                            const MessageSizes& sizes, uint64_t* bits) {
-    (void)now;
-    (void)interval;
-    (void)sizes;
-    (void)bits;
-    return false;
-  }
-
-  /// Reconstructs into `*out` the report of the interval most recently
-  /// consumed by a successful AdvanceQuiet, with the same (now, interval)
-  /// arguments, reusing `*out`'s storage like BuildReportInto. The server
-  /// needs this only in the straddle case where a unit's wake lands while
-  /// the elided report would still be on the air. Must not be called
-  /// otherwise; the default (for strategies that never return true from
-  /// AdvanceQuiet) aborts in debug builds.
-  virtual void MaterializeQuietInto(SimTime now, uint64_t interval,
-                                    Report* out);
+  /// Builds the report broadcast at T = `now` with index `interval` into
+  /// `*out`, reusing the storage `*out` already holds when it carries a
+  /// report of the same kind (see ReuseAs). This is the one way a strategy
+  /// produces an interval: the server builds every interval, heard or
+  /// quiet, into a recycled arena slot and prices it with ReportSizeBits,
+  /// so the steady-state broadcast path allocates nothing. A quiet interval
+  /// differs only in that nobody receives the built report.
+  virtual void BuildReportInto(SimTime now, uint64_t interval,
+                               Report* out) = 0;
 
   /// A no-op that no strategy overrides and the server does not call:
   /// every strategy reads update history through the database's window

@@ -68,48 +68,14 @@ void TsServerStrategy::AdvanceEntries(SimTime now, uint64_t interval) {
   prev_entries_.swap(next_scratch_);
 }
 
-Report TsServerStrategy::BuildReport(SimTime now, uint64_t interval) {
-  AdvanceEntries(now, interval);
-  TsReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  report.window = window_;
-  report.entries = prev_entries_;
-  return report;
-}
-
 void TsServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
                                        Report* out) {
   AdvanceEntries(now, interval);
-  TsReport* ts = std::get_if<TsReport>(out);
-  // Variant switch happens on the first broadcast only. detlint:allow(alloc-event-path)
-  if (ts == nullptr) ts = &out->emplace<TsReport>();
-  ts->interval = interval;
-  ts->timestamp = now;
-  ts->window = window_;
-  CopyEntries(prev_entries_, &ts->entries);
-}
-
-bool TsServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
-                                    const MessageSizes& sizes,
-                                    uint64_t* bits) {
-  AdvanceEntries(now, interval);
-  // Eq. 16: nc * (log n + bT), exactly ReportSizeBits of the TS report the
-  // advanced window would materialize.
-  *bits = prev_entries_.size() * (sizes.id_bits + sizes.bT);
-  return true;
-}
-
-void TsServerStrategy::MaterializeQuietInto(SimTime now, uint64_t interval,
-                                           Report* out) {
-  assert(have_prev_ && prev_interval_ == interval && prev_now_ == now);
-  TsReport* ts = std::get_if<TsReport>(out);
-  // Variant switch happens on the first broadcast only. detlint:allow(alloc-event-path)
-  if (ts == nullptr) ts = &out->emplace<TsReport>();
-  ts->interval = interval;
-  ts->timestamp = now;
-  ts->window = window_;
-  CopyEntries(prev_entries_, &ts->entries);
+  TsReport& ts = ReuseAs<TsReport>(out);
+  ts.interval = interval;
+  ts.timestamp = now;
+  ts.window = window_;
+  CopyEntries(prev_entries_, &ts.entries);
 }
 
 void TsReportIndex::Decode(uint64_t interval, SimTime timestamp,

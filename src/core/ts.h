@@ -32,22 +32,16 @@ class TsServerStrategy : public ServerStrategy {
                    uint64_t window_intervals);
 
   StrategyKind kind() const override { return StrategyKind::kTs; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
-  bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
-                    uint64_t* bits) override;
-  void MaterializeQuietInto(SimTime now, uint64_t interval,
-                            Report* out) override;
   SimTime JournalHorizonSeconds() const override { return window_; }
 
   SimTime window() const { return window_; }
   uint64_t window_intervals() const { return window_intervals_; }
 
  private:
-  /// The incremental step shared by every build flavour: advances
-  /// `prev_entries_` to the window ending at (now, interval) — carry, expire,
-  /// splice the one-interval delta — through `next_scratch_`, so the quiet
-  /// path costs the same merge with no report materialization.
+  /// The incremental step of every build: advances `prev_entries_` to the
+  /// window ending at (now, interval) — carry, expire, splice the
+  /// one-interval delta — through `next_scratch_`.
   void AdvanceEntries(SimTime now, uint64_t interval);
 
   const Database* db_;

@@ -278,15 +278,10 @@ void Database::ApplyBatchJournal(const ItemId* ids, const SimTime* times,
 void Database::MarkDirty(const ItemId* ids, const SimTime* times,
                          size_t count) {
   uint64_t* words = fresh_words_.data();
-  uint64_t added = 0;
   for (size_t i = 0; i < count; ++i) {
     const ItemId id = ids[i];
-    uint64_t& word = words[id >> 6];
-    const uint64_t bit = uint64_t{1} << (id & 63);
-    added += static_cast<uint64_t>((word & bit) == 0);
-    word |= bit;
+    words[id >> 6] |= uint64_t{1} << (id & 63);
   }
-  fresh_count_ += added;
   fresh_first_ = std::min(fresh_first_, times[0]);
   fresh_last_ = std::max(fresh_last_, times[count - 1]);
 }
@@ -442,36 +437,8 @@ void Database::UpdatedIdsIn(SimTime lo, SimTime hi,
   for (const UpdatedItem& item : items_scratch_) out->push_back(item.id);
 }
 
-uint64_t Database::CountUpdatedIn(SimTime lo, SimTime hi) const {
-  uint64_t count = 0;
-  // No history kept (kNone): the documented answer is empty.
-  if (hi <= lo || retention_ == JournalRetention::kNone) return count;
-  if (dirty_set_) return QueryDirtySet(lo, hi, nullptr);
-  for (const Bucket& bucket : buckets_) {
-    if (!bucket.HasEntries() || bucket.LastTime() <= lo) continue;
-    if (bucket.FirstTime() > hi) break;
-    if (bucket.sealed && lo < bucket.times.front() &&
-               bucket.times.back() <= hi) {
-      if (!bucket.digest_built) BuildDigest(bucket);
-      for (const UpdatedItem& d : bucket.digest) {
-        if (hot_[d.id].last_update == d.updated_at) ++count;
-      }
-    } else {
-      const size_t n = bucket.times.size();
-      for (size_t i = FirstAfter(bucket.times, lo);
-           i < n && bucket.times[i] <= hi; ++i) {
-        if (hot_[bucket.ids[i]].last_update == bucket.times[i] &&
-            LastOfTie(bucket.times, bucket.ids, i)) {
-          ++count;
-        }
-      }
-    }
-  }
-  return count;
-}
-
-uint64_t Database::QueryDirtySet(SimTime lo, SimTime hi,
-                                 std::vector<ItemId>* out) const {
+void Database::QueryDirtySet(SimTime lo, SimTime hi,
+                             std::vector<ItemId>* out) const {
   assert(lo < hi);
   assert(lo >= dirty_floor_ &&
          "dirty-set window queries need a non-decreasing lo");
@@ -482,23 +449,19 @@ uint64_t Database::QueryDirtySet(SimTime lo, SimTime hi,
   const bool older_inside = lo == dirty_floor_ && settled_last_ <= hi;
   const bool bitwise = fresh_inside && (older_outside || older_inside);
   dirty_bitwise_queries_ += bitwise ? 1 : 0;
-  uint64_t found = 0;
   if (bitwise && older_outside) {
-    // The answer is the fresh set, counted as it was marked; it becomes
-    // the older set, and the old older bits are dropped.
-    found = fresh_count_;
-    if (out != nullptr) AppendSetBits(fresh_words_, out);
+    // The answer is the fresh set; it becomes the older set, and the old
+    // older bits are dropped.
+    AppendSetBits(fresh_words_, out);
     fresh_words_.swap(older_words_);
     std::fill(fresh_words_.begin(), fresh_words_.end(), uint64_t{0});
   } else {
-    found = MergeDirtyWords(lo, hi, /*all_inside=*/bitwise, out);
+    MergeDirtyWords(lo, hi, /*all_inside=*/bitwise, out);
   }
   dirty_floor_ = lo;
   settled_last_ = std::max(settled_last_, fresh_last_);
   fresh_first_ = std::numeric_limits<SimTime>::infinity();
   fresh_last_ = -std::numeric_limits<SimTime>::infinity();
-  fresh_count_ = 0;
-  return found;
 }
 
 void Database::AppendSetBits(const std::vector<uint64_t>& words,
@@ -522,13 +485,12 @@ void Database::AppendSetBits(const std::vector<uint64_t>& words,
   out->insert(out->end(), found, found + k);
 }
 
-uint64_t Database::MergeDirtyWords(SimTime lo, SimTime hi, bool all_inside,
-                                   std::vector<ItemId>* out) const {
+void Database::MergeDirtyWords(SimTime lo, SimTime hi, bool all_inside,
+                               std::vector<ItemId>* out) const {
   // Appends land in the caller's reused report scratch (retained capacity).
   // detlint:allow-function(alloc-event-path)
   ItemId found[kFoundFlushAt + 64];
   size_t k = 0;
-  uint64_t found_total = 0;
   uint64_t* fresh = fresh_words_.data();
   uint64_t* older = older_words_.data();
   const size_t n_words = fresh_words_.size();
@@ -556,14 +518,11 @@ uint64_t Database::MergeDirtyWords(SimTime lo, SimTime hi, bool all_inside,
     older[w] = word;
     fresh[w] = 0;
     if (k >= kFoundFlushAt) {
-      found_total += k;
-      if (out != nullptr) out->insert(out->end(), found, found + k);
+      out->insert(out->end(), found, found + k);
       k = 0;
     }
   }
-  found_total += k;
-  if (out != nullptr) out->insert(out->end(), found, found + k);
-  return found_total;
+  out->insert(out->end(), found, found + k);
 }
 
 std::vector<UpdatedItem> Database::JournalIn(SimTime lo, SimTime hi) const {

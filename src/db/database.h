@@ -43,8 +43,8 @@
 //    query is at or below lo (its bit can be cleared);
 //  * every older-only item is inside when lo equals the last query's lo and
 //    the latest update as of that query is at or below hi: every bit that
-//    survives a query lies above that query's lo. This is the quiet report
-//    counted and then materialized for the same window.
+//    survives a query lies above that query's lo. This is the same window
+//    asked again.
 //
 // The answer is then the fresh bits, or fresh | older. Otherwise the query
 // falls back to the exact walk: over the union's set bits in id order,
@@ -58,12 +58,11 @@
 //
 // Cost. In steady state (one window per broadcast, (T_i - L, T_i], its
 // updates drained before T_i) every query answers bitwise with the older
-// bits proven outside: the answer is the fresh set, whose size the apply
-// path counts as it sets new bits, and the fresh set becomes the older one
-// by a swap. A count is then one zeroing pass over ceil(n/64) words; a
-// list adds one pass reading them. A repeated window (fresh | older) and
-// the fallback are one pass over both sets' 2 * ceil(n/64) words, and the
-// fallback adds one slab read per set bit.
+// bits proven outside: the answer is the fresh set, listed in one pass over
+// its ceil(n/64) words, and the fresh set becomes the older one by a swap
+// and a zeroing pass. A repeated window (fresh | older) and the fallback
+// are one pass over both sets' 2 * ceil(n/64) words, and the fallback adds
+// one slab read per set bit.
 //
 // No retention (kNone, no-caching): no journal and no bit set. A window
 // query then has no history to consult and answers empty; the raw readers
@@ -116,9 +115,9 @@ struct UpdatedItem {
 ///                   empty.
 ///  * kDirtySet    — no journal; two n-bit sets, the items updated since
 ///                   the last window query and those no query has cleared
-///                   yet (see the file comment). Serves UpdatedIn,
-///                   UpdatedIdsIn and CountUpdatedIn exactly as long as the
-///                   queries' lo never decreases — the AT family's one
+///                   yet (see the file comment). Serves UpdatedIn and
+///                   UpdatedIdsIn exactly as long as the queries' lo never
+///                   decreases — the AT family's one
 ///                   window per broadcast, (T_i - L, T_i], and the SIG
 ///                   family's fold since the previous broadcast. Such
 ///                   queries answer from the bits alone; any other window
@@ -231,9 +230,6 @@ class Database {
   /// window answers from the bit sets with no per-item time read (see the
   /// file comment); this is what the AT and SIG families' builders use.
   void UpdatedIdsIn(SimTime lo, SimTime hi, std::vector<ItemId>* out) const;
-
-  /// Number of distinct items whose last update lies in (lo, hi].
-  uint64_t CountUpdatedIn(SimTime lo, SimTime hi) const;
 
   /// Raw update events (every update, not just the last per item) with time
   /// in (lo, hi], ascending by time. Used by the adaptive controller to
@@ -412,20 +408,18 @@ class Database {
   void MarkDirty(const ItemId* ids, const SimTime* times, size_t count);
   /// The kDirtySet window query (see the file comment): answers bitwise when
   /// the recorded times prove the answer, else walks the set bits reading
-  /// update times. Appends the items last updated in (lo, hi] to `out` (if
-  /// non-null) in id order and returns how many it found. Requires lo < hi
-  /// and lo at or past every earlier query's lo.
-  uint64_t QueryDirtySet(SimTime lo, SimTime hi,
-                         std::vector<ItemId>* out) const;
+  /// update times. Appends the items last updated in (lo, hi] to `out` in
+  /// id order. Requires lo < hi and lo at or past every earlier query's lo.
+  void QueryDirtySet(SimTime lo, SimTime hi, std::vector<ItemId>* out) const;
   /// Appends the ids of `words`' set bits to `out`, in id order.
   static void AppendSetBits(const std::vector<uint64_t>& words,
                             std::vector<ItemId>* out);
   /// One pass over fresh | older: keeps each set bit whose item lies above
   /// lo in the older set (every one when `all_inside`, else by its slab
-  /// time), zeroes the fresh set, appends the items in (lo, hi] to `out`
-  /// (if non-null) and returns how many there are.
-  uint64_t MergeDirtyWords(SimTime lo, SimTime hi, bool all_inside,
-                           std::vector<ItemId>* out) const;
+  /// time), zeroes the fresh set and appends the items in (lo, hi] to
+  /// `out`.
+  void MergeDirtyWords(SimTime lo, SimTime hi, bool all_inside,
+                       std::vector<ItemId>* out) const;
 
   /// Folds the current byte count into the peak watermark. Bytes grow
   /// monotonically between prunes, so calling this right before any
@@ -479,8 +473,6 @@ class Database {
   mutable SimTime settled_last_ = -std::numeric_limits<SimTime>::infinity();
   /// Largest lo any dirty-set query has used: the exactness watermark.
   mutable SimTime dirty_floor_ = -std::numeric_limits<SimTime>::infinity();
-  /// Distinct items in the fresh set, counted as their bits are set.
-  mutable uint64_t fresh_count_ = 0;
   mutable uint64_t dirty_bitwise_queries_ = 0;
   bool dirty_set_ = false;  ///< retention_ == kDirtySet, tested per batch.
 };

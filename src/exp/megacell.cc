@@ -306,7 +306,7 @@ Status MegaCell::Build() {
 }
 
 void MegaCell::ReplayWindow() {
-  // A materialized report was quiet when no shard's slice heard it. (The
+  // A delivered report was quiet when no shard's slice heard it. (The
   // server counted the intervals it elided.)
   for (size_t k = 0; k < pending_deliveries_.size(); ++k) {
     uint64_t heard = 0;
@@ -602,7 +602,7 @@ uint64_t MegaCell::WindowEnd(uint64_t from, uint64_t limit) {
   SimTime earliest = std::numeric_limits<SimTime>::infinity();
   for (auto& shard : shards_) {
     // An awake unit could hear a report: keep the window to one interval
-    // so it never holds more than one materialized delivery.
+    // so it never holds more than one delivered report.
     if (shard->wake_index.awake_count() != 0) return to;
     earliest = std::min(earliest, shard->sim.NextEventTime());
   }

@@ -226,7 +226,7 @@ class MegaCell {
 
   uint64_t measure_intervals_ = 0;
   uint64_t async_messages_ = 0;
-  /// Materialized reports no shard's slice heard (summed at the barrier).
+  /// Delivered reports no shard's slice heard (summed at the barrier).
   /// The server counts the quiet intervals it elided itself; these are the
   /// rest of CellResult::quiet_report_intervals.
   uint64_t unheard_reports_ = 0;

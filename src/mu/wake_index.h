@@ -8,7 +8,7 @@
 //
 // which is exactly what quiet-interval elision needs: an interval whose
 // report transmission finishes strictly before the earliest wake can skip
-// report materialization and fan-out with no observable difference.
+// report delivery and fan-out with no observable difference.
 //
 // The index also stores the awake set as a bitmap in slot order, so the cell
 // engine's report fan-out iterates awake units directly (ascending order —

@@ -117,43 +117,27 @@ Server::Transmission Server::StepInterval(uint64_t interval, SimTime now) {
     if (now > horizon) db_->PruneJournalBefore(now - horizon);
   }
 
+  // Every interval builds its report, heard or not: the strategy advances
+  // exactly as in a fully awake cell and the report's size is its airtime.
+  std::shared_ptr<Report>& slot = AcquireReportSlot();
+  strategy_->BuildReportInto(now, interval, slot.get());
+  tx.bits = ReportSizeBits(*slot, config_.sizes);
+  tx.duration = channel_->Duration(tx.bits);
+
   // Quiet-interval elision (the "sleepers" fast path): if every unit is
   // asleep now and none wakes before this transmission completes, the
   // report is pure downlink accounting — no unit, observer, or jittered
-  // re-delivery will ever read it. The strategy still advances (AdvanceQuiet
-  // consumes the interval and yields the exact bit size), so every counter
-  // stays byte-identical to the materialized run.
-  bool quiet_candidate = config_.quiet_elision && tx.jitter <= 0.0 &&
-                         !report_observer_ && !wake_indexes_.empty();
-  SimTime wake_horizon = std::numeric_limits<SimTime>::infinity();
-  if (quiet_candidate) {
+  // re-delivery will ever read it — so the slot stays unreferenced and the
+  // delivery and fan-out are skipped. Every counter stays byte-identical to
+  // the delivered run.
+  bool heard = !config_.quiet_elision || tx.jitter > 0.0 ||
+               report_observer_ || wake_indexes_.empty();
+  if (!heard) {
     uint64_t awake = 0;
-    wake_horizon = WakeHorizon(interval, &awake);
-    quiet_candidate = awake == 0;
+    const SimTime wake_horizon = WakeHorizon(interval, &awake);
+    heard = awake > 0 || wake_horizon <= now + tx.duration;
   }
-
-  if (quiet_candidate &&
-      strategy_->AdvanceQuiet(now, interval, config_.sizes, &tx.bits)) {
-    tx.duration = channel_->Duration(tx.bits);
-    if (wake_horizon <= now + tx.duration) {
-      // A unit wakes mid-transmission (or exactly at its end): replay the
-      // materialized mechanics from the already-advanced strategy state.
-      std::shared_ptr<Report>& slot = AcquireReportSlot();
-      strategy_->MaterializeQuietInto(now, interval, slot.get());
-      tx.report = slot;
-    }
-  } else {
-    std::shared_ptr<Report>& slot = AcquireReportSlot();
-    strategy_->BuildReportInto(now, interval, slot.get());
-    tx.bits = ReportSizeBits(*slot, config_.sizes);
-    tx.duration = channel_->Duration(tx.bits);
-    // Build-without-deliver fallback: the strategy had no cheap advance,
-    // but when the cell sleeps through the transmission the delivery is
-    // still dead — leave the report unreferenced.
-    if (!quiet_candidate || wake_horizon <= now + tx.duration) {
-      tx.report = slot;
-    }
-  }
+  if (heard) tx.report = slot;
 
   ++stats_.reports_broadcast;
   stats_.report_bits.Add(static_cast<double>(tx.bits));
@@ -188,7 +172,7 @@ void Server::Deliver(std::shared_ptr<const Report> report, uint64_t bits,
                            : delivery_->ListenSeconds(jitter, duration);
   // Units consume the report when its transmission completes. Quiet counters
   // tick inside this event so ResetStats boundaries and run-end truncation
-  // bin elided intervals exactly like materialized ones.
+  // bin elided intervals exactly like delivered ones.
   sim_->ScheduleAt(done, [this, report = std::move(report), listen, done] {
     ConsumeDelivery(std::move(report), listen, done);
   });

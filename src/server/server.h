@@ -7,10 +7,11 @@
 // goes to one consumer, the delivery sink, which the cell engine uses to
 // fan it out shard-side. Broadcast cost tracks *listeners*, not wall
 // intervals: with wake indexes attached, an interval whose entire
-// transmission every unit sleeps through elides its report build and
-// delivery while keeping every statistic, channel counter, and strategy
-// state byte-identical (quiet-interval elision), and a run of such
-// intervals is replayed inline without the scheduler (the quiet skip).
+// transmission every unit sleeps through still builds and prices its
+// report but elides its delivery and fan-out, keeping every statistic,
+// channel counter, and strategy state byte-identical (quiet-interval
+// elision), and a run of such intervals is replayed inline without the
+// scheduler (the quiet skip).
 
 #ifndef MOBICACHE_SERVER_SERVER_H_
 #define MOBICACHE_SERVER_SERVER_H_
@@ -45,7 +46,7 @@ struct ServerConfig {
   /// so pruning in batches is identity-free and amortizes the bucket walk.
   uint64_t journal_prune_period_intervals = 8;
   /// Quiet-interval elision (requires an attached WakeIndex): skip report
-  /// materialization and delivery for intervals no unit can hear.
+  /// delivery and fan-out for intervals no unit can hear.
   /// Observable behaviour is byte-identical either way; the equivalence
   /// tests force it off to prove that.
   bool quiet_elision = true;
@@ -58,12 +59,12 @@ struct ServerStats {
   /// transmission completed. The paper's energy argument hinges on these —
   /// a report that lands in a fully sleeping cell is pure downlink waste.
   /// The server counts the ones it elided; only the cell engine knows who
-  /// heard a materialized report, so it adds the unheard ones.
+  /// heard a delivered report, so it adds the unheard ones.
   uint64_t quiet_report_intervals = 0;
-  /// The subset of quiet_report_intervals whose report build and delivery
-  /// the server skipped outright (quiet-interval elision). A quiet interval
-  /// still counts above when its report had to be materialized (observer
-  /// attached, jittered delivery, or a unit waking mid-transmission).
+  /// The subset of quiet_report_intervals whose report delivery the server
+  /// skipped outright (quiet-interval elision). A quiet interval still
+  /// counts above when its report had to be delivered (observer attached,
+  /// jittered delivery, or a unit waking mid-transmission).
   uint64_t quiet_skipped_intervals = 0;
   OnlineStats report_bits;       ///< Per-report size distribution (Bc).
   OnlineStats report_air_seconds;///< Per-report airtime.
@@ -129,7 +130,7 @@ class Server {
   /// Invoked for every report when its transmission completes, before the
   /// delivery sink. Tests use this to snapshot ground truth at T_i.
   /// Attaching an observer disables quiet-interval elision (every report
-  /// must materialize for it).
+  /// must be delivered to it).
   void SetReportObserver(std::function<void(const Report&)> observer) {
     report_observer_ = std::move(observer);
   }
@@ -186,9 +187,9 @@ class Server {
   void Broadcast(uint64_t interval);
   /// The per-interval step shared by the broadcast tick and the quiet skip,
   /// at broadcast instant `now` (the skip passes a virtual time ahead of
-  /// the clock): update drain, jitter draw, journal prune, then either the
-  /// strategy's quiet advance (elided or materialized) or a full report
-  /// build, and the report statistics.
+  /// the clock): update drain, jitter draw, journal prune, the report
+  /// build into an arena slot, and the report statistics. The slot is left
+  /// unreferenced (the interval elided) when nobody can hear it.
   Transmission StepInterval(uint64_t interval, SimTime now);
   /// Transmits `tx` at `now`, or schedules it after its jitter.
   void Send(Transmission tx, SimTime now);

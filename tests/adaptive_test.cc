@@ -29,8 +29,10 @@ AdaptiveTsOptions Options() {
 }
 
 AdaptiveTsReport Build(AdaptiveTsServerStrategy& server, uint64_t interval) {
-  return std::get<AdaptiveTsReport>(
-      server.BuildReport(kL * static_cast<double>(interval), interval));
+  Report report;
+  server.BuildReportInto(kL * static_cast<double>(interval), interval,
+                         &report);
+  return std::get<AdaptiveTsReport>(report);
 }
 
 TEST(AdaptiveServerTest, ReportsWithinPerItemWindow) {

@@ -9,8 +9,10 @@ namespace {
 constexpr double kL = 10.0;
 
 AtReport Build(AtServerStrategy& server, uint64_t interval) {
-  return std::get<AtReport>(
-      server.BuildReport(kL * static_cast<double>(interval), interval));
+  Report report;
+  server.BuildReportInto(kL * static_cast<double>(interval), interval,
+                         &report);
+  return std::get<AtReport>(report);
 }
 
 TEST(AtServerTest, ReportsLastIntervalOnly) {

@@ -11,8 +11,10 @@ namespace {
 constexpr double kL = 10.0;
 
 AtReport Build(ServerStrategy& server, uint64_t interval) {
-  return std::get<AtReport>(
-      server.BuildReport(kL * static_cast<double>(interval), interval));
+  Report report;
+  server.BuildReportInto(kL * static_cast<double>(interval), interval,
+                         &report);
+  return std::get<AtReport>(report);
 }
 
 TEST(NumericWalkTest, StepsAreBoundedAndDeterministic) {

@@ -38,7 +38,9 @@ TEST(GroupedAtServerTest, ReportsChangedGroupsOnce) {
   db.ApplyUpdate(3, 5.0);   // group 0
   db.ApplyUpdate(7, 6.0);   // group 0 again
   db.ApplyUpdate(42, 7.0);  // group 4
-  const auto report = std::get<GroupedAtReport>(server.BuildReport(10.0, 1));
+  Report built;
+  server.BuildReportInto(10.0, 1, &built);
+  const auto& report = std::get<GroupedAtReport>(built);
   EXPECT_EQ(report.groups, (std::vector<uint32_t>{0, 4}));
   EXPECT_EQ(report.num_groups, 10u);
 }

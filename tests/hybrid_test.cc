@@ -45,8 +45,10 @@ struct HybridRig {
         server(&db, &family, kL, hot) {}
 
   HybridReport Build(uint64_t interval) {
-    return std::get<HybridReport>(
-        server.BuildReport(kL * static_cast<double>(interval), interval));
+    Report report;
+    server.BuildReportInto(kL * static_cast<double>(interval), interval,
+                           &report);
+    return std::get<HybridReport>(report);
   }
 
   Database db;

@@ -1,20 +1,19 @@
 // Equivalence and allocation contracts for quiet-interval elision
-// (server/server.cc): skipping report materialization and fan-out while
-// every unit sleeps must be observationally invisible.
+// (server/server.cc): skipping report delivery and fan-out while every unit
+// sleeps must be observationally invisible.
 //
 //  * Byte-identity: for randomized sleep mixes and the s = 0 / s = 1 edge
 //    cells, every counter a run exposes — ServerStats, channel traffic,
 //    per-unit statistics, derived Eq. 9/10 metrics — is identical with
-//    elision on and off, across strategies with a cheap AdvanceQuiet (TS,
-//    AT, SIG, nocache, grouped, hybrid) and strategies that fall back to
-//    build-without-deliver (adaptive TS, quasi-copy AT).
+//    elision on and off, across every report strategy (TS, AT, SIG,
+//    nocache, grouped, hybrid, adaptive TS, quasi-copy AT).
 //  * Invariant: quiet_skipped_intervals <= quiet_report_intervals, and the
 //    skip counter actually moves where it should (all-sleepers cells) and
 //    stays zero where it must (elision off).
 //  * Shard cross-check: with elision on, shards {2, 4, 8} match the 1-shard
 //    run, including which intervals were elided.
 //  * Allocation-freedom: once warm, the broadcast path — arena report
-//    reuse, delivery scheduling, awake-set fan-out, and the elided variant —
+//    reuse, delivery scheduling, awake-set fan-out, and elided delivery —
 //    performs no heap allocation per interval: two runs that differ only in
 //    measured intervals allocate exactly as often (a counting global
 //    operator new). A warm SIG client applying a report that invalidates
@@ -99,8 +98,8 @@ CellConfig BaseConfig(StrategyKind kind, double s) {
 
 // ---------------------------------------------------------------------------
 // Elision on vs off: byte-identical results across strategies and sleep
-// probabilities, including both quiet-path variants (AdvanceQuiet and the
-// build-without-deliver fallback).
+// probabilities. Every quiet interval builds its report and skips only the
+// delivery, whatever the strategy.
 
 struct ElisionCase {
   StrategyKind kind;
@@ -142,7 +141,7 @@ TEST_P(ElisionEquivalenceTest, OnAndOffRunsAreByteIdentical) {
 
   // Every-unit-asleep cells must actually exercise the skip path: with
   // s = 1 each unit sleeps from its first decision on, so every measured
-  // interval is quiet and (for cheap-advance strategies) elided.
+  // interval is quiet, and those no wake straddles are elided.
   if (param.s == 1.0) {
     EXPECT_EQ(results[1].quiet_report_intervals, 50u);
     EXPECT_GT(results[1].quiet_skipped_intervals, 0u);
@@ -152,7 +151,7 @@ TEST_P(ElisionEquivalenceTest, OnAndOffRunsAreByteIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     StrategiesAndSleepMixes, ElisionEquivalenceTest,
     ::testing::Values(
-        // AdvanceQuiet strategies across the sleep range, edges included.
+        // The sleep range, edges included.
         ElisionCase{StrategyKind::kTs, 0.0},
         ElisionCase{StrategyKind::kTs, 0.6},
         ElisionCase{StrategyKind::kTs, 0.95},
@@ -164,7 +163,7 @@ INSTANTIATE_TEST_SUITE_P(
         ElisionCase{StrategyKind::kNoCache, 0.95},
         ElisionCase{StrategyKind::kGroupedAt, 0.9},
         ElisionCase{StrategyKind::kHybridSig, 0.9},
-        // Fallback strategies (no cheap advance): build-without-deliver.
+        // Strategies whose build carries controller state.
         ElisionCase{StrategyKind::kAdaptiveTs, 0.9},
         ElisionCase{StrategyKind::kQuasiAt, 0.9},
         ElisionCase{StrategyKind::kQuasiAt, 1.0}),
@@ -274,9 +273,9 @@ TEST(BroadcastAllocationTest, MaterializedSteadyStateAllocatesNothing) {
 }
 
 TEST(BroadcastAllocationTest, ElidedSteadyStateAllocatesNothing) {
-  // Everyone asleep: after warm-up every interval takes the AdvanceQuiet +
-  // skip path (modulo the bounded fast-forward wake ticks, which are also
-  // allocation-free).
+  // Everyone asleep: after warm-up every interval builds into its arena
+  // slot and takes the elided-delivery + skip path (modulo the bounded
+  // fast-forward wake ticks, which are also allocation-free).
   CellConfig config = BaseConfig(StrategyKind::kTs, 1.0);
   config.model.lambda = 0.0;
   config.num_units = 8;
@@ -310,7 +309,8 @@ TEST(SigClientAllocationTest, WarmReportWithoutInvalidationsAllocatesNothing) {
       db.ApplyUpdate(static_cast<ItemId>(100 + i),
                      kL * static_cast<double>(i) - 1.0);
     }
-    reports.push_back(server.BuildReport(kL * static_cast<double>(i), i));
+    server.BuildReportInto(kL * static_cast<double>(i), i,
+                           &reports.emplace_back());
   }
 
   const std::vector<ItemId> interest{1, 2, 3, 4, 5, 6, 7, 8};

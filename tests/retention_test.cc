@@ -7,10 +7,9 @@
 //
 //  * twin databases fed the identical update stream under kFullWindow and
 //    kDirtySet retention answer the same window queries (UpdatedIn /
-//    UpdatedIdsIn / CountUpdatedIn) over any sequence of windows whose lo
-//    never decreases, on the dirty set's bitwise path and on its
-//    time-reading fallback alike, and a warm AT cell answers every
-//    steady-state window bitwise;
+//    UpdatedIdsIn) over any sequence of windows whose lo never decreases,
+//    on the dirty set's bitwise path and on its time-reading fallback
+//    alike, and a warm AT cell answers every steady-state window bitwise;
 //  * window queries are sets: two updates of one id at one SimTime report
 //    the id once, in every representation;
 //  * an AT or grouped-AT cell runs bit-identically on the dirty set and on
@@ -150,7 +149,9 @@ TEST(RetentionTwinTest, NoneRetentionKeepsNoJournal) {
   EXPECT_EQ(none.journal_bytes(), 0u);
   EXPECT_EQ(none.journal_bytes_peak(), 0u);
   EXPECT_TRUE(none.UpdatedIn(0.0, 1e9).empty());
-  EXPECT_EQ(none.CountUpdatedIn(0.0, 1e9), 0u);
+  std::vector<ItemId> ids{7};
+  none.UpdatedIdsIn(0.0, 1e9, &ids);
+  EXPECT_TRUE(ids.empty());
 
   // The hot slab is unaffected by retention: live state matches a journaling
   // twin fed the same stream.
@@ -210,7 +211,6 @@ TEST(RetentionSetSemanticsTest, TiedUpdatesOfOneIdAreReportedOnce) {
       EXPECT_EQ(got[0].updated_at, 0.5);
       EXPECT_EQ(got[1].id, 7u);
       EXPECT_EQ(got[1].updated_at, 0.6);
-      EXPECT_EQ(db.CountUpdatedIn(0.0, 1.0), 2u) << "pass " << pass;
       db.ApplyUpdate(9, 1.5);
     }
     EXPECT_EQ(db.VersionOf(5), 2u);
@@ -341,30 +341,23 @@ TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
         SCOPED_TRACE("step " + std::to_string(step) + " window (" +
                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
         const std::vector<UpdatedItem> want = full.UpdatedIn(lo, hi);
-        // All three query forms, in a rotating order: whichever runs first
-        // sees the window fresh, the others repeat it.
-        const int first = static_cast<int>(uniform(3));
+        // Both query forms, in a rotating order: whichever runs first sees
+        // the window fresh, the other repeats it.
+        const int first = static_cast<int>(uniform(2));
         for (int d = 0; d < 2; ++d) {
-          for (int f = 0; f < 3; ++f) {
-            switch ((first + f) % 3) {
-              case 0:
-                dbs[d]->UpdatedIn(lo, hi, &scratch[d]);
-                ASSERT_TRUE(SameItems(want, scratch[d]))
-                    << JournalRetentionName(classes[d]);
-                break;
-              case 1:
-                dbs[d]->UpdatedIdsIn(lo, hi, &id_scratch[d]);
-                ASSERT_EQ(id_scratch[d], IdsOf(want))
-                    << JournalRetentionName(classes[d]);
-                break;
-              case 2:
-                ASSERT_EQ(dbs[d]->CountUpdatedIn(lo, hi), want.size())
-                    << JournalRetentionName(classes[d]);
-                break;
+          for (int f = 0; f < 2; ++f) {
+            if ((first + f) % 2 == 0) {
+              dbs[d]->UpdatedIn(lo, hi, &scratch[d]);
+              ASSERT_TRUE(SameItems(want, scratch[d]))
+                  << JournalRetentionName(classes[d]);
+            } else {
+              dbs[d]->UpdatedIdsIn(lo, hi, &id_scratch[d]);
+              ASSERT_EQ(id_scratch[d], IdsOf(want))
+                  << JournalRetentionName(classes[d]);
             }
           }
         }
-        if (lo < hi) dirty_queries += 3;
+        if (lo < hi) dirty_queries += 2;
         prev_lo = lo;
         prev_hi = std::max(lo, hi);
       }
@@ -403,18 +396,14 @@ class DirtyBoundaryTest : public ::testing::Test {
     dirty_.ApplyUpdate(id, t);
   }
 
-  // Queries (lo, hi] on both twins, list form unless `count_only`, and
-  // returns whether the dirty set answered from the bits alone.
-  bool Query(SimTime lo, SimTime hi, bool count_only = false) {
+  // Queries (lo, hi] on both twins and returns whether the dirty set
+  // answered from the bits alone.
+  bool Query(SimTime lo, SimTime hi) {
     const std::vector<UpdatedItem> want = full_.UpdatedIn(lo, hi);
     const uint64_t bitwise = dirty_.dirty_bitwise_queries();
-    if (count_only) {
-      EXPECT_EQ(dirty_.CountUpdatedIn(lo, hi), want.size());
-    } else {
-      std::vector<ItemId> got;
-      dirty_.UpdatedIdsIn(lo, hi, &got);
-      EXPECT_EQ(got, IdsOf(want));
-    }
+    std::vector<ItemId> got;
+    dirty_.UpdatedIdsIn(lo, hi, &got);
+    EXPECT_EQ(got, IdsOf(want));
     return dirty_.dirty_bitwise_queries() > bitwise;
   }
 
@@ -475,13 +464,13 @@ TEST_F(DirtyBoundaryTest, WindowAfterUnqueriedIntervalsFallsBack) {
   EXPECT_TRUE(Query(40.0, 50.0));
 }
 
-TEST_F(DirtyBoundaryTest, CountThenListOfOneWindowBothAnswerBitwise) {
+TEST_F(DirtyBoundaryTest, SteadyStateWindowAskedTwiceAnswersBitwise) {
   Apply(1, 2.0);
   EXPECT_TRUE(Query(0.0, 10.0));
   Apply(2, 11.0);
   Apply(3, 19.0);
-  // The quiet report: counted first, then materialized for one window.
-  EXPECT_TRUE(Query(10.0, 20.0, /*count_only=*/true));
+  // One broadcast window asked twice: the repeat reads fresh | older.
+  EXPECT_TRUE(Query(10.0, 20.0));
   EXPECT_TRUE(Query(10.0, 20.0));
 }
 
@@ -499,8 +488,7 @@ TEST_F(DirtyBoundaryTest, UpdatePastHiFallsBack) {
 TEST(DirtyStormTest, WarmAtCellAnswersEverySteadyStateQueryBitwise) {
   // The storm workload's shape at a test's size: AT on n items, ~15% of
   // them updated per interval, drained strictly before each broadcast in
-  // the server's order, with the quiet path (count, then materialize the
-  // same window) every third interval.
+  // the server's order, every interval built as the server builds it.
   constexpr uint64_t kN = 1 << 16;
   constexpr double kL = 10.0;
   Simulator sim;
@@ -511,24 +499,14 @@ TEST(DirtyStormTest, WarmAtCellAnswersEverySteadyStateQueryBitwise) {
   UpdateGenerator gen(&sim, &db, 0.015, /*seed=*/9);
   ASSERT_TRUE(gen.Start().ok());
   Report report;
-  MessageSizes sizes;
-  sizes.id_bits = 16;
   uint64_t queries = 0;
   uint64_t bitwise_at_warm = 0;
   for (uint64_t i = 1; i <= 40; ++i) {
     const SimTime now = kL * static_cast<double>(i);
     gen.GenerateIntervalUpdates(now, /*inclusive=*/false);
     if (i == 3) bitwise_at_warm = db.dirty_bitwise_queries();
-    if (i % 3 == 0) {
-      uint64_t bits = 0;
-      ASSERT_TRUE(at.AdvanceQuiet(now, i, sizes, &bits));
-      at.MaterializeQuietInto(now, i, &report);
-      EXPECT_EQ(bits, std::get<AtReport>(report).ids.size() * sizes.id_bits);
-      if (i >= 3) queries += 2;
-    } else {
-      at.BuildReportInto(now, i, &report);
-      if (i >= 3) ++queries;
-    }
+    at.BuildReportInto(now, i, &report);
+    if (i >= 3) ++queries;
     EXPECT_GT(std::get<AtReport>(report).ids.size(), kN / 10);
   }
   EXPECT_EQ(db.dirty_bitwise_queries() - bitwise_at_warm, queries);
@@ -569,7 +547,7 @@ TEST(RetentionEndToEndTest, AnswerObserverForcesJournalWithoutMovingResults) {
   for (StrategyKind kind : {StrategyKind::kAt, StrategyKind::kGroupedAt}) {
     SCOPED_TRACE(StrategyName(kind));
     CellConfig config = BaseConfig(kind);
-    config.model.s = 0.85;  // quiet intervals exercise AdvanceQuiet
+    config.model.s = 0.85;  // quiet intervals exercise elision
     config.num_units = 4;
 
     MegaCell plain({config});
@@ -628,18 +606,12 @@ TEST(RetentionAllocationTest, WarmAtBuildOnDirtySetDoesNotAllocate) {
   }
 
   Report report;
-  uint64_t bits = 0;
-  MessageSizes sizes;
-  sizes.id_bits = 12;
   size_t allocations = 0;
   for (int i = 0; i < kIntervals; ++i) {
     const size_t before = g_new_calls.load();
     db.ApplyUpdateBatch(ids[i].data(), times[i].data(), ids[i].size());
     const SimTime now = kL * (i + 1);
     at.BuildReportInto(now, static_cast<uint64_t>(i + 1), &report);
-    ASSERT_TRUE(at.AdvanceQuiet(now, static_cast<uint64_t>(i + 1), sizes,
-                                &bits));
-    EXPECT_EQ(bits, std::get<AtReport>(report).ids.size() * sizes.id_bits);
     if (i >= 2) allocations += g_new_calls.load() - before;
   }
   EXPECT_EQ(allocations, 0u);

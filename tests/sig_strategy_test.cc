@@ -23,8 +23,10 @@ struct Rig {
   Rig() : db(300, 3), family(300, Params(), 17), server(&db, &family, kL) {}
 
   SigReport Build(uint64_t interval) {
-    return std::get<SigReport>(
-        server.BuildReport(kL * static_cast<double>(interval), interval));
+    Report report;
+    server.BuildReportInto(kL * static_cast<double>(interval), interval,
+                           &report);
+    return std::get<SigReport>(report);
   }
 
   Database db;

@@ -21,8 +21,10 @@ constexpr double kL = 10.0;
 constexpr uint64_t kK = 3;
 
 TsReport Build(TsServerStrategy& server, uint64_t interval) {
-  return std::get<TsReport>(
-      server.BuildReport(kL * static_cast<double>(interval), interval));
+  Report report;
+  server.BuildReportInto(kL * static_cast<double>(interval), interval,
+                         &report);
+  return std::get<TsReport>(report);
 }
 
 TEST(TsServerTest, ReportsItemsInWindowWithTimestamps) {
@@ -451,7 +453,8 @@ TEST(TsClientAllocationTest, WarmClientsOnSharedIndexAllocateNothing) {
       db.ApplyUpdate(static_cast<ItemId>(100 + (i * 30 + j) % 300),
                      kL * static_cast<double>(i) - 1.0);
     }
-    reports.push_back(server.BuildReport(kL * static_cast<double>(i), i));
+    server.BuildReportInto(kL * static_cast<double>(i), i,
+                           &reports.emplace_back());
   }
 
   const std::vector<ItemId> hotspot{1, 2, 3, 4, 5, 6, 7, 8};

@@ -13,10 +13,23 @@ Usage, from the repository root after the benches have run:
         BENCH_fig6_smoke.json BENCH_fig6_smoke_scalar.json
     python3 tools/bench_compare.py sarif detlint.sarif
     python3 tools/bench_compare.py sleepers-schema BENCH_sleepers.json
+
+The pairs subcommand compares two checkouts on one perfbench workload by
+alternating runs (parent first in even pairs, change first in odd ones)
+and prints, per end-to-end metric of BENCHMARK.json, the parent's median
+and interquartile range, the change's median, and how many pairs the
+change won:
+
+    python3 tools/bench_compare.py pairs --parent ../parent --change . \\
+        --workload fig3_sweep --pairs 10 --seconds 6 --seed 1
 """
 
 import argparse
 import json
+import os
+import statistics
+import subprocess
+import sys
 
 
 def load(path):
@@ -162,6 +175,55 @@ def sleepers_schema(path):
     print(f'{len(r["runs"])} runs carry quiet/server accounting')
 
 
+def run_perfbench(tree, workload, seconds, seed):
+    """One end-to-end perfbench run in `tree`; returns its JSON result."""
+    cmd = [sys.executable, os.path.join('perfbench', 'run.py'),
+           '--workload', workload, '--seed', str(seed),
+           '--seconds', str(seconds), '--trace', '0']
+    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
+    assert proc.returncode == 0, f'{tree}: perfbench exited ' \
+        f'{proc.returncode}'
+    return json.loads(proc.stdout.rstrip('\n').split('\n')[-1])
+
+
+def pairs(args):
+    """Alternating parent/change perfbench runs of one workload."""
+    with open(os.path.join(args.change, 'BENCHMARK.json')) as f:
+        metrics = json.load(f)['end_to_end']
+    trees = {'parent': args.parent, 'change': args.change}
+    runs = {'parent': [], 'change': []}
+    correct = True
+    for i in range(args.pairs):
+        order = ('parent', 'change') if i % 2 == 0 else ('change', 'parent')
+        for side in order:
+            result = run_perfbench(trees[side], args.workload, args.seconds,
+                                   args.seed)
+            correct = correct and result['correct'] is True
+            values = {m['name']: result['metrics'][m['name']]['value']
+                      for m in metrics}
+            runs[side].append(values)
+            print(f'pair {i + 1} {side}: correct={result["correct"]} ' +
+                  ' '.join(f'{k}={v:.4g}' for k, v in values.items()),
+                  file=sys.stderr)
+    print(f'{args.workload}: {args.pairs} alternating pairs, '
+          f'--seconds {args.seconds} --seed {args.seed}')
+    for m in metrics:
+        name = m['name']
+        parent = [r[name] for r in runs['parent']]
+        change = [r[name] for r in runs['change']]
+        q1, _, q3 = (statistics.quantiles(parent, n=4, method='inclusive')
+                     if len(parent) > 1 else (parent[0],) * 3)
+        sign = -1 if m['better'] == 'lower' else 1
+        wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+        print(f'  {name} [{m["unit"]}, {m["better"]} is better]: parent '
+              f'{statistics.median(parent):.4g} [IQR {q1:.4g}-{q3:.4g}], '
+              f'change {statistics.median(change):.4g}, '
+              f'change better in {wins}/{args.pairs}')
+    if not correct:
+        sys.exit('a run reported correct: false')
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split('\n')[0])
     sub = parser.add_subparsers(dest='command', required=True)
@@ -178,6 +240,14 @@ def main():
     p.add_argument('scalar_path')
     p.set_defaults(run=lambda a: kernel_independence(a.default_kernel_path,
                                                      a.scalar_path))
+    p = sub.add_parser('pairs', help=pairs.__doc__)
+    p.add_argument('--parent', required=True, help='parent checkout')
+    p.add_argument('--change', required=True, help='changed checkout')
+    p.add_argument('--workload', required=True)
+    p.add_argument('--pairs', type=int, default=10)
+    p.add_argument('--seconds', type=float, default=20)
+    p.add_argument('--seed', type=int, default=1)
+    p.set_defaults(run=pairs)
     args = parser.parse_args()
     args.run(args)
 
