@@ -268,25 +268,52 @@ void BM_SigDiagnosePopulation(benchmark::State& state) {
 }
 BENCHMARK(BM_SigDiagnosePopulation);
 
+// TS report build in the server's steady state: each iteration applies one
+// interval of `updates` through the batched apply (untimed), then builds
+// the next consecutive interval's report into one reused slot — the splice
+// server.report_build_s accumulates per broadcast. n = 2^20, L = 10, k = 10,
+// warmed over k intervals so the report holds a full window.
 void BM_TsBuildReport(benchmark::State& state) {
+  constexpr uint64_t kItems = 1u << 20;
+  constexpr double kL = 10.0;
+  constexpr uint64_t kWindow = 10;
   const uint64_t updates = static_cast<uint64_t>(state.range(0));
-  Database db(1u << 20, 1);
-  TsServerStrategy server(&db, 10.0, 10);
+  Database db(kItems, 1);
+  TsServerStrategy server(&db, kL, kWindow);
+  db.SetJournalBucketWidth(kL);
+  db.SetRetention(server.retention());
   Rng rng(2);
-  double t = 0.0;
-  for (uint64_t i = 0; i < updates; ++i) {
-    t += 100.0 / static_cast<double>(updates);
-    db.ApplyUpdate(static_cast<ItemId>(rng.NextUint64(1u << 20)), t);
-  }
-  uint64_t interval = 10;
+  std::vector<ItemId> ids(updates);
+  std::vector<SimTime> times(updates);
+  uint64_t interval = 0;
+  // Applies interval+1's updates, spread evenly inside it; returns T_i.
+  const double step = kL / static_cast<double>(updates + 1);
+  auto drain = [&] {
+    const SimTime start = kL * static_cast<double>(interval);
+    ++interval;
+    for (uint64_t i = 0; i < updates; ++i) {
+      ids[i] = static_cast<ItemId>(rng.NextUint64(kItems));
+      times[i] = start + step * static_cast<double>(i + 1);
+    }
+    db.ApplyUpdateBatch(ids.data(), times.data(), updates);
+    return kL * static_cast<double>(interval);
+  };
   // One reused report, as the server's arena slot is.
   Report report;
+  for (uint64_t warm = 0; warm < kWindow; ++warm) {
+    server.BuildReportInto(drain(), interval, &report);
+  }
   for (auto _ : state) {
-    server.BuildReportInto(100.0, interval, &report);
+    state.PauseTiming();
+    const SimTime now = drain();
+    state.ResumeTiming();
+    server.BuildReportInto(now, interval, &report);
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(updates));
+  state.counters["entries"] =
+      static_cast<double>(std::get<TsReport>(report).entries.size());
 }
 BENCHMARK(BM_TsBuildReport)->Arg(100)->Arg(1000)->Arg(10000);
 
@@ -322,21 +349,6 @@ void BM_CachePutGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CachePutGet);
-
-void BM_DatabaseUpdatedIn(benchmark::State& state) {
-  Database db(1u << 16, 1);
-  Rng rng(4);
-  double t = 0.0;
-  for (int i = 0; i < 100000; ++i) {
-    t += 0.001;
-    db.ApplyUpdate(static_cast<ItemId>(rng.NextUint64(1u << 16)), t);
-  }
-  for (auto _ : state) {
-    auto items = db.UpdatedIn(t - 10.0, t);
-    benchmark::DoNotOptimize(items);
-  }
-}
-BENCHMARK(BM_DatabaseUpdatedIn);
 
 // ---------------------------------------------------------------------------
 // Client revalidation: seed algorithm vs the watermark cache.
@@ -479,58 +491,6 @@ void BM_TsOnReportPopulation(benchmark::State& state) {
 }
 BENCHMARK(BM_TsOnReportPopulation);
 
-// ---------------------------------------------------------------------------
-// Window queries: one flat journal scanned per query vs per-interval buckets
-// with sealed digests. Arg is the query window in seconds (L = 10).
-
-void FillJournal(Database* db) {
-  Rng rng(4);
-  double t = 0.0;
-  for (int i = 0; i < 100000; ++i) {
-    t += 0.001;
-    db->ApplyUpdate(static_cast<ItemId>(rng.NextUint64(1u << 16)), t);
-  }
-}
-
-void BM_DatabaseUpdatedInScanning(benchmark::State& state) {
-  Database db(1u << 16, 1);
-  FillJournal(&db);  // bucket width 0: one bucket, scanned per query
-  const double window = static_cast<double>(state.range(0));
-  for (auto _ : state) {
-    auto items = db.UpdatedIn(100.0 - window, 100.0);
-    benchmark::DoNotOptimize(items);
-  }
-}
-BENCHMARK(BM_DatabaseUpdatedInScanning)->Arg(10)->Arg(50);
-
-void BM_DatabaseUpdatedInBucketed(benchmark::State& state) {
-  Database db(1u << 16, 1);
-  db.SetJournalBucketWidth(10.0);
-  FillJournal(&db);
-  const double window = static_cast<double>(state.range(0));
-  for (auto _ : state) {
-    auto items = db.UpdatedIn(100.0 - window, 100.0);
-    benchmark::DoNotOptimize(items);
-  }
-}
-BENCHMARK(BM_DatabaseUpdatedInBucketed)->Arg(10)->Arg(50);
-
-// Same bucketed query through the out-param overload with a reused buffer
-// (how TsServerStrategy::BuildReportInto and the replay-side consumers call
-// it): measures the query without the per-call vector allocation.
-void BM_DatabaseUpdatedInReused(benchmark::State& state) {
-  Database db(1u << 16, 1);
-  db.SetJournalBucketWidth(10.0);
-  FillJournal(&db);
-  const double window = static_cast<double>(state.range(0));
-  std::vector<UpdatedItem> out;
-  for (auto _ : state) {
-    db.UpdatedIn(100.0 - window, 100.0, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_DatabaseUpdatedInReused)->Arg(10)->Arg(50);
-
 // An AT server over n = 10^6 items, L = 10, and its update stream at
 // `updates_per_interval`: 10^5 is update_storm_at's shape (mu = 0.01), 10^3
 // Scenario 2's sparse windows (mu = 10^-4). Drain() applies the next
@@ -566,11 +526,11 @@ struct AtStormCell {
   uint64_t interval = 0;
 };
 
-// AT report build, timed after each untimed drain. First arg: 0 keeps the
-// raw journal (kFullWindow: bucket scan, slab gather, sort), 1 the dirty set
-// (kDirtySet: the fresh bits alone in steady state). Second arg: updates per
-// interval; server.report_build_s on update_storm_at accumulates the
-// /1/100000 per-report cost.
+// AT report build, timed after each untimed drain. First arg: 0 arms
+// kFullWindow (the bits plus the raw log, which the query never reads), 1
+// kDirtySet (the bits alone); both answer from the fresh bits alone in
+// steady state. Second arg: updates per interval; server.report_build_s on
+// update_storm_at accumulates the /1/100000 per-report cost.
 void BM_AtBuildReportStorm(benchmark::State& state) {
   AtStormCell cell(state.range(0) == 0 ? JournalRetention::kFullWindow
                                        : JournalRetention::kDirtySet,

@@ -96,8 +96,8 @@ class ServerStrategy {
   /// through the cell drivers — possibly raised by an instrumentation floor
   /// (Server::SetRetentionFloor). kNone strategies never read update
   /// history at all; kDirtySet strategies only window-query with a lo that
-  /// never decreases (AT, grouped AT, SIG, hybrid); the kFullWindow default
-  /// keeps raw entries over the report window.
+  /// never decreases (TS, AT, grouped AT, SIG, hybrid); the kFullWindow
+  /// default adds the raw log for historical reads (JournalIn, VersionAt).
   virtual JournalRetention retention() const {
     return JournalRetention::kFullWindow;
   }

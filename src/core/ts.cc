@@ -26,51 +26,45 @@ void CopyEntries(const std::vector<TsReportEntry>& from,
 }
 }  // namespace
 
-void TsServerStrategy::AdvanceEntries(SimTime now, uint64_t interval) {
+void TsServerStrategy::AdvanceEntries(SimTime now) {
   // Every append below lands in next_scratch_/delta_scratch_, member scratch
   // whose capacity is retained across intervals; the steady state allocates
   // nothing. detlint:allow-function(alloc-event-path)
-  const SimTime lo = now - window_;
-  next_scratch_.clear();
+  assert(now >= prev_now_ && "TS reports are built in time order");
   // U_i = { [j, t_j] : T_i - w < t_j <= T_i }  (Eq. 1)
-  if (have_prev_ && interval == prev_interval_ + 1) {
-    // Consecutive interval: the previous report already lists every id whose
-    // latest update fell in (T_{i-1} - w, T_{i-1}]. Expire what aged out of
-    // the window, splice in the one-interval delta, let fresher delta
-    // entries supersede stale carried ones. Both inputs are id-sorted, so a
-    // single merge yields the id-sorted result UpdatedIn would have built.
-    db_->UpdatedIn(prev_now_, now, &delta_scratch_);
-    const size_t bound = prev_entries_.size() + delta_scratch_.size();
-    // Headroom: an exact reserve would reallocate at every new record.
-    if (next_scratch_.capacity() < bound) next_scratch_.reserve(2 * bound);
-    auto d = delta_scratch_.begin();
-    for (const TsReportEntry& e : prev_entries_) {
-      while (d != delta_scratch_.end() && d->id < e.id) {
-        next_scratch_.push_back(TsReportEntry{d->id, d->updated_at});
-        ++d;
-      }
-      if (d != delta_scratch_.end() && d->id == e.id) continue;  // superseded
-      if (e.updated_at <= lo) continue;  // aged out of w
-      next_scratch_.push_back(e);
-    }
-    for (; d != delta_scratch_.end(); ++d) {
+  // The previous report lists every id whose latest update fell in
+  // (T_prev - w, T_prev]. Splice in the delta since max(T_prev, T_i - w),
+  // let fresher delta entries supersede stale carried ones, and expire what
+  // aged out of the window. After a gap of k or more intervals (and on the
+  // first build, T_prev = -inf) the delta is the whole window and every
+  // carried entry expires. Both inputs are id-sorted, so a single merge
+  // yields the id-sorted result.
+  const SimTime lo = now - window_;
+  db_->UpdatedIn(std::max(prev_now_, lo), now, &delta_scratch_);
+  next_scratch_.clear();
+  const size_t bound = prev_entries_.size() + delta_scratch_.size();
+  // Headroom: an exact reserve would reallocate at every new record.
+  if (next_scratch_.capacity() < bound) next_scratch_.reserve(2 * bound);
+  auto d = delta_scratch_.begin();
+  for (const TsReportEntry& e : prev_entries_) {
+    while (d != delta_scratch_.end() && d->id < e.id) {
       next_scratch_.push_back(TsReportEntry{d->id, d->updated_at});
+      ++d;
     }
-  } else {
-    db_->UpdatedIn(lo, now, &delta_scratch_);
-    for (const UpdatedItem& item : delta_scratch_) {
-      next_scratch_.push_back(TsReportEntry{item.id, item.updated_at});
-    }
+    if (d != delta_scratch_.end() && d->id == e.id) continue;  // superseded
+    if (e.updated_at <= lo) continue;  // aged out of w
+    next_scratch_.push_back(e);
   }
-  have_prev_ = true;
-  prev_interval_ = interval;
+  for (; d != delta_scratch_.end(); ++d) {
+    next_scratch_.push_back(TsReportEntry{d->id, d->updated_at});
+  }
   prev_now_ = now;
   prev_entries_.swap(next_scratch_);
 }
 
 void TsServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
                                        Report* out) {
-  AdvanceEntries(now, interval);
+  AdvanceEntries(now);
   TsReport& ts = ReuseAs<TsReport>(out);
   ts.interval = interval;
   ts.timestamp = now;

@@ -34,26 +34,29 @@ class TsServerStrategy : public ServerStrategy {
   StrategyKind kind() const override { return StrategyKind::kTs; }
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   SimTime JournalHorizonSeconds() const override { return window_; }
+  /// Each build queries the delta since the previous one, so the window's
+  /// lo only moves forward: the dirty set answers it with no raw log.
+  JournalRetention retention() const override {
+    return JournalRetention::kDirtySet;
+  }
 
   SimTime window() const { return window_; }
   uint64_t window_intervals() const { return window_intervals_; }
 
  private:
   /// The incremental step of every build: advances `prev_entries_` to the
-  /// window ending at (now, interval) — carry, expire, splice the
-  /// one-interval delta — through `next_scratch_`.
-  void AdvanceEntries(SimTime now, uint64_t interval);
+  /// window ending at `now` — splice the delta since the previous build,
+  /// expire — through `next_scratch_`.
+  void AdvanceEntries(SimTime now);
 
   const Database* db_;
   SimTime latency_;
   uint64_t window_intervals_;
   SimTime window_;
-  // Previous report, kept so consecutive intervals build incrementally:
-  // carry entries forward, expire those older than w, splice in the
-  // one-interval delta — O(|report|) instead of re-scanning the window.
-  bool have_prev_ = false;
-  uint64_t prev_interval_ = 0;
-  SimTime prev_now_ = 0.0;
+  // Previous report, kept so every build is incremental: carry entries
+  // forward, expire those older than w, splice in the delta since the
+  // previous build — O(|report|) instead of re-scanning the window.
+  SimTime prev_now_ = -std::numeric_limits<SimTime>::infinity();
   std::vector<TsReportEntry> prev_entries_;
   // Scratch for Database::UpdatedIn, reused across reports so the steady
   // state builds every report without a fresh delta allocation.

@@ -18,15 +18,10 @@ namespace {
 /// the bucket's parallel SoA arrays.
 constexpr uint64_t kRawEntryBytes = sizeof(SimTime) + sizeof(ItemId);
 
-/// Lines of slack the digest walk prefetches ahead of the filter cursor —
-/// far enough to cover a memory round-trip at 4 digest entries per step,
-/// near enough that the line is still resident when the cursor arrives.
-constexpr size_t kDigestPrefetchDistance = 8;
-
-/// Entries of slack the batched update walk prefetches ahead of the apply
-/// cursor. Each entry touches one random hot-slab line; eight entries of
-/// lead time covers a DRAM round-trip.
-constexpr size_t kBatchPrefetchDistance = 8;
+/// Ids of slack UpdatedIn's time read prefetches ahead of its cursor: each
+/// id touches one random hot-slab line, and eight ids of lead time cover a
+/// DRAM round-trip.
+constexpr size_t kSlabReadPrefetchDistance = 8;
 
 /// Ids a dirty-set walk gathers in its stack buffer before appending them
 /// to the caller's vector: a sparse window then pays one append per block
@@ -45,22 +40,6 @@ constexpr size_t kMaxSpareBuckets = 32;
 size_t FirstAfter(const std::vector<SimTime>& times, SimTime t) {
   return static_cast<size_t>(
       std::upper_bound(times.begin(), times.end(), t) - times.begin());
-}
-
-bool ByItemId(const UpdatedItem& a, const UpdatedItem& b) {
-  return a.id < b.id;
-}
-
-/// False when a later entry of the same id shares entry i's time: two
-/// updates of one id at one SimTime are one change under the window
-/// queries' set semantics, reported once (at the last entry of the tie).
-/// Ties are vanishingly rare, so the scan is one compare in practice.
-bool LastOfTie(const std::vector<SimTime>& times,
-               const std::vector<ItemId>& ids, size_t i) {
-  for (size_t k = i + 1; k < times.size() && times[k] == times[i]; ++k) {
-    if (ids[k] == ids[i]) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -91,6 +70,10 @@ Database::Database(uint64_t n, uint64_t seed) : n_(n), seed_(seed) {
   hot_ = static_cast<HotItem*>(
       ::operator new(n * sizeof(HotItem), std::align_val_t{64}));
   for (uint64_t i = 0; i < n; ++i) new (hot_ + i) HotItem();
+  // The default class, kFullWindow, keeps the dirty set armed.
+  fresh_words_.assign((n + 63) / 64, 0);
+  older_words_.assign((n + 63) / 64, 0);
+  journal_bytes_ = DirtySetBytes();
 }
 
 Database::~Database() {
@@ -106,28 +89,6 @@ int64_t Database::BucketIndexFor(SimTime t) const {
   return idx < 0 ? 0 : idx;
 }
 
-void Database::BuildDigest(const Bucket& bucket) {
-  // Digest materialization runs once per sealed bucket, into bucket-owned
-  // vectors that recycle with the bucket; every later query splices the
-  // cached result. detlint:allow-function(alloc-event-path)
-  std::vector<UpdatedItem>& d = bucket.digest;
-  d.clear();
-  const size_t n = bucket.times.size();
-  d.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    d.push_back(UpdatedItem{bucket.ids[i], bucket.times[i]});
-  }
-  // Stable by id keeps each id's entries in ascending time order, so the
-  // last entry of an id's run holds its latest in-bucket time.
-  std::stable_sort(d.begin(), d.end(), ByItemId);
-  size_t out = 0;
-  for (size_t i = 0; i < d.size(); ++i) {
-    if (i + 1 == d.size() || d[i + 1].id != d[i].id) d[out++] = d[i];
-  }
-  d.resize(out);
-  bucket.digest_built = true;
-}
-
 void Database::PushBucket(int64_t index) {
   // The sanctioned bucket-open path: the reservations here (into recycled
   // bucket shells, once per bucket) are exactly what keeps AppendJournal
@@ -139,9 +100,6 @@ void Database::PushBucket(int64_t index) {
     b.index = index;
     b.times.clear();
     b.ids.clear();
-    b.digest.clear();
-    b.digest_built = false;
-    b.sealed = false;
   } else {
     buckets_.emplace_back();
     buckets_.back().index = index;
@@ -169,9 +127,7 @@ void Database::AppendJournal(ItemId id, SimTime now) {
   if (buckets_.empty()) {
     PushBucket(idx);
   } else if (idx > buckets_.back().index) {
-    Bucket& closing = buckets_.back();
-    closing.sealed = true;
-    raw_high_water_ = std::max(raw_high_water_, closing.times.size());
+    raw_high_water_ = std::max(raw_high_water_, buckets_.back().times.size());
     PushBucket(idx);
   }
   Bucket& tail = buckets_.back();
@@ -182,20 +138,6 @@ void Database::AppendJournal(ItemId id, SimTime now) {
   tail.times.push_back(now);
   tail.ids.push_back(id);  // detlint:allow(alloc-event-path) same reservation
   journal_bytes_ += kRawEntryBytes;
-  append_times_cursor_ = tail.times.data() + tail.times.size();
-  append_ids_cursor_ = tail.ids.data() + tail.ids.size();
-}
-
-void Database::ApplyUpdate(ItemId id, SimTime now) {
-  assert(id < n_);
-  assert(journal_entries_ == 0 || now >= JournalTailTime());
-  HotItem& item = hot_[id];
-  ++item.version;
-  item.last_update = now;
-  if (journal_enabled()) AppendJournal(id, now);
-  if (dirty_set_) MarkDirty(&id, &now, 1);
-  ++total_updates_;
-  if (observer_) observer_(id, now);
 }
 
 void Database::ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
@@ -203,50 +145,16 @@ void Database::ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
   assert(count > 0);
   assert(journal_entries_ == 0 || times[0] >= JournalTailTime());
 #ifndef NDEBUG
-  // The specialized walks below assume the batch contract wholesale; check
-  // it up front so the hot loops stay assertion-free in debug builds too.
+  // Check the batch contract wholesale, so the loops below stay
+  // assertion-free in debug builds too.
   for (size_t i = 0; i < count; ++i) {
     assert(ids[i] < n_);
     assert(i == 0 || times[i] >= times[i - 1]);
   }
 #endif
-  if (!observer_) {
-    if (journal_enabled()) {
-      ApplyBatchJournal(ids, times, count);
-    } else {
-      ApplyBatchSlabOnly(ids, times, count);
-    }
-    // After the walk: no window query runs inside it. Under kDirtySet the
-    // journal is off, so this follows the SIMD kernel.
-    if (dirty_set_) MarkDirty(ids, times, count);
-  } else {
-    for (size_t i = 0; i < count; ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-      if (i + kBatchPrefetchDistance < count) {
-        __builtin_prefetch(&hot_[ids[i + kBatchPrefetchDistance]], /*rw=*/1,
-                           /*locality=*/1);
-      }
-#endif
-      const ItemId id = ids[i];
-      const SimTime now = times[i];
-      HotItem& item = hot_[id];
-      ++item.version;
-      item.last_update = now;
-      if (journal_enabled()) AppendJournal(id, now);
-      // Marked before the observer runs, so one that window-queries sees
-      // exactly the state a lone ApplyUpdate would leave.
-      if (dirty_set_) MarkDirty(&id, &now, 1);
-      observer_(id, now);
-    }
-  }
-  total_updates_ += count;
-}
-
-void Database::ApplyBatchSlabOnly(const ItemId* ids, const SimTime* times,
-                                  size_t count) {
   // Layout-compatible with the SIMD kernel's record view; the kernel's
-  // effect (version += 1, time bit-copied, in staging order) is exactly this
-  // path's whole per-entry work.
+  // effect (version += 1, time bit-copied, in staging order) is exactly the
+  // slab's whole per-entry work.
   static_assert(sizeof(HotItem) == sizeof(simd::Record16) &&
                     offsetof(HotItem, version) ==
                         offsetof(simd::Record16, version) &&
@@ -255,23 +163,13 @@ void Database::ApplyBatchSlabOnly(const ItemId* ids, const SimTime* times,
                 "hot record and SIMD record view must share a layout");
   simd::ApplyVersionTimestamp(reinterpret_cast<simd::Record16*>(hot_), ids,
                               times, count);
-}
-
-void Database::ApplyBatchJournal(const ItemId* ids, const SimTime* times,
-                                 size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-    if (i + kBatchPrefetchDistance < count) {
-      __builtin_prefetch(&hot_[ids[i + kBatchPrefetchDistance]], /*rw=*/1,
-                         /*locality=*/1);
-    }
-#endif
-    const ItemId id = ids[i];
-    const SimTime now = times[i];
-    HotItem& item = hot_[id];
-    ++item.version;
-    item.last_update = now;
-    AppendJournal(id, now);
+  if (journal_enabled()) {
+    for (size_t i = 0; i < count; ++i) AppendJournal(ids[i], times[i]);
+  }
+  if (dirty_armed()) MarkDirty(ids, times, count);
+  total_updates_ += count;
+  if (observer_) {
+    for (size_t i = 0; i < count; ++i) observer_(ids[i], times[i]);
   }
 }
 
@@ -287,25 +185,30 @@ void Database::MarkDirty(const ItemId* ids, const SimTime* times,
 }
 
 void Database::SetRetention(JournalRetention retention) {
-  assert(!dirty_set_ && "kDirtySet is armed once and never left");
+  assert((retention <= retention_ || total_updates_ == 0) &&
+         "history dropped by a lower class cannot be recovered");
   retention_ = retention;
-  if (retention == JournalRetention::kFullWindow) return;
-  // Neither class keeps the raw journal: drop whatever it holds.
-  buckets_.clear();
-  spare_buckets_.clear();
-  journal_entries_ = 0;
-  SyncJournalBytesPeak();
-  journal_bytes_ = 0;
-  append_times_cursor_ = nullptr;
-  append_ids_cursor_ = nullptr;
-  if (retention == JournalRetention::kDirtySet) {
-    // A bit set only learns of updates applied after it exists.
-    assert(total_updates_ == 0 && "arm kDirtySet before any update");
+  if (retention != JournalRetention::kFullWindow) {
+    buckets_.clear();
+    spare_buckets_.clear();
+    journal_entries_ = 0;
+  }
+  if (retention == JournalRetention::kNone) {
+    std::vector<uint64_t>().swap(fresh_words_);
+    std::vector<uint64_t>().swap(older_words_);
+  } else if (fresh_words_.empty()) {
     fresh_words_.assign((n_ + 63) / 64, 0);
     older_words_.assign((n_ + 63) / 64, 0);
-    dirty_set_ = true;
-    journal_bytes_ = 2 * ((n_ + 7) / 8);
   }
+  // Before the first update the class is configuration, not history: the
+  // peak restarts from what the armed class holds.
+  if (total_updates_ == 0) {
+    journal_bytes_peak_ = 0;
+  } else {
+    SyncJournalBytesPeak();
+  }
+  journal_bytes_ = (dirty_armed() ? DirtySetBytes() : 0) +
+                   kRawEntryBytes * journal_entries_;
 }
 
 void Database::SetJournalBucketWidth(SimTime width) {
@@ -322,119 +225,42 @@ void Database::SetJournalBucketWidth(SimTime width) {
   }
   bucket_width_ = width;
   buckets_.clear();
-  journal_entries_ = 0;
   // Entries survive re-bucketing; the replay below re-adds their bytes.
-  journal_bytes_ = 0;
+  journal_bytes_ -= kRawEntryBytes * journal_entries_;
+  journal_entries_ = 0;
   for (size_t i = 0; i < all_times.size(); ++i) {
     AppendJournal(all_ids[i], all_times[i]);
   }
 }
 
-std::vector<UpdatedItem> Database::UpdatedIn(SimTime lo, SimTime hi) const {
-  std::vector<UpdatedItem> out;
-  UpdatedIn(lo, hi, &out);
-  return out;
-}
-
 void Database::UpdatedIn(SimTime lo, SimTime hi,
                          std::vector<UpdatedItem>* out) const {
-  // Every append below lands in `out` (caller-owned scratch, reused across
-  // intervals) or `merge_starts_` (member scratch); both retain capacity, so
-  // the steady state allocates nothing. detlint:allow-function(alloc-event-path)
+  // Appends land in `out` (caller-owned scratch, reused across intervals),
+  // which retains its capacity. detlint:allow-function(alloc-event-path)
   out->clear();
-  // No history kept (kNone): the documented answer is empty.
-  if (hi <= lo || retention_ == JournalRetention::kNone) return;
-  if (dirty_set_) {
-    // The ids query, then each listed item's time from the slab, prefetched
-    // a few ids ahead of the read.
-    std::vector<ItemId>& ids = ids_scratch_;
-    ids.clear();
-    QueryDirtySet(lo, hi, &ids);
-    const size_t m = ids.size();
-    out->reserve(m);
-    for (size_t i = 0; i < m; ++i) {
+  // The ids query, then each listed item's time from the slab, prefetched a
+  // few ids ahead of the read.
+  std::vector<ItemId>& ids = ids_scratch_;
+  UpdatedIdsIn(lo, hi, &ids);
+  const size_t m = ids.size();
+  out->reserve(m);
+  for (size_t i = 0; i < m; ++i) {
 #if defined(__GNUC__) || defined(__clang__)
-      if (i + kDigestPrefetchDistance < m) {
-        __builtin_prefetch(&hot_[ids[i + kDigestPrefetchDistance]], /*rw=*/0,
-                           /*locality=*/1);
-      }
+    if (i + kSlabReadPrefetchDistance < m) {
+      __builtin_prefetch(&hot_[ids[i + kSlabReadPrefetchDistance]], /*rw=*/0,
+                         /*locality=*/1);
+    }
 #endif
-      out->push_back(UpdatedItem{ids[i], hot_[ids[i]].last_update});
-    }
-    return;
-  }
-  // Per-bucket id-sorted segments, merged pairwise below.
-  std::vector<size_t>& starts = merge_starts_;
-  starts.clear();
-  for (const Bucket& bucket : buckets_) {
-    if (!bucket.HasEntries() || bucket.LastTime() <= lo) continue;
-    if (bucket.FirstTime() > hi) break;
-    starts.push_back(out->size());
-    if (bucket.sealed && lo < bucket.times.front() &&
-               bucket.times.back() <= hi) {
-      // Whole bucket inside the window: splice the digest (built on the
-      // first such query, reused by every later one). The is-still-latest
-      // filter reads one random hot-slab line per entry; prefetching a few
-      // entries ahead keeps the walk ahead of the misses.
-      if (!bucket.digest_built) BuildDigest(bucket);
-      const std::vector<UpdatedItem>& d = bucket.digest;
-      const size_t m = d.size();
-      for (size_t i = 0; i < m; ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-        if (i + kDigestPrefetchDistance < m) {
-          __builtin_prefetch(&hot_[d[i + kDigestPrefetchDistance].id],
-                             /*rw=*/0, /*locality=*/1);
-        }
-#endif
-        if (hot_[d[i].id].last_update == d[i].updated_at) out->push_back(d[i]);
-      }
-    } else {
-      const size_t n = bucket.times.size();
-      for (size_t i = FirstAfter(bucket.times, lo);
-           i < n && bucket.times[i] <= hi; ++i) {
-        // Report an item only at its *latest* update; entries later
-        // superseded (even past `hi`) are skipped via the hot slab.
-        if (hot_[bucket.ids[i]].last_update == bucket.times[i] &&
-            LastOfTie(bucket.times, bucket.ids, i)) {
-          out->push_back(UpdatedItem{bucket.ids[i], bucket.times[i]});
-        }
-      }
-      std::sort(out->begin() + static_cast<ptrdiff_t>(starts.back()),
-                out->end(), ByItemId);
-    }
-  }
-  // An id appears in at most one segment (its last update lives in one
-  // bucket), so a bottom-up merge of the segments yields the id order a
-  // global sort would.
-  while (starts.size() > 1) {
-    size_t next = 0;
-    for (size_t i = 0; i + 1 < starts.size(); i += 2) {
-      const size_t end = (i + 2 < starts.size()) ? starts[i + 2] : out->size();
-      std::inplace_merge(out->begin() + static_cast<ptrdiff_t>(starts[i]),
-                         out->begin() + static_cast<ptrdiff_t>(starts[i + 1]),
-                         out->begin() + static_cast<ptrdiff_t>(end),
-                         ByItemId);
-      starts[next++] = starts[i];
-    }
-    if (starts.size() % 2 != 0) starts[next++] = starts[starts.size() - 1];
-    starts.resize(next);
+    out->push_back(UpdatedItem{ids[i], hot_[ids[i]].last_update});
   }
 }
 
 void Database::UpdatedIdsIn(SimTime lo, SimTime hi,
                             std::vector<ItemId>* out) const {
-  // Appends land in `out` (caller-owned, reused across intervals) or member
-  // scratch; both retain capacity. detlint:allow-function(alloc-event-path)
   out->clear();
-  if (hi <= lo) return;
-  if (dirty_set_) {
-    QueryDirtySet(lo, hi, out);
-    return;
-  }
-  // The journal classes answer the (id, time) query; project its ids.
-  UpdatedIn(lo, hi, &items_scratch_);
-  out->reserve(items_scratch_.size());
-  for (const UpdatedItem& item : items_scratch_) out->push_back(item.id);
+  // No history kept (kNone): the documented answer is empty.
+  if (hi <= lo || !dirty_armed()) return;
+  QueryDirtySet(lo, hi, out);
 }
 
 void Database::QueryDirtySet(SimTime lo, SimTime hi,
@@ -526,7 +352,7 @@ void Database::MergeDirtyWords(SimTime lo, SimTime hi, bool all_inside,
 }
 
 std::vector<UpdatedItem> Database::JournalIn(SimTime lo, SimTime hi) const {
-  assert(journal_enabled() && "journal scan against a disabled journal");
+  assert(journal_enabled() && "raw log scan without a raw log");
   std::vector<UpdatedItem> out;
   if (hi <= lo) return out;
   for (const Bucket& bucket : buckets_) {
@@ -543,7 +369,7 @@ std::vector<UpdatedItem> Database::JournalIn(SimTime lo, SimTime hi) const {
 
 uint64_t Database::VersionAt(ItemId id, SimTime t) const {
   assert(id < n_);
-  assert(journal_enabled() && "historical read against a disabled journal");
+  assert(journal_enabled() && "historical read without a raw log");
   uint64_t after = 0;
   // Updates strictly after t are still in the journal (caller's contract).
   for (const Bucket& bucket : buckets_) {
@@ -572,9 +398,7 @@ void Database::PruneJournalBefore(SimTime horizon) {
     buckets_.pop_front();
   }
   if (buckets_.empty() || buckets_.front().FirstTime() > horizon) return;
-  // Partially covered front bucket: trim the raw prefix and any digest
-  // entries that fell with it (a digest entry at or before the horizon can
-  // no longer be any surviving entry's latest time).
+  // Partially covered front bucket: trim the raw prefix.
   Bucket& front = buckets_.front();
   const size_t keep = FirstAfter(front.times, horizon);
   journal_entries_ -= keep;
@@ -583,14 +407,6 @@ void Database::PruneJournalBefore(SimTime horizon) {
                     front.times.begin() + static_cast<ptrdiff_t>(keep));
   front.ids.erase(front.ids.begin(),
                   front.ids.begin() + static_cast<ptrdiff_t>(keep));
-  if (front.digest_built) {
-    front.digest.erase(
-        std::remove_if(front.digest.begin(), front.digest.end(),
-                       [horizon](const UpdatedItem& d) {
-                         return d.updated_at <= horizon;
-                       }),
-        front.digest.end());
-  }
 }
 
 }  // namespace mobicache

@@ -8,34 +8,22 @@
 // Hot-path layout: the per-item state the update and report paths touch —
 // version and last-update time — lives in a 64-byte-aligned slab of 16-byte
 // records, four per cache line, so the random per-update access costs at
-// most one line and a prefetched line serves the digest walk four items at a
-// time. The value payload is not stored at all: SyntheticValue(seed, id,
-// version) is a pure function of state the slab already holds, so reads
-// derive it on demand and updates never touch value bytes.
+// most one line and a window walk reads four items per prefetched line.
+// The value payload is not stored at all: SyntheticValue(seed, id, version)
+// is a pure function of state the slab already holds, so reads derive it on
+// demand and updates never touch value bytes.
 //
-// The journal is a ring of time buckets (one per broadcast interval once
-// SetJournalBucketWidth is wired by the server), each holding parallel
-// time/id arrays (SoA: window scans walk times without dragging ids through
-// the cache). A bucket that the clock has moved past is sealed; the first
-// window query that fully covers a sealed bucket builds its per-id digest —
-// each id once, at its latest in-bucket update time, id-sorted — exactly
-// once, so report builders splice k sealed digests instead of re-scanning
-// and re-sorting k*L seconds of raw entries per report, while workloads that
-// never query the journal (no-caching cells) never pay for digests at all.
-// Pruning drops whole buckets and recycles their storage into a small free
-// list, so the steady state (one bucket appended, one pruned per interval)
-// allocates nothing.
-//
-// Dirty-set retention (kDirtySet: AT, grouped AT, SIG, hybrid): no journal,
-// two n-bit sets instead. The fresh set holds every item updated since the
-// last window query; the older set holds the bits no query has cleared yet,
-// each that of an item whose latest update lies above that query's lo.
-// Three times are recorded: the first and the latest update since the last
-// query (by the apply path), and the latest update as of the last query (by
-// the query). Queries' lo never decreases (asserted through a watermark),
-// and every applied update is at or before the latest applied time, so a
-// query (lo, hi] answers from the bits alone — no slab read — whenever the
-// times prove it:
+// One engine answers every window query: the dirty set, armed under both
+// classes that keep history (kDirtySet and kFullWindow). It is two n-bit
+// sets. The fresh set holds every item updated since the last window query;
+// the older set holds the bits no query has cleared yet, each that of an
+// item whose latest update lies above that query's lo. Three times are
+// recorded: the first and the latest update since the last query (by the
+// apply path), and the latest update as of the last query (by the query).
+// Queries' lo never decreases (asserted through a watermark) — every report
+// builder moves its window forward — and every applied update is at or
+// before the latest applied time, so a query (lo, hi] answers from the bits
+// alone — no slab read — whenever the times prove it:
 //
 //  * every fresh item is inside the window when the first fresh time is
 //    above lo and the latest fresh time is at or below hi;
@@ -64,9 +52,18 @@
 // are one pass over both sets' 2 * ceil(n/64) words, and the fallback adds
 // one slab read per set bit.
 //
-// No retention (kNone, no-caching): no journal and no bit set. A window
+// The raw log (kFullWindow only) is an append-only ring of time buckets
+// (one per broadcast interval once SetJournalBucketWidth is wired by the
+// server), each holding parallel time/id arrays. Window queries never read
+// it: it serves the historical reads alone — JournalIn (every update in a
+// window, for the adaptive TS controller) and VersionAt/ValueAt (quasi-AT
+// and answer-observer audits). Pruning drops whole buckets and recycles
+// their storage into a small free list, so the steady state (one bucket
+// appended, one pruned per interval) allocates nothing.
+//
+// No retention (kNone, no-caching): no raw log and no bit set. A window
 // query then has no history to consult and answers empty; the raw readers
-// (JournalIn, VersionAt) assert the journal is live.
+// (JournalIn, VersionAt) assert the log is live.
 
 #ifndef MOBICACHE_DB_DATABASE_H_
 #define MOBICACHE_DB_DATABASE_H_
@@ -109,25 +106,24 @@ struct UpdatedItem {
 /// serves. Strategies declare their class (ServerStrategy::retention) and
 /// Server::Start arms the database accordingly:
 ///
-///  * kNone        — no journal at all. The strategy never issues a window
-///                   query (no-caching); every journal append would be pure
-///                   overhead on the hottest path. Window queries answer
-///                   empty.
-///  * kDirtySet    — no journal; two n-bit sets, the items updated since
-///                   the last window query and those no query has cleared
-///                   yet (see the file comment). Serves UpdatedIn and
-///                   UpdatedIdsIn exactly as long as the queries' lo never
-///                   decreases — the AT family's one
-///                   window per broadcast, (T_i - L, T_i], and the SIG
-///                   family's fold since the previous broadcast. Such
-///                   queries answer from the bits alone; any other window
-///                   falls back to an exact walk that reads update times.
-///  * kFullWindow  — raw entries over the report window (TS, adaptive TS,
+///  * kNone        — no history at all. The strategy never issues a window
+///                   query (no-caching); every bit or log append would be
+///                   pure overhead on the hottest path. Window queries
+///                   answer empty.
+///  * kDirtySet    — the dirty set's two n-bit sets only: the items updated
+///                   since the last window query and those no query has
+///                   cleared yet (see the file comment). Serves UpdatedIn
+///                   and UpdatedIdsIn exactly as long as the queries' lo
+///                   never decreases, which every report builder's does
+///                   (TS, AT, grouped AT, SIG, hybrid).
+///  * kFullWindow  — the bits plus the raw bucket log, for the historical
+///                   reads (JournalIn, VersionAt/ValueAt) of adaptive TS,
 ///                   quasi-AT, and any cell whose answer observer audits
-///                   historical values). The default.
+///                   historical values. Window queries never read the log.
+///                   The default.
 ///
 /// The order is by what each class can answer (a floor raises the class
-/// with std::max): a kFullWindow journal serves every query the others do.
+/// with std::max): kFullWindow serves every query the others do.
 enum class JournalRetention : uint8_t {
   kNone,
   kDirtySet,
@@ -169,32 +165,26 @@ class Database {
   /// Time of `id`'s most recent update (0 if none).
   SimTime LastUpdateOf(ItemId id) const { return hot_[id].last_update; }
 
-  /// Applies one update to `id` at time `now`: bumps the version, stamps the
-  /// time, and journals the change. `now` must be monotonically
-  /// non-decreasing across calls.
-  void ApplyUpdate(ItemId id, SimTime now);
+  /// Applies one update to `id` at time `now`: a batch of one (see
+  /// ApplyUpdateBatch). `now` must be monotonically non-decreasing across
+  /// calls.
+  void ApplyUpdate(ItemId id, SimTime now) { ApplyUpdateBatch(&id, &now, 1); }
 
-  /// Applies `count` updates in one pass: a prefetched walk over the hot
-  /// slab with the same per-update effects (version bump, timestamp,
-  /// journal append or dirty bit, observer dispatch, in order) as `count`
-  /// ApplyUpdate calls. `times` must be non-decreasing and continue the
-  /// journal's tail. The update generator's sink.
+  /// Applies `count` updates: the SIMD slab apply (version bump and
+  /// timestamp per entry, in order), then the raw log append (kFullWindow),
+  /// then the dirty bits, then the observer once per entry, in order.
+  /// `times` must be non-decreasing and continue the log's tail. The update
+  /// generator's sink.
   void ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
                         size_t count);
 
   /// Hints that `id` will be updated soon. With millions of items the
   /// per-update random access to the hot slab misses every cache level; a
   /// caller that knows the id ahead of time (the update generator draws it
-  /// ahead of its pump) can hide that miss behind the intervening work. Also touches the journal's append cursor, which the same
-  /// update will write.
+  /// ahead of its pump) can hide that miss behind the intervening work.
   void PrefetchItem(ItemId id) const {
 #if defined(__GNUC__) || defined(__clang__)
     __builtin_prefetch(&hot_[id], /*rw=*/1, /*locality=*/1);
-    // Next journal write slots, cached as raw cursors by AppendJournal —
-    // touching the tail through the deque here would cost more than the
-    // prefetch saves. Null before the first append; prefetch never faults.
-    __builtin_prefetch(append_times_cursor_, /*rw=*/1, /*locality=*/1);
-    __builtin_prefetch(append_ids_cursor_, /*rw=*/1, /*locality=*/1);
 #else
     (void)id;
 #endif
@@ -213,31 +203,28 @@ class Database {
   }
 
   /// Items whose *last* update falls in (lo, hi], each reported once with
-  /// its latest update time, in increasing id order. This is exactly the
-  /// report-list definition used by TS (Eq. 1) and AT (Eq. 2). Under
-  /// kDirtySet retention `lo` must not decrease across calls (asserted);
-  /// with no history kept (kNone) the answer is empty.
-  std::vector<UpdatedItem> UpdatedIn(SimTime lo, SimTime hi) const;
-
-  /// Same window query into a caller-owned buffer (cleared first). Report
-  /// builders run once per interval; reusing one buffer across intervals
-  /// keeps the per-report allocation count flat. Under kDirtySet this is
-  /// UpdatedIdsIn plus one slab read per listed id.
+  /// its latest update time, in increasing id order, into a caller-owned
+  /// buffer (cleared first). This is exactly the report-list definition
+  /// used by TS (Eq. 1) and AT (Eq. 2): UpdatedIdsIn plus one slab read per
+  /// listed id. `lo` must not decrease across calls (asserted); with no
+  /// history kept (kNone) the answer is empty. Reusing one buffer across
+  /// intervals keeps the per-report allocation count flat.
   void UpdatedIn(SimTime lo, SimTime hi, std::vector<UpdatedItem>* out) const;
 
   /// The ids of UpdatedIn(lo, hi), in the same increasing id order, into a
-  /// caller-owned buffer (cleared first). Under kDirtySet a steady-state
-  /// window answers from the bit sets with no per-item time read (see the
-  /// file comment); this is what the AT and SIG families' builders use.
+  /// caller-owned buffer (cleared first). A steady-state window answers
+  /// from the bit sets with no per-item time read (see the file comment);
+  /// this is what the AT and SIG families' builders use.
   void UpdatedIdsIn(SimTime lo, SimTime hi, std::vector<ItemId>* out) const;
 
   /// Raw update events (every update, not just the last per item) with time
-  /// in (lo, hi], ascending by time. Used by the adaptive controller to
-  /// reconstruct per-item update histories for hit-ratio estimation.
+  /// in (lo, hi], ascending by time, read from the raw log. Used by the
+  /// adaptive controller to reconstruct per-item update histories for
+  /// hit-ratio estimation.
   std::vector<UpdatedItem> JournalIn(SimTime lo, SimTime hi) const;
 
   /// Version of `id` as of time `t` (inclusive), reconstructed from the
-  /// journal. Only valid while the journal still covers (t, now] for this
+  /// raw log. Only valid while the log still covers (t, now] for this
   /// item — i.e. t must not predate the prune horizon. Used by tests and
   /// benches to verify cache contents against historical ground truth.
   uint64_t VersionAt(ItemId id, SimTime t) const;
@@ -247,30 +234,31 @@ class Database {
 
   uint64_t seed() const { return seed_; }
 
-  /// Drops journal entries with time <= `horizon`. Builders never look
-  /// further back than the largest report window, so the server prunes
-  /// periodically to bound memory. Dropped buckets' storage is recycled.
+  /// Drops raw log entries with time <= `horizon`. Historical readers never
+  /// look further back than the largest report window, so the server
+  /// prunes periodically to bound memory. Dropped buckets' storage is
+  /// recycled.
   void PruneJournalBefore(SimTime horizon);
 
   uint64_t total_updates() const { return total_updates_; }
   size_t journal_size() const { return journal_entries_; }
 
-  /// Arms the retention class the strategy declared (see JournalRetention):
-  /// kNone drops the raw journal, kDirtySet drops it and allocates the
-  /// per-item bit set (once, before any update — the set cannot recover
-  /// earlier ones; asserted), kFullWindow keeps the default raw-bucket
-  /// journal. Without the raw journal the raw readers (JournalIn,
-  /// VersionAt) assert, so misuse fails loudly in debug builds. Call before
-  /// any updates flow; the server wires it in Start().
+  /// Arms the retention class the strategy declared (see JournalRetention).
+  /// A new database holds kFullWindow's bits and raw log; kDirtySet drops
+  /// the log, kNone drops both. History once dropped cannot be recovered,
+  /// so raising the class is only allowed before any update (asserted).
+  /// Without the raw log the raw readers (JournalIn, VersionAt) assert, so
+  /// misuse fails loudly in debug builds. Call before any updates flow; the
+  /// server wires it in Start().
   void SetRetention(JournalRetention retention);
   JournalRetention retention() const { return retention_; }
 
-  /// Primary journal storage held right now / at its high-water mark over
-  /// the run, in bytes: 12 per raw entry (time + id), 2 * ceil(n/8) for the
-  /// kDirtySet bit sets. Derived bucket digests are query caches, not
-  /// retention, and are excluded.
+  /// History storage held right now / at its high-water mark over the run,
+  /// in bytes: 2 * ceil(n/8) for the bit sets under both history classes,
+  /// plus 12 per raw log entry (time + id) under kFullWindow. A class armed
+  /// before the first update restarts the peak.
   uint64_t journal_bytes() const { return journal_bytes_; }
-  /// kDirtySet window queries answered from the bit sets alone, without the
+  /// Window queries answered from the bit sets alone, without the
   /// time-reading walk (see the file comment). A diagnostic count.
   uint64_t dirty_bitwise_queries() const { return dirty_bitwise_queries_; }
   uint64_t journal_bytes_peak() const {
@@ -303,25 +291,22 @@ class Database {
   };
   static_assert(sizeof(HotItem) == 16, "hot record must pack 4 per line");
 
-  /// Whether updates append to the raw journal (kFullWindow only).
+  /// Whether updates append to the raw log (kFullWindow only).
   bool journal_enabled() const {
     return retention_ == JournalRetention::kFullWindow;
   }
+  /// Whether the dirty set is armed (both history classes).
+  bool dirty_armed() const { return retention_ != JournalRetention::kNone; }
+  /// The bit sets' footprint: two sets of n bits.
+  uint64_t DirtySetBytes() const { return 2 * ((n_ + 7) / 8); }
 
-  /// One bucket of the journal ring, covering times in
+  /// One bucket of the raw log ring, covering times in
   /// (index * width, (index + 1) * width]. Parallel SoA arrays: times is
   /// ascending; ids[i] is the item updated at times[i].
   struct Bucket {
     int64_t index = 0;
     std::vector<SimTime> times;
     std::vector<ItemId> ids;
-    /// Built lazily on the first fully-covering window query of a sealed
-    /// bucket: each id once at its latest in-bucket time, ascending by id.
-    /// `mutable` because the build is a cache fill under const query
-    /// methods.
-    mutable std::vector<UpdatedItem> digest;
-    mutable bool digest_built = false;
-    bool sealed = false;  ///< The clock has moved past this bucket.
 
     bool HasEntries() const { return !times.empty(); }
     SimTime FirstTime() const { return times.front(); }
@@ -332,9 +317,7 @@ class Database {
   /// prefix behind and the push path compacts it away with element moves
   /// once it dominates. Unlike a deque there are no chunk nodes to churn, so
   /// the steady state (one bucket pushed, one popped per interval, storage
-  /// recycled through the spare list) performs zero heap allocations; moves
-  /// never touch the inner arrays, so cached pointers into a bucket's
-  /// times/ids storage survive compaction.
+  /// recycled through the spare list) performs zero heap allocations.
   class BucketFifo {
    public:
     bool empty() const { return head_ == store_.size(); }
@@ -390,24 +373,16 @@ class Database {
   SimTime JournalTailTime() const {
     return buckets_.back().LastTime();
   }
-  /// ApplyUpdateBatch specializations: the slab-only walk hands the whole
-  /// chunk to the SIMD kernel (no per-entry journal/observer work exists);
-  /// the journal walk prefetches the slab line of a future entry.
-  void ApplyBatchSlabOnly(const ItemId* ids, const SimTime* times,
-                          size_t count);
-  void ApplyBatchJournal(const ItemId* ids, const SimTime* times,
-                         size_t count);
   /// Appends a fresh bucket with `index`, reusing recycled storage when
   /// available and reserving twice the high-water raw entry count.
   void PushBucket(int64_t index);
   /// Saves a drained bucket's storage in the spare list (bounded).
   void RecycleBucket(Bucket* bucket);
-  static void BuildDigest(const Bucket& bucket);
-  /// Sets the kDirtySet fresh bits of `count` updated ids and folds their
-  /// times (non-decreasing) into the fresh-interval bounds.
+  /// Sets the fresh bits of `count` updated ids and folds their times
+  /// (non-decreasing) into the fresh-interval bounds.
   void MarkDirty(const ItemId* ids, const SimTime* times, size_t count);
-  /// The kDirtySet window query (see the file comment): answers bitwise when
-  /// the recorded times prove the answer, else walks the set bits reading
+  /// The window query (see the file comment): answers bitwise when the
+  /// recorded times prove the answer, else walks the set bits reading
   /// update times. Appends the items last updated in (lo, hi] to `out` in
   /// id order. Requires lo < hi and lo at or past every earlier query's lo.
   void QueryDirtySet(SimTime lo, SimTime hi, std::vector<ItemId>* out) const;
@@ -423,7 +398,7 @@ class Database {
 
   /// Folds the current byte count into the peak watermark. Bytes grow
   /// monotonically between prunes, so calling this right before any
-  /// decrement (prune, disable) keeps the stored peak exact without a
+  /// decrement (prune, class change) keeps the stored peak exact without a
   /// compare on every append.
   void SyncJournalBytesPeak() {
     if (journal_bytes_ > journal_bytes_peak_) {
@@ -434,13 +409,9 @@ class Database {
   uint64_t n_ = 0;
   HotItem* hot_ = nullptr;  ///< 64-byte-aligned slab of n_ records.
   BucketFifo buckets_;  // ascending index; times never empty
-  /// One-past-the-end of the tail bucket's SoA arrays, refreshed by every
-  /// AppendJournal — PrefetchItem's journal-append hint (see above).
-  const SimTime* append_times_cursor_ = nullptr;
-  const ItemId* append_ids_cursor_ = nullptr;
   std::vector<Bucket> spare_buckets_;  ///< Recycled storage (bounded).
   size_t journal_entries_ = 0;
-  /// Primary journal bytes held now / at peak (see journal_bytes_peak()).
+  /// History bytes held now / at peak (see journal_bytes_peak()).
   uint64_t journal_bytes_ = 0;
   uint64_t journal_bytes_peak_ = 0;
   SimTime bucket_width_ = 0.0;
@@ -452,18 +423,13 @@ class Database {
   uint64_t total_updates_ = 0;
   uint64_t seed_;
   std::function<void(ItemId, SimTime)> observer_;
-  /// UpdatedIn scratch (segment offsets for the bottom-up merge). `mutable`
-  /// cache-fill state like the digests: window queries only run in the
-  /// single-threaded server phase.
-  mutable std::vector<size_t> merge_starts_;
-  /// UpdatedIdsIn scratch under the journal classes, and UpdatedIn scratch
-  /// under kDirtySet: each query form is the other one projected.
-  mutable std::vector<UpdatedItem> items_scratch_;
+  /// UpdatedIn scratch: the ids query, then each id's time. `mutable`
+  /// because window queries only run in the single-threaded server phase.
   mutable std::vector<ItemId> ids_scratch_;
-  /// kDirtySet state (see the file comment): bit j of fresh_words_ is set
+  /// Dirty-set state (see the file comment): bit j of fresh_words_ is set
   /// when item j was updated since the last query; bit j of older_words_
-  /// while a query left it set. Empty under other classes. `mutable` like
-  /// the digests: queries move and clear bits.
+  /// while a query left it set. Empty under kNone. `mutable`: queries move
+  /// and clear bits.
   mutable std::vector<uint64_t> fresh_words_;
   mutable std::vector<uint64_t> older_words_;
   /// First and latest update time since the last query (+inf / -inf while
@@ -474,7 +440,6 @@ class Database {
   /// Largest lo any dirty-set query has used: the exactness watermark.
   mutable SimTime dirty_floor_ = -std::numeric_limits<SimTime>::infinity();
   mutable uint64_t dirty_bitwise_queries_ = 0;
-  bool dirty_set_ = false;  ///< retention_ == kDirtySet, tested per batch.
 };
 
 }  // namespace mobicache

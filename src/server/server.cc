@@ -39,13 +39,13 @@ Status Server::Start() {
   if (broadcaster_ != nullptr) {
     return Status::FailedPrecondition("server already started");
   }
-  // Bucket the journal by broadcast interval so report builders splice
-  // sealed per-interval digests instead of re-scanning their window.
+  // Bucket the raw log by broadcast interval, so pruning drops whole
+  // intervals and recycles their storage.
   db_->SetJournalBucketWidth(config_.latency);
   // Arm the retention class the strategy declared (possibly raised by an
-  // instrumentation floor): no journal at all for strategies that never
-  // read update history, a dirty set for those whose window queries only
-  // move forward, full raw retention otherwise.
+  // instrumentation floor): no history at all for strategies that never
+  // read update history, the dirty set alone for those that only
+  // window-query, the dirty set plus the raw log for historical readers.
   db_->SetRetention(std::max(strategy_->retention(), retention_floor_));
   broadcaster_ = std::make_unique<PeriodicProcess>(
       sim_, sim_->Now(), config_.latency,

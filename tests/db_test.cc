@@ -1,3 +1,5 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "db/database.h"
@@ -40,13 +42,16 @@ TEST(DatabaseTest, UpdatedInWindowSemantics) {
   db.ApplyUpdate(2, 2.0);
   db.ApplyUpdate(3, 3.0);
   // Window (lo, hi]: lo exclusive, hi inclusive.
-  auto items = db.UpdatedIn(1.0, 3.0);
+  std::vector<UpdatedItem> items;
+  db.UpdatedIn(1.0, 3.0, &items);
   ASSERT_EQ(items.size(), 2u);
   EXPECT_EQ(items[0].id, 2u);
   EXPECT_EQ(items[1].id, 3u);
   EXPECT_DOUBLE_EQ(items[1].updated_at, 3.0);
-  EXPECT_TRUE(db.UpdatedIn(3.0, 3.0).empty());
-  EXPECT_TRUE(db.UpdatedIn(5.0, 4.0).empty());
+  db.UpdatedIn(3.0, 3.0, &items);
+  EXPECT_TRUE(items.empty());
+  db.UpdatedIn(5.0, 4.0, &items);
+  EXPECT_TRUE(items.empty());
 }
 
 TEST(DatabaseTest, UpdatedInReportsLatestUpdateOnly) {
@@ -54,12 +59,14 @@ TEST(DatabaseTest, UpdatedInReportsLatestUpdateOnly) {
   db.ApplyUpdate(4, 1.0);
   db.ApplyUpdate(4, 2.0);
   db.ApplyUpdate(4, 3.0);
-  auto items = db.UpdatedIn(0.0, 3.0);
+  std::vector<UpdatedItem> items;
+  db.UpdatedIn(0.0, 3.0, &items);
   ASSERT_EQ(items.size(), 1u);
   EXPECT_DOUBLE_EQ(items[0].updated_at, 3.0);
   // An item whose *last* update is outside the window is excluded even if
   // it changed inside it (Eq. 1 reports last-update timestamps only).
-  EXPECT_TRUE(db.UpdatedIn(0.0, 2.5).empty());
+  db.UpdatedIn(0.0, 2.5, &items);
+  EXPECT_TRUE(items.empty());
 }
 
 TEST(DatabaseTest, JournalInReturnsEveryEvent) {

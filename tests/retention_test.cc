@@ -6,10 +6,11 @@
 // must stay observationally equivalent where the contract says they are:
 //
 //  * twin databases fed the identical update stream under kFullWindow and
-//    kDirtySet retention answer the same window queries (UpdatedIn /
-//    UpdatedIdsIn) over any sequence of windows whose lo never decreases,
-//    on the dirty set's bitwise path and on its time-reading fallback
-//    alike, and a warm AT cell answers every steady-state window bitwise;
+//    kDirtySet retention answer every window query (UpdatedIn /
+//    UpdatedIdsIn) exactly as a brute-force oracle over the live slab
+//    does, over any sequence of windows whose lo never decreases, on the
+//    dirty set's bitwise path and on its time-reading fallback alike, and
+//    a warm AT cell answers every steady-state window bitwise;
 //  * window queries are sets: two updates of one id at one SimTime report
 //    the id once, in every representation;
 //  * an AT or grouped-AT cell runs bit-identically on the dirty set and on
@@ -35,6 +36,7 @@
 #include "db/update_generator.h"
 #include "exp/megacell.h"
 #include "sim/simulator.h"
+#include "window_oracle.h"
 
 namespace mobicache {
 namespace {
@@ -78,7 +80,7 @@ INSTANTIATE_TEST_SUITE_P(
         DeclarationCase{StrategyKind::kSig, JournalRetention::kDirtySet},
         DeclarationCase{StrategyKind::kHybridSig,
                         JournalRetention::kDirtySet},
-        DeclarationCase{StrategyKind::kTs, JournalRetention::kFullWindow},
+        DeclarationCase{StrategyKind::kTs, JournalRetention::kDirtySet},
         DeclarationCase{StrategyKind::kAt, JournalRetention::kDirtySet},
         DeclarationCase{StrategyKind::kGroupedAt,
                         JournalRetention::kDirtySet},
@@ -104,7 +106,7 @@ TEST(RetentionFloorTest, FloorRaisesDeclaredClassButNeverLowersIt) {
   }
   // ...while a kNone floor under a full-window strategy changes nothing.
   {
-    MegaCell cell({BaseConfig(StrategyKind::kTs)});
+    MegaCell cell({BaseConfig(StrategyKind::kAdaptiveTs)});
     ASSERT_TRUE(cell.Build().ok());
     cell.server()->SetRetentionFloor(JournalRetention::kNone);
     ASSERT_TRUE(cell.Run(2, 20).ok());
@@ -148,7 +150,9 @@ TEST(RetentionTwinTest, NoneRetentionKeepsNoJournal) {
   EXPECT_EQ(none.journal_size(), 0u);
   EXPECT_EQ(none.journal_bytes(), 0u);
   EXPECT_EQ(none.journal_bytes_peak(), 0u);
-  EXPECT_TRUE(none.UpdatedIn(0.0, 1e9).empty());
+  std::vector<UpdatedItem> items{UpdatedItem{}};
+  none.UpdatedIn(0.0, 1e9, &items);
+  EXPECT_TRUE(items.empty());
   std::vector<ItemId> ids{7};
   none.UpdatedIdsIn(0.0, 1e9, &ids);
   EXPECT_TRUE(ids.empty());
@@ -202,10 +206,11 @@ TEST(RetentionSetSemanticsTest, TiedUpdatesOfOneIdAreReportedOnce) {
     db.ApplyUpdate(5, 0.5);
     db.ApplyUpdate(5, 0.5);
     db.ApplyUpdate(7, 0.6);
+    std::vector<UpdatedItem> got;
     for (int pass = 0; pass < 2; ++pass) {
-      // The second pass runs after an update in the next bucket: the raw
-      // journal then answers from the sealed bucket's digest.
-      const std::vector<UpdatedItem> got = db.UpdatedIn(0.0, 1.0);
+      // The first pass answers from the bits; the second repeats the
+      // window after an update past its hi, so the time-reading walk runs.
+      db.UpdatedIn(0.0, 1.0, &got);
       ASSERT_EQ(got.size(), 2u) << "pass " << pass;
       EXPECT_EQ(got[0].id, 5u);
       EXPECT_EQ(got[0].updated_at, 0.5);
@@ -218,8 +223,8 @@ TEST(RetentionSetSemanticsTest, TiedUpdatesOfOneIdAreReportedOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Twin databases: full journal and dirty set, under a seeded stream of
-// updates and monotone-lo window queries.
+// Twin databases: kFullWindow and kDirtySet, under a seeded stream of
+// updates and monotone-lo window queries, checked against the oracle.
 
 SimTime StepUlps(SimTime x, int ulps) {
   const SimTime toward = ulps < 0 ? -std::numeric_limits<SimTime>::infinity()
@@ -250,7 +255,7 @@ std::vector<ItemId> IdsOf(const std::vector<UpdatedItem>& items) {
   return ::testing::AssertionSuccess();
 }
 
-TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
+TEST(RetentionTripleTest, BothClassesMatchTheOracleOverMonotoneWindows) {
   constexpr uint64_t kTripleItems = 1024;
   constexpr double kTick = 0.25;  // update-time lattice; windows share it
   for (uint64_t seed = 1; seed <= 24; ++seed) {
@@ -340,7 +345,7 @@ TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
         lo = std::max(lo, prev_lo);
         SCOPED_TRACE("step " + std::to_string(step) + " window (" +
                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
-        const std::vector<UpdatedItem> want = full.UpdatedIn(lo, hi);
+        const std::vector<UpdatedItem> want = WindowOracle(full, lo, hi);
         // Both query forms, in a rotating order: whichever runs first sees
         // the window fresh, the other repeats it.
         const int first = static_cast<int>(uniform(2));
@@ -373,6 +378,8 @@ TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
     // The seeded windows reach both the bitwise path and the fallback.
     EXPECT_GT(dirty.dirty_bitwise_queries(), 0u);
     EXPECT_LT(dirty.dirty_bitwise_queries(), dirty_queries);
+    // Both classes run the same engine over the same queries.
+    EXPECT_EQ(full.dirty_bitwise_queries(), dirty.dirty_bitwise_queries());
     if (seed % 2 == 1) {
       EXPECT_EQ(observed, 2 * full.total_updates());
     }
@@ -381,7 +388,7 @@ TEST(RetentionTripleTest, DirtySetMatchesJournalsOverMonotoneWindows) {
 
 // ---------------------------------------------------------------------------
 // The dirty set's bitwise conditions at their boundaries: each scripted
-// window is checked against the full-journal twin, and against the path
+// window is checked on both twins against the oracle, and against the path
 // (bitwise or time-reading fallback) its recorded times call for.
 
 class DirtyBoundaryTest : public ::testing::Test {
@@ -399,8 +406,11 @@ class DirtyBoundaryTest : public ::testing::Test {
   // Queries (lo, hi] on both twins and returns whether the dirty set
   // answered from the bits alone.
   bool Query(SimTime lo, SimTime hi) {
-    const std::vector<UpdatedItem> want = full_.UpdatedIn(lo, hi);
+    const std::vector<UpdatedItem> want = WindowOracle(dirty_, lo, hi);
     const uint64_t bitwise = dirty_.dirty_bitwise_queries();
+    std::vector<UpdatedItem> full_got;
+    full_.UpdatedIn(lo, hi, &full_got);
+    EXPECT_TRUE(SameItems(want, full_got));
     std::vector<ItemId> got;
     dirty_.UpdatedIdsIn(lo, hi, &got);
     EXPECT_EQ(got, IdsOf(want));

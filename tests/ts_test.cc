@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "counting_new.h"
 #include "db/database.h"
 #include "util/random.h"
+#include "window_oracle.h"
 
 namespace mobicache {
 namespace {
@@ -49,6 +51,45 @@ TEST(TsServerTest, OldUpdatesAgeOutOfTheWindow) {
   db.ApplyUpdate(1, 5.0);
   // At T=40 the window is (10, 40]: the update at 5.0 is gone.
   EXPECT_TRUE(Build(server, 4).entries.empty());
+}
+
+TEST(TsServerTest, GappedBuildsMatchTheWindowOracle) {
+  // One server builds over a seeded update stream at gapped intervals:
+  // consecutive, a gap below k, a gap of exactly k, and gaps above k. Each
+  // report must list exactly the items last updated in (T_i - w, T_i],
+  // with those timestamps, whatever the distance to the previous build.
+  constexpr uint64_t kItems = 256;
+  Database db(kItems, 5);
+  TsServerStrategy server(&db, kL, kK);
+  db.SetJournalBucketWidth(kL);
+  db.SetRetention(server.retention());
+  Rng rng(17);
+  const uint64_t kBuilds[] = {1, 2, 3, 5, 6, 9, 10, 14, 19, 30, 31, 33};
+  uint64_t applied_through = 0;
+  for (const uint64_t interval : kBuilds) {
+    SCOPED_TRACE("interval " + std::to_string(interval));
+    // Updates for every interval since the last build, strictly inside
+    // each one, with heavy repetition so carried entries get superseded.
+    for (; applied_through < interval; ++applied_through) {
+      const double start = kL * static_cast<double>(applied_through);
+      const uint64_t count = 5 + rng.NextUint64(40);
+      const double step = kL / static_cast<double>(count + 1);
+      for (uint64_t i = 0; i < count; ++i) {
+        db.ApplyUpdate(static_cast<ItemId>(rng.NextUint64(kItems)),
+                       start + step * static_cast<double>(i + 1));
+      }
+    }
+    const SimTime now = kL * static_cast<double>(interval);
+    const TsReport report = Build(server, interval);
+    const std::vector<UpdatedItem> want =
+        WindowOracle(db, now - server.window(), now);
+    ASSERT_EQ(report.entries.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(report.entries[i].id, want[i].id) << "entry " << i;
+      EXPECT_EQ(report.entries[i].updated_at, want[i].updated_at)
+          << "entry " << i;
+    }
+  }
 }
 
 TEST(TsServerTest, JournalHorizonIsWindow) {
