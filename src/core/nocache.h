@@ -11,16 +11,11 @@ namespace mobicache {
 
 /// Server half of the no-caching baseline: empty reports. Also serves the
 /// ideal/stateful/async baselines (their invalidation flows bypass the
-/// report machinery), which is why the retention class is per-instance: the
-/// no-caching cell declares kNone (its update stream is never read back),
-/// while the stateful-family cells keep the default full journal so tests
-/// can audit answers against historical ground truth (ValueAt).
+/// report machinery). None of them reads its update stream back, so each
+/// declares kNone; an answer observer's audit raises the class through the
+/// server's retention floor.
 class NullServerStrategy : public ServerStrategy {
  public:
-  explicit NullServerStrategy(
-      JournalRetention retention = JournalRetention::kFullWindow)
-      : retention_(retention) {}
-
   StrategyKind kind() const override { return StrategyKind::kNoCache; }
   void BuildReportInto(SimTime now, uint64_t interval,
                        Report* out) override {
@@ -28,11 +23,10 @@ class NullServerStrategy : public ServerStrategy {
     null.interval = interval;
     null.timestamp = now;
   }
-  JournalRetention retention() const override { return retention_; }
+  JournalRetention retention() const override {
+    return JournalRetention::kNone;
+  }
   SimTime JournalHorizonSeconds() const override { return 0.0; }
-
- private:
-  JournalRetention retention_;
 };
 
 /// Client half: refuses to cache (uplink fetches are dropped on the floor).

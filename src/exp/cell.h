@@ -101,8 +101,8 @@ struct CellResult {
   /// Measured intervals whose report delivery found every unit asleep
   /// (pure downlink waste; see ServerStats::quiet_report_intervals).
   uint64_t quiet_report_intervals = 0;
-  /// The subset of quiet intervals the server skipped building and
-  /// delivering entirely (see ServerStats::quiet_skipped_intervals).
+  /// The subset of quiet intervals whose report delivery the server
+  /// elided (see ServerStats::quiet_skipped_intervals).
   uint64_t quiet_skipped_intervals = 0;
   double measured_sleep_fraction = 0.0;
   uint64_t items_invalidated = 0;
@@ -111,9 +111,8 @@ struct CellResult {
   /// harness's events/sec denominator. Counts every event the server and
   /// the units dispatched, each once whatever the shard count (a delivery
   /// or update-trace event replayed into every shard counts once), plus
-  /// the simulated events that bypass the scheduler: every applied update
-  /// (the update stream drains in batches) and every dispatch the quiet
-  /// skip replayed inline.
+  /// every applied update, a simulated event that bypasses the scheduler
+  /// (the update stream drains in batches).
   uint64_t sim_events = 0;
   /// Updates applied to the database over the whole run.
   uint64_t updates_applied = 0;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
-#include <limits>
 #include <utility>
 
 #include "exp/strategy_factory.h"
@@ -564,15 +563,14 @@ Status MegaCell::Run(uint64_t warmup_intervals, uint64_t measure_intervals) {
   const SimTime end =
       warmup_end + static_cast<double>(measure_intervals) * L;
 
-  uint64_t w = 0;
-  while (w < warmup_intervals) {
-    w = WindowEnd(w, warmup_intervals);
+  // One window per interval: each ends at the next boundary.
+  uint64_t w = 1;
+  for (; w <= warmup_intervals; ++w) {
     AdvanceWindow(static_cast<double>(w) * L, /*inclusive=*/false);
   }
   AdvanceWindow(warmup_end, /*inclusive=*/true);
   ResetAllStats();
-  while (w < warmup_intervals + measure_intervals) {
-    w = WindowEnd(w, warmup_intervals + measure_intervals);
+  for (; w <= warmup_intervals + measure_intervals; ++w) {
     AdvanceWindow(static_cast<double>(w) * L, /*inclusive=*/false);
   }
   AdvanceWindow(end, /*inclusive=*/true);
@@ -592,23 +590,6 @@ Status MegaCell::Run(uint64_t warmup_intervals, uint64_t measure_intervals) {
     shard_stats_.push_back(st);
   }
   return Status::OK();
-}
-
-uint64_t MegaCell::WindowEnd(uint64_t from, uint64_t limit) {
-  uint64_t to = from + 1;
-  if (to >= limit || trace_updates_ || !server_->CanElideQuietIntervals()) {
-    return to;
-  }
-  SimTime earliest = std::numeric_limits<SimTime>::infinity();
-  for (auto& shard : shards_) {
-    // An awake unit could hear a report: keep the window to one interval
-    // so it never holds more than one delivered report.
-    if (shard->wake_index.awake_count() != 0) return to;
-    earliest = std::min(earliest, shard->sim.NextEventTime());
-  }
-  const double L = config_.cell.model.L;
-  while (to < limit && static_cast<double>(to + 1) * L <= earliest) ++to;
-  return to;
 }
 
 std::vector<MobileUnit*> MegaCell::units() {
@@ -682,11 +663,10 @@ CellResult MegaCell::result() const {
       decisions == 0 ? 0.0
                      : static_cast<double>(r.reports_missed) /
                            static_cast<double>(decisions);
-  // Updates and the quiet skip's inline replays are simulated events that
-  // bypass the scheduler, so they count into the denominator; a delivery or
-  // trace event replayed into every shard counts once.
-  r.sim_events = sim_->DispatchedEvents() + updates_->updates_generated() +
-                 server_->skipped_dispatches();
+  // Updates are simulated events that bypass the scheduler, so they count
+  // into the denominator; a delivery or trace event replayed into every
+  // shard counts once.
+  r.sim_events = sim_->DispatchedEvents() + updates_->updates_generated();
   for (const auto& shard : shards_) {
     r.sim_events += shard->sim.DispatchedEvents() - shard->replayed_events;
   }

@@ -28,14 +28,11 @@
 //                  lower shard and pair ranks are shard-ordered.
 //
 // A window ends at the next interval boundary, so an uplink logged before
-// T_i reaches the strategy before the T_i report is built. Quiet windows
-// coalesce: when every unit sleeps, the server can elide quiet intervals,
-// and no update trace is recorded, the window ends instead at the last
-// boundary at or before the earliest pending event of any shard (never
-// past the warm-up end or the run end). No shard event falls inside such a
-// window, so the shards have nothing to run, and the server's quiet skip
-// replays the elided intervals inline.
-//
+// T_i reaches the strategy before the T_i report is built. A window whose
+// report nobody can hear runs like any other: the server elides the
+// report's delivery (see server/server.h), so the window carries no
+// delivery to fan out.
+
 // MUs never interact with each other, only with the per-interval broadcast
 // and the (single-writer, shard-phase-quiescent) database, so sharding is
 // not an approximation: for any shard count the per-unit statistics, the
@@ -166,11 +163,6 @@ class MegaCell {
   /// `inclusive` runs events at exactly `cut` too (the warmup/measure end
   /// points, which sit mid-interval); boundary cuts are exclusive.
   void AdvanceWindow(SimTime cut, bool inclusive);
-  /// Index of the boundary that ends the window opening at boundary
-  /// `from`: from + 1, or — for a quiet window (see the file comment) — the
-  /// last boundary at or before every shard's earliest pending event,
-  /// capped at `limit`.
-  uint64_t WindowEnd(uint64_t from, uint64_t limit);
   void ReplayWindow();
   void ResetAllStats();
 

@@ -152,14 +152,9 @@ std::unique_ptr<ServerStrategy> MakeServerStrategy(
       return std::make_unique<HybridSigServerStrategy>(
           ctx.db, ctx.family, m.L, config.hybrid_hot_set);
     case StrategyKind::kNoCache:
-      // No-caching cells never read their update stream back: declare the
-      // journal away entirely instead of having each driver disable it.
-      return std::make_unique<NullServerStrategy>(JournalRetention::kNone);
     case StrategyKind::kIdeal:
     case StrategyKind::kStateful:
     case StrategyKind::kAsync:
-      // Full retention: these baselines are audited against historical
-      // values (ValueAt) by the safety tests.
       return std::make_unique<NullServerStrategy>();
   }
   return nullptr;

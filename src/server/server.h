@@ -7,11 +7,10 @@
 // goes to one consumer, the delivery sink, which the cell engine uses to
 // fan it out shard-side. Broadcast cost tracks *listeners*, not wall
 // intervals: with wake indexes attached, an interval whose entire
-// transmission every unit sleeps through still builds and prices its
-// report but elides its delivery and fan-out, keeping every statistic,
-// channel counter, and strategy state byte-identical (quiet-interval
-// elision), and a run of such intervals is replayed inline without the
-// scheduler (the quiet skip).
+// transmission every unit sleeps through still builds, prices and
+// transmits its report, but its delivery carries no report and reaches
+// neither the observer nor the sink, keeping every statistic, channel
+// counter, and strategy state byte-identical (quiet-interval elision).
 
 #ifndef MOBICACHE_SERVER_SERVER_H_
 #define MOBICACHE_SERVER_SERVER_H_
@@ -82,10 +81,9 @@ class Server {
   ~Server();
 
   /// Registers a wake index covering a slice of the cell's units. With at
-  /// least one index attached the server elides fully-quiet intervals and
-  /// skips quiet stretches; it aggregates every attached index for the
-  /// awake count and the wake horizon. The cell engine attaches one per
-  /// shard. Call before Start().
+  /// least one index attached the server elides fully-quiet intervals; it
+  /// aggregates every attached index for the awake count and the wake
+  /// horizon. The cell engine attaches one per shard. Call before Start().
   void AttachWakeIndex(const WakeIndex* index);
 
   /// Attaches the cell's update generator as the server's update pump. The
@@ -144,12 +142,6 @@ class Server {
     delivery_sink_ = std::move(sink);
   }
 
-  /// Whether a fully quiet interval can be elided at all: elision on, a
-  /// wake index attached, no report observer, and a delivery model that
-  /// never jitters. The cell engine widens a lockstep window past one
-  /// interval only then, so a wide window holds no audible report.
-  bool CanElideQuietIntervals() const;
-
   /// Zeroes the accumulated statistics (used after warm-up).
   void ResetStats() {
     stats_ = ServerStats();
@@ -160,60 +152,30 @@ class Server {
   /// quiet intervals included. A unit missed every one it did not hear.
   uint64_t deliveries_completed() const { return deliveries_completed_; }
 
-  /// Scheduler dispatches the quiet skip replayed inline instead of running
-  /// them as events (two per fully skipped interval: the broadcast tick and
-  /// the delivery-consumption event; one for the last interval of a skip,
-  /// whose delivery still runs as a real event). Lifetime counter, like
-  /// Simulator::DispatchedEvents(): the engine adds it to the
-  /// dispatched-event total so the events/sec denominator counts the same
-  /// simulated work whether or not the clock skipped.
-  uint64_t skipped_dispatches() const { return skipped_dispatches_; }
+  /// Always 0: every interval dispatches its broadcast tick and delivery
+  /// event through the scheduler. Kept for benchmark callers that still
+  /// read it.
+  uint64_t skipped_dispatches() const { return 0; }
 
   ServerStrategy* strategy() { return strategy_.get(); }
   const ServerStats& stats() const { return stats_; }
   const ServerConfig& config() const { return config_; }
 
  private:
-  /// One interval's report transmission, as the per-interval step leaves
-  /// it. `report` is null for an elided quiet interval.
-  struct Transmission {
-    std::shared_ptr<const Report> report;
-    uint64_t bits = 0;
-    double jitter = 0.0;
-    double duration = 0.0;  ///< channel_->Duration(bits), computed once.
-  };
-
-  /// The scheduled broadcast tick: StepInterval, then Send, at Now().
+  /// The scheduled broadcast tick at Now(): update drain, jitter draw,
+  /// journal prune, the report build into an arena slot, the report
+  /// statistics, and the transmission — at once, or after its jitter. The
+  /// transmission carries no report (the slot is left unreferenced, the
+  /// interval elided) when nobody can hear it.
   void Broadcast(uint64_t interval);
-  /// The per-interval step shared by the broadcast tick and the quiet skip,
-  /// at broadcast instant `now` (the skip passes a virtual time ahead of
-  /// the clock): update drain, jitter draw, journal prune, the report
-  /// build into an arena slot, and the report statistics. The slot is left
-  /// unreferenced (the interval elided) when nobody can hear it.
-  Transmission StepInterval(uint64_t interval, SimTime now);
-  /// Transmits `tx` at `now`, or schedules it after its jitter.
-  void Send(Transmission tx, SimTime now);
   /// Puts the report on the air at `now` and schedules its consumption.
   void Deliver(std::shared_ptr<const Report> report, uint64_t bits,
                double jitter, double duration, SimTime now);
-  /// The delivery-consumption event: completes the delivery, then tries
-  /// the quiet skip after an elided one or hands the report to the
-  /// observer and the sink.
+  /// The delivery-consumption event: drains updates due before `done` and
+  /// counts one completed delivery — as quiet and skipped when the report
+  /// was elided (null) — or hands the report to the observer and the sink.
   void ConsumeDelivery(std::shared_ptr<const Report> report, double listen,
                        SimTime done);
-  /// Drains updates due before `done` and counts one completed delivery —
-  /// as quiet and skipped when `elided`. The one place elided intervals
-  /// are counted, for the consumption event and the quiet skip alike.
-  void CompleteDelivery(SimTime done, bool elided);
-  /// The quiet skip, entered from the consumption of an elided interval
-  /// (every unit asleep, nothing in flight): runs StepInterval for the
-  /// following intervals inline at their nominal times and completes each
-  /// elided delivery in place, until the cell's next interesting time — the
-  /// earliest unit wake, the earliest foreign scheduler event, or the
-  /// active run horizon. The scheduler then hops from one consumption event
-  /// to the next real event in one dispatch, with every counter and RNG
-  /// stream byte-identical to the per-interval execution.
-  void SkipToNextInterestingTime();
   /// Earliest registered wake tick at or after `interval` across the
   /// attached indexes; adds their awake counts into `*awake`.
   SimTime WakeHorizon(uint64_t interval, uint64_t* awake) const;
@@ -239,7 +201,6 @@ class Server {
   std::vector<std::shared_ptr<Report>> report_arena_;
   uint64_t deliveries_completed_ = 0;
   uint64_t intervals_since_prune_ = 0;
-  uint64_t skipped_dispatches_ = 0;
   UpdateGenerator* update_pump_ = nullptr;
   JournalRetention retention_floor_ = JournalRetention::kNone;
 };

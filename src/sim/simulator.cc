@@ -268,8 +268,6 @@ SimTime Simulator::NextEventTime() {
 
 uint64_t Simulator::Run() {
   stopped_ = false;
-  run_horizon_ = std::numeric_limits<SimTime>::infinity();
-  run_horizon_inclusive_ = true;
   uint64_t n = 0;
   while (!stopped_ && SkipCancelledTop()) {
     EventFn fn = TakeRootForDispatch();
@@ -291,8 +289,6 @@ void Simulator::FinishRunTo(SimTime end, bool inclusive) {
 uint64_t Simulator::RunUntil(SimTime end) {
   assert(end >= now_);
   stopped_ = false;
-  run_horizon_ = end;
-  run_horizon_inclusive_ = true;
   uint64_t n = 0;
   while (!stopped_ && SkipCancelledTop()) {
     if (index_.front().when > end) break;
@@ -307,8 +303,6 @@ uint64_t Simulator::RunUntil(SimTime end) {
 uint64_t Simulator::RunUntilBefore(SimTime end) {
   assert(end >= now_);
   stopped_ = false;
-  run_horizon_ = end;
-  run_horizon_inclusive_ = false;
   uint64_t n = 0;
   while (!stopped_ && SkipCancelledTop()) {
     if (index_.front().when >= end) break;
@@ -329,8 +323,6 @@ void Simulator::Reserve(size_t pending_events) {
 
 bool Simulator::Step() {
   stopped_ = false;
-  run_horizon_ = std::numeric_limits<SimTime>::infinity();
-  run_horizon_inclusive_ = true;
   if (!SkipCancelledTop()) return false;
   EventFn fn = TakeRootForDispatch();
   fn();
@@ -355,7 +347,6 @@ Status PeriodicProcess::Start() {
   }
   if (active_) return Status::FailedPrecondition("already started");
   active_ = true;
-  pending_time_ = start_;
   pending_ = sim_->ScheduleAt(start_, [this] { Fire(); });
   return Status::OK();
 }
@@ -371,31 +362,12 @@ void PeriodicProcess::Stop() {
   active_ = false;
 }
 
-void PeriodicProcess::SuspendPending() {
-  if (!active_) return;
-  sim_->Cancel(pending_);
-  pending_ = EventId{};
-}
-
-void PeriodicProcess::SkipTicks(uint64_t count) {
-  if (!active_) return;
-  sim_->Cancel(pending_);  // no-op after SuspendPending
-  // Repeated addition, not multiplication: the re-armed tick must land on
-  // the exact double the chain of Fire() reschedules would have produced.
-  SimTime when = pending_time_;
-  for (uint64_t k = 0; k < count; ++k) when += period_;
-  ticks_fired_ += count;
-  pending_time_ = when;
-  pending_ = sim_->ScheduleAt(when, [this] { Fire(); });
-}
-
 void PeriodicProcess::Fire() {
   if (!active_) return;  // defensive: a cancelled tick must never count
   const uint64_t tick = ticks_fired_++;
   // Reschedule before invoking the callback so the callback may Stop() us
   // (see Stop()), and so the next tick keeps its FIFO slot relative to
   // events the callback schedules at the same virtual time.
-  pending_time_ = sim_->Now() + period_;
   pending_ = sim_->ScheduleAfter(period_, [this] { Fire(); });
   on_tick_(tick);
 }

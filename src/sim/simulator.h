@@ -267,22 +267,9 @@ class Simulator {
   /// Time of the earliest live pending event; +infinity when none remain.
   /// Cancelled tombstones are dropped off the head of the earliest bucket
   /// on the way (their slots recycle), which is why this is not const — the
-  /// observable schedule is unchanged. The quiet-stretch skip uses this to
-  /// bound how far it may replay interval work without an event firing in
-  /// between.
+  /// observable schedule is unchanged. RunUntil/RunUntilBefore use it to
+  /// tell whether a Stop() left an event the call should have dispatched.
   SimTime NextEventTime();
-
-  /// Whether an event at time `t` would still dispatch inside the run call
-  /// currently executing: RunUntil(end) dispatches events with time <= end,
-  /// RunUntilBefore(end) strictly <, and Run()/Step() are unbounded.
-  /// Meaningful only from inside an event callback (the bound is stamped at
-  /// each run call's entry and not cleared on return).
-  bool WithinRunHorizon(SimTime t) const {
-    return run_horizon_inclusive_ ? t <= run_horizon_ : t < run_horizon_;
-  }
-
-  /// The bound of the run call currently executing (see WithinRunHorizon).
-  SimTime run_horizon() const { return run_horizon_; }
 
   /// Total events dispatched over the simulator's lifetime.
   uint64_t DispatchedEvents() const { return dispatched_; }
@@ -389,8 +376,6 @@ class Simulator {
   uint64_t dispatched_ = 0;
   size_t queued_ = 0;  // ids in all buckets, tombstones included
   bool stopped_ = false;
-  SimTime run_horizon_ = std::numeric_limits<SimTime>::infinity();
-  bool run_horizon_inclusive_ = true;
   std::vector<BucketRef> index_;  // 4-ary min-heap over live buckets
   std::vector<Chunk> chunks_;
   std::vector<Slot> slots_;
@@ -421,28 +406,8 @@ class PeriodicProcess {
   /// Cancels any pending tick; idempotent.
   void Stop();
 
-  /// Takes the pending tick out of the scheduler while the caller replays
-  /// tick work inline, so it does not show up as a pending event (e.g. in
-  /// Simulator::NextEventTime()). The process stays active; the caller MUST
-  /// re-arm with SkipTicks() before returning to the event loop — forgetting
-  /// to stalls the schedule. Only meaningful while active().
-  void SuspendPending();
-
-  /// Re-arms after SuspendPending(), accounting `count` ticks as fired
-  /// without dispatching them: ticks_fired() jumps by `count` (so the next
-  /// on_tick_ receives the index it would have had) and the next tick is
-  /// scheduled at the time the skipped run would have reached — advanced by
-  /// the same repeated `+= period` additions Fire()'s rescheduling performs,
-  /// so boundary doubles stay bit-identical. SkipTicks(0) just re-issues the
-  /// suspended tick at its original time.
-  void SkipTicks(uint64_t count);
-
   bool active() const { return active_; }
   uint64_t ticks_fired() const { return ticks_fired_; }
-
-  /// Scheduled time of the next tick. Valid while active(), including while
-  /// suspended (the time the re-issued tick would get under SkipTicks(0)).
-  SimTime pending_time() const { return pending_time_; }
 
  private:
   void Fire();
@@ -452,7 +417,6 @@ class PeriodicProcess {
   SimTime period_;
   std::function<void(uint64_t)> on_tick_;
   EventId pending_{};
-  SimTime pending_time_ = 0.0;
   bool active_ = false;
   uint64_t ticks_fired_ = 0;
 };

@@ -12,6 +12,12 @@
 //    stays zero where it must (elision off).
 //  * Shard cross-check: with elision on, shards {2, 4, 8} match the 1-shard
 //    run, including which intervals were elided.
+//  * Quiet stretches: cells whose units sleep through long runs of
+//    consecutive intervals (per-interval draws at s >= 0.9, renewal sleep
+//    with wakes anywhere inside an interval, a warm-up end inside a
+//    stretch, an idle cell at shards {1, 2, 4}) match their elision-off
+//    twin in every counter, sim_events included, and each twin proves it
+//    elided something.
 //  * Allocation-freedom: once warm, the broadcast path — arena report
 //    reuse, delivery scheduling, awake-set fan-out, and elided delivery —
 //    performs no heap allocation per interval: two runs that differ only in
@@ -127,8 +133,7 @@ TEST_P(ElisionEquivalenceTest, OnAndOffRunsAreByteIdentical) {
   }
 
   ExpectResultsIdentical(results[1], results[0]);
-  // The quiet-stretch skip replays intervals without the scheduler but must
-  // compensate the event count exactly.
+  // An elided delivery still dispatches its consumption event.
   EXPECT_EQ(results[1].sim_events, results[0].sim_events);
   EXPECT_EQ(results[0].quiet_skipped_intervals, 0u) << "elision off";
   EXPECT_LE(results[1].quiet_skipped_intervals,
@@ -139,7 +144,7 @@ TEST_P(ElisionEquivalenceTest, OnAndOffRunsAreByteIdentical) {
     ExpectUnitStatsEqual(unit_stats[1][i], unit_stats[0][i]);
   }
 
-  // Every-unit-asleep cells must actually exercise the skip path: with
+  // Every-unit-asleep cells must actually exercise elision: with
   // s = 1 each unit sleeps from its first decision on, so every measured
   // interval is quiet, and those no wake straddles are elided.
   if (param.s == 1.0) {
@@ -331,6 +336,154 @@ TEST(SigClientAllocationTest, WarmReportWithoutInvalidationsAllocatesNothing) {
     EXPECT_EQ(allocations, 0u) << "warm SIG report " << r << " allocated";
   }
   EXPECT_EQ(cache.size(), interest.size());
+}
+
+// ---------------------------------------------------------------------------
+// Quiet stretches: runs of consecutive elided intervals (the TimeSkip*
+// suites). A smaller, differently seeded cell than BaseConfig's, so whole
+// stretches go unheard.
+
+CellConfig StretchConfig(StrategyKind kind, double s) {
+  CellConfig config = BaseConfig(kind, s);
+  config.num_units = 6;
+  config.seed = 20260809;
+  return config;
+}
+
+void ExpectResultsIdenticalWithEvents(const CellResult& a,
+                                      const CellResult& b) {
+  ExpectResultsIdentical(a, b);
+  EXPECT_EQ(a.updates_applied, b.updates_applied);
+  EXPECT_EQ(a.sim_events, b.sim_events);
+}
+
+struct SkipCase {
+  StrategyKind kind;
+  double s;
+  bool renewal;  // long on/off sleep periods instead of per-interval draws
+};
+
+class TimeSkipEquivalenceTest : public ::testing::TestWithParam<SkipCase> {};
+
+TEST_P(TimeSkipEquivalenceTest, OnAndOffRunsMatchIncludingEventCounts) {
+  const SkipCase param = GetParam();
+
+  CellResult results[2];
+  std::vector<MobileUnitStats> unit_stats[2];
+  for (int on = 0; on < 2; ++on) {
+    MegaCellConfig mc;
+    mc.cell = StretchConfig(param.kind, param.s);
+    if (param.renewal) {
+      mc.cell.renewal_sleep = true;
+      mc.cell.mean_awake_seconds = 12.0;
+      mc.cell.mean_sleep_seconds = 400.0;  // ~40 intervals: deep stretches
+    }
+    mc.cell.quiet_elision = on == 1;
+    MegaCell cell(mc);
+    ASSERT_TRUE(cell.Build().ok());
+    ASSERT_TRUE(cell.Run(4, 80).ok());
+    results[on] = cell.result();
+    for (uint64_t i = 0; i < mc.cell.num_units; ++i) {
+      unit_stats[on].push_back(cell.UnitStats(i));
+    }
+  }
+
+  ExpectResultsIdenticalWithEvents(results[1], results[0]);
+  EXPECT_EQ(results[0].quiet_skipped_intervals, 0u) << "elided with it off";
+  ASSERT_EQ(unit_stats[0].size(), unit_stats[1].size());
+  for (size_t i = 0; i < unit_stats[0].size(); ++i) {
+    SCOPED_TRACE("unit " + std::to_string(i));
+    ExpectUnitStatsEqual(unit_stats[1][i], unit_stats[0][i]);
+  }
+
+  // Every sleeping regime must actually elide — an equivalence test that
+  // never engages the machinery proves nothing — and a cell without
+  // sleepers never may.
+  if (param.s > 0.0 || param.renewal) {
+    EXPECT_GT(results[1].quiet_skipped_intervals, 0u) << "nothing elided";
+  } else {
+    EXPECT_EQ(results[1].quiet_skipped_intervals, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SleepRegimes, TimeSkipEquivalenceTest,
+    ::testing::Values(
+        // Per-interval sleep draws: wakes land on interval boundaries, so
+        // stretches are short and transmissions a wake straddles common.
+        SkipCase{StrategyKind::kTs, 0.9, false},
+        SkipCase{StrategyKind::kTs, 1.0, false},
+        SkipCase{StrategyKind::kAt, 1.0, false},
+        SkipCase{StrategyKind::kSig, 1.0, false},
+        SkipCase{StrategyKind::kNoCache, 1.0, false},
+        SkipCase{StrategyKind::kHybridSig, 0.95, false},
+        // No sleepers at all: elision must stay disengaged and harmless.
+        SkipCase{StrategyKind::kTs, 0.0, false},
+        // Renewal sleep: wake instants fall anywhere inside an interval, so
+        // a wake mid-transmission forces a delivery inside a stretch.
+        SkipCase{StrategyKind::kTs, 0.0, true},
+        SkipCase{StrategyKind::kSig, 0.0, true},
+        SkipCase{StrategyKind::kNoCache, 0.0, true}),
+    [](const ::testing::TestParamInfo<SkipCase>& param_info) {
+      const auto& p = param_info.param;
+      std::string name(StrategyName(p.kind));
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      name += "_s" + std::to_string(static_cast<int>(p.s * 100));
+      if (p.renewal) name += "_renewal";
+      return name;
+    });
+
+// The warm-up end is a stats reset inside the run: an elided interval
+// whose consumption falls before it must be binned into the warm-up, one
+// after it into the measurement, exactly as a delivered one would. Pin it
+// with a warm-up end placed mid-sleep.
+TEST(TimeSkipHorizonTest, PhaseBoundaryInsideAQuietStretchStaysExact) {
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    CellResult results[2];
+    for (int on = 0; on < 2; ++on) {
+      MegaCellConfig mc;
+      mc.cell = StretchConfig(StrategyKind::kTs, 0.0);
+      mc.cell.renewal_sleep = true;
+      mc.cell.mean_awake_seconds = 8.0;
+      mc.cell.mean_sleep_seconds = 600.0;
+      mc.cell.quiet_elision = on == 1;
+      mc.num_shards = shards;
+      MegaCell cell(mc);
+      ASSERT_TRUE(cell.Build().ok());
+      // Long warmup: with ~60-interval sleep stretches the boundary at
+      // interval 20 almost surely lands mid-stretch.
+      ASSERT_TRUE(cell.Run(20, 60).ok());
+      results[on] = cell.result();
+    }
+    ExpectResultsIdenticalWithEvents(results[1], results[0]);
+    EXPECT_GT(results[1].quiet_skipped_intervals, 0u) << "nothing elided";
+  }
+}
+
+// An idle cell — every unit asleep for the whole run — must elide at any
+// shard count: the per-shard wake indexes aggregate into one horizon.
+TEST(TimeSkipShardTest, IdleCellSkipsAtAnyShardCount) {
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    CellResult results[2];
+    for (int on = 0; on < 2; ++on) {
+      MegaCellConfig mc;
+      mc.cell = StretchConfig(StrategyKind::kTs, 1.0);
+      mc.cell.quiet_elision = on == 1;
+      mc.num_shards = shards;
+      MegaCell cell(mc);
+      ASSERT_TRUE(cell.Build().ok());
+      ASSERT_TRUE(cell.Run(4, 80).ok());
+      results[on] = cell.result();
+    }
+    ExpectResultsIdenticalWithEvents(results[1], results[0]);
+    EXPECT_EQ(results[1].quiet_report_intervals, 80u);
+    EXPECT_EQ(results[0].quiet_skipped_intervals, 0u);
+    EXPECT_GT(results[1].quiet_skipped_intervals, 0u) << "nothing elided";
+  }
 }
 
 }  // namespace

@@ -73,6 +73,20 @@ TEST_P(RetentionDeclarationTest, ServerStartArmsDeclaredClass) {
       << JournalRetentionName(cell.db()->retention());
 }
 
+// An answer observer audits against historical ground truth (ValueAt), so
+// whatever the strategy declares, the run's retention floor raises the
+// class to the raw log.
+TEST_P(RetentionDeclarationTest, AnswerObserverRaisesToFullWindow) {
+  MegaCell cell({BaseConfig(GetParam().kind)});
+  ASSERT_TRUE(cell.Build().ok());
+  for (MobileUnit* unit : cell.units()) {
+    unit->SetAnswerObserver([](ItemId, uint64_t, SimTime, bool) {});
+  }
+  ASSERT_TRUE(cell.Run(2, 20).ok());
+  EXPECT_EQ(cell.db()->retention(), JournalRetention::kFullWindow)
+      << JournalRetentionName(cell.db()->retention());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, RetentionDeclarationTest,
     ::testing::Values(
@@ -85,7 +99,11 @@ INSTANTIATE_TEST_SUITE_P(
         DeclarationCase{StrategyKind::kGroupedAt,
                         JournalRetention::kDirtySet},
         DeclarationCase{StrategyKind::kAdaptiveTs,
-                        JournalRetention::kFullWindow}),
+                        JournalRetention::kFullWindow},
+        // The report-less baselines never read their update stream back.
+        DeclarationCase{StrategyKind::kIdeal, JournalRetention::kNone},
+        DeclarationCase{StrategyKind::kStateful, JournalRetention::kNone},
+        DeclarationCase{StrategyKind::kAsync, JournalRetention::kNone}),
     [](const ::testing::TestParamInfo<DeclarationCase>& param_info) {
       std::string name(StrategyName(param_info.param.kind));
       for (char& c : name) {

@@ -52,7 +52,7 @@ constexpr std::array kAllocCallees = {
 /// alloc-event-path: the hot roots the transitive closure is seeded at (in
 /// addition to every lambda scheduled on the event loop). Everything these
 /// reach through the call graph — the fan-out, the report arena, the
-/// quiet-stretch replay, the batch apply — inherits the allocation-free
+/// delivery consumption, the batch apply — inherits the allocation-free
 /// contract automatically; helpers must NOT be hand-listed here. A
 /// reachable function that is deliberately cold (one-time growth, setup)
 /// declares it with detlint:allow-function(alloc-event-path).
@@ -125,9 +125,8 @@ constexpr std::array kShardPhasePrefixes = {
 /// Control-plane calls (Start/Stop/ResetStats/SetDeliverySink/...) are not
 /// listed: wiring happens before the gang exists.
 constexpr std::array kServerPhaseMutators = {
-    "Broadcast",         "StepInterval",       "Send",
-    "Deliver",           "ConsumeDelivery",    "AcquireReportSlot",
-    "SkipToNextInterestingTime", "AccountUplinkQuery",
+    "Broadcast",         "Deliver",            "ConsumeDelivery",
+    "AcquireReportSlot", "AccountUplinkQuery",
 };
 
 /// phase-discipline: the sanctioned crossings — functions that run strictly

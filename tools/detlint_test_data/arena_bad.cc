@@ -1,5 +1,5 @@
 // Fixture: alloc-event-path, transitive closure over the broadcast path.
-// The step and arena helpers are NOT hand-listed anywhere: they inherit
+// The consumption and arena helpers are NOT hand-listed anywhere: they inherit
 // the allocation-free contract because Broadcast (a configured hot root)
 // calls them. A helper the root never reaches stays cold, and the arena's
 // own one-time growth is the sanctioned exception carrying an explicit
@@ -15,12 +15,12 @@ struct Report {};
 
 void Server::Broadcast(uint64_t interval) {
   auto report = std::make_shared<Report>();  // detlint:expect(alloc-event-path)
-  StepInterval(*report, 1.0);
+  ConsumeDelivery(*report, 1.0);
   AcquireReportSlot();
   (void)interval;
 }
 
-uint64_t Server::StepInterval(const Report& report, double listen_seconds) {
+uint64_t Server::ConsumeDelivery(const Report& report, double listen_seconds) {
   delivered_.push_back(&report);  // detlint:expect(alloc-event-path)
   (void)listen_seconds;
   return 1;

@@ -18,7 +18,7 @@ void MegaCell::ReplayWindow(Server* server) {
 
 void MegaCell::StepAfterBarrier(Server* server, uint64_t interval) {
   // detlint:allow-function(phase-discipline) reviewed post-barrier helper
-  server->StepInterval(interval, 0.0);
+  server->Broadcast(interval);
 }
 
 }  // namespace mobicache
