@@ -280,7 +280,6 @@ void BM_TsBuildReport(benchmark::State& state) {
   const uint64_t updates = static_cast<uint64_t>(state.range(0));
   Database db(kItems, 1);
   TsServerStrategy server(&db, kL, kWindow);
-  db.SetJournalBucketWidth(kL);
   db.SetRetention(server.retention());
   Rng rng(2);
   std::vector<ItemId> ids(updates);
@@ -507,7 +506,6 @@ struct AtStormCell {
             static_cast<double>(updates_per_interval) /
                 (static_cast<double>(kItems) * kL),
             5) {
-    db.SetJournalBucketWidth(kL);
     db.SetRetention(retention);
   }
 
@@ -515,7 +513,7 @@ struct AtStormCell {
     ++interval;
     const SimTime now = kL * static_cast<double>(interval);
     gen.GenerateIntervalUpdates(now, /*inclusive=*/false);
-    if (interval % 8 == 0) db.PruneJournalBefore(now - 3.0 * kL);
+    db.PruneJournalBefore(now - 3.0 * kL);  // as Server::Broadcast prunes
     return now;
   }
 
@@ -686,7 +684,6 @@ BENCHMARK(BM_SigRecomputeFull);
 void BM_SigRecomputeIncremental(benchmark::State& state) {
   const int dirty = static_cast<int>(state.range(0));
   Database db(50000, 1);
-  db.SetJournalBucketWidth(0.5);
   SignatureParams params;
   params.m = 2000;
   params.f = 10;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cmath>
 #include <new>
 #include <utility>
 
@@ -15,7 +14,7 @@ namespace mobicache {
 namespace {
 
 /// Primary storage cost of one raw journal entry: a SimTime and an ItemId in
-/// the bucket's parallel SoA arrays.
+/// the log's parallel arrays.
 constexpr uint64_t kRawEntryBytes = sizeof(SimTime) + sizeof(ItemId);
 
 /// Ids of slack UpdatedIn's time read prefetches ahead of its cursor: each
@@ -27,20 +26,6 @@ constexpr size_t kSlabReadPrefetchDistance = 8;
 /// to the caller's vector: a sparse window then pays one append per block
 /// rather than one per set word.
 constexpr size_t kFoundFlushAt = 192;
-
-/// Recycled bucket storages kept around after pruning. The server batches
-/// pruning (ServerConfig::journal_prune_period_intervals, default 8), so a
-/// prune drops that many buckets at once; the bound must absorb the whole
-/// burst or the overflow loses its storage and the next appends have to
-/// re-allocate it — breaking the allocation-free steady state.
-constexpr size_t kMaxSpareBuckets = 32;
-
-/// First index in the ascending `times` with times[i] > t (vector-wide
-/// upper bound), as an index rather than an iterator.
-size_t FirstAfter(const std::vector<SimTime>& times, SimTime t) {
-  return static_cast<size_t>(
-      std::upper_bound(times.begin(), times.end(), t) - times.begin());
-}
 
 }  // namespace
 
@@ -80,70 +65,10 @@ Database::~Database() {
   ::operator delete(hot_, std::align_val_t{64});
 }
 
-int64_t Database::BucketIndexFor(SimTime t) const {
-  if (bucket_width_ <= 0.0) return 0;
-  // Bucket i covers (i * width, (i + 1) * width]: a broadcast at T_i = i*L
-  // closes bucket i-1, which then holds exactly the interval's updates.
-  const int64_t idx =
-      static_cast<int64_t>(std::ceil(t / bucket_width_)) - 1;
-  return idx < 0 ? 0 : idx;
-}
-
-void Database::PushBucket(int64_t index) {
-  // The sanctioned bucket-open path: the reservations here (into recycled
-  // bucket shells, once per bucket) are exactly what keeps AppendJournal
-  // allocation-free once warm. detlint:allow-function(alloc-event-path)
-  if (!spare_buckets_.empty()) {
-    buckets_.push_back(std::move(spare_buckets_.back()));
-    spare_buckets_.pop_back();
-    Bucket& b = buckets_.back();
-    b.index = index;
-    b.times.clear();
-    b.ids.clear();
-  } else {
-    buckets_.emplace_back();
-    buckets_.back().index = index;
-  }
-  Bucket& b = buckets_.back();
-  if (b.times.capacity() < raw_high_water_) {
-    // Recycled shells carry whatever capacity their last bucket needed. One
-    // below the record is topped up to twice it, so appends stay
-    // allocation-free — and shells are not topped up again — until a bucket
-    // doubles the record.
-    b.times.reserve(2 * raw_high_water_);
-    b.ids.reserve(2 * raw_high_water_);
-  }
-}
-
-void Database::RecycleBucket(Bucket* bucket) {
-  if (spare_buckets_.size() >= kMaxSpareBuckets) return;
-  // Spare pool is capped at kMaxSpareBuckets shells; the push moves a bucket
-  // shell, it does not copy its storage. detlint:allow(alloc-event-path)
-  spare_buckets_.push_back(std::move(*bucket));
-}
-
-void Database::AppendJournal(ItemId id, SimTime now) {
-  const int64_t idx = BucketIndexFor(now);
-  if (buckets_.empty()) {
-    PushBucket(idx);
-  } else if (idx > buckets_.back().index) {
-    raw_high_water_ = std::max(raw_high_water_, buckets_.back().times.size());
-    PushBucket(idx);
-  }
-  Bucket& tail = buckets_.back();
-  ++journal_entries_;
-  // Appends land in capacity reserved at bucket open (twice the raw
-  // high-water mark; see PushBucket).
-  // detlint:allow(alloc-event-path)
-  tail.times.push_back(now);
-  tail.ids.push_back(id);  // detlint:allow(alloc-event-path) same reservation
-  journal_bytes_ += kRawEntryBytes;
-}
-
 void Database::ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
                                 size_t count) {
   assert(count > 0);
-  assert(journal_entries_ == 0 || times[0] >= JournalTailTime());
+  assert(log_times_.empty() || times[0] >= log_times_.back());
 #ifndef NDEBUG
   // Check the batch contract wholesale, so the loops below stay
   // assertion-free in debug builds too.
@@ -164,7 +89,13 @@ void Database::ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
   simd::ApplyVersionTimestamp(reinterpret_cast<simd::Record16*>(hot_), ids,
                               times, count);
   if (journal_enabled()) {
-    for (size_t i = 0; i < count; ++i) AppendJournal(ids[i], times[i]);
+    // Appends land in the log's retained capacity: pruning compacts in
+    // place, so once warm the log never outgrows it.
+    // detlint:allow(alloc-event-path)
+    log_times_.insert(log_times_.end(), times, times + count);
+    // detlint:allow(alloc-event-path) the same retained capacity
+    log_ids_.insert(log_ids_.end(), ids, ids + count);
+    journal_bytes_ += kRawEntryBytes * count;
   }
   if (dirty_armed()) MarkDirty(ids, times, count);
   total_updates_ += count;
@@ -189,9 +120,9 @@ void Database::SetRetention(JournalRetention retention) {
          "history dropped by a lower class cannot be recovered");
   retention_ = retention;
   if (retention != JournalRetention::kFullWindow) {
-    buckets_.clear();
-    spare_buckets_.clear();
-    journal_entries_ = 0;
+    std::vector<SimTime>().swap(log_times_);
+    std::vector<ItemId>().swap(log_ids_);
+    log_head_ = 0;
   }
   if (retention == JournalRetention::kNone) {
     std::vector<uint64_t>().swap(fresh_words_);
@@ -208,29 +139,7 @@ void Database::SetRetention(JournalRetention retention) {
     SyncJournalBytesPeak();
   }
   journal_bytes_ = (dirty_armed() ? DirtySetBytes() : 0) +
-                   kRawEntryBytes * journal_entries_;
-}
-
-void Database::SetJournalBucketWidth(SimTime width) {
-  assert(width >= 0.0);
-  if (width == bucket_width_) return;
-  std::vector<SimTime> all_times;
-  std::vector<ItemId> all_ids;
-  all_times.reserve(journal_entries_);
-  all_ids.reserve(journal_entries_);
-  for (const Bucket& bucket : buckets_) {
-    all_times.insert(all_times.end(), bucket.times.begin(),
-                     bucket.times.end());
-    all_ids.insert(all_ids.end(), bucket.ids.begin(), bucket.ids.end());
-  }
-  bucket_width_ = width;
-  buckets_.clear();
-  // Entries survive re-bucketing; the replay below re-adds their bytes.
-  journal_bytes_ -= kRawEntryBytes * journal_entries_;
-  journal_entries_ = 0;
-  for (size_t i = 0; i < all_times.size(); ++i) {
-    AppendJournal(all_ids[i], all_times[i]);
-  }
+                   kRawEntryBytes * journal_size();
 }
 
 void Database::UpdatedIn(SimTime lo, SimTime hi,
@@ -351,18 +260,20 @@ void Database::MergeDirtyWords(SimTime lo, SimTime hi, bool all_inside,
   out->insert(out->end(), found, found + k);
 }
 
+size_t Database::FirstLiveAfter(SimTime t) const {
+  const auto live = log_times_.begin() + static_cast<ptrdiff_t>(log_head_);
+  return static_cast<size_t>(
+      std::upper_bound(live, log_times_.end(), t) - log_times_.begin());
+}
+
 std::vector<UpdatedItem> Database::JournalIn(SimTime lo, SimTime hi) const {
   assert(journal_enabled() && "raw log scan without a raw log");
+  assert(lo >= pruned_through_ && "raw log scan reaches before the prune");
   std::vector<UpdatedItem> out;
   if (hi <= lo) return out;
-  for (const Bucket& bucket : buckets_) {
-    if (!bucket.HasEntries() || bucket.LastTime() <= lo) continue;
-    if (bucket.FirstTime() > hi) break;
-    const size_t n = bucket.times.size();
-    for (size_t i = FirstAfter(bucket.times, lo);
-         i < n && bucket.times[i] <= hi; ++i) {
-      out.push_back(UpdatedItem{bucket.ids[i], bucket.times[i]});
-    }
+  const size_t end = log_times_.size();
+  for (size_t i = FirstLiveAfter(lo); i < end && log_times_[i] <= hi; ++i) {
+    out.push_back(UpdatedItem{log_ids_[i], log_times_[i]});
   }
   return out;
 }
@@ -370,14 +281,12 @@ std::vector<UpdatedItem> Database::JournalIn(SimTime lo, SimTime hi) const {
 uint64_t Database::VersionAt(ItemId id, SimTime t) const {
   assert(id < n_);
   assert(journal_enabled() && "historical read without a raw log");
+  assert(t >= pruned_through_ && "historical read reaches before the prune");
+  // Every update after t is still in the log: the version as of t is the
+  // current one less those.
   uint64_t after = 0;
-  // Updates strictly after t are still in the journal (caller's contract).
-  for (const Bucket& bucket : buckets_) {
-    if (!bucket.HasEntries() || bucket.LastTime() <= t) continue;
-    const size_t n = bucket.times.size();
-    for (size_t i = FirstAfter(bucket.times, t); i < n; ++i) {
-      if (bucket.ids[i] == id) ++after;
-    }
+  for (size_t i = FirstLiveAfter(t); i < log_ids_.size(); ++i) {
+    after += log_ids_[i] == id ? 1 : 0;
   }
   assert(hot_[id].version >= after);
   return hot_[id].version - after;
@@ -388,25 +297,20 @@ uint64_t Database::ValueAt(ItemId id, SimTime t) const {
 }
 
 void Database::PruneJournalBefore(SimTime horizon) {
+  pruned_through_ = std::max(pruned_through_, horizon);
+  const size_t cut = FirstLiveAfter(horizon);
+  if (cut == log_head_) return;
   SyncJournalBytesPeak();
-  while (!buckets_.empty() && buckets_.front().HasEntries() &&
-         buckets_.front().LastTime() <= horizon) {
-    const size_t entries = buckets_.front().times.size();
-    journal_entries_ -= entries;
-    journal_bytes_ -= kRawEntryBytes * entries;
-    RecycleBucket(&buckets_.front());
-    buckets_.pop_front();
+  journal_bytes_ -= kRawEntryBytes * (cut - log_head_);
+  log_head_ = cut;
+  // Drop the dead prefix in place once it is more than half the log: an
+  // amortized element move per entry, and the capacity stays.
+  if (2 * log_head_ > log_times_.size()) {
+    const auto dead = static_cast<ptrdiff_t>(log_head_);
+    log_times_.erase(log_times_.begin(), log_times_.begin() + dead);
+    log_ids_.erase(log_ids_.begin(), log_ids_.begin() + dead);
+    log_head_ = 0;
   }
-  if (buckets_.empty() || buckets_.front().FirstTime() > horizon) return;
-  // Partially covered front bucket: trim the raw prefix.
-  Bucket& front = buckets_.front();
-  const size_t keep = FirstAfter(front.times, horizon);
-  journal_entries_ -= keep;
-  journal_bytes_ -= kRawEntryBytes * keep;
-  front.times.erase(front.times.begin(),
-                    front.times.begin() + static_cast<ptrdiff_t>(keep));
-  front.ids.erase(front.ids.begin(),
-                  front.ids.begin() + static_cast<ptrdiff_t>(keep));
 }
 
 }  // namespace mobicache

@@ -52,14 +52,15 @@
 // are one pass over both sets' 2 * ceil(n/64) words, and the fallback adds
 // one slab read per set bit.
 //
-// The raw log (kFullWindow only) is an append-only ring of time buckets
-// (one per broadcast interval once SetJournalBucketWidth is wired by the
-// server), each holding parallel time/id arrays. Window queries never read
-// it: it serves the historical reads alone — JournalIn (every update in a
-// window, for the adaptive TS controller) and VersionAt/ValueAt (quasi-AT
-// and answer-observer audits). Pruning drops whole buckets and recycles
-// their storage into a small free list, so the steady state (one bucket
-// appended, one pruned per interval) allocates nothing.
+// The raw log (kFullWindow only) is one flat time-ordered log: parallel
+// time/id arrays and the index of their first live entry. Window queries
+// never read it: it serves the historical reads alone — JournalIn (every
+// update in a window, for the adaptive TS controller) and VersionAt/ValueAt
+// (quasi-AT and answer-observer audits) — each a binary search of the live
+// range. Appends land in retained capacity; pruning moves the head past the
+// cutoff and drops the dead prefix in place once it is more than half the
+// array, so the steady state (one interval appended, one pruned) allocates
+// nothing. A read reaching back before the latest cutoff is asserted away.
 //
 // No retention (kNone, no-caching): no raw log and no bit set. A window
 // query then has no history to consult and answers empty; the raw readers
@@ -116,7 +117,7 @@ struct UpdatedItem {
 ///                   and UpdatedIdsIn exactly as long as the queries' lo
 ///                   never decreases, which every report builder's does
 ///                   (TS, AT, grouped AT, SIG, hybrid).
-///  * kFullWindow  — the bits plus the raw bucket log, for the historical
+///  * kFullWindow  — the bits plus the flat raw log, for the historical
 ///                   reads (JournalIn, VersionAt/ValueAt) of adaptive TS,
 ///                   quasi-AT, and any cell whose answer observer audits
 ///                   historical values. Window queries never read the log.
@@ -220,13 +221,15 @@ class Database {
   /// Raw update events (every update, not just the last per item) with time
   /// in (lo, hi], ascending by time, read from the raw log. Used by the
   /// adaptive controller to reconstruct per-item update histories for
-  /// hit-ratio estimation.
+  /// hit-ratio estimation. `lo` must not predate the latest prune cutoff
+  /// (asserted).
   std::vector<UpdatedItem> JournalIn(SimTime lo, SimTime hi) const;
 
   /// Version of `id` as of time `t` (inclusive), reconstructed from the
-  /// raw log. Only valid while the log still covers (t, now] for this
-  /// item — i.e. t must not predate the prune horizon. Used by tests and
-  /// benches to verify cache contents against historical ground truth.
+  /// raw log: the current version less the updates logged after `t`. The
+  /// log must still cover (t, now], so `t` must not predate the latest
+  /// prune cutoff (asserted). Used by quasi-AT and by audits that verify
+  /// cache contents against historical ground truth.
   uint64_t VersionAt(ItemId id, SimTime t) const;
 
   /// Value of `id` as of time `t` (see VersionAt's journal caveat).
@@ -234,14 +237,15 @@ class Database {
 
   uint64_t seed() const { return seed_; }
 
-  /// Drops raw log entries with time <= `horizon`. Historical readers never
-  /// look further back than the largest report window, so the server
-  /// prunes periodically to bound memory. Dropped buckets' storage is
-  /// recycled.
+  /// Drops raw log entries with time <= `horizon`; later historical reads
+  /// must not reach back before it (asserted). Historical readers never
+  /// look further back than the largest report window plus slack, so the
+  /// server prunes at every broadcast to bound memory.
   void PruneJournalBefore(SimTime horizon);
 
   uint64_t total_updates() const { return total_updates_; }
-  size_t journal_size() const { return journal_entries_; }
+  /// Live raw log entries.
+  size_t journal_size() const { return log_times_.size() - log_head_; }
 
   /// Arms the retention class the strategy declared (see JournalRetention).
   /// A new database holds kFullWindow's bits and raw log; kDirtySet drops
@@ -266,12 +270,10 @@ class Database {
                                                 : journal_bytes_peak_;
   }
 
-  /// Sets the bucket width (normally the broadcast latency L; 0 keeps the
-  /// whole journal in one bucket). Existing entries are re-bucketed, so this
-  /// may be called at any time; the server wires it before starting the
-  /// broadcast schedule.
-  void SetJournalBucketWidth(SimTime width);
-  SimTime journal_bucket_width() const { return bucket_width_; }
+  /// Does nothing: the raw log is one flat array with no buckets. Kept
+  /// because perfbench's server probe (perfbench/probes.cc) still calls it;
+  /// it goes with the next benchmark change.
+  void SetJournalBucketWidth(SimTime width) { (void)width; }
 
   /// Installs a callback invoked after every applied update (ApplyUpdate
   /// and each entry of ApplyUpdateBatch, in order). Used by the cell's
@@ -300,84 +302,11 @@ class Database {
   /// The bit sets' footprint: two sets of n bits.
   uint64_t DirtySetBytes() const { return 2 * ((n_ + 7) / 8); }
 
-  /// One bucket of the raw log ring, covering times in
-  /// (index * width, (index + 1) * width]. Parallel SoA arrays: times is
-  /// ascending; ids[i] is the item updated at times[i].
-  struct Bucket {
-    int64_t index = 0;
-    std::vector<SimTime> times;
-    std::vector<ItemId> ids;
-
-    bool HasEntries() const { return !times.empty(); }
-    SimTime FirstTime() const { return times.front(); }
-    SimTime LastTime() const { return times.back(); }
-  };
-
-  /// FIFO of journal buckets over a flat vector: pop_front leaves a dead
-  /// prefix behind and the push path compacts it away with element moves
-  /// once it dominates. Unlike a deque there are no chunk nodes to churn, so
-  /// the steady state (one bucket pushed, one popped per interval, storage
-  /// recycled through the spare list) performs zero heap allocations.
-  class BucketFifo {
-   public:
-    bool empty() const { return head_ == store_.size(); }
-    size_t size() const { return store_.size() - head_; }
-    Bucket& front() { return store_[head_]; }
-    const Bucket& front() const { return store_[head_]; }
-    Bucket& back() { return store_.back(); }
-    const Bucket& back() const { return store_.back(); }
-    Bucket* begin() { return store_.data() + head_; }
-    Bucket* end() { return store_.data() + store_.size(); }
-    const Bucket* begin() const { return store_.data() + head_; }
-    const Bucket* end() const { return store_.data() + store_.size(); }
-
-    Bucket& emplace_back() {
-      MaybeCompact();
-      return store_.emplace_back();
-    }
-    void push_back(Bucket&& bucket) {
-      MaybeCompact();
-      store_.push_back(std::move(bucket));
-    }
-    /// Drops the front bucket (the caller has already salvaged its storage
-    /// via RecycleBucket); the shell stays behind until compaction.
-    void pop_front() { ++head_; }
-    void clear() {
-      store_.clear();
-      head_ = 0;
-    }
-
-   private:
-    void MaybeCompact() {
-      if (head_ == store_.size()) {
-        store_.clear();
-        head_ = 0;
-      } else if (head_ > 8 && head_ * 2 > store_.size()) {
-        store_.erase(store_.begin(),
-                     store_.begin() + static_cast<ptrdiff_t>(head_));
-        head_ = 0;
-      }
-    }
-
-    std::vector<Bucket> store_;
-    size_t head_ = 0;
-  };
-
   uint64_t SyntheticValueFor(ItemId id, uint64_t version) const {
     return SyntheticValue(seed_, id, version);
   }
-  int64_t BucketIndexFor(SimTime t) const;
-  void AppendJournal(ItemId id, SimTime now);
-  /// Time of the newest journal entry (assert support for the monotonic
-  /// append contract). Journal must be non-empty.
-  SimTime JournalTailTime() const {
-    return buckets_.back().LastTime();
-  }
-  /// Appends a fresh bucket with `index`, reusing recycled storage when
-  /// available and reserving twice the high-water raw entry count.
-  void PushBucket(int64_t index);
-  /// Saves a drained bucket's storage in the spare list (bounded).
-  void RecycleBucket(Bucket* bucket);
+  /// Index of the first live raw log entry with time > `t`.
+  size_t FirstLiveAfter(SimTime t) const;
   /// Sets the fresh bits of `count` updated ids and folds their times
   /// (non-decreasing) into the fresh-interval bounds.
   void MarkDirty(const ItemId* ids, const SimTime* times, size_t count);
@@ -408,18 +337,18 @@ class Database {
 
   uint64_t n_ = 0;
   HotItem* hot_ = nullptr;  ///< 64-byte-aligned slab of n_ records.
-  BucketFifo buckets_;  // ascending index; times never empty
-  std::vector<Bucket> spare_buckets_;  ///< Recycled storage (bounded).
-  size_t journal_entries_ = 0;
+  /// The raw log (see the file comment): log_ids_[i] was updated at
+  /// log_times_[i], times ascending; entries before log_head_ are pruned.
+  std::vector<SimTime> log_times_;
+  std::vector<ItemId> log_ids_;
+  size_t log_head_ = 0;
+  /// Largest prune cutoff so far: historical reads must not reach back
+  /// before it.
+  SimTime pruned_through_ = -std::numeric_limits<SimTime>::infinity();
   /// History bytes held now / at peak (see journal_bytes_peak()).
   uint64_t journal_bytes_ = 0;
   uint64_t journal_bytes_peak_ = 0;
-  SimTime bucket_width_ = 0.0;
   JournalRetention retention_ = JournalRetention::kFullWindow;
-  /// High-water raw entry count across sealed buckets. Newly opened buckets
-  /// reserve twice this, so steady-state appends stay allocation-free: a
-  /// realloc needs one bucket to double the record.
-  size_t raw_high_water_ = 0;
   uint64_t total_updates_ = 0;
   uint64_t seed_;
   std::function<void(ItemId, SimTime)> observer_;

@@ -9,6 +9,14 @@
 
 namespace mobicache {
 
+namespace {
+
+/// Broadcast intervals of raw log kept past the strategy's horizon: the
+/// margin for historical reads (answer audits) that trail the report build.
+constexpr double kJournalSlackIntervals = 2.0;
+
+}  // namespace
+
 Server::Server(Simulator* sim, Database* db, Channel* channel,
                std::unique_ptr<ServerStrategy> strategy,
                DeliveryModel* delivery, ServerConfig config)
@@ -18,8 +26,8 @@ Server::Server(Simulator* sim, Database* db, Channel* channel,
       strategy_(std::move(strategy)),
       delivery_(delivery),
       config_(config) {
+  assert(delivery_ != nullptr);
   assert(config_.latency > 0.0);
-  assert(config_.journal_prune_period_intervals >= 1);
 }
 
 Server::~Server() { Stop(); }
@@ -39,9 +47,6 @@ Status Server::Start() {
   if (broadcaster_ != nullptr) {
     return Status::FailedPrecondition("server already started");
   }
-  // Bucket the raw log by broadcast interval, so pruning drops whole
-  // intervals and recycles their storage.
-  db_->SetJournalBucketWidth(config_.latency);
   // Arm the retention class the strategy declared (possibly raised by an
   // instrumentation floor): no history at all for strategies that never
   // read update history, the dirty set alone for those that only
@@ -90,20 +95,14 @@ void Server::Broadcast(uint64_t interval) {
   // The jitter draw precedes the report build: the delivery model owns a
   // private RNG stream, so the draw order relative to the (draw-free) build
   // is unobservable — and elision needs the jitter before deciding.
-  const double jitter =
-      delivery_ == nullptr ? 0.0 : delivery_->SampleJitter();
+  const double jitter = delivery_->SampleJitter();
 
-  // Keep as much journal as the strategy's window needs, plus slack. Pruning
-  // is batched (journal_prune_period_intervals): the cutoff always trails the
-  // build window, so pruning less often — or before the build — only retains
-  // extra history and changes no windowed read.
-  if (++intervals_since_prune_ >= config_.journal_prune_period_intervals) {
-    intervals_since_prune_ = 0;
-    const SimTime horizon =
-        strategy_->JournalHorizonSeconds() +
-        config_.latency * static_cast<double>(config_.journal_slack_intervals);
-    if (now > horizon) db_->PruneJournalBefore(now - horizon);
-  }
+  // Keep as much raw log as the strategy's window needs, plus slack for the
+  // historical reads of delivered answers. The cutoff trails the build
+  // window, so pruning before the build changes no windowed read.
+  const SimTime horizon = strategy_->JournalHorizonSeconds() +
+                          kJournalSlackIntervals * config_.latency;
+  if (now > horizon) db_->PruneJournalBefore(now - horizon);
 
   // Every interval builds its report, heard or not: the strategy advances
   // exactly as in a fully awake cell and the report's size is its airtime.
@@ -150,9 +149,7 @@ void Server::Deliver(std::shared_ptr<const Report> report, uint64_t bits,
   // whether anyone listens or not.
   const SimTime done =
       channel_->TransmitAt(now, bits, TrafficClass::kReport, /*preempt=*/true);
-  const double listen =
-      delivery_ == nullptr ? duration
-                           : delivery_->ListenSeconds(jitter, duration);
+  const double listen = delivery_->ListenSeconds(jitter, duration);
   // Units consume the report when its transmission completes. Quiet counters
   // tick inside this event so ResetStats boundaries and run-end truncation
   // bin elided intervals exactly like delivered ones.

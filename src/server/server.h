@@ -37,13 +37,6 @@ class UpdateGenerator;
 struct ServerConfig {
   SimTime latency = 10.0;  ///< L: broadcast period in seconds.
   MessageSizes sizes;      ///< Bit costs of the message vocabulary.
-  /// Extra journal history retained beyond the strategy's horizon, in
-  /// intervals (safety margin for observers).
-  uint64_t journal_slack_intervals = 2;
-  /// Broadcast intervals between journal prunes (>= 1). Skipping a prune
-  /// only retains extra history — no window query reads beyond the horizon —
-  /// so pruning in batches is identity-free and amortizes the bucket walk.
-  uint64_t journal_prune_period_intervals = 8;
   /// Quiet-interval elision (requires an attached WakeIndex): skip report
   /// delivery and fan-out for intervals no unit can hear.
   /// Observable behaviour is byte-identical either way; the equivalence
@@ -71,7 +64,8 @@ struct ServerStats {
 
 class Server {
  public:
-  /// `delivery` may be null, meaning ideal periodic timing with zero jitter.
+  /// `delivery` must not be null; DeliveryModelKind::kIdealPeriodic is
+  /// periodic timing with zero jitter.
   Server(Simulator* sim, Database* db, Channel* channel,
          std::unique_ptr<ServerStrategy> strategy, DeliveryModel* delivery,
          ServerConfig config);
@@ -200,7 +194,6 @@ class Server {
   /// so a slot frees itself when its last consumer drops the reference.
   std::vector<std::shared_ptr<Report>> report_arena_;
   uint64_t deliveries_completed_ = 0;
-  uint64_t intervals_since_prune_ = 0;
   UpdateGenerator* update_pump_ = nullptr;
   JournalRetention retention_floor_ = JournalRetention::kNone;
 };

@@ -93,6 +93,50 @@ TEST(DatabaseTest, PruneDropsOldEntries) {
   EXPECT_EQ(db.Get(0).version, 1u);
 }
 
+// Feeds 200 updates cycling over 16 items, one every 0.5 s, so each item
+// carries a dozen versions across the pruned and the kept range.
+void FeedCycle(Database* db) {
+  for (int i = 1; i <= 200; ++i) {
+    db->ApplyUpdate(static_cast<ItemId>(i % 16), 0.5 * static_cast<double>(i));
+  }
+}
+
+TEST(DatabaseTest, HistoricalReadsFromThePruneCutoffMatchAnUnprunedTwin) {
+  Database pruned(16, 3), twin(16, 3);
+  FeedCycle(&pruned);
+  FeedCycle(&twin);
+  // The cutoff is an update instant: the update at 40.0 itself is dropped,
+  // and a read as of 40.0 needs only the updates after it.
+  constexpr SimTime kCutoff = 40.0;
+  pruned.PruneJournalBefore(kCutoff);
+  EXPECT_EQ(pruned.journal_size(), 120u);
+  EXPECT_EQ(twin.journal_size(), 200u);
+  for (const SimTime t : {kCutoff, 40.25, 75.0, 100.0}) {
+    for (ItemId id = 0; id < 16; ++id) {
+      EXPECT_EQ(pruned.VersionAt(id, t), twin.VersionAt(id, t))
+          << "id " << id << " t " << t;
+      EXPECT_EQ(pruned.ValueAt(id, t), twin.ValueAt(id, t));
+    }
+  }
+  const std::vector<UpdatedItem> kept = pruned.JournalIn(kCutoff, 100.0);
+  const std::vector<UpdatedItem> full = twin.JournalIn(kCutoff, 100.0);
+  ASSERT_EQ(kept.size(), full.size());
+  for (size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i].id, full[i].id);
+    EXPECT_EQ(kept[i].updated_at, full[i].updated_at);
+  }
+}
+
+TEST(DatabaseDeathTest, HistoricalReadBeforeThePruneCutoffAsserts) {
+  Database db(16, 3);
+  FeedCycle(&db);
+  db.PruneJournalBefore(40.0);
+  // The log no longer holds the update at 40.0, so neither read could be
+  // answered; debug builds refuse both.
+  EXPECT_DEBUG_DEATH(db.VersionAt(0, 39.5), "before the prune");
+  EXPECT_DEBUG_DEATH(db.JournalIn(39.5, 100.0), "before the prune");
+}
+
 TEST(DatabaseTest, ObserverSeesEveryUpdate) {
   Database db(10, 1);
   std::vector<ItemId> seen;

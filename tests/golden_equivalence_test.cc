@@ -1,4 +1,4 @@
-// Equivalence contract of the watermark cache, the bucketed journal, the
+// Equivalence contract of the watermark cache, the flat history log, the
 // incremental report builders, the shared-report delivery path, and the
 // sharded cell engine: none of them may change anything observable.
 // Enforced three ways:

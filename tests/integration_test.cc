@@ -160,6 +160,26 @@ TEST(SafetyTest, QuasiAtHonoursStalenessBound) {
   }
 }
 
+TEST(SafetyTest, JitteredDeliveryNeverAnswersStaleValues) {
+  // Contention jitter delivers each report after its nominal instant, so
+  // the audits read further behind the broadcast that last pruned the raw
+  // log. Every read must stay inside the log the server keeps (asserted in
+  // debug builds) and find no stale answer.
+  for (StrategyKind kind :
+       {StrategyKind::kTs, StrategyKind::kAt, StrategyKind::kAdaptiveTs}) {
+    CellConfig config = BaseConfig(kind, 0.4);
+    config.delivery = DeliveryModelKind::kCsmaJitter;
+    config.mean_jitter_seconds = 2.0;
+    for (uint32_t shards : kShardCounts) {
+      SCOPED_TRACE(std::string(StrategyName(kind)) +
+                   " shards=" + std::to_string(shards));
+      const ViolationCount c = AuditNoFalseValid(config, shards);
+      EXPECT_GT(c.hits, 100u);
+      EXPECT_EQ(c.violations, 0u);
+    }
+  }
+}
+
 double SimulatedHitRatio(StrategyKind kind, double s, uint64_t seed) {
   CellConfig config;
   config.model.n = 1000;  // Scenario-1 shaped

@@ -107,10 +107,16 @@ CellConfig BaseConfig(StrategyKind kind, double s) {
 // probabilities. Every quiet interval builds its report and skips only the
 // delivery, whatever the strategy.
 
+/// gtest prints a parameter as its raw bytes, and ctest names carry that
+/// dump: the zero fields fill what would be padding, so every byte is set
+/// and the names are the same in every build.
 struct ElisionCase {
+  ElisionCase(StrategyKind k, double sleep) : kind(k), s(sleep) {}
   StrategyKind kind;
+  uint32_t zero = 0;
   double s;
 };
+static_assert(sizeof(ElisionCase) == 16, "no padding bytes");
 
 class ElisionEquivalenceTest : public ::testing::TestWithParam<ElisionCase> {};
 
@@ -357,11 +363,19 @@ void ExpectResultsIdenticalWithEvents(const CellResult& a,
   EXPECT_EQ(a.sim_events, b.sim_events);
 }
 
+/// gtest prints a parameter as its raw bytes, and ctest names carry that
+/// dump: the zero fields fill what would be padding, so every byte is set
+/// and the names are the same in every build.
 struct SkipCase {
+  SkipCase(StrategyKind k, double sleep, bool renew)
+      : kind(k), s(sleep), renewal(renew) {}
   StrategyKind kind;
+  uint32_t zero = 0;
   double s;
   bool renewal;  // long on/off sleep periods instead of per-interval draws
+  uint8_t zero_tail[7] = {};
 };
+static_assert(sizeof(SkipCase) == 24, "no padding bytes");
 
 class TimeSkipEquivalenceTest : public ::testing::TestWithParam<SkipCase> {};
 

@@ -22,10 +22,11 @@ TEST(ServerTest, ScheduleAndObserver) {
   Database db(100, 1);
   Simulator sim;
   Channel channel(&sim, 1e4);
+  DeliveryModel ideal(DeliveryModelKind::kIdealPeriodic, 0.0, 7);
   ServerConfig config;
   config.latency = 10.0;
   Server server(&sim, &db, &channel,
-                std::make_unique<AtServerStrategy>(&db, 10.0), nullptr,
+                std::make_unique<AtServerStrategy>(&db, 10.0), &ideal,
                 config);
   std::vector<double> report_times;
   server.SetReportObserver([&](const Report& r) {
@@ -43,11 +44,12 @@ TEST(ServerTest, ReportBitsTracked) {
   Database db(100, 1);
   Simulator sim;
   Channel channel(&sim, 1e4);
+  DeliveryModel ideal(DeliveryModelKind::kIdealPeriodic, 0.0, 7);
   ServerConfig config;
   config.latency = 10.0;
   config.sizes.id_bits = 7;
   Server server(&sim, &db, &channel,
-                std::make_unique<AtServerStrategy>(&db, 10.0), nullptr,
+                std::make_unique<AtServerStrategy>(&db, 10.0), &ideal,
                 config);
   ASSERT_TRUE(server.Start().ok());
   sim.ScheduleAt(5.0, [&] { db.ApplyUpdate(3, 5.0); });
@@ -63,12 +65,13 @@ TEST(ServerTest, AccountUplinkQueryChargesChannel) {
   Database db(100, 1);
   Simulator sim;
   Channel channel(&sim, 1e4);
+  DeliveryModel ideal(DeliveryModelKind::kIdealPeriodic, 0.0, 7);
   ServerConfig config;
   config.latency = 10.0;
   config.sizes.bq = 100;
   config.sizes.ba = 900;
   Server server(&sim, &db, &channel,
-                std::make_unique<AtServerStrategy>(&db, 10.0), nullptr,
+                std::make_unique<AtServerStrategy>(&db, 10.0), &ideal,
                 config);
   UplinkQueryInfo info;
   info.id = 5;
@@ -83,13 +86,14 @@ TEST(ServerTest, PrunesJournalBeyondStrategyHorizon) {
   Database db(100, 1);
   Simulator sim;
   Channel channel(&sim, 1e4);
+  DeliveryModel ideal(DeliveryModelKind::kIdealPeriodic, 0.0, 7);
   ServerConfig config;
   config.latency = 10.0;
-  config.journal_slack_intervals = 1;
-  config.journal_prune_period_intervals = 1;  // prune every interval
   Server server(&sim, &db, &channel,
-                std::make_unique<AtServerStrategy>(&db, 10.0), nullptr,
+                std::make_unique<AtServerStrategy>(&db, 10.0), &ideal,
                 config);
+  // AT itself keeps no raw log: the floor arms one, as an audit does.
+  server.SetRetentionFloor(JournalRetention::kFullWindow);
   ASSERT_TRUE(server.Start().ok());
   for (int i = 0; i < 20; ++i) {
     const double t = static_cast<double>(i) * 5.0 + 1.0;
@@ -99,39 +103,51 @@ TEST(ServerTest, PrunesJournalBeyondStrategyHorizon) {
   }
   sim.RunUntil(100.0);
   server.Stop();
-  // Horizon = L + slack = 20 s: at T=100 only entries newer than ~80 stay.
-  EXPECT_LE(db.journal_size(), 6u);
+  // Horizon = L + 2L of slack = 30 s: at T=100 only the entries after 70
+  // stay (71, 76, ..., 96).
+  EXPECT_EQ(db.journal_size(), 6u);
 }
 
-TEST(ServerTest, BatchedPruneKeepsJournalBounded) {
-  // With the default amortized prune (every k intervals) the journal may
-  // retain up to k intervals of extra history past the horizon, but no
-  // more: memory stays bounded for arbitrarily long runs.
+TEST(ServerTest, PrunesJournalAtEveryInterval) {
+  // Two updates per interval over 200 intervals. Every broadcast prunes to
+  // the strategy's horizon plus two intervals of slack, so as each report
+  // completes the log holds exactly the updates after T - 3L: memory stays
+  // bounded for arbitrarily long runs, with no prune skipped.
   Database db(100, 1);
   Simulator sim;
   Channel channel(&sim, 1e4);
+  DeliveryModel ideal(DeliveryModelKind::kIdealPeriodic, 0.0, 7);
   ServerConfig config;
   config.latency = 10.0;
-  config.journal_slack_intervals = 1;
-  ASSERT_GE(config.journal_prune_period_intervals, 1u);
   Server server(&sim, &db, &channel,
-                std::make_unique<AtServerStrategy>(&db, 10.0), nullptr,
+                std::make_unique<AtServerStrategy>(&db, 10.0), &ideal,
                 config);
-  ASSERT_TRUE(server.Start().ok());
-  // Two updates per interval over 200 intervals.
+  std::vector<double> update_times;
   for (int i = 0; i < 400; ++i) {
     const double t = static_cast<double>(i) * 5.0 + 1.0;
+    update_times.push_back(t);
     sim.ScheduleAt(t, [&db, t] {
       db.ApplyUpdate(static_cast<ItemId>(static_cast<uint64_t>(t) % 100), t);
     });
   }
+  server.SetRetentionFloor(JournalRetention::kFullWindow);
+  uint64_t reports = 0;
+  server.SetReportObserver([&](const Report& r) {
+    const double cutoff = ReportTimestamp(r) - 30.0;
+    size_t want = 0;
+    for (double t : update_times) {
+      want += t > cutoff && t <= sim.Now() ? 1 : 0;
+    }
+    EXPECT_EQ(db.journal_size(), want) << "report at " << ReportTimestamp(r);
+    ++reports;
+  });
+  ASSERT_TRUE(server.Start().ok());
   sim.RunUntil(2000.0);
   server.Stop();
-  // Bound: horizon (2 intervals) + prune period intervals of slop, at two
-  // updates per interval, plus the entries since the last prune fired.
-  const uint64_t bound =
-      2 * (2 + config.journal_prune_period_intervals + 1);
-  EXPECT_LE(db.journal_size(), bound);
+  // Reports at 0, 10, ..., 1990 completed; the one at 2000 pruned to 1970
+  // and is still on the air.
+  EXPECT_EQ(reports, 200u);
+  EXPECT_EQ(db.journal_size(), 6u);
 }
 
 TEST(ServerTest, JitteredDeliveryArrivesAfterNominalTime) {
@@ -168,10 +184,11 @@ TEST(ServerTest, NullStrategyBroadcastsZeroBits) {
   Database db(100, 1);
   Simulator sim;
   Channel channel(&sim, 1e4);
+  DeliveryModel ideal(DeliveryModelKind::kIdealPeriodic, 0.0, 7);
   ServerConfig config;
   config.latency = 10.0;
   Server server(&sim, &db, &channel, std::make_unique<NullServerStrategy>(),
-                nullptr, config);
+                &ideal, config);
   ASSERT_TRUE(server.Start().ok());
   sim.RunUntil(50.0);
   server.Stop();

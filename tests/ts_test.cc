@@ -61,7 +61,6 @@ TEST(TsServerTest, GappedBuildsMatchTheWindowOracle) {
   constexpr uint64_t kItems = 256;
   Database db(kItems, 5);
   TsServerStrategy server(&db, kL, kK);
-  db.SetJournalBucketWidth(kL);
   db.SetRetention(server.retention());
   Rng rng(17);
   const uint64_t kBuilds[] = {1, 2, 3, 5, 6, 9, 10, 14, 19, 30, 31, 33};

@@ -325,29 +325,47 @@ TEST(UpdateBatchEngineTest, MegaCellMatchesCellAcrossShardCounts) {
 
 // The drain loop itself: once the constructor has sized the lookahead,
 // pumping any number of updates through a journal-less database allocates
-// nothing, for the uniform and the Zipf-weighted profile alike.
+// nothing, for the uniform and the Zipf-weighted profile alike. The
+// full-window row adds the raw log, pruned at every interval as the server
+// prunes it: once warm, its appends land in retained capacity.
 TEST(UpdateBatchAllocationTest, DrainLoopAllocatesNothing) {
   constexpr uint64_t kItems = 10000;
+  constexpr double kL = 10.0;
   const std::vector<double> zipf =
       ZipfUpdateRates(kItems, /*mu_mean=*/0.01, /*theta=*/0.9);
-  for (bool weighted : {false, true}) {
-    SCOPED_TRACE(weighted ? "zipf" : "uniform");
+  struct Row {
+    const char* name;
+    bool weighted;
+    JournalRetention retention;
+  };
+  for (const Row& row :
+       {Row{"uniform", false, JournalRetention::kNone},
+        Row{"zipf", true, JournalRetention::kNone},
+        Row{"uniform, full window", false, JournalRetention::kFullWindow}}) {
+    SCOPED_TRACE(row.name);
     Simulator sim;
     Database db(kItems, /*seed=*/3);
-    db.SetRetention(JournalRetention::kNone);
+    db.SetRetention(row.retention);
     UpdateGenerator gen =
-        weighted ? UpdateGenerator(&sim, &db, zipf, /*seed=*/77)
-                 : UpdateGenerator(&sim, &db, /*mu_per_item=*/0.01, 77);
+        row.weighted ? UpdateGenerator(&sim, &db, zipf, /*seed=*/77)
+                     : UpdateGenerator(&sim, &db, /*mu_per_item=*/0.01, 77);
     ASSERT_TRUE(gen.Start().ok());
-    gen.GenerateIntervalUpdates(50.0, /*inclusive=*/false);  // warm
+    // One interval's drain, then the server's prune: the strategy's
+    // horizon (L) plus two intervals of slack.
+    auto step = [&](int interval) {
+      const SimTime now = kL * static_cast<double>(interval);
+      gen.GenerateIntervalUpdates(now, /*inclusive=*/false);
+      db.PruneJournalBefore(now - 3.0 * kL);
+    };
+    for (int i = 1; i <= 10; ++i) step(i);  // warm
 
     const size_t before = g_new_calls.load();
-    for (int i = 1; i <= 40; ++i) {
-      gen.GenerateIntervalUpdates(50.0 + 10.0 * static_cast<double>(i),
-                                  /*inclusive=*/false);
-    }
+    for (int i = 11; i <= 50; ++i) step(i);
     EXPECT_EQ(g_new_calls.load() - before, 0u) << "update drain allocated";
     EXPECT_GT(gen.updates_generated(), 10000u);
+    if (row.retention == JournalRetention::kFullWindow) {
+      EXPECT_GT(db.journal_size(), 0u);
+    }
   }
 }
 
